@@ -4,8 +4,9 @@
 //
 //   - The vector-clock race detector is *compiled* behind the
 //     -DGTS_RACE_CHECK build knob (GTS_RACE_CHECK_ENABLED); when the knob
-//     is OFF the instrumentation in KernelContext and the engine does not
-//     exist and `race_check` is ignored. When compiled in, the detector is
+//     is OFF the per-access instrumentation in KernelContext does not
+//     exist, the engine never constructs a detector, and `race_check` is
+//     ignored. When compiled in, the detector is
 //     a pure observer: it records no timeline ops, so the schedule (and
 //     the exported trace) is byte-identical with it on or off.
 //   - The ScheduleValidator is always compiled (it is pure post-processing

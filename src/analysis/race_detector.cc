@@ -43,6 +43,11 @@ uint64_t MixHash(uint64_t h, uint64_t v) {
 }  // namespace
 
 std::string RaceDetector::DomainName(int domain) {
+  if (domain >= kJobWaBase) {
+    const int offset = domain - kJobWaBase;
+    return "job" + std::to_string(offset / kJobWaStride) + ".gpu" +
+           std::to_string(offset % kJobWaStride) + ".wa";
+  }
   if (domain == kCpuWaDomain) return "cpu.wa";
   if (domain == kMmbufDomain) return "mmbuf";
   if (domain >= 2000) return "gpu" + std::to_string(domain - 2000) + ".cache";

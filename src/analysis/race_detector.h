@@ -26,8 +26,9 @@
 //
 //   Shadow state:
 //     WA domains  one cell per 4-byte granule per WA replica
-//                 ("gpu<g>.wa", "cpu.wa"); wider accesses check each
-//                 granule they cover
+//                 ("gpu<g>.wa", "cpu.wa"; "job<j>.gpu<g>.wa" for the
+//                 jobs of a multi-job batch epoch); wider accesses check
+//                 each granule they cover
 //     page domains one cell per page for MMBuf ("mmbuf") and the per-GPU
 //                 page caches ("gpu<g>.cache")
 //
@@ -36,10 +37,11 @@
 //
 // The detector is a pure observer: it records no timeline ops and never
 // perturbs the schedule; builds with -DGTS_RACE_CHECK=OFF compile the
-// instrumentation out entirely (this class still compiles for unit
-// tests). All entry points are mutex-guarded so stream worker threads may
-// report accesses concurrently; attribution is to *logical* lanes, so the
-// verdict is identical in inline and threaded execution modes.
+// per-access instrumentation out and the engine never constructs a
+// detector (this class still compiles for unit tests). All entry points
+// are mutex-guarded so stream worker threads may report accesses
+// concurrently; attribution is to *logical* lanes, so the verdict is
+// identical in inline and threaded execution modes.
 #ifndef GTS_ANALYSIS_RACE_DETECTOR_H_
 #define GTS_ANALYSIS_RACE_DETECTOR_H_
 
@@ -74,8 +76,13 @@ struct AccessSite {
 class RaceDetector {
  public:
   /// Shadow-domain ids. WA replicas use WaDomain()/kCpuWaDomain; page
-  /// cells use kMmbufDomain/CacheDomain().
-  static int WaDomain(int gpu) { return gpu; }
+  /// cells use kMmbufDomain/CacheDomain(). In a multi-job batch epoch
+  /// every job owns its WA replicas, so WaDomain(gpu, job) gives each
+  /// job one domain per GPU ("job<j>.gpu<g>.wa"); job < 0 (every
+  /// single-job run) keeps the per-GPU domain "gpu<g>.wa".
+  static int WaDomain(int gpu, int job = -1) {
+    return job < 0 ? gpu : kJobWaBase + job * kJobWaStride + gpu;
+  }
   static constexpr int kCpuWaDomain = 1000;
   static constexpr int kMmbufDomain = 1001;
   static int CacheDomain(int gpu) { return 2000 + gpu; }
@@ -166,6 +173,9 @@ class RaceDetector {
     // Indexed by static_cast<int>(AccessClass); lanes resized on demand.
     std::vector<LaneAccess> cls[4];
   };
+
+  static constexpr int kJobWaBase = 10000;
+  static constexpr int kJobWaStride = 1000;  ///< > any GPU index
 
   int LaneLocked(uint64_t key, std::string name, int stream_key);
   void AccessLocked(int lane, int domain, uint64_t index, uint32_t size,

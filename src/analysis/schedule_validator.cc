@@ -153,11 +153,13 @@ void ScheduleValidator::Check(const gpu::ScheduleResult& schedule,
     max_end = std::max(max_end, op.end);
   }
 
-  // R2: no overlap on any serial resource.
+  // R2: no overlap on any serial resource. Ties on start order by end,
+  // so a zero-length op (an empty WA delta, say) sorts before the op the
+  // simulator started at the same instant instead of "overlapping" it.
   for (auto& [key, intervals] : serial) {
     std::sort(intervals.begin(), intervals.end(),
               [](const Interval& a, const Interval& b) {
-                return a.start < b.start;
+                return a.start != b.start ? a.start < b.start : a.end < b.end;
               });
     const char* what =
         key.first == static_cast<int>(gpu::ResourceId::Type::kCopyEngine)

@@ -20,8 +20,9 @@
 //   pin-across-safe-point: a PageCache pin still held by a thread when an
 //                    ingest safe point (PublishIngest) runs on it
 //
-// Findings drain into RunMetrics::analysis via GtsEngine::FinalizeRun
-// (TakeViolations) and publish as the analysis.lock_* counters. With
+// Findings drain into the RunMetrics::analysis of every job of the
+// batch epoch that accrued them, via GtsEngine::FinalizeBatchEpoch
+// (TakeViolations), and publish as the analysis.lock_* counters. With
 // GTS_SYNC_STRICT=1 in the environment a novel violation aborts the
 // process with the report on stderr (the check_sync sweep's enforcement
 // mode); ScopedExpectViolations suppresses the abort for seeded-negative

@@ -1,11 +1,9 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <mutex>
 #include <cstring>
+#include <mutex>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
@@ -60,8 +58,8 @@ Status GtsOptions::Validate(const MachineConfig& machine) const {
           "max_concurrent_jobs " + std::to_string(max_concurrent_jobs) +
           " needs an asynchronous dispatch path: set use_stream_threads = "
           "true (worker streams) or dispatch.work_stealing = true (pull "
-          "dispatch), or keep max_concurrent_jobs = 1 for the legacy "
-          "single-run engine");
+          "dispatch), or keep max_concurrent_jobs = 1 to run one job per "
+          "epoch");
     }
     if (cpu_assist_fraction > 0.0) {
       return Status::InvalidArgument(
@@ -120,21 +118,17 @@ int StreamKey(int gpu, int stream) {
 }
 }  // namespace
 
-/// Per-GPU mutable state.
+/// Per-GPU state shared by every job of an epoch. Each job's WA slice,
+/// frontier contribution and per-stream work live in its JobGpuSlice.
 struct GtsEngine::GpuState {
   std::unique_ptr<gpu::Device> device;
   std::vector<std::unique_ptr<gpu::Stream>> streams;  // empty when inline
-  gpu::DeviceBuffer wa_buf;
   std::vector<gpu::DeviceBuffer> sp_buf;  // one per stream
   std::vector<gpu::DeviceBuffer> lp_buf;
   std::vector<gpu::DeviceBuffer> ra_buf;
   std::vector<int> stream_last_kind;  // -1 until a kernel ran on the stream
   std::unique_ptr<PageCache> cache;
-  std::unique_ptr<PidSet> local_next;
-  VertexId wa_begin = 0;
-  VertexId wa_end = 0;
-  std::vector<WorkStats> stream_work;  // accumulated per stream
-  int rr = 0;                          // round-robin stream cursor
+  int rr = 0;  // round-robin stream cursor
 };
 
 /// Host-CPU co-processing state (Section 9 future-work extension).
@@ -143,6 +137,16 @@ struct GtsEngine::CpuState {
   std::unique_ptr<PidSet> local_next;  // traversal frontier contribution
   std::vector<WorkStats> lane_work;    // per CPU worker lane
   int rr = 0;
+};
+
+/// One job's kernel launch against a staged or cached page: recorded in
+/// the host phase, executed by the page's closure.
+struct GtsEngine::JobLaunch {
+  JobExec* job = nullptr;
+  gpu::OpIndex kidx = gpu::kNoOp;
+  const uint8_t* ra_src = nullptr;  // host RA subvector
+  uint64_t ra_bytes = 0;
+  VertexId ra_start_vid = 0;
 };
 
 GtsEngine::GtsEngine(const PagedGraph* graph, PageStore* store,
@@ -217,12 +221,10 @@ GtsEngine::GtsEngine(const PagedGraph* graph, PageStore* store,
     };
     ingest_ = std::make_unique<ingest::EdgeStream>(std::move(env));
   }
-#if GTS_RACE_CHECK_ENABLED
-  if (options_.analysis.race_check) {
+  if (analysis::kRaceCheckCompiled && options_.analysis.race_check) {
     race_ = std::make_unique<analysis::RaceDetector>(
         options_.analysis.max_reported);
   }
-#endif
   if (options_.dispatch.min_active_edges > 0) {
     // Touch the counter up front so snapshot keys don't depend on whether
     // a run actually skipped anything.
@@ -245,6 +247,8 @@ GtsEngine::GtsEngine(const PagedGraph* graph, PageStore* store,
     max_slots_per_page_ =
         std::max(max_slots_per_page_, graph_->view(pid).num_slots());
   }
+  demand_.resize(graph_->num_pages());
+  merge_stamp_.assign(graph_->num_pages(), 0);
   scheduler_ = std::make_unique<JobScheduler>(this);
 }
 
@@ -352,92 +356,12 @@ Status GtsEngine::QuiesceIngestExclusive() {
   return Status::OK();
 }
 
-Status GtsEngine::SetupBuffers(GtsKernel* kernel) {
-  const uint64_t page_size = graph_->config().page_size;
-  const uint32_t wa_b = kernel->wa_bytes_per_vertex();
-  const uint32_t ra_b = kernel->ra_bytes_per_vertex();
-  const bool traversal = kernel->access_pattern() == AccessPattern::kTraversal;
-  if (traversal && CountFrontier()) BuildDegreeTable();
-
-  for (int g = 0; g < machine_.num_gpus; ++g) {
-    GpuState& gpu = *gpus_[g];
-    WaRange(g, traversal, &gpu.wa_begin, &gpu.wa_end);
-    const uint64_t wa_bytes =
-        static_cast<uint64_t>(gpu.wa_end - gpu.wa_begin) * wa_b;
-    GTS_ASSIGN_OR_RETURN(gpu.wa_buf, gpu.device->Allocate(wa_bytes, "WABuf"));
-    for (int s = 0; s < options_.num_streams; ++s) {
-      GTS_ASSIGN_OR_RETURN(
-          gpu::DeviceBuffer sp,
-          gpu.device->Allocate(page_size, "SPBuf[" + std::to_string(s) + "]"));
-      gpu.sp_buf.push_back(std::move(sp));
-      GTS_ASSIGN_OR_RETURN(
-          gpu::DeviceBuffer lp,
-          gpu.device->Allocate(page_size, "LPBuf[" + std::to_string(s) + "]"));
-      gpu.lp_buf.push_back(std::move(lp));
-      if (ra_b > 0) {
-        GTS_ASSIGN_OR_RETURN(
-            gpu::DeviceBuffer ra,
-            gpu.device->Allocate(
-                static_cast<uint64_t>(max_slots_per_page_) * ra_b,
-                "RABuf[" + std::to_string(s) + "]"));
-        gpu.ra_buf.push_back(std::move(ra));
-      }
-    }
-    // Section 3.3: free device memory becomes a topology-page cache for
-    // BFS-like algorithms (full scans touch every page exactly once, so a
-    // cache cannot help them and the paper disables it).
-    if (traversal && options_.enable_cache && ra_b == 0) {
-      const uint64_t avail = gpu.device->available();
-      const uint64_t cache_bytes =
-          options_.cache_bytes == GtsOptions::kAutoCacheBytes
-              ? avail
-              : std::min(options_.cache_bytes, avail);
-      gpu.cache = std::make_unique<PageCache>(
-          gpu.device.get(), cache_bytes, page_size, options_.cache_policy,
-          registry_.get(), "cache.gpu" + std::to_string(g));
-      gpu.cache->BindPinLog(&pin_events_);
-    }
-    if (traversal) {
-      gpu.local_next = std::make_unique<PidSet>(graph_->num_pages());
-      if (CountFrontier()) gpu.local_next->EnableCounting();
-    }
-    gpu.stream_work.assign(options_.num_streams, WorkStats{});
-    gpu.stream_last_kind.assign(options_.num_streams, -1);
-    gpu.rr = 0;
-  }
-
-  if (options_.cpu_assist_fraction > 0.0) {
-    if (options_.strategy == Strategy::kScalability &&
-        machine_.num_gpus > 1 && !traversal) {
-      return Status::FailedPrecondition(
-          "CPU co-processing needs Strategy-P (Strategy-S replicates the "
-          "whole stream to every processor already)");
-    }
-    cpu_ = std::make_unique<CpuState>();
-    cpu_->wa.resize(static_cast<uint64_t>(graph_->num_vertices()) * wa_b);
-    if (traversal) {
-      cpu_->local_next = std::make_unique<PidSet>(graph_->num_pages());
-      if (CountFrontier()) cpu_->local_next->EnableCounting();
-    }
-    cpu_->lane_work.assign(
-        static_cast<size_t>(machine_.time_model.cpu_worker_threads),
-        WorkStats{});
-    // Like gpu.rr above: the lane cursor starts every run at 0 so two
-    // identical runs produce identical per-lane WorkStats (CpuState is
-    // recreated per run today, but the reset must not depend on that).
-    cpu_->rr = 0;
-  }
-  return Status::OK();
-}
-
 void GtsEngine::ReleaseBuffers() {
   for (auto& gpu : gpus_) {
-    gpu->wa_buf.Reset();
     gpu->sp_buf.clear();
     gpu->lp_buf.clear();
     gpu->ra_buf.clear();
     gpu->cache.reset();
-    gpu->local_next.reset();
   }
   cpu_.reset();
 }
@@ -462,9 +386,24 @@ void GtsEngine::PatchKernelDuration(gpu::OpIndex idx, SimTime duration) {
   recorder_.op(idx).duration += duration;
 }
 
-Status GtsEngine::ProcessPageOnCpu(GtsKernel* kernel, PageId pid,
-                                   uint32_t cur_level,
-                                   RunMetrics* metrics) {
+void GtsEngine::NoteWaReplica(const JobExec& job, int g, int lane,
+                              analysis::AccessClass cls, gpu::OpIndex op) {
+  if (race_ == nullptr) return;
+  if (g == kHostReplica) {
+    race_->OnWaAccess(lane, analysis::RaceDetector::kCpuWaDomain, 0,
+                      static_cast<uint32_t>(cpu_->wa.size()), cls, op,
+                      kInvalidPageId);
+    return;
+  }
+  const JobGpuSlice& slice = job.gpus[static_cast<size_t>(g)];
+  const uint64_t bytes = static_cast<uint64_t>(slice.wa_end - slice.wa_begin) *
+                         job.kernel->wa_bytes_per_vertex();
+  race_->OnWaAccess(lane, analysis::RaceDetector::WaDomain(g, job.job_id), 0,
+                    static_cast<uint32_t>(bytes), cls, op, kInvalidPageId);
+}
+
+Status GtsEngine::ProcessPageOnCpu(JobExec* job, PageId pid) {
+  GtsKernel* kernel = job->kernel;
   const PageKind kind = graph_->kind(pid);
   const TimeModel& tm = machine_.time_model;
   const uint32_t ra_b = kernel->ra_bytes_per_vertex();
@@ -487,6 +426,7 @@ Status GtsEngine::ProcessPageOnCpu(GtsKernel* kernel, PageId pid,
   kop.dep0 = fetch_dep;
   kop.page = pid;
   kop.duration = 0.0;
+  kop.job = job->job_id;
   const gpu::OpIndex kidx = RecordOp(kop);
 
   KernelContext ctx;
@@ -499,14 +439,13 @@ Status GtsEngine::ProcessPageOnCpu(GtsKernel* kernel, PageId pid,
                ? host_ra + static_cast<uint64_t>(start_vid) * ra_b
                : nullptr;
   ctx.ra_start_vid = start_vid;
-  ctx.cur_level = cur_level;
+  ctx.cur_level = job->cur_level();
   ctx.next_pid_set = cpu_->local_next.get();
   if (cpu_->local_next != nullptr && cpu_->local_next->counting()) {
     ctx.out_degrees = out_degrees_.data();
   }
   ctx.micro = options_.micro;
 
-#if GTS_RACE_CHECK_ENABLED
   if (race_ != nullptr) {
     if (!fetch.buffer_hit) {
       race_->OnPageStaged(static_cast<int>(fetch.device_index), pid,
@@ -522,7 +461,6 @@ Status GtsEngine::ProcessPageOnCpu(GtsKernel* kernel, PageId pid,
     ctx.race_site = {race_.get(), cl, analysis::RaceDetector::kCpuWaDomain,
                      kidx, pid};
   }
-#endif
 
   // Streaming ingestion: the MMBuf bytes are the installed base image;
   // pending deltas are overlaid onto a host-local copy (the shared MMBuf
@@ -548,170 +486,13 @@ Status GtsEngine::ProcessPageOnCpu(GtsKernel* kernel, PageId pid,
       static_cast<double>(work.mem_transactions) *
           kernel->seconds_per_mem_transaction(tm) * tm.cpu_mem_multiplier);
 
-  ++metrics->cpu_pages;
+  ++job->metrics.cpu_pages;
   if (kind == PageKind::kSmall) {
-    ++metrics->sp_kernel_calls;
+    ++job->metrics.sp_kernel_calls;
   } else {
-    ++metrics->lp_kernel_calls;
+    ++job->metrics.lp_kernel_calls;
   }
   return Status::OK();
-}
-
-void GtsEngine::UploadWa(GtsKernel* kernel) {
-  const TimeModel& tm = machine_.time_model;
-  const uint32_t wa_b = kernel->wa_bytes_per_vertex();
-  if (cpu_ != nullptr) {
-    kernel->InitDeviceWa(cpu_->wa.data(), 0, graph_->num_vertices());
-#if GTS_RACE_CHECK_ENABLED
-    if (race_ != nullptr) {
-      race_->OnWaAccess(race_->HostLane(), analysis::RaceDetector::kCpuWaDomain,
-                        0, static_cast<uint32_t>(cpu_->wa.size()),
-                        analysis::AccessClass::kPlainWrite, gpu::kNoOp,
-                        kInvalidPageId);
-    }
-#endif
-  }
-  for (int g = 0; g < machine_.num_gpus; ++g) {
-    GpuState& gpu = *gpus_[g];
-    const uint64_t bytes =
-        static_cast<uint64_t>(gpu.wa_end - gpu.wa_begin) * wa_b;
-    gpu::TimelineOp op;
-    op.kind = gpu::OpKind::kH2DChunk;
-    op.stream_key = StreamKey(g, 0);
-    op.resource = {gpu::ResourceId::Type::kCopyEngine, g};
-    op.duration = static_cast<double>(bytes) / tm.c1;
-    op.bytes = bytes;
-    const gpu::OpIndex op_idx = RecordOp(op);
-    kernel->InitDeviceWa(gpu.wa_buf.data(), gpu.wa_begin, gpu.wa_end);
-#if GTS_RACE_CHECK_ENABLED
-    if (race_ != nullptr) {
-      // The WA upload is the copy engine writing WABuf. Every level-0
-      // kernel has its page H2D serialized after this chunk on the same
-      // copy engine, so fusing the copy lane with stream 0 here and with
-      // each page's stream at its H2DStream (ProcessPages) carries the
-      // upload->kernel happens-before edge without a global barrier.
-      const int host = race_->HostLane();
-      const int copy = race_->CopyLane(g);
-      race_->Join(copy, host);
-      race_->BeginOp(copy);
-      race_->OnWaAccess(copy, analysis::RaceDetector::WaDomain(g), 0,
-                        static_cast<uint32_t>(bytes),
-                        analysis::AccessClass::kPlainWrite, op_idx,
-                        kInvalidPageId);
-      race_->Fuse(copy, race_->StreamLane(g, 0, StreamKey(g, 0)));
-    }
-#else
-    (void)op_idx;
-#endif
-  }
-}
-
-void GtsEngine::DownloadWa(GtsKernel* kernel) {
-  const TimeModel& tm = machine_.time_model;
-  const uint32_t wa_b = kernel->wa_bytes_per_vertex();
-  const int n_gpus = machine_.num_gpus;
-
-  // WA sync happens after the whole pass completes (Step 3/4, Figure 5).
-  {
-    analysis::sync::Lock lock(record_mu_);
-    recorder_.AddBarrier(0.0);
-  }
-#if GTS_RACE_CHECK_ENABLED
-  // The download is barrier-ordered: its ops are recorded after the
-  // AddBarrier above, so every kernel of the pass happens-before the
-  // host-side absorb.
-  if (race_ != nullptr) race_->BarrierAcquire();
-#endif
-
-  std::vector<gpu::OpIndex> d2h_idx(static_cast<size_t>(n_gpus), gpu::kNoOp);
-  if (options_.strategy == Strategy::kPerformance && n_gpus > 1) {
-    // Peer-to-peer merge into the master GPU, then one D2H (Section 4.1).
-    const uint64_t bytes =
-        static_cast<uint64_t>(graph_->num_vertices()) * wa_b;
-    for (int g = 1; g < n_gpus; ++g) {
-      gpu::TimelineOp p2p;
-      p2p.kind = gpu::OpKind::kP2P;
-      p2p.resource = {gpu::ResourceId::Type::kCopyEngine, 0};  // lands on master
-      p2p.duration = static_cast<double>(bytes) / tm.p2p_bandwidth;
-      p2p.bytes = bytes;
-      RecordOp(p2p);
-    }
-    gpu::TimelineOp d2h;
-    d2h.kind = gpu::OpKind::kD2H;
-    d2h.resource = {gpu::ResourceId::Type::kCopyEngine, 0};
-    d2h.duration = static_cast<double>(bytes) / tm.c1;
-    d2h.bytes = bytes;
-    const gpu::OpIndex idx = RecordOp(d2h);
-    for (int g = 0; g < n_gpus; ++g) d2h_idx[static_cast<size_t>(g)] = idx;
-  } else {
-    for (int g = 0; g < n_gpus; ++g) {
-      GpuState& gpu = *gpus_[g];
-      const uint64_t bytes =
-          static_cast<uint64_t>(gpu.wa_end - gpu.wa_begin) * wa_b;
-      gpu::TimelineOp d2h;
-      d2h.kind = gpu::OpKind::kD2H;
-      d2h.resource = {gpu::ResourceId::Type::kCopyEngine, g};
-      d2h.duration = static_cast<double>(bytes) / tm.c1;
-      d2h.bytes = bytes;
-      d2h_idx[static_cast<size_t>(g)] = RecordOp(d2h);
-    }
-  }
-
-  // Execution: fold every device replica/chunk into the host arrays.
-  for (int g = 0; g < n_gpus; ++g) {
-    GpuState& gpu = *gpus_[g];
-    kernel->AbsorbDeviceWa(gpu.wa_buf.data(), gpu.wa_begin, gpu.wa_end);
-#if GTS_RACE_CHECK_ENABLED
-    if (race_ != nullptr) {
-      race_->OnWaAccess(race_->HostLane(),
-                        analysis::RaceDetector::WaDomain(g), 0,
-                        static_cast<uint32_t>(
-                            static_cast<uint64_t>(gpu.wa_end - gpu.wa_begin) *
-                            wa_b),
-                        analysis::AccessClass::kPlainRead,
-                        d2h_idx[static_cast<size_t>(g)], kInvalidPageId);
-    }
-#endif
-  }
-  if (cpu_ != nullptr) {
-    // Host-internal; crosses no PCI-E link, so no timeline op.
-    kernel->AbsorbDeviceWa(cpu_->wa.data(), 0, graph_->num_vertices());
-#if GTS_RACE_CHECK_ENABLED
-    if (race_ != nullptr) {
-      race_->OnWaAccess(race_->HostLane(),
-                        analysis::RaceDetector::kCpuWaDomain, 0,
-                        static_cast<uint32_t>(cpu_->wa.size()),
-                        analysis::AccessClass::kPlainRead, gpu::kNoOp,
-                        kInvalidPageId);
-    }
-#endif
-  }
-  if (options_.io.wa_snapshot) {
-    // Spill each GPU's downloaded WA replica/chunk to storage through the
-    // io write path: the write queues behind pending reads on its device
-    // and is recorded as kStorageWrite depending on the D2H that produced
-    // the bytes, so checkpoint traffic contends in the simulated schedule
-    // instead of being invisible. Layout: past the striped page region,
-    // GPUs round-robined over devices, chunks packed in GPU order -- the
-    // same offsets every pass (a snapshot, not a journal).
-    const size_t n_dev = store_->num_devices();
-    std::vector<uint64_t> cursor(n_dev);
-    for (size_t d = 0; d < n_dev; ++d) cursor[d] = store_->DevicePageBytes(d);
-    for (int g = 0; g < n_gpus; ++g) {
-      GpuState& gpu = *gpus_[g];
-      const uint64_t bytes =
-          static_cast<uint64_t>(gpu.wa_end - gpu.wa_begin) * wa_b;
-      if (bytes == 0) continue;
-      const size_t d = static_cast<size_t>(g) % n_dev;
-      auto wrote = io_->Write(d, cursor[d], gpu.wa_buf.data(), bytes,
-                              d2h_idx[static_cast<size_t>(g)]);
-      GTS_CHECK_OK(wrote.status());
-      cursor[d] += bytes;
-    }
-  }
-#if GTS_RACE_CHECK_ENABLED
-  if (race_ != nullptr) race_->BarrierRelease();
-#endif
 }
 
 void GtsEngine::SynchronizeStreams() {
@@ -771,691 +552,15 @@ GtsEngine::PageRoute GtsEngine::RoutePage(PageId pid) const {
   return route;
 }
 
-Status GtsEngine::ProcessPages(GtsKernel* kernel,
-                               const std::vector<PageId>& pids,
-                               uint32_t cur_level, RunMetrics* metrics) {
-  if (options_.use_stream_threads && options_.dispatch.work_stealing) {
-    return ProcessPagesPull(kernel, pids, cur_level, metrics);
-  }
-  GTS_PROF_SCOPE("engine.process_pages");
-  for (PageId pid : pids) {
-    const PageRoute route = RoutePage(pid);
-    if (route.cpu) {
-      GTS_RETURN_IF_ERROR(ProcessPageOnCpu(kernel, pid, cur_level, metrics));
-      continue;
-    }
-    const PageKind kind = graph_->kind(pid);
-    for (int g = route.first_gpu; g <= route.last_gpu; ++g) {
-      GpuState& gpu = *gpus_[g];
-      const int s = pipeline_->AssignStream(static_cast<int>(kind),
-                                            gpu.stream_last_kind, &gpu.rr);
-      GTS_RETURN_IF_ERROR(StreamPageToGpu(kernel, pid, g, s, cur_level,
-                                          metrics, /*pull=*/false,
-                                          /*stolen=*/false));
-    }
-  }
-  return Status::OK();
-}
-
-Status GtsEngine::ProcessPagesPull(GtsKernel* kernel,
-                                   const std::vector<PageId>& pids,
-                                   uint32_t cur_level, RunMetrics* metrics) {
-  GTS_PROF_SCOPE("engine.process_pages");
-  const int n_gpus = machine_.num_gpus;
-  const int n_streams = options_.num_streams;
-
-  // Publish the whole pass up front. The legacy Assign step picks each
-  // item's home (gpu, stream) -- sticky's kind affinity keeps meaning as
-  // the steal hint -- and replicated pages fan out as one gpu-bound item
-  // per GPU (each GPU must run its own copy; only partitioned items may
-  // later migrate across GPUs).
-  ReadyQueue queue(n_gpus, n_streams, work_item_seq_);
-  queue.BindEventLog(&dispatch_events_);
-  queue.BindMetrics(&registry_->GetDistribution("dispatch.queue_wait"),
-                    &registry_->GetCounter("dispatch.steals"));
-  std::vector<PageId> cpu_pages;
-  for (PageId pid : pids) {
-    const PageRoute route = RoutePage(pid);
-    if (route.cpu) {
-      cpu_pages.push_back(pid);
-      continue;
-    }
-    const PageKind kind = graph_->kind(pid);
-    const bool gpu_bound = route.last_gpu > route.first_gpu;
-    for (int g = route.first_gpu; g <= route.last_gpu; ++g) {
-      GpuState& gpu = *gpus_[g];
-      const int s = pipeline_->AssignStream(static_cast<int>(kind),
-                                            gpu.stream_last_kind, &gpu.rr);
-      queue.Push(pid, g, s, static_cast<int>(kind), gpu_bound);
-    }
-  }
-  // All ids for this pass are assigned; the next pass continues the run's
-  // sequence so the R9 audit's per-item key stays unique across passes.
-  work_item_seq_ = queue.next_id();
-
-  // Hybrid CPU-assist pages run on the host thread *before* the workers
-  // start: ProcessPageOnCpu reads its page straight out of MMBuf, which
-  // concurrent worker Acquires may evict mid-kernel. Simulated time is
-  // unaffected (op overlap is the simulator's business); only host
-  // wall-clock loses the CPU/GPU overlap, and cpu_assist_fraction is 0
-  // in every paper configuration.
-  for (PageId pid : cpu_pages) {
-    GTS_RETURN_IF_ERROR(ProcessPageOnCpu(kernel, pid, cur_level, metrics));
-  }
-
-  // Cross-GPU steals need WA replicated on every device (Strategy-P);
-  // under Strategy-S every item is gpu-bound anyway (replicated stream).
-  const bool allow_cross =
-      options_.strategy == Strategy::kPerformance && n_gpus > 1;
-  std::mutex error_mu;
-  Status first_error;
-  for (int g = 0; g < n_gpus; ++g) {
-    for (int s = 0; s < n_streams; ++s) {
-      gpus_[g]->streams[s]->Enqueue([this, kernel, cur_level, metrics, &queue,
-                                     &error_mu, &first_error, allow_cross, g,
-                                     s] {
-        ClaimContext ctx;
-        ctx.gpu = g;
-        ctx.stream = s;
-        ctx.stream_key = StreamKey(g, s);
-        ctx.allow_cross_gpu = allow_cross;
-        const uint32_t batch = options_.dispatch.steal_batch;
-        std::vector<WorkItem> items;
-        WorkItem item;
-        bool done = false;
-        while (!done) {
-          // stream_last_kind[s] is owner-exclusive: only this worker
-          // processes on (g, s), so the unlocked read is safe.
-          ctx.last_kind = gpus_[g]->stream_last_kind[s];
-          if (batch > 1) {
-            if (!pipeline_->ClaimWorkBatch(queue, ctx, batch, &items)) break;
-          } else {
-            // batch == 1 takes the exact pre-batching claim call.
-            if (!pipeline_->ClaimWork(queue, ctx, &item)) break;
-            items.assign(1, item);
-          }
-          for (const WorkItem& claimed : items) {
-            Status status = StreamPageToGpu(kernel, claimed.pid, g, s,
-                                            cur_level, metrics, /*pull=*/true,
-                                            claimed.stolen);
-            if (!status.ok()) {
-              std::lock_guard<std::mutex> lock(error_mu);
-              if (first_error.ok()) first_error = std::move(status);
-              done = true;
-              break;
-            }
-          }
-        }
-      });
-    }
-  }
-  // The queue and error slot live on this frame: drain every worker
-  // before returning (the caller's SynchronizeStreams is then a no-op).
-  // A worker that errored stops claiming; its siblings still drain the
-  // queue, and the first error surfaces after the pass settles.
-  for (auto& gpu : gpus_) {
-    for (auto& stream : gpu->streams) stream->Synchronize();
-  }
-  return first_error;
-}
-
-Status GtsEngine::StreamPageToGpu(GtsKernel* kernel, PageId pid, int g,
-                                  int s, uint32_t cur_level,
-                                  RunMetrics* metrics, bool pull,
-                                  bool stolen) {
-  const TimeModel& tm = machine_.time_model;
-  const PageConfig& config = graph_->config();
-  const uint64_t page_size = config.page_size;
-  const uint32_t ra_b = kernel->ra_bytes_per_vertex();
-  const double sec_per_cycle = tm.warp_cycle_seconds;
-  const double sec_per_mem = kernel->seconds_per_mem_transaction(tm);
-  const uint8_t* host_ra = kernel->host_ra();
-  const PageKind kind = graph_->kind(pid);
-  GpuState& gpu = *gpus_[g];
-  const int stream_key = StreamKey(g, s);
-
-  // Pull mode serializes the host-side phase: Acquire can evict the
-  // MMBuf bytes another worker is mid-copy on, and the recorded op order
-  // must be internally consistent per stream. Released before the kernel
-  // executes -- that part is the parallelism.
-  analysis::sync::UniqueLock host_phase(dispatch_mu_,
-                                      analysis::sync::UniqueLock::kDefer);
-  if (pull) host_phase.lock();
-
-  // Host-side routing against cachedPIDMap (Algorithm 1 line 16). A
-  // hit returns an RAII Pin: the lease blocks eviction, so the kernel
-  // can run in place against the cached device page even while Insert
-  // calls on other stream threads evict around it. The Pin is move-only
-  // and moves straight into the execute closure (gpu::Task), no heap
-  // wrapper needed.
-  PageCache::Pin pin =
-      gpu.cache != nullptr ? gpu.cache->Lookup(pid) : PageCache::Pin();
-  const bool cached = pin.valid();
-
-  // Holds streamed page bytes alive for the enqueued closure (thread
-  // mode); unused on a cache hit, where the pinned bytes are read
-  // directly.
-  std::vector<uint8_t> staging;
-
-  const uint8_t* ra_src = nullptr;  // host RA subvector
-  uint64_t ra_bytes = 0;
-  VertexId ra_start_vid = 0;
-
-  if (!cached) {
-    staging.resize(page_size);
-    transfer::StageRequest sreq;
-    sreq.pid = pid;
-    sreq.gpu = g;
-    sreq.stream_key = stream_key;
-    sreq.stolen = stolen;
-    GTS_ASSIGN_OR_RETURN(transfer::StagedPage staged, transfer_->Stage(sreq));
-    ++metrics->pages_streamed;
-    metrics->transfer_bytes += staged.bytes;
-    if (staged.direct) {
-      ++metrics->direct_pages;
-      metrics->direct_bytes += staged.bytes;
-    }
-
-#if GTS_RACE_CHECK_ENABLED
-    if (race_ != nullptr) {
-      // storage -> MMBuf event, then host consumes the bytes.
-      if (!staged.buffer_hit) {
-        race_->OnPageStaged(static_cast<int>(staged.device_index), pid,
-                            staged.fetch_op);
-      }
-      race_->OnPageDelivered(pid);
-      // The copy engine reads the staged MMBuf bytes into the stream
-      // buffer; fusing with the stream carries the transfer->kernel
-      // happens-before edge (CUDA in-stream ordering).
-      const int copy = race_->CopyLane(g);
-      race_->Join(copy, race_->HostLane());
-      race_->BeginOp(copy);
-      race_->OnPageAccess(copy, analysis::RaceDetector::kMmbufDomain, pid,
-                          /*write=*/false, staged.transfer_op);
-      race_->Fuse(copy, race_->StreamLane(g, s, stream_key));
-    }
-#endif
-
-    if (ra_b > 0 && host_ra != nullptr) {
-      const RvtEntry& rvt_entry = graph_->rvt().entry(pid);
-      ra_start_vid = rvt_entry.start_vid;
-      const uint32_t covered =
-          kind == PageKind::kSmall ? graph_->view(pid).num_slots() : 1;
-      ra_bytes = static_cast<uint64_t>(covered) * ra_b;
-      ra_src = host_ra + ra_start_vid * ra_b;
-
-      gpu::TimelineOp ra_op;
-      ra_op.kind = gpu::OpKind::kH2DStream;
-      ra_op.stream_key = stream_key;
-      ra_op.resource = {gpu::ResourceId::Type::kCopyEngine, g};
-      ra_op.duration = static_cast<double>(ra_bytes) / tm.c2;
-      ra_op.bytes = ra_bytes;
-      ra_op.page = pid;
-      RecordOp(ra_op);
-    }
-
-    // Copied while the host phase owns the MMBuf bytes: in pull mode a
-    // sibling worker's Acquire may evict `staged.data` the moment
-    // dispatch_mu_ is released.
-    std::memcpy(staging.data(), staged.data, page_size);
-    // Streaming ingestion: patch the staged copy with the page's pending
-    // delta chain (the MMBuf copy stays the installed base image).
-    if (ingest_ != nullptr) (void)ingest_->Overlay(pid, staging.data());
-  }
-  // On a cache hit only the kernel call is issued (line 17); cached
-  // kernels never carry RA (SetupBuffers enables the cache only for
-  // RA-free traversal kernels). With ingestion the hit is version-safe:
-  // publishes invalidate changed pages, so a surviving entry's bytes
-  // already equal installed image + chain as of the current epoch.
-
-  gpu::TimelineOp kop;
-  kop.kind = gpu::OpKind::kKernel;
-  kop.stream_key = stream_key;
-  kop.resource = {gpu::ResourceId::Type::kKernelPool, g};
-  // Switching between the SP and LP kernels on a stream costs extra
-  // (Section 3.2); the work-dependent time is added after execution.
-  kop.duration = 0.0;
-  if (gpu.stream_last_kind[s] >= 0 &&
-      gpu.stream_last_kind[s] != static_cast<int>(kind)) {
-    kop.duration = tm.kernel_switch_overhead;
-  }
-  gpu.stream_last_kind[s] = static_cast<int>(kind);
-  kop.page = pid;
-  kop.stolen = stolen;
-  const gpu::OpIndex kidx = RecordOp(kop);
-  if (kind == PageKind::kSmall) {
-    ++metrics->sp_kernel_calls;
-  } else {
-    ++metrics->lp_kernel_calls;
-  }
-
-  const bool insert_into_cache = gpu.cache != nullptr && !cached;
-  // Captured in the host phase: PageVersion may only move at safe
-  // points, but the execute closure can run after this pass's sync.
-  const uint64_t page_version =
-      ingest_ != nullptr ? ingest_->PageVersion(pid) : 0;
-  int race_lane = 0;
-#if GTS_RACE_CHECK_ENABLED
-  if (race_ != nullptr) {
-    // Issue edge: the kernel launch is a host action, so everything
-    // that happened-before the launch happens-before the kernel.
-    // Later host actions are NOT ordered before it (Join ticks host).
-    race_lane = race_->StreamLane(g, s, stream_key);
-    race_->BeginOp(race_lane);
-    race_->Join(race_lane, race_->HostLane());
-    if (cached) {
-      race_->OnPageAccess(race_lane, analysis::RaceDetector::CacheDomain(g),
-                          pid, /*write=*/false, kidx);
-    } else if (insert_into_cache) {
-      race_->OnPageAccess(race_lane, analysis::RaceDetector::CacheDomain(g),
-                          pid, /*write=*/true, kidx);
-    }
-  }
-#endif
-  GpuState* gpu_ptr = &gpu;
-  const double launch_overhead = tm.kernel_launch_overhead;
-  auto execute = [this, kernel, gpu_ptr, pin = std::move(pin),
-                  staging = std::move(staging), ra_src, ra_bytes,
-                  ra_start_vid, kind, cur_level, g, s, kidx, race_lane,
-                  sec_per_cycle, sec_per_mem, insert_into_cache, pid, config,
-                  launch_overhead, page_version]() {
-    GpuState& st = *gpu_ptr;
-    const uint8_t* page_bytes = nullptr;
-    if (pin.valid()) {
-      // Cache hit (Algorithm 1 line 17): run the kernel in place
-      // against the pinned device page; no copy is needed and the Pin
-      // keeps the buffer alive until this closure is destroyed.
-      page_bytes = pin.data();
-    } else {
-      // "Copy" into the device stream buffer, then run the kernel
-      // there.
-      uint8_t* dst = kind == PageKind::kSmall ? st.sp_buf[s].data()
-                                              : st.lp_buf[s].data();
-      std::memcpy(dst, staging.data(), staging.size());
-      page_bytes = dst;
-    }
-    if (ra_src != nullptr) {
-      std::memcpy(st.ra_buf[s].data(), ra_src, ra_bytes);
-    }
-
-    KernelContext ctx;
-    ctx.rvt = &graph_->rvt();
-    ctx.wa = st.wa_buf.data();
-    ctx.wa_begin = st.wa_begin;
-    ctx.wa_end = st.wa_end;
-    ctx.ra = ra_src != nullptr ? st.ra_buf[s].data() : nullptr;
-    ctx.ra_start_vid = ra_start_vid;
-    ctx.cur_level = cur_level;
-    ctx.next_pid_set = st.local_next.get();
-    if (st.local_next != nullptr && st.local_next->counting()) {
-      ctx.out_degrees = out_degrees_.data();
-    }
-    ctx.micro = options_.micro;
-#if GTS_RACE_CHECK_ENABLED
-    if (race_ != nullptr) {
-      ctx.race_site = {race_.get(), race_lane,
-                       analysis::RaceDetector::WaDomain(g), kidx, pid};
-    }
-#else
-    (void)g;
-    (void)race_lane;
-#endif
-
-    PageView view(page_bytes, config);
-    const WorkStats work = kind == PageKind::kSmall ? kernel->RunSp(view, ctx)
-                                                    : kernel->RunLp(view, ctx);
-    st.stream_work[s] += work;
-    PatchKernelDuration(
-        kidx, launch_overhead +
-                  static_cast<double>(work.warp_cycles) * sec_per_cycle +
-                  static_cast<double>(work.mem_transactions) * sec_per_mem);
-    if (insert_into_cache) {
-      // Device-internal copy; deliberately not a timeline op (it does
-      // not cross PCI-E). Failure is cache-full backpressure (counted
-      // by the cache) -- the page simply stays on the streaming path.
-      (void)st.cache->Insert(pid, page_bytes, page_version);
-    }
-  };
-
-  if (pull) {
-    // The calling thread IS the stream worker: run the kernel inline,
-    // outside the host-phase lock.
-    host_phase.unlock();
-    execute();
-  } else if (options_.use_stream_threads) {
-    gpu.streams[s]->Enqueue(std::move(execute));
-  } else {
-    execute();
-  }
-  return Status::OK();
-}
-
-Result<RunMetrics> GtsEngine::RunInto(GtsKernel* kernel, RunReport* report,
-                                      VertexId source,
-                                      int max_levels_override) {
-  GTS_ASSIGN_OR_RETURN(RunMetrics increment,
-                       Run(kernel, source, max_levels_override));
-  report->Accumulate(increment);
-  report->snapshot = registry_->Snapshot();
-  return increment;
-}
-
-Result<RunMetrics> GtsEngine::RunPassInto(GtsKernel* kernel,
-                                          RunReport* report,
-                                          const std::vector<PageId>& pages,
-                                          uint32_t level) {
-  GTS_ASSIGN_OR_RETURN(RunMetrics increment, RunPass(kernel, pages, level));
-  report->Accumulate(increment);
-  report->snapshot = registry_->Snapshot();
-  return increment;
-}
-
 Result<RunMetrics> GtsEngine::Run(GtsKernel* kernel, VertexId source,
                                   int max_levels_override) {
-  // Thin shim over the scheduler's single-job path, which routes back
-  // into RunDirect -- byte-identical to the pre-scheduler engine.
+  // Thin shim over the scheduler: the job runs as a batch epoch of one.
   JobOptions options;
   options.source = source;
   options.max_levels_override = max_levels_override;
   JobHandle handle = scheduler_->Submit(kernel, options);
   GTS_ASSIGN_OR_RETURN(RunReport report, handle.Wait());
   return report.metrics;
-}
-
-Result<RunMetrics> GtsEngine::ExecuteJob(JobExec* exec) {
-  if (exec->is_pass) {
-    return RunPassDirect(exec->kernel, exec->pages, exec->pass_level,
-                         &exec->cancel, &exec->options);
-  }
-  return RunDirect(exec->kernel, exec->options.source,
-                   exec->options.max_levels_override, &exec->cancel,
-                   &exec->options);
-}
-
-Result<RunMetrics> GtsEngine::RunDirect(GtsKernel* kernel, VertexId source,
-                                        int max_levels_override,
-                                        std::atomic<bool>* cancel,
-                                        const JobOptions* jopts) {
-  GTS_PROF_SCOPE("engine.run");
-  const int max_levels =
-      max_levels_override >= 0 ? max_levels_override : options_.max_levels;
-  const bool traversal =
-      kernel->access_pattern() == AccessPattern::kTraversal;
-  if (traversal &&
-      (source == kInvalidVertexId || source >= graph_->num_vertices())) {
-    return Status::InvalidArgument("traversal kernel needs a source vertex");
-  }
-
-  Status setup = SetupBuffers(kernel);
-  if (!setup.ok()) {
-    ReleaseBuffers();
-    return setup;
-  }
-
-  {
-    analysis::sync::Lock lock(record_mu_);
-    recorder_.Clear();
-  }
-  store_->ResetStats();
-  io_->ResetStats();
-  pin_events_.Clear();
-  io_events_.Clear();
-  dispatch_events_.Clear();
-  work_item_seq_ = 0;
-#if GTS_RACE_CHECK_ENABLED
-  if (race_ != nullptr) race_->BeginRun();
-#endif
-  // Safe point: the run opens on a freshly published graph version (its
-  // priced delta/rewrite writes land in this run's schedule), and the
-  // degree table follows the publish epoch.
-  PublishIngest();
-  if (traversal && CountFrontier()) BuildDegreeTable();
-  RunMetrics metrics;
-  const TimeModel& tm = machine_.time_model;
-
-  UploadWa(kernel);
-
-  Status run_status;
-  if (!traversal) {
-    // PageRank-like: one pass over all SPs, then all LPs (Section 3.2),
-    // reordered per the dispatch pipeline's page-order policy.
-    run_status = ProcessPages(
-        kernel,
-        PlanPass(graph_->small_page_ids(), graph_->large_page_ids(),
-                 nullptr),
-        0, &metrics);
-    SynchronizeStreams();
-    if (run_status.ok()) {
-      DownloadWa(kernel);
-      analysis::sync::Lock lock(record_mu_);
-      recorder_.AddBarrier(tm.sync_overhead * machine_.num_gpus);
-      metrics.levels = 1;
-    }
-  } else {
-    // BFS-like: level-by-level over nextPIDSet (Section 3.3).
-    PidSet frontier(graph_->num_pages());
-    if (CountFrontier()) frontier.EnableCounting();
-    // Seed with the source's out-degree: level 0 expands exactly the
-    // source, so the page's active-edge count is its degree.
-    frontier.Set(graph_->PageOfVertex(source),
-                 out_degrees_.empty() ? 1 : out_degrees_[source]);
-    int level = 0;
-    uint64_t prev_updates = 0;  // for per-level WA-delta sizing
-    while (!frontier.Empty() && level < max_levels) {
-      // Cancellation probe (JobHandle::Cancel): level boundaries are the
-      // documented cancellation points; a null pointer (or an unset flag)
-      // costs one relaxed load and changes no recorded op.
-      if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-        run_status = Status::Cancelled("job cancelled at level boundary");
-        break;
-      }
-      // Per-job streamed-bytes quota, enforced at the same boundaries as
-      // cancellation: a job at or over its cap retires with
-      // ResourceExhausted (completed levels are not rolled back).
-      if (jopts != nullptr && jopts->max_streamed_bytes > 0 &&
-          metrics.transfer_bytes >= jopts->max_streamed_bytes) {
-        registry_->GetCounter("jobs.quota_deferrals").Add();
-        run_status = Status::ResourceExhausted(
-            "job hit max_streamed_bytes: " +
-            std::to_string(metrics.transfer_bytes) + " B streamed, quota " +
-            std::to_string(jopts->max_streamed_bytes) + " B");
-        break;
-      }
-      // Mid-run safe point: fold newly appended ingest updates in unless
-      // the job pinned the run-start graph version.
-      if (level > 0 && (jopts == nullptr || !jopts->pin_graph_version)) {
-        PublishIngest();
-        if (CountFrontier()) BuildDegreeTable();
-      }
-      std::vector<PageId> sps;
-      std::vector<PageId> lps;
-      uint64_t skipped = 0;
-      const std::vector<PageId> front_pages = frontier.ToVector();
-      const uint32_t min_edges =
-          EffectiveMinActiveEdges(frontier, front_pages);
-      for (PageId pid : front_pages) {
-        // Admission threshold: a page whose activated vertices hold fewer
-        // than min_active_edges out-edges is not worth a stream slot this
-        // level (at threshold 1 the cut is exact -- zero active edges
-        // means zero possible expansions).
-        if (min_edges > 0 && frontier.counting() &&
-            frontier.CountOf(pid) < min_edges) {
-          ++skipped;
-          continue;
-        }
-        if (graph_->kind(pid) == PageKind::kSmall) {
-          sps.push_back(pid);
-        } else {
-          // Record IDs address an LP vertex through its first chunk; the
-          // RVT's LP_RANGE says how many continuation pages follow, and a
-          // traversal must stream the whole run (Figure 1 / Appendix A).
-          const uint32_t more = graph_->rvt().entry(pid).lp_more;
-          for (uint32_t k = 0; k <= more; ++k) {
-            lps.push_back(pid + k);
-          }
-        }
-      }
-      if (skipped > 0) {
-        metrics.pages_skipped += skipped;
-        registry_->GetCounter("dispatch.skipped_pages").Add(skipped);
-      }
-      if (kernel->collect_level_pages()) {
-        std::vector<PageId> combined = sps;
-        combined.insert(combined.end(), lps.begin(), lps.end());
-        metrics.level_pages.push_back(std::move(combined));
-      }
-      for (auto& gpu : gpus_) gpu->local_next->Clear();
-      if (cpu_ != nullptr) cpu_->local_next->Clear();
-
-      run_status = ProcessPages(
-          kernel, PlanPass(std::move(sps), std::move(lps), &frontier),
-          static_cast<uint32_t>(level), &metrics);
-      SynchronizeStreams();
-      if (!run_status.ok()) break;
-#if GTS_RACE_CHECK_ENABLED
-      // The level boundary is a BSP barrier for the detector: the stream
-      // sync above orders every kernel of this level before the host-side
-      // frontier/WA merge below (the simulated D2H ops may still overlap
-      // kernels in the timeline, but their *payload* is only read here).
-      if (race_ != nullptr) race_->BarrierAcquire();
-#endif
-
-      // Per-level sync: local nextPIDSets (and, multi-GPU, WA) to host.
-      frontier.Clear();
-      for (int g = 0; g < machine_.num_gpus; ++g) {
-        GpuState& gpu = *gpus_[g];
-        gpu::TimelineOp d2h;
-        d2h.kind = gpu::OpKind::kD2H;
-        d2h.resource = {gpu::ResourceId::Type::kCopyEngine, g};
-        d2h.duration =
-            static_cast<double>(gpu.local_next->ByteSize()) / tm.c1;
-        d2h.bytes = gpu.local_next->ByteSize();
-        RecordOp(d2h);
-        frontier.Union(*gpu.local_next);
-      }
-      if (cpu_ != nullptr) frontier.Union(*cpu_->local_next);
-      if (machine_.num_gpus + (cpu_ != nullptr ? 1 : 0) > 1) {
-        // Replicated traversal WA must propagate across GPUs between
-        // levels. Only this level's updated entries travel: (vid, value)
-        // pairs each way, not the whole vector (the paper notes the WA
-        // synchronized per level "is usually negligible", Section 5.2).
-        uint64_t total_updates = 0;
-        for (auto& gpu : gpus_) {
-          for (const WorkStats& w : gpu->stream_work) {
-            total_updates += w.wa_updates;
-          }
-        }
-        if (cpu_ != nullptr) {
-          for (const WorkStats& w : cpu_->lane_work) {
-            total_updates += w.wa_updates;
-          }
-        }
-        const uint64_t level_updates = total_updates - prev_updates;
-        prev_updates = total_updates;
-        const uint64_t delta_bytes =
-            level_updates * (kernel->wa_bytes_per_vertex() + 8);
-        [[maybe_unused]] std::vector<gpu::OpIndex> delta_d2h;
-        [[maybe_unused]] std::vector<gpu::OpIndex> delta_h2d;
-        for (int g = 0; g < machine_.num_gpus; ++g) {
-          gpu::TimelineOp d2h;
-          d2h.kind = gpu::OpKind::kD2H;
-          d2h.resource = {gpu::ResourceId::Type::kCopyEngine, g};
-          d2h.duration =
-              static_cast<double>(delta_bytes / machine_.num_gpus) / tm.c1;
-          d2h.bytes = delta_bytes / machine_.num_gpus;
-          delta_d2h.push_back(RecordOp(d2h));
-          gpu::TimelineOp h2d;
-          h2d.kind = gpu::OpKind::kH2DChunk;
-          h2d.resource = {gpu::ResourceId::Type::kCopyEngine, g};
-          h2d.duration = static_cast<double>(delta_bytes) / tm.c1;
-          h2d.bytes = delta_bytes;
-          delta_h2d.push_back(RecordOp(h2d));
-        }
-        // Execution: fold every replica into the host arrays, then refresh
-        // every device replica from the merged state (equivalent to
-        // applying the update lists).
-        for (int g = 0; g < machine_.num_gpus; ++g) {
-          GpuState& gpu = *gpus_[g];
-          kernel->AbsorbDeviceWa(gpu.wa_buf.data(), gpu.wa_begin,
-                                 gpu.wa_end);
-#if GTS_RACE_CHECK_ENABLED
-          if (race_ != nullptr) {
-            race_->OnWaAccess(
-                race_->HostLane(), analysis::RaceDetector::WaDomain(g), 0,
-                static_cast<uint32_t>(
-                    static_cast<uint64_t>(gpu.wa_end - gpu.wa_begin) *
-                    kernel->wa_bytes_per_vertex()),
-                analysis::AccessClass::kPlainRead, delta_d2h[g], kInvalidPageId);
-          }
-#endif
-        }
-        if (cpu_ != nullptr) {
-          kernel->AbsorbDeviceWa(cpu_->wa.data(), 0, graph_->num_vertices());
-#if GTS_RACE_CHECK_ENABLED
-          if (race_ != nullptr) {
-            race_->OnWaAccess(race_->HostLane(),
-                              analysis::RaceDetector::kCpuWaDomain, 0,
-                              static_cast<uint32_t>(cpu_->wa.size()),
-                              analysis::AccessClass::kPlainRead, gpu::kNoOp,
-                              kInvalidPageId);
-          }
-#endif
-        }
-        for (int g = 0; g < machine_.num_gpus; ++g) {
-          GpuState& gpu = *gpus_[g];
-          kernel->InitDeviceWa(gpu.wa_buf.data(), gpu.wa_begin, gpu.wa_end);
-#if GTS_RACE_CHECK_ENABLED
-          if (race_ != nullptr) {
-            race_->OnWaAccess(
-                race_->HostLane(), analysis::RaceDetector::WaDomain(g), 0,
-                static_cast<uint32_t>(
-                    static_cast<uint64_t>(gpu.wa_end - gpu.wa_begin) *
-                    kernel->wa_bytes_per_vertex()),
-                analysis::AccessClass::kPlainWrite, delta_h2d[g],
-                kInvalidPageId);
-          }
-#endif
-        }
-        if (cpu_ != nullptr) {
-          kernel->InitDeviceWa(cpu_->wa.data(), 0, graph_->num_vertices());
-#if GTS_RACE_CHECK_ENABLED
-          if (race_ != nullptr) {
-            race_->OnWaAccess(race_->HostLane(),
-                              analysis::RaceDetector::kCpuWaDomain, 0,
-                              static_cast<uint32_t>(cpu_->wa.size()),
-                              analysis::AccessClass::kPlainWrite, gpu::kNoOp,
-                              kInvalidPageId);
-          }
-#endif
-        }
-      }
-      gpu::TimelineOp merge;
-      merge.kind = gpu::OpKind::kHostCompute;
-      merge.duration = tm.host_merge_overhead;
-      RecordOp(merge);
-      {
-        analysis::sync::Lock lock(record_mu_);
-        recorder_.AddBarrier(tm.sync_overhead);
-      }
-#if GTS_RACE_CHECK_ENABLED
-      // Release the barrier: the next level's kernels see everything the
-      // host merged between levels.
-      if (race_ != nullptr) race_->BarrierRelease();
-#endif
-      ++level;
-    }
-    metrics.levels = level;
-    if (run_status.ok()) DownloadWa(kernel);
-  }
-
-  if (!run_status.ok()) {
-    SynchronizeStreams();
-    ReleaseBuffers();
-    return run_status;
-  }
-
-  GTS_RETURN_IF_ERROR(FinalizeRun(&metrics));
-  return metrics;
 }
 
 Result<RunMetrics> GtsEngine::RunPass(GtsKernel* kernel,
@@ -1466,194 +571,16 @@ Result<RunMetrics> GtsEngine::RunPass(GtsKernel* kernel,
   return report.metrics;
 }
 
-Result<RunMetrics> GtsEngine::RunPassDirect(GtsKernel* kernel,
-                                            const std::vector<PageId>& pages,
-                                            uint32_t level,
-                                            std::atomic<bool>* cancel,
-                                            const JobOptions* jopts) {
-  GTS_PROF_SCOPE("engine.run_pass");
-  // A single pass has no interior cancellation point; honor a cancel
-  // that lands before the pass starts streaming.
-  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-    return Status::Cancelled("job cancelled at level boundary");
-  }
-  Status setup = SetupBuffers(kernel);
-  if (!setup.ok()) {
-    ReleaseBuffers();
-    return setup;
-  }
-  {
-    analysis::sync::Lock lock(record_mu_);
-    recorder_.Clear();
-  }
-  store_->ResetStats();
-  io_->ResetStats();
-  pin_events_.Clear();
-  io_events_.Clear();
-  dispatch_events_.Clear();
-  work_item_seq_ = 0;
-#if GTS_RACE_CHECK_ENABLED
-  if (race_ != nullptr) race_->BeginRun();
-#endif
-  // Safe point: a single pass streams exactly one published version.
-  // (jopts is accepted for signature symmetry; a pass has no interior
-  // quota/publish boundary.)
-  (void)jopts;
-  PublishIngest();
-  if (kernel->access_pattern() == AccessPattern::kTraversal &&
-      CountFrontier()) {
-    BuildDegreeTable();
-  }
-  RunMetrics metrics;
-
-  std::vector<PageId> sps;
-  std::vector<PageId> lps;
-  for (PageId pid : pages) {
-    if (pid >= graph_->num_pages()) {
-      ReleaseBuffers();
-      return Status::InvalidArgument("page id out of range");
-    }
-    (graph_->kind(pid) == PageKind::kSmall ? sps : lps).push_back(pid);
-  }
-
-  UploadWa(kernel);
-  Status run_status = ProcessPages(
-      kernel, PlanPass(std::move(sps), std::move(lps), nullptr), level,
-      &metrics);
-  SynchronizeStreams();
-  if (!run_status.ok()) {
-    ReleaseBuffers();
-    return run_status;
-  }
-  DownloadWa(kernel);
-  {
-    analysis::sync::Lock lock(record_mu_);
-    recorder_.AddBarrier(machine_.time_model.sync_overhead *
-                         machine_.num_gpus);
-  }
-  metrics.levels = 1;
-
-  GTS_RETURN_IF_ERROR(FinalizeRun(&metrics));
-  return metrics;
-}
-
-Status GtsEngine::FinalizeRun(RunMetrics* metrics) {
-  GTS_PROF_SCOPE("engine.finalize_run");
-  for (auto& gpu : gpus_) {
-    for (const WorkStats& w : gpu->stream_work) metrics->work += w;
-    if (gpu->cache != nullptr) {
-      metrics->cache_lookups += gpu->cache->lookups();
-      metrics->cache_hits += gpu->cache->hits();
-      metrics->cache_backpressure += gpu->cache->insert_backpressure();
-    }
-  }
-  if (cpu_ != nullptr) {
-    for (const WorkStats& w : cpu_->lane_work) metrics->work += w;
-    metrics->cpu_lane_work = cpu_->lane_work;
-  }
-  metrics->io = store_->stats();
-  metrics->io_queue = io_->stats();
-  if (ingest_ != nullptr) {
-    // Ingest activity accrued since the previous harvest (publishes this
-    // run triggered, plus background compactions that landed in between).
-    const ingest::IngestStats is = ingest_->TakeRunStats();
-    metrics->ingest_updates_applied = is.updates_applied;
-    metrics->ingest_deltas_flushed = is.deltas_flushed;
-    metrics->ingest_compactions = is.compactions;
-    metrics->ingest_overlay_hits = is.overlay_hits;
-  }
-
-  std::vector<gpu::TimelineOp> ops;
-  {
-    analysis::sync::Lock lock(record_mu_);
-    ops = recorder_.TakeOps();
-  }
-  gpu::ScheduleResult schedule =
-      gpu::ScheduleSimulator(machine_.time_model).Run(std::move(ops));
-  metrics->sim_seconds = schedule.makespan;
-  metrics->transfer_busy =
-      schedule.BusySeconds(gpu::ResourceId::Type::kCopyEngine);
-  metrics->kernel_busy =
-      schedule.BusySeconds(gpu::ResourceId::Type::kKernelPool);
-  metrics->storage_busy =
-      schedule.BusySeconds(gpu::ResourceId::Type::kStorageDevice);
-
-  // gts::analysis: harvest the race detector (compiled builds only) and
-  // replay the schedule through the invariant validator. Both run before
-  // the timeline is (possibly) moved into metrics.
-  analysis::RaceReport& report = metrics->analysis;
-#if GTS_RACE_CHECK_ENABLED
-  if (race_ != nullptr) {
-    race_->ResolveTimestamps(schedule);
-    report.Accumulate(race_->TakeReport());
-  }
-#endif
-  if (options_.analysis.validate_schedule) {
-    analysis::ScheduleValidator validator(
-        analysis::ValidatorOptions{1e-12, options_.analysis.max_reported});
-    validator.Check(schedule, &report);
-    validator.CheckPinEvents(pin_events_.Take(), &report);
-    validator.CheckIoEvents(io_events_.Take(), &report);
-    validator.CheckDispatchEvents(dispatch_events_.Take(), &report);
-  }
-  registry_->GetCounter("analysis.races").Add(report.races_detected);
-  registry_->GetCounter("analysis.wa_accesses").Add(report.wa_accesses);
-  registry_->GetCounter("analysis.schedule_checks")
-      .Add(report.schedule_checks);
-  registry_->GetCounter("analysis.schedule_violations")
-      .Add(report.violations_detected);
-#if GTS_SYNC_CHECK_ENABLED
-  {
-    // Lock-order findings accrued since the previous harvest (the
-    // registry is process-global; per-run attribution is by drain
-    // window, same as TakeRunStats above).
-    auto drain = analysis::sync::LockRegistry::Global().TakeViolations();
-    report.sync_check_ran = true;
-    report.lock_acquisitions += drain.acquisitions;
-    report.lock_order_violations += drain.violations_detected;
-    for (auto& v : drain.violations) {
-      if (report.lock_violations.size() <
-          options_.analysis.max_reported) {
-        report.lock_violations.push_back(std::move(v));
-      }
-    }
-    registry_->GetCounter("analysis.lock_acquisitions")
-        .Add(drain.acquisitions);
-    registry_->GetCounter("analysis.lock_order_violations")
-        .Add(drain.violations_detected);
-  }
-#endif
-
-  if (options_.keep_timeline) metrics->timeline = std::move(schedule);
-
-  PublishMetrics(*metrics);
-  ReleaseBuffers();
-
-  if (options_.analysis.fail_on_violation && report.violations_detected > 0) {
-    return Status::Internal("schedule validation failed:\n" +
-                            report.ToString());
-  }
-  if (options_.analysis.fail_on_race && report.races_detected > 0) {
-    return Status::Internal("logical races detected:\n" + report.ToString());
-  }
-  if (options_.analysis.fail_on_lock_violation &&
-      report.lock_order_violations > 0) {
-    return Status::Internal("lock-order violations detected:\n" +
-                            report.ToString());
-  }
-  return Status::OK();
-}
-
 // ---------------------------------------------------------------------------
-// JobScheduler batch epochs: N concurrent jobs share the streaming
-// machinery (page cache, io queues, dispatch, copy engines) while each
-// owns a private WA partition, frontier, and metrics scope. Single-job
-// batches never reach this code -- the scheduler routes them through
-// RunDirect/RunPassDirect, which keeps the legacy schedules byte-exact.
-// The batch path intentionally does not drive the GTS_RACE_CHECK
-// happens-before detector (its lane model is per-run); the always-on
-// schedule validator covers batch epochs, including the J1 job-isolation
-// rule over TimelineOp::job tags.
+// Batch epochs: the engine's one run path. Every JobScheduler batch --
+// a single submission is a batch of one -- runs as an epoch in which the
+// admitted jobs share the streaming machinery (page cache, io queues,
+// dispatch, copy engines) while each owns a private WA partition,
+// frontier, and metrics scope. The ops of a one-job epoch stay untagged
+// and follow the paper's single-run schedule exactly; with several jobs
+// every job-private op carries the job's tag (TimelineOp::job), which the
+// validator's J1 job-isolation rule audits, and the race detector keeps
+// one WA shadow domain per job and GPU.
 // ---------------------------------------------------------------------------
 
 Status GtsEngine::AdmitJobSlices(JobExec* job, int slot) {
@@ -1686,8 +613,6 @@ Status GtsEngine::AdmitJobSlices(JobExec* job, int slot) {
   return Status::OK();
 }
 
-void GtsEngine::ReleaseJobSlices(JobExec* job) { job->gpus.clear(); }
-
 Status GtsEngine::SetupSharedStreamBuffers(uint32_t max_ra_b) {
   const uint64_t page_size = graph_->config().page_size;
   for (int g = 0; g < machine_.num_gpus; ++g) {
@@ -1712,15 +637,36 @@ Status GtsEngine::SetupSharedStreamBuffers(uint32_t max_ra_b) {
         gpu.ra_buf.push_back(std::move(ra));
       }
     }
-    gpu.stream_work.assign(static_cast<size_t>(options_.num_streams),
-                           WorkStats{});
     gpu.stream_last_kind.assign(static_cast<size_t>(options_.num_streams), -1);
     gpu.rr = 0;
   }
   return Status::OK();
 }
 
-void GtsEngine::SetupBatchCaches() {
+Status GtsEngine::SetupCpuAssist(const GtsKernel* kernel) {
+  const bool traversal = kernel->access_pattern() == AccessPattern::kTraversal;
+  if (options_.strategy == Strategy::kScalability && machine_.num_gpus > 1 &&
+      !traversal) {
+    return Status::FailedPrecondition(
+        "CPU co-processing needs Strategy-P (Strategy-S replicates the "
+        "whole stream to every processor already)");
+  }
+  cpu_ = std::make_unique<CpuState>();
+  cpu_->wa.resize(static_cast<uint64_t>(graph_->num_vertices()) *
+                  kernel->wa_bytes_per_vertex());
+  if (traversal) {
+    cpu_->local_next = std::make_unique<PidSet>(graph_->num_pages());
+    if (CountFrontier()) cpu_->local_next->EnableCounting();
+  }
+  // The lane cursor starts every epoch at 0 (like the GPU stream cursor),
+  // so two identical runs produce identical per-lane WorkStats.
+  cpu_->lane_work.assign(
+      static_cast<size_t>(machine_.time_model.cpu_worker_threads),
+      WorkStats{});
+  return Status::OK();
+}
+
+void GtsEngine::SetupCaches() {
   const uint64_t page_size = graph_->config().page_size;
   for (int g = 0; g < machine_.num_gpus; ++g) {
     GpuState& gpu = *gpus_[g];
@@ -1737,13 +683,21 @@ void GtsEngine::SetupBatchCaches() {
 }
 
 void GtsEngine::ReleaseBatchBuffers(const std::vector<JobExec*>& jobs) {
-  for (JobExec* job : jobs) ReleaseJobSlices(job);
+  for (JobExec* job : jobs) job->gpus.clear();
   ReleaseBuffers();
 }
 
 void GtsEngine::UploadWaJob(JobExec* job) {
   const TimeModel& tm = machine_.time_model;
-  const uint32_t wa_b = job->kernel->wa_bytes_per_vertex();
+  GtsKernel* kernel = job->kernel;
+  const uint32_t wa_b = kernel->wa_bytes_per_vertex();
+  if (cpu_ != nullptr) {
+    kernel->InitDeviceWa(cpu_->wa.data(), 0, graph_->num_vertices());
+    if (race_ != nullptr) {
+      NoteWaReplica(*job, kHostReplica, race_->HostLane(),
+                    analysis::AccessClass::kPlainWrite, gpu::kNoOp);
+    }
+  }
   for (int g = 0; g < machine_.num_gpus; ++g) {
     JobGpuSlice& slice = job->gpus[static_cast<size_t>(g)];
     const uint64_t bytes =
@@ -1755,31 +709,52 @@ void GtsEngine::UploadWaJob(JobExec* job) {
     op.duration = static_cast<double>(bytes) / tm.c1;
     op.bytes = bytes;
     op.job = job->job_id;
-    RecordOp(op);
-    job->kernel->InitDeviceWa(slice.wa_buf.data(), slice.wa_begin,
-                              slice.wa_end);
+    const gpu::OpIndex op_idx = RecordOp(op);
+    kernel->InitDeviceWa(slice.wa_buf.data(), slice.wa_begin, slice.wa_end);
+    if (race_ != nullptr) {
+      // The WA upload is the copy engine writing WABuf. Every level-0
+      // kernel has its page H2D serialized after this chunk on the same
+      // copy engine, so fusing the copy lane with stream 0 here and with
+      // each page's stream at its H2DStream (StreamPageToGpuBatch)
+      // carries the upload->kernel happens-before edge without a global
+      // barrier.
+      const int copy = race_->CopyLane(g);
+      race_->Join(copy, race_->HostLane());
+      race_->BeginOp(copy);
+      NoteWaReplica(*job, g, copy, analysis::AccessClass::kPlainWrite,
+                    op_idx);
+      race_->Fuse(copy, race_->StreamLane(g, 0, StreamKey(g, 0)));
+    }
   }
 }
 
 void GtsEngine::DownloadWaJob(JobExec* job) {
   const TimeModel& tm = machine_.time_model;
-  const uint32_t wa_b = job->kernel->wa_bytes_per_vertex();
+  GtsKernel* kernel = job->kernel;
+  const uint32_t wa_b = kernel->wa_bytes_per_vertex();
   const int n_gpus = machine_.num_gpus;
 
-  // Barrier-ordered like the legacy DownloadWa: the job's final WA state
-  // exists only after every in-flight kernel of the pass retired.
+  // WA sync happens after the whole pass completes (Step 3/4, Figure 5):
+  // the job's final WA state exists only after every in-flight kernel of
+  // the pass retired.
   {
     analysis::sync::Lock lock(record_mu_);
     recorder_.AddBarrier(0.0);
   }
+  // The download is barrier-ordered: its ops are recorded after the
+  // AddBarrier above, so every kernel of the pass happens-before the
+  // host-side absorb.
+  if (race_ != nullptr) race_->BarrierAcquire();
 
   std::vector<gpu::OpIndex> d2h_idx(static_cast<size_t>(n_gpus), gpu::kNoOp);
   if (options_.strategy == Strategy::kPerformance && n_gpus > 1) {
+    // Peer-to-peer merge into the master GPU, then one D2H (Section 4.1).
     const uint64_t bytes =
         static_cast<uint64_t>(graph_->num_vertices()) * wa_b;
     for (int g = 1; g < n_gpus; ++g) {
       gpu::TimelineOp p2p;
       p2p.kind = gpu::OpKind::kP2P;
+      // Lands on the master GPU's copy engine.
       p2p.resource = {gpu::ResourceId::Type::kCopyEngine, 0};
       p2p.duration = static_cast<double>(bytes) / tm.p2p_bandwidth;
       p2p.bytes = bytes;
@@ -1808,16 +783,34 @@ void GtsEngine::DownloadWaJob(JobExec* job) {
       d2h_idx[static_cast<size_t>(g)] = RecordOp(d2h);
     }
   }
+
+  // Execution: fold every device replica/chunk into the host arrays.
   for (int g = 0; g < n_gpus; ++g) {
     JobGpuSlice& slice = job->gpus[static_cast<size_t>(g)];
-    job->kernel->AbsorbDeviceWa(slice.wa_buf.data(), slice.wa_begin,
-                                slice.wa_end);
+    kernel->AbsorbDeviceWa(slice.wa_buf.data(), slice.wa_begin, slice.wa_end);
+    if (race_ != nullptr) {
+      NoteWaReplica(*job, g, race_->HostLane(),
+                    analysis::AccessClass::kPlainRead,
+                    d2h_idx[static_cast<size_t>(g)]);
+    }
+  }
+  if (cpu_ != nullptr) {
+    // Host-internal; crosses no PCI-E link, so no timeline op.
+    kernel->AbsorbDeviceWa(cpu_->wa.data(), 0, graph_->num_vertices());
+    if (race_ != nullptr) {
+      NoteWaReplica(*job, kHostReplica, race_->HostLane(),
+                    analysis::AccessClass::kPlainRead, gpu::kNoOp);
+    }
   }
   if (options_.io.wa_snapshot) {
-    // Same snapshot layout as the legacy path (offsets restart at the
-    // device page region for every download): jobs completing later in
-    // the epoch overwrite earlier snapshots, which is the snapshot -- not
-    // journal -- contract.
+    // Spill each GPU's downloaded WA replica/chunk to storage through the
+    // io write path: the write queues behind pending reads on its device
+    // and is recorded as kStorageWrite depending on the D2H that produced
+    // the bytes, so checkpoint traffic contends in the simulated schedule
+    // instead of being invisible. Layout: past the striped page region,
+    // GPUs round-robined over devices, chunks packed in GPU order -- the
+    // same offsets every download (a snapshot, not a journal: jobs
+    // completing later in an epoch overwrite earlier snapshots).
     const size_t n_dev = store_->num_devices();
     std::vector<uint64_t> cursor(n_dev);
     for (size_t d = 0; d < n_dev; ++d) cursor[d] = store_->DevicePageBytes(d);
@@ -1832,6 +825,88 @@ void GtsEngine::DownloadWaJob(JobExec* job) {
       GTS_CHECK_OK(wrote.status());
       cursor[d] += bytes;
     }
+  }
+  if (race_ != nullptr) race_->BarrierRelease();
+}
+
+void GtsEngine::SyncJobLevel(JobExec* job) {
+  const TimeModel& tm = machine_.time_model;
+  const int n_gpus = machine_.num_gpus;
+  GtsKernel* kernel = job->kernel;
+  // Local nextPIDSets to the host.
+  job->frontier->Clear();
+  for (int g = 0; g < n_gpus; ++g) {
+    JobGpuSlice& slice = job->gpus[static_cast<size_t>(g)];
+    gpu::TimelineOp d2h;
+    d2h.kind = gpu::OpKind::kD2H;
+    d2h.resource = {gpu::ResourceId::Type::kCopyEngine, g};
+    d2h.duration = static_cast<double>(slice.local_next->ByteSize()) / tm.c1;
+    d2h.bytes = slice.local_next->ByteSize();
+    d2h.job = job->job_id;
+    RecordOp(d2h);
+    job->frontier->Union(*slice.local_next);
+  }
+  if (cpu_ != nullptr) job->frontier->Union(*cpu_->local_next);
+  if (n_gpus + (cpu_ != nullptr ? 1 : 0) <= 1) return;
+
+  // Replicated traversal WA must propagate across replicas between
+  // levels. Only this level's updated entries travel: (vid, value) pairs
+  // each way, not the whole vector (the paper notes the WA synchronized
+  // per level "is usually negligible", Section 5.2).
+  uint64_t total_updates = 0;
+  for (const JobGpuSlice& slice : job->gpus) {
+    for (const WorkStats& w : slice.stream_work) total_updates += w.wa_updates;
+  }
+  if (cpu_ != nullptr) {
+    for (const WorkStats& w : cpu_->lane_work) total_updates += w.wa_updates;
+  }
+  const uint64_t level_updates = total_updates - job->prev_updates;
+  job->prev_updates = total_updates;
+  const uint64_t delta_bytes =
+      level_updates * (kernel->wa_bytes_per_vertex() + 8);
+  std::vector<gpu::OpIndex> delta_d2h;
+  std::vector<gpu::OpIndex> delta_h2d;
+  for (int g = 0; g < n_gpus; ++g) {
+    gpu::TimelineOp d2h;
+    d2h.kind = gpu::OpKind::kD2H;
+    d2h.resource = {gpu::ResourceId::Type::kCopyEngine, g};
+    d2h.duration = static_cast<double>(delta_bytes / n_gpus) / tm.c1;
+    d2h.bytes = delta_bytes / n_gpus;
+    d2h.job = job->job_id;
+    delta_d2h.push_back(RecordOp(d2h));
+    gpu::TimelineOp h2d;
+    h2d.kind = gpu::OpKind::kH2DChunk;
+    h2d.resource = {gpu::ResourceId::Type::kCopyEngine, g};
+    h2d.duration = static_cast<double>(delta_bytes) / tm.c1;
+    h2d.bytes = delta_bytes;
+    h2d.job = job->job_id;
+    delta_h2d.push_back(RecordOp(h2d));
+  }
+  // Execution: fold every replica into the host arrays, then refresh
+  // every replica from the merged state (equivalent to applying the
+  // update lists).
+  const int host = race_ != nullptr ? race_->HostLane() : 0;
+  for (int g = 0; g < n_gpus; ++g) {
+    JobGpuSlice& slice = job->gpus[static_cast<size_t>(g)];
+    kernel->AbsorbDeviceWa(slice.wa_buf.data(), slice.wa_begin, slice.wa_end);
+    NoteWaReplica(*job, g, host, analysis::AccessClass::kPlainRead,
+                  delta_d2h[static_cast<size_t>(g)]);
+  }
+  if (cpu_ != nullptr) {
+    kernel->AbsorbDeviceWa(cpu_->wa.data(), 0, graph_->num_vertices());
+    NoteWaReplica(*job, kHostReplica, host, analysis::AccessClass::kPlainRead,
+                  gpu::kNoOp);
+  }
+  for (int g = 0; g < n_gpus; ++g) {
+    JobGpuSlice& slice = job->gpus[static_cast<size_t>(g)];
+    kernel->InitDeviceWa(slice.wa_buf.data(), slice.wa_begin, slice.wa_end);
+    NoteWaReplica(*job, g, host, analysis::AccessClass::kPlainWrite,
+                  delta_h2d[static_cast<size_t>(g)]);
+  }
+  if (cpu_ != nullptr) {
+    kernel->InitDeviceWa(cpu_->wa.data(), 0, graph_->num_vertices());
+    NoteWaReplica(*job, kHostReplica, host, analysis::AccessClass::kPlainWrite,
+                  gpu::kNoOp);
   }
 }
 
@@ -1849,6 +924,10 @@ void GtsEngine::FinishJobInEpoch(JobExec* job) {
     for (const JobGpuSlice& slice : job->gpus) {
       for (const WorkStats& w : slice.stream_work) job->metrics.work += w;
     }
+    if (cpu_ != nullptr) {
+      for (const WorkStats& w : cpu_->lane_work) job->metrics.work += w;
+      job->metrics.cpu_lane_work = cpu_->lane_work;
+    }
     // Storage/io counters are epoch-cumulative up to this job's
     // completion (the queues are shared; per-job attribution of a merged
     // read would be arbitrary).
@@ -1856,44 +935,53 @@ void GtsEngine::FinishJobInEpoch(JobExec* job) {
     job->metrics.io_queue = io_->stats();
   }
   job->finished = true;
-  ReleaseJobSlices(job);
+  job->gpus.clear();
 }
 
-Status GtsEngine::ProcessPagesBatch(
-    const std::vector<PageId>& ordered,
-    const std::unordered_map<PageId, std::vector<JobExec*>>& demand) {
+Status GtsEngine::ProcessPagesBatch(const std::vector<PageId>& ordered) {
   if (options_.use_stream_threads && options_.dispatch.work_stealing) {
-    return ProcessPagesBatchPull(ordered, demand);
+    return ProcessPagesBatchPull(ordered);
   }
   GTS_PROF_SCOPE("engine.process_pages");
   for (PageId pid : ordered) {
     const PageRoute route = RoutePage(pid);
+    if (route.cpu) {
+      GTS_RETURN_IF_ERROR(ProcessPageOnCpu(demand_[pid].front(), pid));
+      continue;
+    }
     const PageKind kind = graph_->kind(pid);
     for (int g = route.first_gpu; g <= route.last_gpu; ++g) {
       GpuState& gpu = *gpus_[g];
       const int s = pipeline_->AssignStream(static_cast<int>(kind),
                                             gpu.stream_last_kind, &gpu.rr);
-      GTS_RETURN_IF_ERROR(StreamPageToGpuBatch(pid, g, s, demand.at(pid),
-                                               /*pull=*/false,
+      GTS_RETURN_IF_ERROR(StreamPageToGpuBatch(pid, g, s, /*pull=*/false,
                                                /*stolen=*/false));
     }
   }
   return Status::OK();
 }
 
-Status GtsEngine::ProcessPagesBatchPull(
-    const std::vector<PageId>& ordered,
-    const std::unordered_map<PageId, std::vector<JobExec*>>& demand) {
+Status GtsEngine::ProcessPagesBatchPull(const std::vector<PageId>& ordered) {
   GTS_PROF_SCOPE("engine.process_pages");
   const int n_gpus = machine_.num_gpus;
   const int n_streams = options_.num_streams;
 
+  // Publish the whole pass up front. The Assign step picks each item's
+  // home (gpu, stream) -- sticky's kind affinity keeps meaning as the
+  // steal hint -- and replicated pages fan out as one gpu-bound item per
+  // GPU (each GPU must run its own copy; only partitioned items may later
+  // migrate across GPUs).
   ReadyQueue queue(n_gpus, n_streams, work_item_seq_);
   queue.BindEventLog(&dispatch_events_);
   queue.BindMetrics(&registry_->GetDistribution("dispatch.queue_wait"),
                     &registry_->GetCounter("dispatch.steals"));
+  std::vector<PageId> cpu_pages;
   for (PageId pid : ordered) {
     const PageRoute route = RoutePage(pid);
+    if (route.cpu) {
+      cpu_pages.push_back(pid);
+      continue;
+    }
     const PageKind kind = graph_->kind(pid);
     const bool gpu_bound = route.last_gpu > route.first_gpu;
     for (int g = route.first_gpu; g <= route.last_gpu; ++g) {
@@ -1903,16 +991,30 @@ Status GtsEngine::ProcessPagesBatchPull(
       queue.Push(pid, g, s, static_cast<int>(kind), gpu_bound);
     }
   }
+  // All ids for this pass are assigned; the next pass continues the
+  // epoch's sequence so the R9 audit's per-item key stays unique.
   work_item_seq_ = queue.next_id();
 
+  // Hybrid CPU-assist pages run on the host thread *before* the workers
+  // start: ProcessPageOnCpu reads its page straight out of MMBuf, which
+  // concurrent worker Acquires may evict mid-kernel. Simulated time is
+  // unaffected (op overlap is the simulator's business); only host
+  // wall-clock loses the CPU/GPU overlap, and cpu_assist_fraction is 0
+  // in every paper configuration.
+  for (PageId pid : cpu_pages) {
+    GTS_RETURN_IF_ERROR(ProcessPageOnCpu(demand_[pid].front(), pid));
+  }
+
+  // Cross-GPU steals need WA replicated on every device (Strategy-P);
+  // under Strategy-S every item is gpu-bound anyway (replicated stream).
   const bool allow_cross =
       options_.strategy == Strategy::kPerformance && n_gpus > 1;
   std::mutex error_mu;
   Status first_error;
   for (int g = 0; g < n_gpus; ++g) {
     for (int s = 0; s < n_streams; ++s) {
-      gpus_[g]->streams[s]->Enqueue([this, &demand, &queue, &error_mu,
-                                     &first_error, allow_cross, g, s] {
+      gpus_[g]->streams[s]->Enqueue([this, &queue, &error_mu, &first_error,
+                                     allow_cross, g, s] {
         ClaimContext ctx;
         ctx.gpu = g;
         ctx.stream = s;
@@ -1923,16 +1025,18 @@ Status GtsEngine::ProcessPagesBatchPull(
         WorkItem item;
         bool done = false;
         while (!done) {
+          // stream_last_kind[s] is owner-exclusive: only this worker
+          // processes on (g, s), so the unlocked read is safe.
           ctx.last_kind = gpus_[g]->stream_last_kind[s];
           if (batch > 1) {
             if (!pipeline_->ClaimWorkBatch(queue, ctx, batch, &items)) break;
           } else {
+            // batch == 1 takes the exact pre-batching claim call.
             if (!pipeline_->ClaimWork(queue, ctx, &item)) break;
             items.assign(1, item);
           }
           for (const WorkItem& claimed : items) {
             Status status = StreamPageToGpuBatch(claimed.pid, g, s,
-                                                 demand.at(claimed.pid),
                                                  /*pull=*/true,
                                                  claimed.stolen);
             if (!status.ok()) {
@@ -1946,30 +1050,52 @@ Status GtsEngine::ProcessPagesBatchPull(
       });
     }
   }
+  // The queue and error slot live on this frame: drain every worker
+  // before returning (the caller's SynchronizeStreams is then a no-op).
+  // A worker that errored stops claiming; its siblings still drain the
+  // queue, and the first error surfaces after the pass settles.
   for (auto& gpu : gpus_) {
     for (auto& stream : gpu->streams) stream->Synchronize();
   }
   return first_error;
 }
 
-Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s,
-                                       const std::vector<JobExec*>& demanders,
-                                       bool pull, bool stolen) {
+Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s, bool pull,
+                                       bool stolen) {
   const TimeModel& tm = machine_.time_model;
   const PageConfig& config = graph_->config();
   const uint64_t page_size = config.page_size;
   const PageKind kind = graph_->kind(pid);
   GpuState& gpu = *gpus_[g];
   const int stream_key = StreamKey(g, s);
+  const std::vector<JobExec*>& demanders = demand_[pid];
+  JobExec* first = demanders.front();
 
+  // Pull mode serializes the host-side phase: Acquire can evict the
+  // MMBuf bytes another worker is mid-copy on, and the recorded op order
+  // must be internally consistent per stream. Released before the
+  // kernels execute -- that part is the parallelism.
   analysis::sync::UniqueLock host_phase(dispatch_mu_,
                                       analysis::sync::UniqueLock::kDefer);
   if (pull) host_phase.lock();
 
-  PageCache::Pin pin =
-      gpu.cache != nullptr ? gpu.cache->Lookup(pid) : PageCache::Pin();
+  // Host-side routing against cachedPIDMap (Algorithm 1 line 16). A
+  // hit returns an RAII Pin: the lease blocks eviction, so the kernels
+  // can run in place against the cached device page even while Insert
+  // calls on other stream threads evict around it. The Pin is move-only
+  // and moves straight into the execute closure (gpu::Task). Lookups
+  // and hits are credited to the first demander, like pages_streamed.
+  PageCache::Pin pin;
+  if (gpu.cache != nullptr) {
+    pin = gpu.cache->Lookup(pid);
+    ++first->metrics.cache_lookups;
+    if (pin.valid()) ++first->metrics.cache_hits;
+  }
   const bool cached = pin.valid();
 
+  // Holds streamed page bytes alive for the enqueued closure (thread
+  // mode); unused on a cache hit, where the pinned bytes are read
+  // directly.
   std::vector<uint8_t> staging;
   if (!cached) {
     staging.resize(page_size);
@@ -1980,54 +1106,72 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s,
     sreq.stolen = stolen;
     // A transfer serving one job is that job's trace lane; a transfer
     // serving several is shared infrastructure (-1), so the J1 rule
-    // never sees a cross-job edge from the co-served kernels.
-    sreq.job = demanders.size() == 1 ? demanders[0]->job_id : -1;
+    // never sees a cross-job edge from the co-served kernels. (demand_
+    // groups a job's occurrences together, admission order.)
+    sreq.job = demanders.back() == first ? first->job_id : -1;
     GTS_ASSIGN_OR_RETURN(transfer::StagedPage staged, transfer_->Stage(sreq));
     // First-demander attribution: across the epoch, sum(pages_streamed)
     // over jobs equals the distinct H2D page transfers.
-    ++demanders[0]->metrics.pages_streamed;
-    demanders[0]->metrics.transfer_bytes += staged.bytes;
+    ++first->metrics.pages_streamed;
+    first->metrics.transfer_bytes += staged.bytes;
     if (staged.direct) {
-      ++demanders[0]->metrics.direct_pages;
-      demanders[0]->metrics.direct_bytes += staged.bytes;
+      ++first->metrics.direct_pages;
+      first->metrics.direct_bytes += staged.bytes;
     }
+    if (race_ != nullptr) {
+      // storage -> MMBuf event, then host consumes the bytes.
+      if (!staged.buffer_hit) {
+        race_->OnPageStaged(static_cast<int>(staged.device_index), pid,
+                            staged.fetch_op);
+      }
+      race_->OnPageDelivered(pid);
+      // The copy engine reads the staged MMBuf bytes into the stream
+      // buffer; fusing with the stream carries the transfer->kernel
+      // happens-before edge (CUDA in-stream ordering).
+      const int copy = race_->CopyLane(g);
+      race_->Join(copy, race_->HostLane());
+      race_->BeginOp(copy);
+      race_->OnPageAccess(copy, analysis::RaceDetector::kMmbufDomain, pid,
+                          /*write=*/false, staged.transfer_op);
+      race_->Fuse(copy, race_->StreamLane(g, s, stream_key));
+    }
+    // Copied while the host phase owns the MMBuf bytes: in pull mode a
+    // sibling worker's Acquire may evict `staged.data` the moment
+    // dispatch_mu_ is released.
     std::memcpy(staging.data(), staged.data, page_size);
-    // Streaming ingestion: overlay once per staging; every co-served
-    // job reads the same patched epoch-consistent copy.
+    // Streaming ingestion: overlay once per staging (the MMBuf copy stays
+    // the installed base image); every co-served job reads the same
+    // patched epoch-consistent copy.
     if (ingest_ != nullptr) (void)ingest_->Overlay(pid, staging.data());
   }
-  if (demanders.size() > 1) {
+  if (demanders.back() != first) {
     obs::Counter& shared = registry_->GetCounter("cache.shared_page_hits");
     for (size_t i = 1; i < demanders.size(); ++i) {
+      if (demanders[i] == demanders[i - 1]) continue;  // the job's repeat
       ++demanders[i]->metrics.shared_page_hits;
       shared.Add();
     }
   }
 
-  // Per-job kernel launches against the one staged/cached copy of the
-  // page. RA subvectors stay per-job (each kernel's host RA array), and
-  // -- unlike the legacy cache, which only exists for RA-free kernels --
-  // a cache hit here still streams RA for jobs that carry it.
-  struct JobLaunch {
-    JobExec* job = nullptr;
-    gpu::OpIndex kidx = gpu::kNoOp;
-    const uint8_t* ra_src = nullptr;
-    uint64_t ra_bytes = 0;
-    VertexId ra_start_vid = 0;
-    uint32_t cur_level = 0;
-  };
-  std::vector<JobLaunch> launches;
-  launches.reserve(demanders.size());
+  // One kernel launch per demanding job against the one staged/cached
+  // copy of the page (Algorithm 1 line 17 on a hit). RA subvectors stay
+  // per job (each kernel's host RA array); a one-job epoch never has a
+  // cache next to RA (RunJobBatch enables the cache only for RA-free
+  // traversal kernels), but a shared cache hit still streams RA for the
+  // jobs of a multi-job epoch that carry it.
+  const bool insert_into_cache = gpu.cache != nullptr && !cached;
+  const int race_lane =
+      race_ != nullptr ? race_->StreamLane(g, s, stream_key) : 0;
+  GTS_CHECK(launches_.size() + demanders.size() <= launches_.capacity())
+      << "launch arena under-reserved";
+  JobLaunch* const launch_begin = launches_.data() + launches_.size();
   for (JobExec* job : demanders) {
     JobLaunch jl;
     jl.job = job;
-    jl.cur_level = job->traversal() ? static_cast<uint32_t>(job->level)
-                                    : (job->is_pass ? job->pass_level : 0);
     const uint32_t ra_b = job->kernel->ra_bytes_per_vertex();
     const uint8_t* host_ra = job->kernel->host_ra();
     if (ra_b > 0 && host_ra != nullptr) {
-      const RvtEntry& rvt_entry = graph_->rvt().entry(pid);
-      jl.ra_start_vid = rvt_entry.start_vid;
+      jl.ra_start_vid = graph_->rvt().entry(pid).start_vid;
       const uint32_t covered =
           kind == PageKind::kSmall ? graph_->view(pid).num_slots() : 1;
       jl.ra_bytes = static_cast<uint64_t>(covered) * ra_b;
@@ -2048,6 +1192,8 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s,
     kop.kind = gpu::OpKind::kKernel;
     kop.stream_key = stream_key;
     kop.resource = {gpu::ResourceId::Type::kKernelPool, g};
+    // Switching between the SP and LP kernels on a stream costs extra
+    // (Section 3.2); the work-dependent time is added after execution.
     kop.duration = 0.0;
     if (gpu.stream_last_kind[s] >= 0 &&
         gpu.stream_last_kind[s] != static_cast<int>(kind)) {
@@ -2063,67 +1209,93 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s,
     } else {
       ++job->metrics.lp_kernel_calls;
     }
-    launches.push_back(jl);
+    if (race_ != nullptr) {
+      // Issue edge: the kernel launch is a host action, so everything
+      // that happened-before the launch happens-before the kernel.
+      // Later host actions are NOT ordered before it (Join ticks host).
+      race_->BeginOp(race_lane);
+      race_->Join(race_lane, race_->HostLane());
+      if (job == first && (cached || insert_into_cache)) {
+        race_->OnPageAccess(race_lane, analysis::RaceDetector::CacheDomain(g),
+                            pid, /*write=*/!cached, jl.kidx);
+      }
+    }
+    launches_.push_back(jl);
   }
+  const size_t n_launches = demanders.size();
 
-  const bool insert_into_cache = gpu.cache != nullptr && !cached;
+  // Captured in the host phase: PageVersion may only move at safe
+  // points, but the execute closure can run after this pass's sync.
   const uint64_t page_version =
       ingest_ != nullptr ? ingest_->PageVersion(pid) : 0;
   GpuState* gpu_ptr = &gpu;
-  const double launch_overhead = tm.kernel_launch_overhead;
-  const double sec_per_cycle = tm.warp_cycle_seconds;
   auto execute = [this, gpu_ptr, pin = std::move(pin),
-                  staging = std::move(staging),
-                  launches = std::move(launches), kind, g, s,
-                  sec_per_cycle, insert_into_cache, pid, config,
-                  launch_overhead, page_version]() {
+                  staging = std::move(staging), launch_begin, n_launches,
+                  kind, g, s, race_lane, insert_into_cache, pid, config,
+                  page_version]() {
+    const TimeModel& tm = machine_.time_model;
     GpuState& st = *gpu_ptr;
     const uint8_t* page_bytes = nullptr;
     if (pin.valid()) {
+      // Cache hit: run in place against the pinned device page; no copy
+      // is needed and the Pin keeps the buffer alive until this closure
+      // is destroyed.
       page_bytes = pin.data();
     } else {
+      // "Copy" into the device stream buffer, then run there.
       uint8_t* dst = kind == PageKind::kSmall ? st.sp_buf[s].data()
                                               : st.lp_buf[s].data();
       std::memcpy(dst, staging.data(), staging.size());
       page_bytes = dst;
     }
     PageView view(page_bytes, config);
-    for (const JobLaunch& jl : launches) {
-      JobGpuSlice& slice = jl.job->gpus[static_cast<size_t>(g)];
-      if (jl.ra_src != nullptr) {
-        std::memcpy(st.ra_buf[s].data(), jl.ra_src, jl.ra_bytes);
+    for (const JobLaunch* jl = launch_begin; jl != launch_begin + n_launches;
+         ++jl) {
+      JobGpuSlice& slice = jl->job->gpus[static_cast<size_t>(g)];
+      if (jl->ra_src != nullptr) {
+        std::memcpy(st.ra_buf[s].data(), jl->ra_src, jl->ra_bytes);
       }
       KernelContext ctx;
       ctx.rvt = &graph_->rvt();
       ctx.wa = slice.wa_buf.data();
       ctx.wa_begin = slice.wa_begin;
       ctx.wa_end = slice.wa_end;
-      ctx.ra = jl.ra_src != nullptr ? st.ra_buf[s].data() : nullptr;
-      ctx.ra_start_vid = jl.ra_start_vid;
-      ctx.cur_level = jl.cur_level;
+      ctx.ra = jl->ra_src != nullptr ? st.ra_buf[s].data() : nullptr;
+      ctx.ra_start_vid = jl->ra_start_vid;
+      ctx.cur_level = jl->job->cur_level();
       ctx.next_pid_set = slice.local_next.get();
       if (slice.local_next != nullptr && slice.local_next->counting()) {
         ctx.out_degrees = out_degrees_.data();
       }
       ctx.micro = options_.micro;
+      if (race_ != nullptr) {
+        ctx.race_site = {race_.get(), race_lane,
+                         analysis::RaceDetector::WaDomain(g, jl->job->job_id),
+                         jl->kidx, pid};
+      }
+      GtsKernel* kernel = jl->job->kernel;
       const WorkStats work = kind == PageKind::kSmall
-                                 ? jl.job->kernel->RunSp(view, ctx)
-                                 : jl.job->kernel->RunLp(view, ctx);
+                                 ? kernel->RunSp(view, ctx)
+                                 : kernel->RunLp(view, ctx);
       slice.stream_work[static_cast<size_t>(s)] += work;
       PatchKernelDuration(
-          jl.kidx,
-          launch_overhead +
-              static_cast<double>(work.warp_cycles) * sec_per_cycle +
+          jl->kidx,
+          tm.kernel_launch_overhead +
+              static_cast<double>(work.warp_cycles) * tm.warp_cycle_seconds +
               static_cast<double>(work.mem_transactions) *
-                  jl.job->kernel->seconds_per_mem_transaction(
-                      machine_.time_model));
+                  kernel->seconds_per_mem_transaction(tm));
     }
     if (insert_into_cache) {
+      // Device-internal copy; deliberately not a timeline op (it does
+      // not cross PCI-E). Failure is cache-full backpressure (counted
+      // by the cache) -- the page simply stays on the streaming path.
       (void)st.cache->Insert(pid, page_bytes, page_version);
     }
   };
 
   if (pull) {
+    // The calling thread IS the stream worker: run the kernels inline,
+    // outside the host-phase lock.
     host_phase.unlock();
     execute();
   } else if (options_.use_stream_threads) {
@@ -2135,10 +1307,10 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s,
 }
 
 Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
-  GTS_PROF_SCOPE("engine.run_job_batch");
+  GTS_PROF_SCOPE("engine.run");
   const TimeModel& tm = machine_.time_model;
 
-  // Entry validation (mirrors the legacy Run/RunPass checks) + reset.
+  // Entry validation + reset.
   std::vector<JobExec*> ready;
   for (JobExec* job : jobs) {
     job->admitted = false;
@@ -2211,14 +1383,10 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
     }
     const Status st = SetupSharedStreamBuffers(max_ra_b);
     if (st.ok()) break;
-    for (auto& gpu : gpus_) {
-      gpu->sp_buf.clear();
-      gpu->lp_buf.clear();
-      gpu->ra_buf.clear();
-    }
+    ReleaseBuffers();
     JobExec* last = admitted.back();
     last->admitted = false;
-    ReleaseJobSlices(last);
+    last->gpus.clear();
     if (admitted.size() == 1) {
       last->status = st;
       last->finished = true;
@@ -2227,18 +1395,31 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
     admitted.pop_back();
   }
 
+  // Host co-processing: Validate() keeps cpu_assist_fraction > 0 to
+  // one-job epochs, so the engine-level CpuState belongs to that job.
+  if (options_.cpu_assist_fraction > 0.0) {
+    const Status st = SetupCpuAssist(admitted.front()->kernel);
+    if (!st.ok()) {
+      admitted.front()->status = st;
+      admitted.front()->finished = true;
+      ReleaseBatchBuffers(admitted);
+      return Status::OK();
+    }
+  }
+
   // Shared page cache: exists when any admitted job qualifies (traversal
-  // kernel, cache enabled, RA-free -- the legacy rule); cached topology
-  // bytes are job-agnostic and serve every demander.
+  // kernel, cache enabled, RA-free). Full scans touch every page once,
+  // so a cache cannot help them and the paper disables it (Section 3.3);
+  // cached topology bytes are job-agnostic and serve every demander.
   bool any_cache = false;
   for (JobExec* job : admitted) {
     any_cache |=
         job->kernel->access_pattern() == AccessPattern::kTraversal &&
         options_.enable_cache && job->kernel->ra_bytes_per_vertex() == 0;
   }
-  if (any_cache) SetupBatchCaches();
+  if (any_cache) SetupCaches();
 
-  // Epoch-start clears (one epoch = one schedule, like one legacy run).
+  // Epoch-start clears (one epoch = one schedule).
   {
     analysis::sync::Lock lock(record_mu_);
     recorder_.Clear();
@@ -2249,12 +1430,14 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
   io_events_.Clear();
   dispatch_events_.Clear();
   work_item_seq_ = 0;
-  registry_->GetCounter("cache.shared_page_hits");  // stable snapshot keys
+  if (race_ != nullptr) race_->BeginRun();
 
   // Safe point: the epoch opens on a freshly published graph version
-  // (priced into this epoch's schedule). A job that pins its graph
-  // version pins this epoch for every concurrent job -- they share the
-  // staged pages, so per-job versions inside one pass cannot diverge.
+  // (its priced delta/rewrite writes land in this epoch's schedule), and
+  // the degree table follows the publish epoch. A job that pins its
+  // graph version pins the epoch for every concurrent job -- they share
+  // the staged pages, so per-job versions inside one pass cannot
+  // diverge.
   PublishIngest();
   if (any_traversal && CountFrontier()) BuildDegreeTable();
   bool pin_version = false;
@@ -2262,42 +1445,47 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
     pin_version |= job->options.pin_graph_version;
   }
 
+  // Ops are tagged per job only when jobs share the epoch.
+  const bool tag_jobs = admitted.size() > 1;
   int32_t next_job_id = 0;
   for (JobExec* job : admitted) {
-    job->job_id = next_job_id++;
+    job->job_id = tag_jobs ? next_job_id++ : -1;
     if (job->traversal()) {
       job->frontier = std::make_unique<PidSet>(graph_->num_pages());
       if (CountFrontier()) job->frontier->EnableCounting();
+      // Seed with the source's out-degree: level 0 expands exactly the
+      // source, so the page's active-edge count is its degree.
       job->frontier->Set(
           graph_->PageOfVertex(job->options.source),
-          out_degrees_.empty() ? 1
-                               : out_degrees_[job->options.source]);
+          out_degrees_.empty() ? 1 : out_degrees_[job->options.source]);
     }
     UploadWaJob(job);
   }
 
-  // The merged pass loop: each iteration retires finished jobs at the
-  // boundary, then streams the union of the survivors' page demand.
+  // The pass loop (Algorithm 1): each iteration retires finished jobs at
+  // the boundary, then streams the union of the survivors' page demand.
   std::vector<JobExec*> running = admitted;
+  std::unique_ptr<PidSet> merged_frontier;
   bool first_pass = true;
-  while (!running.empty()) {
-    // Mid-epoch safe point (skipped when any job pinned the epoch's
-    // graph version; the first pass follows the epoch-start publish
-    // directly).
-    if (!first_pass && !pin_version) {
-      PublishIngest();
-      if (any_traversal && CountFrontier()) BuildDegreeTable();
-    }
-    first_pass = false;
+  for (;;) {
+    // Level boundaries are the cancellation points. A completed job
+    // retires first (a finished traversal, or a scan or explicit pass
+    // that streamed its one pass), then cancellation and the per-job
+    // streamed-bytes quota (completed levels are not rolled back).
     std::vector<JobExec*> survivors;
     for (JobExec* job : running) {
-      if (job->cancel.load(std::memory_order_relaxed)) {
+      const int job_max = job->options.max_levels_override >= 0
+                              ? job->options.max_levels_override
+                              : options_.max_levels;
+      if (job->traversal() ? job->frontier->Empty() || job->level >= job_max
+                           : job->participated) {
+        FinishJobInEpoch(job);
+      } else if (job->cancel.load(std::memory_order_relaxed)) {
         job->status = Status::Cancelled("job cancelled at level boundary");
         FinishJobInEpoch(job);
-        continue;
-      }
-      if (job->options.max_streamed_bytes > 0 &&
-          job->metrics.transfer_bytes >= job->options.max_streamed_bytes) {
+      } else if (job->options.max_streamed_bytes > 0 &&
+                 job->metrics.transfer_bytes >=
+                     job->options.max_streamed_bytes) {
         registry_->GetCounter("jobs.quota_deferrals").Add();
         job->status = Status::ResourceExhausted(
             "job hit max_streamed_bytes: " +
@@ -2305,25 +1493,21 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
             " B streamed, quota " +
             std::to_string(job->options.max_streamed_bytes) + " B");
         FinishJobInEpoch(job);
-        continue;
+      } else {
+        survivors.push_back(job);
       }
-      if (job->traversal()) {
-        const int job_max = job->options.max_levels_override >= 0
-                                ? job->options.max_levels_override
-                                : options_.max_levels;
-        if (job->frontier->Empty() || job->level >= job_max) {
-          FinishJobInEpoch(job);
-          continue;
-        }
-      } else if (job->participated) {
-        // Full scans and explicit passes stream exactly one pass.
-        FinishJobInEpoch(job);
-        continue;
-      }
-      survivors.push_back(job);
     }
     running = std::move(survivors);
     if (running.empty()) break;
+
+    // Mid-epoch safe point, taken only when another pass follows: fold
+    // newly appended ingest updates in unless a job pinned the epoch's
+    // graph version (the first pass follows the epoch-start publish).
+    if (!first_pass && !pin_version) {
+      PublishIngest();
+      if (any_traversal && CountFrontier()) BuildDegreeTable();
+    }
+    first_pass = false;
 
     // Per-job page lists for this pass.
     struct JobPages {
@@ -2333,17 +1517,23 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
     };
     std::vector<JobPages> plan;
     plan.reserve(running.size());
-    bool pass_has_traversal = false;
+    const PidSet* pass_frontier = nullptr;
+    int traversal_jobs = 0;
     for (JobExec* job : running) {
       JobPages jp;
       jp.job = job;
       if (job->traversal()) {
-        pass_has_traversal = true;
+        ++traversal_jobs;
+        pass_frontier = job->frontier.get();
         uint64_t skipped = 0;
         const std::vector<PageId> front_pages = job->frontier->ToVector();
         const uint32_t min_edges =
             EffectiveMinActiveEdges(*job->frontier, front_pages);
         for (PageId pid : front_pages) {
+          // Admission threshold: a page whose activated vertices hold
+          // fewer than min_active_edges out-edges is not worth a stream
+          // slot this level (at threshold 1 the cut is exact -- zero
+          // active edges means zero possible expansions).
           if (min_edges > 0 && job->frontier->counting() &&
               job->frontier->CountOf(pid) < min_edges) {
             ++skipped;
@@ -2352,6 +1542,10 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
           if (graph_->kind(pid) == PageKind::kSmall) {
             jp.sps.push_back(pid);
           } else {
+            // Record IDs address an LP vertex through its first chunk;
+            // the RVT's LP_RANGE says how many continuation pages follow,
+            // and a traversal must stream the whole run (Figure 1 /
+            // Appendix A).
             const uint32_t more = graph_->rvt().entry(pid).lp_more;
             for (uint32_t k = 0; k <= more; ++k) jp.lps.push_back(pid + k);
           }
@@ -2366,12 +1560,15 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
           job->metrics.level_pages.push_back(std::move(combined));
         }
         for (auto& slice : job->gpus) slice.local_next->Clear();
+        if (cpu_ != nullptr) cpu_->local_next->Clear();
       } else if (job->is_pass) {
         for (PageId pid : job->pages) {
           (graph_->kind(pid) == PageKind::kSmall ? jp.sps : jp.lps)
               .push_back(pid);
         }
       } else {
+        // Full scan: one pass over all SPs, then all LPs (Section 3.2),
+        // reordered per the dispatch pipeline's page-order policy.
         jp.sps = graph_->small_page_ids();
         jp.lps = graph_->large_page_ids();
       }
@@ -2381,16 +1578,20 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
 
     // Demand union + weighted-round-robin merge (JobOptions::priority =
     // pages taken per turn): each distinct page enters the merged order
-    // once, at the turn of the first job that claims it, and carries the
-    // full list of jobs demanding it.
-    std::unordered_map<PageId, std::vector<JobExec*>> demand;
+    // once, at the turn of the first job that claims it, and demand_
+    // lists every job demanding it in admission order -- once per
+    // occurrence, so a page a job lists twice runs that job's kernel
+    // twice on the one staged copy.
     for (const JobPages& jp : plan) {
-      for (PageId pid : jp.sps) demand[pid].push_back(jp.job);
-      for (PageId pid : jp.lps) demand[pid].push_back(jp.job);
+      for (PageId pid : jp.sps) demand_[pid].push_back(jp.job);
+      for (PageId pid : jp.lps) demand_[pid].push_back(jp.job);
     }
-    auto merge_wrr = [&plan](bool large) {
+    if (++merge_epoch_ == 0) {
+      std::fill(merge_stamp_.begin(), merge_stamp_.end(), 0);
+      merge_epoch_ = 1;
+    }
+    auto merge_wrr = [this, &plan](bool large) {
       std::vector<PageId> merged;
-      std::unordered_set<PageId> seen;
       std::vector<size_t> cursor(plan.size(), 0);
       for (;;) {
         bool advanced = false;
@@ -2400,7 +1601,10 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
           int take = std::max(1, plan[j].job->options.priority);
           while (take-- > 0 && cursor[j] < list.size()) {
             const PageId pid = list[cursor[j]++];
-            if (seen.insert(pid).second) merged.push_back(pid);
+            if (merge_stamp_[pid] != merge_epoch_) {
+              merge_stamp_[pid] = merge_epoch_;
+              merged.push_back(pid);
+            }
             advanced = true;
           }
         }
@@ -2411,100 +1615,65 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
     std::vector<PageId> merged_sps = merge_wrr(/*large=*/false);
     std::vector<PageId> merged_lps = merge_wrr(/*large=*/true);
 
-    // Merged counted frontier: the ordering/admission context for
-    // frontier-aware dispatch policies sees the union of every running
-    // traversal job's activations.
-    std::unique_ptr<PidSet> merged_frontier;
-    if (pass_has_traversal) {
-      merged_frontier = std::make_unique<PidSet>(graph_->num_pages());
-      if (CountFrontier()) merged_frontier->EnableCounting();
+    // The ordering/admission context for frontier-aware dispatch
+    // policies sees the union of every running traversal job's
+    // activations (a lone traversal job's frontier as is).
+    if (traversal_jobs > 1) {
+      if (merged_frontier == nullptr) {
+        merged_frontier = std::make_unique<PidSet>(graph_->num_pages());
+        if (CountFrontier()) merged_frontier->EnableCounting();
+      }
+      merged_frontier->Clear();
       for (JobExec* job : running) {
         if (job->traversal()) merged_frontier->Union(*job->frontier);
       }
+      pass_frontier = merged_frontier.get();
     }
 
     const std::vector<PageId> ordered =
-        PlanPass(std::move(merged_sps), std::move(merged_lps),
-                 merged_frontier.get());
-    Status pass_status = ProcessPagesBatch(ordered, demand);
+        PlanPass(std::move(merged_sps), std::move(merged_lps), pass_frontier);
+    size_t max_launches = 0;
+    for (PageId pid : ordered) max_launches += demand_[pid].size();
+    launches_.clear();
+    launches_.reserve(max_launches * static_cast<size_t>(
+                                         pipeline_->replicates()
+                                             ? machine_.num_gpus
+                                             : 1));
+    Status pass_status = ProcessPagesBatch(ordered);
     SynchronizeStreams();
+    for (PageId pid : ordered) demand_[pid].clear();
     if (!pass_status.ok()) {
       for (JobExec* job : running) {
         job->status = pass_status;
         job->finished = true;
-        ReleaseJobSlices(job);
+        job->gpus.clear();
       }
       break;
     }
+    if (traversal_jobs == 0) continue;
 
-    // Per-job level sync (admission order), then one host merge +
-    // barrier for the pass -- the batch analogue of Algorithm 1's
-    // per-level synchronization.
+    // Per-level sync, job by job in admission order, then one host merge
+    // + barrier for the pass. The level boundary is a BSP barrier for the
+    // race detector: the stream sync above orders every kernel of this
+    // level before the host-side frontier/WA merge (the simulated D2H
+    // ops may still overlap kernels in the timeline, but their payload
+    // is only read here), and its release lets the next level's kernels
+    // see everything the host merged.
+    if (race_ != nullptr) race_->BarrierAcquire();
     for (JobExec* job : running) {
-      if (!job->traversal()) continue;
-      job->frontier->Clear();
-      for (int g = 0; g < machine_.num_gpus; ++g) {
-        JobGpuSlice& slice = job->gpus[static_cast<size_t>(g)];
-        gpu::TimelineOp d2h;
-        d2h.kind = gpu::OpKind::kD2H;
-        d2h.resource = {gpu::ResourceId::Type::kCopyEngine, g};
-        d2h.duration =
-            static_cast<double>(slice.local_next->ByteSize()) / tm.c1;
-        d2h.bytes = slice.local_next->ByteSize();
-        d2h.job = job->job_id;
-        RecordOp(d2h);
-        job->frontier->Union(*slice.local_next);
-      }
-      if (machine_.num_gpus > 1) {
-        uint64_t total_updates = 0;
-        for (const auto& slice : job->gpus) {
-          for (const WorkStats& w : slice.stream_work) {
-            total_updates += w.wa_updates;
-          }
-        }
-        const uint64_t level_updates = total_updates - job->prev_updates;
-        job->prev_updates = total_updates;
-        const uint64_t delta_bytes =
-            level_updates * (job->kernel->wa_bytes_per_vertex() + 8);
-        for (int g = 0; g < machine_.num_gpus; ++g) {
-          gpu::TimelineOp d2h;
-          d2h.kind = gpu::OpKind::kD2H;
-          d2h.resource = {gpu::ResourceId::Type::kCopyEngine, g};
-          d2h.duration =
-              static_cast<double>(delta_bytes / machine_.num_gpus) / tm.c1;
-          d2h.bytes = delta_bytes / machine_.num_gpus;
-          d2h.job = job->job_id;
-          RecordOp(d2h);
-          gpu::TimelineOp h2d;
-          h2d.kind = gpu::OpKind::kH2DChunk;
-          h2d.resource = {gpu::ResourceId::Type::kCopyEngine, g};
-          h2d.duration = static_cast<double>(delta_bytes) / tm.c1;
-          h2d.bytes = delta_bytes;
-          h2d.job = job->job_id;
-          RecordOp(h2d);
-        }
-        for (auto& slice : job->gpus) {
-          job->kernel->AbsorbDeviceWa(slice.wa_buf.data(), slice.wa_begin,
-                                      slice.wa_end);
-        }
-        for (auto& slice : job->gpus) {
-          job->kernel->InitDeviceWa(slice.wa_buf.data(), slice.wa_begin,
-                                    slice.wa_end);
-        }
-      }
+      if (job->traversal()) SyncJobLevel(job);
     }
-    if (pass_has_traversal) {
-      gpu::TimelineOp merge;
-      merge.kind = gpu::OpKind::kHostCompute;
-      merge.duration = tm.host_merge_overhead;
-      RecordOp(merge);
-      {
-        analysis::sync::Lock lock(record_mu_);
-        recorder_.AddBarrier(tm.sync_overhead);
-      }
-      for (JobExec* job : running) {
-        if (job->traversal()) ++job->level;
-      }
+    gpu::TimelineOp merge;
+    merge.kind = gpu::OpKind::kHostCompute;
+    merge.duration = tm.host_merge_overhead;
+    RecordOp(merge);
+    {
+      analysis::sync::Lock lock(record_mu_);
+      recorder_.AddBarrier(tm.sync_overhead);
+    }
+    if (race_ != nullptr) race_->BarrierRelease();
+    for (JobExec* job : running) {
+      if (job->traversal()) ++job->level;
     }
   }
 
@@ -2522,52 +1691,94 @@ void GtsEngine::FinalizeBatchEpoch(const std::vector<JobExec*>& jobs) {
   gpu::ScheduleResult schedule =
       gpu::ScheduleSimulator(machine_.time_model).Run(std::move(ops));
 
-  analysis::RaceReport epoch_report;
+  // gts::analysis: harvest the race detector and replay the schedule
+  // through the invariant validator (J1 only sees tagged ops, so a
+  // one-job epoch adds no checks for it).
+  analysis::RaceReport report;
+  if (race_ != nullptr) {
+    race_->ResolveTimestamps(schedule);
+    report.Accumulate(race_->TakeReport());
+  }
   if (options_.analysis.validate_schedule) {
     analysis::ScheduleValidator validator(
         analysis::ValidatorOptions{1e-12, options_.analysis.max_reported});
-    validator.Check(schedule, &epoch_report);
-    validator.CheckPinEvents(pin_events_.Take(), &epoch_report);
-    validator.CheckIoEvents(io_events_.Take(), &epoch_report);
-    validator.CheckDispatchEvents(dispatch_events_.Take(), &epoch_report);
-    validator.CheckJobIsolation(schedule, &epoch_report);
+    validator.Check(schedule, &report);
+    validator.CheckPinEvents(pin_events_.Take(), &report);
+    validator.CheckIoEvents(io_events_.Take(), &report);
+    validator.CheckDispatchEvents(dispatch_events_.Take(), &report);
+    validator.CheckJobIsolation(schedule, &report);
   }
-  registry_->GetCounter("analysis.races").Add(epoch_report.races_detected);
-  registry_->GetCounter("analysis.wa_accesses").Add(epoch_report.wa_accesses);
+  registry_->GetCounter("analysis.races").Add(report.races_detected);
+  registry_->GetCounter("analysis.wa_accesses").Add(report.wa_accesses);
   registry_->GetCounter("analysis.schedule_checks")
-      .Add(epoch_report.schedule_checks);
+      .Add(report.schedule_checks);
   registry_->GetCounter("analysis.schedule_violations")
-      .Add(epoch_report.violations_detected);
+      .Add(report.violations_detected);
+#if GTS_SYNC_CHECK_ENABLED
+  {
+    // Lock-order findings accrued since the previous harvest (the
+    // registry is process-global; per-epoch attribution is by drain
+    // window, same as TakeRunStats below).
+    auto drain = analysis::sync::LockRegistry::Global().TakeViolations();
+    report.sync_check_ran = true;
+    report.lock_acquisitions += drain.acquisitions;
+    report.lock_order_violations += drain.violations_detected;
+    for (auto& v : drain.violations) {
+      if (report.lock_violations.size() < options_.analysis.max_reported) {
+        report.lock_violations.push_back(std::move(v));
+      }
+    }
+    registry_->GetCounter("analysis.lock_acquisitions")
+        .Add(drain.acquisitions);
+    registry_->GetCounter("analysis.lock_order_violations")
+        .Add(drain.violations_detected);
+  }
+#endif
 
   // Ingest stats are epoch-cumulative like the shared io counters:
   // per-job attribution of a merged publish would be arbitrary, so
-  // every finished job carries the epoch's harvest.
+  // every finished job carries the epoch's harvest (the publishes this
+  // epoch triggered, plus background compactions that landed since the
+  // previous harvest). Cache backpressure is epoch-wide the same way.
   ingest::IngestStats epoch_ingest;
   if (ingest_ != nullptr) epoch_ingest = ingest_->TakeRunStats();
+  uint64_t cache_backpressure = 0;
+  for (const auto& gpu : gpus_) {
+    if (gpu->cache != nullptr) {
+      cache_backpressure += gpu->cache->insert_backpressure();
+    }
+  }
 
+  std::string escalation;
+  if (options_.analysis.fail_on_violation && report.violations_detected > 0) {
+    escalation = "schedule validation failed:\n";
+  } else if (options_.analysis.fail_on_race && report.races_detected > 0) {
+    escalation = "logical races detected:\n";
+  } else if (options_.analysis.fail_on_lock_violation &&
+             report.lock_order_violations > 0) {
+    escalation = "lock-order violations detected:\n";
+  }
   for (JobExec* job : jobs) {
     if (!job->admitted || !job->finished || !job->status.ok()) continue;
     // Every job of the epoch shares its schedule: sim_seconds is the
     // epoch makespan (a serving-latency view -- the job was done when
     // the batch was), and the busy breakdown is epoch-wide.
-    job->metrics.sim_seconds = schedule.makespan;
-    job->metrics.transfer_busy =
-        schedule.BusySeconds(gpu::ResourceId::Type::kCopyEngine);
-    job->metrics.kernel_busy =
-        schedule.BusySeconds(gpu::ResourceId::Type::kKernelPool);
-    job->metrics.storage_busy =
+    RunMetrics& m = job->metrics;
+    m.sim_seconds = schedule.makespan;
+    m.transfer_busy = schedule.BusySeconds(gpu::ResourceId::Type::kCopyEngine);
+    m.kernel_busy = schedule.BusySeconds(gpu::ResourceId::Type::kKernelPool);
+    m.storage_busy =
         schedule.BusySeconds(gpu::ResourceId::Type::kStorageDevice);
-    job->metrics.ingest_updates_applied = epoch_ingest.updates_applied;
-    job->metrics.ingest_deltas_flushed = epoch_ingest.deltas_flushed;
-    job->metrics.ingest_compactions = epoch_ingest.compactions;
-    job->metrics.ingest_overlay_hits = epoch_ingest.overlay_hits;
-    job->metrics.analysis = epoch_report;
-    if (options_.keep_timeline) job->metrics.timeline = schedule;
-    PublishMetrics(job->metrics);
-    if (options_.analysis.fail_on_violation &&
-        epoch_report.violations_detected > 0) {
-      job->status = Status::Internal("schedule validation failed:\n" +
-                                     epoch_report.ToString());
+    m.cache_backpressure = cache_backpressure;
+    m.ingest_updates_applied = epoch_ingest.updates_applied;
+    m.ingest_deltas_flushed = epoch_ingest.deltas_flushed;
+    m.ingest_compactions = epoch_ingest.compactions;
+    m.ingest_overlay_hits = epoch_ingest.overlay_hits;
+    m.analysis = report;
+    if (options_.keep_timeline) m.timeline = schedule;
+    PublishMetrics(m);
+    if (!escalation.empty()) {
+      job->status = Status::Internal(escalation + report.ToString());
     }
   }
   ReleaseBatchBuffers(jobs);

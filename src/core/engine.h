@@ -14,17 +14,16 @@
 #ifndef GTS_CORE_ENGINE_H_
 #define GTS_CORE_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/analysis_options.h"
-#include "analysis/sync/sync.h"
 #include "analysis/event_log.h"
+#include "analysis/race_detector.h"
 #include "analysis/schedule_validator.h"
+#include "analysis/sync/sync.h"
 #include "common/status.h"
 #include "core/dispatch/dispatch_options.h"
 #include "core/frontier.h"
@@ -45,16 +44,11 @@
 #include "transfer/transfer_backend.h"
 #include "transfer/transfer_options.h"
 
-#if GTS_RACE_CHECK_ENABLED
-#include "analysis/race_detector.h"
-#endif
-
 namespace gts {
 
 class DispatchPipeline;
 class JobScheduler;
 struct JobExec;
-struct JobOptions;
 
 /// Multi-GPU strategies of Section 4.
 enum class Strategy : uint8_t {
@@ -85,12 +79,12 @@ struct GtsOptions {
 
   /// Upper bound on jobs the JobScheduler executes concurrently in one
   /// batch epoch (shared-topology streaming: one merged page demand per
-  /// pass, private WA partition per job). 1 -- the default -- keeps every
-  /// submission on the legacy single-run path, which is byte-identical
-  /// to the pre-scheduler schedules. Values > 1 require an asynchronous
-  /// dispatch path (use_stream_threads or dispatch.work_stealing) and
-  /// are incompatible with cpu_assist_fraction > 0; Validate() rejects
-  /// those combinations with actionable messages.
+  /// pass, private WA partition per job). Every submission runs as an
+  /// epoch; with the default 1 each epoch holds exactly one job, whose
+  /// ops stay untagged. Values > 1 require an asynchronous dispatch path
+  /// (use_stream_threads or dispatch.work_stealing) and are incompatible
+  /// with cpu_assist_fraction > 0; Validate() rejects those combinations
+  /// with actionable messages.
   int max_concurrent_jobs = 1;
 
   /// Section 9 future-work extension: fraction of the page stream the
@@ -175,19 +169,6 @@ class GtsEngine {
                              const std::vector<PageId>& pages,
                              uint32_t level = 0);
 
-  /// Run() folded into `report`: accumulates the pass into
-  /// report->metrics, refreshes report->snapshot from the engine
-  /// registry, and returns the per-pass increment (loop drivers read it
-  /// for convergence / level_pages without any hand-written `+=`).
-  Result<RunMetrics> RunInto(GtsKernel* kernel, RunReport* report,
-                             VertexId source = kInvalidVertexId,
-                             int max_levels_override = -1);
-
-  /// RunPass() folded into `report`; see RunInto().
-  Result<RunMetrics> RunPassInto(GtsKernel* kernel, RunReport* report,
-                                 const std::vector<PageId>& pages,
-                                 uint32_t level = 0);
-
   /// The engine's job scheduler: the serving API. Run()/RunPass() above
   /// are thin shims over scheduler().Submit(...).Wait(); use the
   /// scheduler directly to run jobs concurrently (max_concurrent_jobs),
@@ -218,33 +199,16 @@ class GtsEngine {
 
   struct GpuState;
   struct CpuState;
+  struct JobLaunch;
 
-  /// Scheduler entry point for single-job batches: dispatches to the
-  /// legacy RunDirect/RunPassDirect bodies (byte-identical schedules),
-  /// honoring exec->cancel at level boundaries.
-  Result<RunMetrics> ExecuteJob(JobExec* exec);
-
-  /// The legacy run bodies, unchanged except for the cancellation probe
-  /// (`cancel` may be null) and the per-job knobs read from `jopts`
-  /// (streamed-bytes quota, pinned graph version; null = defaults).
-  /// The public Run()/RunPass() reach them through the scheduler's
-  /// single-job path.
-  Result<RunMetrics> RunDirect(GtsKernel* kernel, VertexId source,
-                               int max_levels_override,
-                               std::atomic<bool>* cancel,
-                               const JobOptions* jopts = nullptr);
-  Result<RunMetrics> RunPassDirect(GtsKernel* kernel,
-                                   const std::vector<PageId>& pages,
-                                   uint32_t level, std::atomic<bool>* cancel,
-                                   const JobOptions* jopts = nullptr);
-
-  /// Scheduler entry point for multi-job batches: one epoch in which the
-  /// admitted jobs share the streaming machinery (merged per-pass page
-  /// demand, shared cache/io/copy engines) while each owns a private WA
-  /// partition and metrics scope. Per-job outcomes land in each
-  /// JobExec::status/metrics (finished set); jobs left !finished were
-  /// deferred by WA admission control. Returns non-OK only for engine
-  /// bugs, never for per-job failures.
+  /// The engine's run body (Algorithm 1), reached for every scheduler
+  /// batch -- a single submission is an epoch of one. The admitted jobs
+  /// share the streaming machinery (merged per-pass page demand, shared
+  /// cache/io/copy engines) while each owns a private WA partition and
+  /// metrics scope. Per-job outcomes land in each JobExec::status/metrics
+  /// (finished set); jobs left !finished were deferred by WA admission
+  /// control. Returns non-OK only for engine bugs, never for per-job
+  /// failures.
   Status RunJobBatch(const std::vector<JobExec*>& jobs);
 
   // --- RunJobBatch helpers ---
@@ -252,33 +216,58 @@ class GtsEngine {
   /// for traversal kernels); on failure every partial slice is released
   /// and the allocation error returned (the admission-control signal).
   Status AdmitJobSlices(JobExec* job, int slot);
-  void ReleaseJobSlices(JobExec* job);
   /// Allocates the shared per-stream SP/LP/RA buffers (RA sized for the
   /// largest admitted ra_bytes_per_vertex) and resets stream state.
   Status SetupSharedStreamBuffers(uint32_t max_ra_b);
+  /// Host co-processing state for `kernel` (cpu_assist_fraction > 0;
+  /// Validate() keeps such epochs to one job). FailedPrecondition for
+  /// Strategy-S scans on several GPUs.
+  Status SetupCpuAssist(const GtsKernel* kernel);
   /// Per-GPU shared page cache over the memory left after admission.
-  void SetupBatchCaches();
+  void SetupCaches();
   void ReleaseBatchBuffers(const std::vector<JobExec*>& jobs);
-  /// Tagged (TimelineOp::job) WA upload/download for one job's slices.
+  void ReleaseBuffers();
+  /// WA upload/download for one job's slices (and the host replica under
+  /// CPU assist); ops carry the job's tag.
   void UploadWaJob(JobExec* job);
   void DownloadWaJob(JobExec* job);
+  /// Per-level sync of one traversal job: its local nextPIDSets to the
+  /// host and, with several WA replicas, the level's WA delta exchange.
+  void SyncJobLevel(JobExec* job);
   /// Completes one job inside a running epoch: WA download (ok jobs),
   /// per-job work/io stat harvest, slice release, finished flag.
   void FinishJobInEpoch(JobExec* job);
-  /// Batch variants of the dispatch loops: every page carries the list
-  /// of jobs demanding it; one stream/cache access services them all.
-  Status ProcessPagesBatch(
-      const std::vector<PageId>& ordered,
-      const std::unordered_map<PageId, std::vector<JobExec*>>& demand);
-  Status ProcessPagesBatchPull(
-      const std::vector<PageId>& ordered,
-      const std::unordered_map<PageId, std::vector<JobExec*>>& demand);
-  Status StreamPageToGpuBatch(PageId pid, int g, int s,
-                              const std::vector<JobExec*>& demanders,
-                              bool pull, bool stolen);
-  /// Epoch wrap-up: simulate once, run the validator (including the
-  /// job-isolation rule) over the merged timeline, stamp every finished
-  /// job with the epoch makespan/busy stats, publish, release buffers.
+  /// NoteWaReplica's `g` for the CPU-assist host replica.
+  static constexpr int kHostReplica = -1;
+  /// Race-detector report of one whole-replica WA access by `job`: GPU
+  /// `g`'s slice, or the host replica for kHostReplica. No-op without a
+  /// detector.
+  void NoteWaReplica(const JobExec& job, int g, int lane,
+                     analysis::AccessClass cls, gpu::OpIndex op);
+  /// The dispatch loops: every page carries the list of jobs demanding
+  /// it (demand_), and one stream/cache access services them all. Pages
+  /// the hybrid extension routes to the host run on the CPU lanes.
+  Status ProcessPagesBatch(const std::vector<PageId>& ordered);
+  /// Worker-driven pull dispatch: publishes the pass as work items on a
+  /// shared ReadyQueue (replicated pages fan out as one gpu-bound item
+  /// per GPU) and has every stream worker claim -- stealing from sibling
+  /// streams and, under Strategy-P, across GPUs -- until the queue
+  /// drains. Claim/steal edges are recorded in dispatch_events_ for the
+  /// validator's R9 rule.
+  Status ProcessPagesBatchPull(const std::vector<PageId>& ordered);
+  /// Streams page `pid` to stream `s` of GPU `g` and runs one kernel per
+  /// demanding job against the staged (or cached) copy. With `pull` set,
+  /// the host-side phase (io acquire + MMBuf read, op recording, metric
+  /// bumps) runs under dispatch_mu_ and the kernels execute inline on
+  /// the calling stream worker; otherwise they are enqueued to the
+  /// stream under use_stream_threads, else run inline.
+  Status StreamPageToGpuBatch(PageId pid, int g, int s, bool pull,
+                              bool stolen);
+  /// Epoch wrap-up: simulate once, run the analysis layer (race-report
+  /// harvest, schedule validator including the job-isolation rule, lock
+  /// registry drain) over the merged timeline, stamp every finished job
+  /// with the epoch makespan/busy stats, publish, escalate findings per
+  /// GtsOptions::analysis, release buffers.
   void FinalizeBatchEpoch(const std::vector<JobExec*>& jobs);
 
   /// Per-GPU WA ownership range under the active strategy. Traversal
@@ -298,51 +287,11 @@ class GtsEngine {
   };
   PageRoute RoutePage(PageId pid) const;
 
-  /// Processes one page on the host CPUs (no PCI-E traffic).
-  Status ProcessPageOnCpu(GtsKernel* kernel, PageId pid,
-                          uint32_t cur_level, RunMetrics* metrics);
-
-  /// Validates memory capacity and allocates WABuf/stream buffers/caches.
-  Status SetupBuffers(GtsKernel* kernel);
-  void ReleaseBuffers();
-
-  /// Computes the schedule, runs gts::analysis over it (schedule
-  /// validation always; race-report harvest under GTS_RACE_CHECK),
-  /// gathers stats, releases buffers. Non-OK only when
-  /// GtsOptions::analysis escalates findings (fail_on_race /
-  /// fail_on_violation); by default findings are report-only in
-  /// RunMetrics::analysis.
-  Status FinalizeRun(RunMetrics* metrics);
+  /// Processes one page of `job` on the host CPUs (no PCI-E traffic).
+  Status ProcessPageOnCpu(JobExec* job, PageId pid);
 
   /// Publishes one run's counters cumulatively into registry_.
   void PublishMetrics(const RunMetrics& metrics);
-
-  /// Streams one list of pages to the GPUs and runs kernels; records ops
-  /// and accumulates stats. Page kind (SP/LP) is derived per page.
-  /// Dispatches to ProcessPagesPull when dispatch.work_stealing is on
-  /// and stream threads are enabled; otherwise runs the classic
-  /// policy-driven push loop (byte-identical schedule to the seed).
-  Status ProcessPages(GtsKernel* kernel, const std::vector<PageId>& pids,
-                      uint32_t cur_level, RunMetrics* metrics);
-
-  /// Worker-driven pull dispatch: publishes the pass as work items on a
-  /// shared ReadyQueue (replicated pages fan out as one gpu-bound item
-  /// per GPU) and has every stream worker claim -- stealing from sibling
-  /// streams and, under Strategy-P, across GPUs -- until the queue
-  /// drains. Claim/steal edges are recorded in dispatch_events_ for the
-  /// validator's R9 rule.
-  Status ProcessPagesPull(GtsKernel* kernel, const std::vector<PageId>& pids,
-                          uint32_t cur_level, RunMetrics* metrics);
-
-  /// Streams one page to stream `s` of GPU `g` and runs its kernel: the
-  /// shared body of the push loop and the pull workers. With `pull` set,
-  /// the host-side phase (io acquire + MMBuf read, op recording, metric
-  /// bumps) runs under dispatch_mu_ and the kernel executes inline on
-  /// the calling stream worker; otherwise the classic push behavior
-  /// (enqueue to the stream under use_stream_threads, else inline).
-  Status StreamPageToGpu(GtsKernel* kernel, PageId pid, int g, int s,
-                         uint32_t cur_level, RunMetrics* metrics, bool pull,
-                         bool stolen);
 
   /// Stage 0 of every pass: drives the dispatch pipeline (partition plan
   /// + page order) and hands the ordered batch to the io engine, which
@@ -384,12 +333,6 @@ class GtsEngine {
   /// JobScheduler::QuiesceIngest.
   Status QuiesceIngestExclusive();
 
-  /// Uploads WA to every GPU (records H2DChunk ops).
-  void UploadWa(GtsKernel* kernel);
-  /// Syncs WA back (P2P merge + D2H for Strategy-P, N x D2H for S) and
-  /// absorbs device values into the kernel's host arrays.
-  void DownloadWa(GtsKernel* kernel);
-
   void SynchronizeStreams();
 
   const PagedGraph* graph_;
@@ -414,8 +357,22 @@ class GtsEngine {
   uint64_t degree_epoch_ = 0;
 
   std::vector<std::unique_ptr<GpuState>> gpus_;
-  std::unique_ptr<CpuState> cpu_;  // present while a hybrid run is active
+  std::unique_ptr<CpuState> cpu_;  // present while a hybrid epoch is active
   uint32_t max_slots_per_page_ = 0;
+
+  // Per-pass dispatch scratch, dense and reused across passes so a pass
+  // does no per-page hashing or allocation once capacities settle.
+  /// Jobs demanding each page in the current pass, in admission order;
+  /// indexed by PageId and emptied again after the pass.
+  std::vector<std::vector<JobExec*>> demand_;
+  /// Dedup stamps for the weighted-round-robin merge: a page is already
+  /// in the pass's merged order iff merge_stamp_[pid] == merge_epoch_.
+  std::vector<uint32_t> merge_stamp_;
+  uint32_t merge_epoch_ = 0;
+  /// Kernel launches recorded by the current pass, one per (page, GPU,
+  /// demanding job). Reserved before the pass for its worst case, so
+  /// the element ranges handed to execute closures never move.
+  std::vector<JobLaunch> launches_;
 
   // Schedule recording (guarded: stream threads patch kernel durations).
   // Leaf lock: nothing is acquired while holding it, hence the highest
@@ -428,9 +385,8 @@ class GtsEngine {
 
   // gts::analysis wiring. The event logs feed the always-on schedule
   // validator (pin lifetimes from every PageCache, submit/issue/deliver
-  // sequences from gts::io); both are cleared at run start and drained by
-  // FinalizeRun. The happens-before detector exists only under
-  // -DGTS_RACE_CHECK=ON and only when GtsOptions::analysis.race_check.
+  // sequences from gts::io); both are cleared at epoch start and drained
+  // by FinalizeBatchEpoch.
   analysis::PinEventLog pin_events_;
   analysis::IoEventLog io_events_;
   /// Ready-queue enqueue/claim edges for the validator's R9
@@ -450,9 +406,10 @@ class GtsEngine {
   /// the io, cache, and record locks, never the scheduler's.
   analysis::sync::Mutex dispatch_mu_{"engine.dispatch",
                                      analysis::sync::level::kEngineDispatch};
-#if GTS_RACE_CHECK_ENABLED
+  /// The happens-before detector; constructed only when the build
+  /// carries -DGTS_RACE_CHECK=ON and GtsOptions::analysis.race_check is
+  /// set, so every hook below is one null test otherwise.
   std::unique_ptr<analysis::RaceDetector> race_;
-#endif
 };
 
 }  // namespace gts

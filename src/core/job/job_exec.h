@@ -7,9 +7,9 @@
 // its RunMetrics scope), and the lifecycle flags the scheduler reads at
 // pass boundaries (admitted / finished / cancel).
 //
-// Single-job submissions never build a JobExec batch: the scheduler
-// routes them through the engine's legacy run path, which reproduces the
-// pre-scheduler schedule byte for byte.
+// Every submission runs through GtsEngine::RunJobBatch, a single one as
+// an epoch of one: its ops stay untagged (job_id -1) and its schedule is
+// the paper's single-run schedule.
 #ifndef GTS_CORE_JOB_JOB_EXEC_H_
 #define GTS_CORE_JOB_JOB_EXEC_H_
 
@@ -54,7 +54,9 @@ struct JobExec {
   uint32_t pass_level = 0;
 
   /// Dense per-epoch index used to tag this job's timeline ops (trace
-  /// lanes + the validator's J1 rule). -1 until the epoch admits the job.
+  /// lanes + the validator's J1 rule) and key its race-detector WA
+  /// domains. -1 until a multi-job epoch admits the job, and -1 for the
+  /// whole of a one-job epoch.
   int32_t job_id = -1;
 
   // --- Batch-epoch runtime state (engine-owned) ---
@@ -75,6 +77,12 @@ struct JobExec {
   bool traversal() const {
     return !is_pass &&
            kernel->access_pattern() == AccessPattern::kTraversal;
+  }
+
+  /// The traversal level this job's kernels see in the current pass.
+  uint32_t cur_level() const {
+    if (traversal()) return static_cast<uint32_t>(level);
+    return is_pass ? pass_level : 0;
   }
 };
 

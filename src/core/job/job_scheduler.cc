@@ -220,19 +220,11 @@ void JobScheduler::RunCycle(analysis::sync::UniqueLock& lk) {
   for (auto& rec : batch) rec->state = JobState::kRunning;
 
   lk.unlock();
-  if (batch.size() == 1) {
-    JobExec* exec = batch[0]->exec.get();
-    auto result = engine_->ExecuteJob(exec);
-    exec->status = result.ok() ? Status::OK() : result.status();
-    if (result.ok()) exec->metrics = std::move(result).value();
-    exec->finished = true;
-  } else {
-    std::vector<JobExec*> execs;
-    execs.reserve(batch.size());
-    for (auto& rec : batch) execs.push_back(rec->exec.get());
-    const Status batch_status = engine_->RunJobBatch(execs);
-    GTS_CHECK(batch_status.ok()) << batch_status.ToString();
-  }
+  std::vector<JobExec*> execs;
+  execs.reserve(batch.size());
+  for (auto& rec : batch) execs.push_back(rec->exec.get());
+  const Status batch_status = engine_->RunJobBatch(execs);
+  GTS_CHECK(batch_status.ok()) << batch_status.ToString();
   lk.lock();
 
   for (auto& rec : batch) {

@@ -22,8 +22,8 @@
 // even alone fails with the allocation error. Cancellation is checked at
 // pass boundaries; a still-queued job cancels immediately.
 //
-// Single-job batches take the engine's legacy run path and therefore
-// reproduce the pre-scheduler Run*Gts schedules byte for byte.
+// Every batch runs as one engine epoch, a single job as an epoch of one
+// whose schedule is the paper's single-run schedule.
 #ifndef GTS_CORE_JOB_JOB_SCHEDULER_H_
 #define GTS_CORE_JOB_JOB_SCHEDULER_H_
 
@@ -106,10 +106,9 @@ class JobScheduler {
   JobHandle SubmitPass(GtsKernel* kernel, std::vector<PageId> pages,
                        uint32_t level = 0, JobOptions options = {});
 
-  /// Submit(...).Wait() folded into `report` exactly like the old
-  /// Engine::RunInto: accumulates the increment, refreshes the snapshot,
-  /// returns the per-job increment. The Run*Gts drivers are thin
-  /// wrappers over this.
+  /// Submit(...).Wait() folded into `report`: accumulates the increment,
+  /// refreshes the snapshot, returns the per-job increment. The Run*Gts
+  /// drivers are thin wrappers over this.
   Result<RunMetrics> RunJob(GtsKernel* kernel, RunReport* report,
                             JobOptions options = {});
 

@@ -11,15 +11,12 @@
 #include <string>
 
 #include "analysis/analysis_options.h"
+#include "analysis/race_detector.h"
 #include "core/frontier.h"
 #include "gpu/time_model.h"
 #include "graph/types.h"
 #include "storage/paged_graph.h"
 #include "storage/slotted_page.h"
-
-#if GTS_RACE_CHECK_ENABLED
-#include "analysis/race_detector.h"
-#endif
 
 namespace gts {
 
@@ -108,10 +105,10 @@ struct KernelContext {
     return reinterpret_cast<T*>(wa);
   }
 
-#if GTS_RACE_CHECK_ENABLED
   /// Where the instrumented Wa* helpers report (engine-stamped; a null
-  /// detector disables reporting). Only exists under -DGTS_RACE_CHECK=ON,
-  /// so the OFF build carries zero per-context overhead.
+  /// detector disables reporting). The engine stamps it only when the
+  /// build carries -DGTS_RACE_CHECK=ON; the per-access reports below are
+  /// compiled out otherwise, so the OFF build pays nothing per edge.
   analysis::AccessSite race_site;
 
   /// Reports one WA access to the race detector. `addr` must point into
@@ -124,7 +121,6 @@ struct KernelContext {
     race_site.detector->OnWaAccess(race_site.lane, race_site.domain, offset,
                                    size, cls, race_site.op, race_site.page);
   }
-#endif
 
   // Instrumented WA access API. All WA reads and writes must go through
   // these helpers: every one is a relaxed std::atomic_ref operation at

@@ -10,7 +10,7 @@
 //   - every driver takes a trailing `const JobOptions&` for tuning knobs
 //     (query identity -- source vertex, k -- stays positional).
 //
-// Engine::RunInto / RunPassInto fold each pass into a RunReport, so
+// JobScheduler::RunJob / RunPassJob fold each pass into a RunReport, so
 // drivers carry zero per-algorithm metric-copying code.
 #ifndef GTS_CORE_RUN_REPORT_H_
 #define GTS_CORE_RUN_REPORT_H_

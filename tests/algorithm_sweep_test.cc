@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "algorithms/bc.h"
 #include "algorithms/bfs.h"
@@ -18,8 +19,11 @@
 namespace gts {
 namespace {
 
+// Every field is 8 bytes wide, so the struct has no padding. gtest lists a
+// param it cannot print as its raw bytes, and padding left uninitialized made
+// the listed test names differ from one build or run to the next.
 struct SweepParam {
-  int scale;
+  int64_t scale;
   double edge_factor;
   uint64_t seed;
   double rmat_a;  // skew knob
@@ -27,7 +31,8 @@ struct SweepParam {
 
 std::string ParamName(const ::testing::TestParamInfo<SweepParam>& info) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "s%d_ef%d_seed%llu_a%d", info.param.scale,
+  std::snprintf(buf, sizeof(buf), "s%d_ef%d_seed%llu_a%d",
+                static_cast<int>(info.param.scale),
                 static_cast<int>(info.param.edge_factor),
                 (unsigned long long)info.param.seed,
                 static_cast<int>(info.param.rmat_a * 100));
@@ -38,7 +43,7 @@ class AlgorithmSweepTest : public ::testing::TestWithParam<SweepParam> {
  protected:
   void SetUp() override {
     RmatParams p;
-    p.scale = GetParam().scale;
+    p.scale = static_cast<int>(GetParam().scale);
     p.edge_factor = GetParam().edge_factor;
     p.seed = GetParam().seed;
     p.a = GetParam().rmat_a;

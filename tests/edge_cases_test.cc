@@ -191,9 +191,10 @@ TEST(EdgeCasesTest, RunPassRejectsOutOfRangePageIds) {
 }
 
 TEST(EdgeCasesTest, RunPassProcessesDuplicatePageIdsTwice) {
-  // RunPass takes the caller's list literally: duplicates are streamed and
-  // run again (backward sweeps rely on exact caller-controlled page sets,
-  // so the engine must not dedupe behind their back).
+  // RunPass takes the caller's list literally: a duplicate runs its
+  // kernel again, on the copy staged for the first occurrence (backward
+  // sweeps rely on exact caller-controlled page sets, so the engine must
+  // not dedupe kernel work behind their back).
   EdgeList edges(16, {{0, 1}, {1, 2}});
   Built b = Build(edges);
   GtsEngine engine(&b.paged, b.store.get(), SmallMachine(), GtsOptions{});

@@ -1,23 +1,30 @@
 // Tests for the gts::JobScheduler serving API (DESIGN.md section 13):
-// single-job equivalence with the legacy drivers, concurrent mixed-job
-// batches, shared-topology page streaming, admission backpressure,
-// cancellation, and the scheduler-era GtsOptions::Validate() rules.
+// single-job equivalence with Engine::Run and pinned single-job
+// schedules, concurrent mixed-job batches, shared-topology page
+// streaming, admission backpressure, cancellation, and the scheduler-era
+// GtsOptions::Validate() rules.
 #include "core/job/job_scheduler.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "algorithms/bc.h"
 #include "algorithms/bfs.h"
 #include "algorithms/pagerank.h"
 #include "algorithms/reference.h"
+#include "algorithms/sssp.h"
 #include "algorithms/wcc.h"
 #include "core/engine.h"
 #include "graph/csr_graph.h"
 #include "graph/rmat_generator.h"
+#include "ingest/update.h"
 #include "storage/page_builder.h"
 
 namespace gts {
@@ -94,9 +101,12 @@ struct DispatchParam {
 
 class SoloJobTest : public ::testing::TestWithParam<DispatchParam> {};
 
-/// A single submitted job routes through the legacy run path: results
-/// and deterministic metrics match Engine::Run exactly, across the
-/// dispatch-policy matrix.
+/// A job submitted through Submit/Wait and the positional Engine::Run
+/// shim both run as a batch epoch of one: results and deterministic
+/// metrics match exactly across the dispatch-policy matrix. Both sides
+/// take the same path, so SoloJobDigestTest below pins that path's
+/// schedules against digests recorded before the engine had one run
+/// body.
 TEST_P(SoloJobTest, SubmitMatchesEngineRun) {
   TestGraph g = MakeTestGraph(11, 8);
   const VertexId source = BusySource(g.csr);
@@ -146,6 +156,202 @@ INSTANTIATE_TEST_SUITE_P(DispatchMatrix, SoloJobTest,
                                            DispatchParam{true, false},
                                            DispatchParam{false, true},
                                            DispatchParam{true, true}));
+
+// ------------------------------------------------ pinned solo schedules
+
+uint64_t MixDigest(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h = (h ^ ((v >> (8 * i)) & 0xFF)) * 1099511628211ull;  // FNV-1a
+  }
+  return h;
+}
+
+uint64_t DoubleBits(double d) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+/// Folds every op of one pass's timeline into `h`: what the op is, where
+/// it runs, what it waits on, what it moves, and when the simulator put
+/// it.
+uint64_t DigestTimeline(const gpu::ScheduleResult& timeline, uint64_t h) {
+  h = MixDigest(h, timeline.ops.size());
+  for (const gpu::TimelineOp& op : timeline.ops) {
+    h = MixDigest(h, static_cast<uint64_t>(op.kind));
+    h = MixDigest(h,
+                  static_cast<uint64_t>(static_cast<int64_t>(op.stream_key)));
+    h = MixDigest(h, static_cast<uint64_t>(op.resource.type));
+    h = MixDigest(h, static_cast<uint64_t>(op.resource.index));
+    h = MixDigest(h, op.dep0);
+    h = MixDigest(h, op.dep1);
+    h = MixDigest(h, op.page);
+    h = MixDigest(h, static_cast<uint64_t>(static_cast<int64_t>(op.job)));
+    h = MixDigest(h, op.bytes);
+    h = MixDigest(h, DoubleBits(op.start));
+    h = MixDigest(h, DoubleBits(op.duration));
+  }
+  return h;
+}
+
+/// One pinned single-job configuration: engine options, GPU count,
+/// storage, and whether ingest updates are appended before each run.
+struct DigestConfig {
+  const char* name;
+  int gpus;
+  GtsOptions opts;
+  bool ssd = false;
+  bool append_updates = false;
+};
+
+std::vector<DigestConfig> DigestConfigs() {
+  std::vector<DigestConfig> configs;
+  auto base = [] {
+    GtsOptions opts;
+    opts.num_streams = 4;
+    opts.keep_timeline = true;
+    return opts;
+  };
+  configs.push_back({"p1", 1, base()});
+  configs.push_back({"p2", 2, base()});
+  {
+    GtsOptions opts = base();
+    opts.strategy = Strategy::kScalability;
+    configs.push_back({"s2", 2, opts});
+  }
+  {
+    GtsOptions opts = base();
+    opts.cpu_assist_fraction = 0.25;
+    configs.push_back({"cpu1", 1, opts});
+    configs.push_back({"cpu2", 2, opts});
+  }
+  {
+    GtsOptions opts = base();
+    opts.ingest.enabled = true;
+    opts.ingest.background_compaction = false;
+    opts.ingest.gutter_capacity = 4;
+    opts.ingest.compact_threshold = 2;
+    configs.push_back({"ingest1", 1, opts, false, true});
+  }
+  {
+    GtsOptions opts = base();
+    opts.transfer.mode = transfer::TransferMode::kAuto;
+    configs.push_back({"auto1", 1, opts});
+    opts.io.queue_depth = 4;
+    opts.io.wa_snapshot = true;
+    configs.push_back({"auto-ssd2", 2, opts, true});
+  }
+  return configs;
+}
+
+/// Runs `algo` on a fresh inline engine under `config` and digests the
+/// timeline of every pass it streams (PageRank: 2 iterations; BC: the
+/// forward traversal plus each backward RunPass).
+uint64_t DigestSoloRun(const TestGraph& g, const DigestConfig& config,
+                       const std::string& algo) {
+  std::unique_ptr<PageStore> ssd;
+  PageStore* store = g.store.get();
+  if (config.ssd) {
+    const uint64_t topology =
+        static_cast<uint64_t>(g.paged.num_pages()) * g.paged.config().page_size;
+    ssd = MakeSsdStore(&g.paged, 2, topology / 5);
+    store = ssd.get();
+  }
+  GtsEngine engine(&g.paged, store, TestMachine(config.gpus), config.opts);
+  const VertexId n = g.csr.num_vertices();
+  const VertexId source = BusySource(g.csr);
+  if (config.append_updates) {
+    ingest::UpdateBatch batch;
+    for (VertexId v = 0; v < n; v += 5) {
+      batch.push_back(ingest::EdgeUpdate::Insert(v, (v * 31 + 7) % n));
+    }
+    EXPECT_TRUE(engine.edge_stream()->Append(batch).ok());
+  }
+  uint64_t h = 14695981039346656037ull;
+  auto fold = [&h](Result<RunMetrics> run) {
+    EXPECT_TRUE(run.ok()) << run.status();
+    if (!run.ok()) return RunMetrics{};
+    h = DigestTimeline(run->timeline, h);
+    return std::move(run).value();
+  };
+  if (algo == "bfs") {
+    BfsKernel k(n, source);
+    fold(engine.Run(&k, source));
+  } else if (algo == "sssp") {
+    SsspKernel k(n, source);
+    fold(engine.Run(&k, source));
+  } else if (algo == "pagerank") {
+    PageRankKernel k(n);
+    for (int iter = 0; iter < 2; ++iter) {
+      k.BeginIteration();
+      fold(engine.Run(&k));
+      k.EndIteration();
+    }
+  } else {
+    BcForwardKernel forward(n, source);
+    const RunMetrics fwd = fold(engine.Run(&forward, source));
+    BcBackwardKernel backward(forward.entries());
+    for (int l = static_cast<int>(fwd.level_pages.size()) - 2; l >= 0; --l) {
+      fold(engine.RunPass(&backward, fwd.level_pages[l],
+                          static_cast<uint32_t>(l)));
+    }
+  }
+  return h;
+}
+
+/// Pins the exact schedules of single-job inline runs. A single job runs
+/// as a batch epoch of one, so SoloJobTest compares that path with
+/// itself; these digests were recorded from the engine's former
+/// dedicated single-run loop, and any op that moves, changes size or
+/// timing, or gains a job tag changes them.
+TEST(SoloJobDigestTest, InlineSchedulesMatchPinnedDigests) {
+  TestGraph g = MakeTestGraph(11, 8);
+  const std::map<std::string, uint64_t> pinned = {
+      {"p1/bfs", 10038096812779727927ull},
+      {"p1/sssp", 7917766813994530230ull},
+      {"p1/pagerank", 11654406892401312485ull},
+      {"p1/bc", 17003755928834842357ull},
+      {"p2/bfs", 13715482184136925814ull},
+      {"p2/sssp", 16920392791396886125ull},
+      {"p2/pagerank", 18242442513665003689ull},
+      {"s2/bfs", 17022681799708286571ull},
+      {"s2/sssp", 6321132826549180471ull},
+      {"s2/pagerank", 11550087298563161421ull},
+      {"cpu1/bfs", 3590231012730904706ull},
+      {"cpu1/sssp", 14789416739092039397ull},
+      {"cpu1/pagerank", 5536184551504830473ull},
+      {"cpu1/bc", 10435819079654176473ull},
+      {"cpu2/bfs", 12252553131332640254ull},
+      {"cpu2/sssp", 844112029988540675ull},
+      {"cpu2/pagerank", 12184112679990810853ull},
+      {"ingest1/bfs", 2083632278824688811ull},
+      {"ingest1/sssp", 8165561236381502983ull},
+      {"ingest1/pagerank", 13156003438075468709ull},
+      {"ingest1/bc", 1162486867604844065ull},
+      {"auto1/bfs", 4151123415059130939ull},
+      {"auto1/sssp", 13405348382210828270ull},
+      {"auto1/pagerank", 2467714717532564373ull},
+      {"auto1/bc", 14981348834423861108ull},
+      {"auto-ssd2/bfs", 7197850359760019305ull},
+      {"auto-ssd2/sssp", 10595951174339871688ull},
+      {"auto-ssd2/pagerank", 14629645533687829101ull},
+  };
+  for (const DigestConfig& config : DigestConfigs()) {
+    std::vector<std::string> algos = {"bfs", "sssp", "pagerank"};
+    if (config.gpus == 1) algos.push_back("bc");  // BC is single-GPU only
+    for (const std::string& algo : algos) {
+      const std::string key = std::string(config.name) + "/" + algo;
+      const uint64_t digest = DigestSoloRun(g, config, algo);
+      auto it = pinned.find(key);
+      if (it == pinned.end()) {
+        ADD_FAILURE() << "no pinned digest for {\"" << key << "\", "
+                      << digest << "ull},";
+        continue;
+      }
+      EXPECT_EQ(digest, it->second) << key;
+    }
+  }
+}
 
 TEST(JobSchedulerTest, TryJoinBeforeAndAfterCompletion) {
   TestGraph g = MakeTestGraph(10, 8);
@@ -314,6 +520,76 @@ TEST(JobSchedulerTest, SharedGraphJobsStreamPagesOnce) {
   const auto snapshot = engine.metrics_registry()->Snapshot();
   ASSERT_TRUE(snapshot.count("cache.shared_page_hits"));
   EXPECT_EQ(snapshot.at("cache.shared_page_hits").count, shared_hits);
+}
+
+/// Page-cache statistics of a 2-job epoch: every lookup is credited to
+/// the page's first demander (like pages_streamed), so the jobs' counts
+/// sum to the cache's own counters for the epoch.
+TEST(JobSchedulerTest, BatchJobsReportCacheStatistics) {
+  TestGraph g = MakeTestGraph(11, 8);
+  const VertexId n = g.csr.num_vertices();
+  const VertexId src_a = BusySource(g.csr);
+  const VertexId src_b = (src_a + 1) % n;
+  GtsEngine engine(&g.paged, g.store.get(), TestMachine(), MultiJobOptions(2));
+  auto counter = [&engine](const char* name) -> uint64_t {
+    const auto snapshot = engine.metrics_registry()->Snapshot();
+    auto it = snapshot.find(name);
+    return it == snapshot.end() ? 0 : it->second.count;
+  };
+  const uint64_t lookups_before = counter("cache.gpu0.lookups");
+  const uint64_t hits_before = counter("cache.gpu0.hits");
+
+  BfsKernel ka(n, src_a);
+  BfsKernel kb(n, src_b);
+  JobOptions ja, jb;
+  ja.source = src_a;
+  jb.source = src_b;
+  JobHandle ha = engine.scheduler().Submit(&ka, ja);
+  JobHandle hb = engine.scheduler().Submit(&kb, jb);
+  Result<RunReport> ra = ha.Wait();
+  Result<RunReport> rb = hb.Wait();
+  ASSERT_TRUE(ra.ok()) << ra.status();
+  ASSERT_TRUE(rb.ok()) << rb.status();
+  ASSERT_EQ(ra->metrics.sim_seconds, rb->metrics.sim_seconds)
+      << "both jobs must have shared one epoch";
+
+  const RunMetrics& a = ra->metrics;
+  const RunMetrics& b = rb->metrics;
+  EXPECT_EQ(a.cache_lookups + b.cache_lookups,
+            counter("cache.gpu0.lookups") - lookups_before);
+  EXPECT_EQ(a.cache_hits + b.cache_hits,
+            counter("cache.gpu0.hits") - hits_before);
+  EXPECT_GT(a.cache_hits + b.cache_hits, 0u);
+  EXPECT_GT(a.cache_hit_rate() + b.cache_hit_rate(), 0.0);
+  // Backpressure is epoch-wide, like the shared io counters.
+  EXPECT_EQ(a.cache_backpressure, b.cache_backpressure);
+}
+
+/// Lock-order findings are drained into every job of the epoch that
+/// accrued them (GTS_SYNC_CHECK builds; check_sync runs this for real),
+/// never billed to the next run.
+TEST(JobSchedulerTest, BatchJobsCarryLockOrderAnalysis) {
+  TestGraph g = MakeTestGraph(10, 8);
+  const VertexId n = g.csr.num_vertices();
+  const VertexId source = BusySource(g.csr);
+  GtsEngine engine(&g.paged, g.store.get(), TestMachine(), MultiJobOptions(2));
+  BfsKernel ka(n, source);
+  PageRankKernel pr(n);
+  pr.BeginIteration();
+  JobOptions ja;
+  ja.source = source;
+  JobHandle ha = engine.scheduler().Submit(&ka, ja);
+  JobHandle hp = engine.scheduler().Submit(&pr, JobOptions{});
+  for (JobHandle* h : {&ha, &hp}) {
+    Result<RunReport> r = h->Wait();
+    ASSERT_TRUE(r.ok()) << r.status();
+    const analysis::RaceReport& report = r->metrics.analysis;
+    EXPECT_EQ(report.sync_check_ran, analysis::sync::kSyncCheckCompiled);
+    if (analysis::sync::kSyncCheckCompiled) {
+      EXPECT_GT(report.lock_acquisitions, 0u);
+      EXPECT_EQ(report.lock_order_violations, 0u) << report.ToString();
+    }
+  }
 }
 
 /// WCC (iterating driver) and BFS submitted from two threads against one

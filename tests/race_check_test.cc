@@ -32,6 +32,7 @@
 #include "analysis/race_report.h"
 #include "analysis/schedule_validator.h"
 #include "core/engine.h"
+#include "core/job/job_scheduler.h"
 #include "graph/csr_graph.h"
 #include "graph/rmat_generator.h"
 #include "storage/page_builder.h"
@@ -83,6 +84,31 @@ TEST(RaceDetectorTest, UnorderedPlainWritesOnTwoStreamsRace) {
   EXPECT_DOUBLE_EQ(race.first.sim_time, 1.5);
   EXPECT_DOUBLE_EQ(race.second.sim_time, 2.25);
   EXPECT_NE(race.ToString().find("gpu0.stream1"), std::string::npos);
+}
+
+/// Jobs of a multi-job batch epoch own separate WA replicas: the same
+/// offset in two jobs' domains is two cells, and findings name the job.
+TEST(RaceDetectorTest, JobWaDomainsAreSeparateAndNamed) {
+  RaceDetector det;
+  det.BeginRun();
+  const int s0 = det.StreamLane(0, 0, 0);
+  const int s1 = det.StreamLane(0, 1, 1);
+  det.BeginOp(s0);
+  det.BeginOp(s1);
+  det.OnWaAccess(s0, RaceDetector::WaDomain(0, 0), 0, 4,
+                 AccessClass::kPlainWrite, 1, 0);
+  det.OnWaAccess(s1, RaceDetector::WaDomain(0, 1), 0, 4,
+                 AccessClass::kPlainWrite, 2, 1);
+  EXPECT_EQ(det.races_detected(), 0u);
+  det.OnWaAccess(s1, RaceDetector::WaDomain(0, 0), 0, 4,
+                 AccessClass::kPlainWrite, 3, 1);
+  EXPECT_EQ(det.races_detected(), 1u);
+  RaceReport report = det.TakeReport();
+  ASSERT_EQ(report.races.size(), 1u);
+  EXPECT_EQ(report.races[0].domain, "job0.gpu0.wa");
+  EXPECT_EQ(RaceDetector::DomainName(RaceDetector::WaDomain(2, 3)),
+            "job3.gpu2.wa");
+  EXPECT_EQ(RaceDetector::WaDomain(1), RaceDetector::WaDomain(1, -1));
 }
 
 TEST(RaceDetectorTest, AtomicAtomicPairsNeverRace) {
@@ -282,6 +308,32 @@ TEST(ScheduleValidatorTest, OverlapOnOneCopyEngineIsRejected) {
   ScheduleValidator().Check(schedule, &report);
   EXPECT_GT(report.violations_detected, 0u);
   EXPECT_TRUE(HasRule(report, "serial-overlap"));
+}
+
+/// A zero-length op (an empty WA delta exchange) placed at the instant
+/// the next op on its engine starts occupies nothing, whatever order the
+/// two are recorded in; a real overlap on the same instant still fails.
+TEST(ScheduleValidatorTest, ZeroLengthOpAtAnotherOpsStartIsFine) {
+  gpu::ScheduleResult schedule;
+  schedule.ops.push_back(MakeOp(gpu::OpKind::kD2H,
+                                gpu::ResourceId::Type::kCopyEngine, 0, 1.0,
+                                2.0));
+  schedule.ops.push_back(MakeOp(gpu::OpKind::kH2DChunk,
+                                gpu::ResourceId::Type::kCopyEngine, 0, 1.0,
+                                1.0));
+  schedule.ops.push_back(MakeOp(gpu::OpKind::kD2H,
+                                gpu::ResourceId::Type::kCopyEngine, 0, 2.0,
+                                2.0));
+  RaceReport report;
+  ScheduleValidator().Check(schedule, &report);
+  EXPECT_EQ(report.violations_detected, 0u) << report.ToString();
+
+  schedule.ops.push_back(MakeOp(gpu::OpKind::kD2H,
+                                gpu::ResourceId::Type::kCopyEngine, 0, 1.0,
+                                1.5));
+  RaceReport overlapping;
+  ScheduleValidator().Check(schedule, &overlapping);
+  EXPECT_TRUE(HasRule(overlapping, "serial-overlap"));
 }
 
 TEST(ScheduleValidatorTest, OverlapOnDistinctEnginesIsFine) {
@@ -705,6 +757,74 @@ TEST(RaceSweepTest, WorkStealingDispatchClean) {
   GtsOptions h_opts = opts;
   h_opts.cpu_assist_fraction = 0.25;
   RunAllAlgorithms(f, h_opts, "work-stealing-hybrid");
+}
+
+/// Multi-job batch epochs: mixes of BFS, SSSP and PageRank submitted
+/// together as 2- and 4-job batches on 1 and 2 GPUs, through the inline
+/// push loop and (4 jobs, 2 GPUs) the pull loop. Jobs share page
+/// transfers, the cache and the stream lanes but own their WA replicas,
+/// which the detector shadows per job and GPU. Every job's analysis
+/// block -- the validator with the J1 job-isolation rule and, when
+/// compiled in, the race detector -- must be clean.
+TEST(RaceSweepTest, MultiJobBatchesClean) {
+  Fixture f;
+  const VertexId n = f.paged.num_vertices();
+  const VertexId source = f.Source();
+  enum class Kind { kBfs, kSssp, kPageRank };
+  struct Mix {
+    int gpus;
+    bool pull;
+    std::vector<Kind> kinds;
+  };
+  const std::vector<Mix> mixes = {
+      {1, false, {Kind::kBfs, Kind::kPageRank}},
+      {2, false, {Kind::kSssp, Kind::kPageRank}},
+      {1, false, {Kind::kBfs, Kind::kSssp, Kind::kPageRank, Kind::kBfs}},
+      {2, false, {Kind::kBfs, Kind::kSssp, Kind::kPageRank, Kind::kSssp}},
+      {2, true, {Kind::kBfs, Kind::kSssp, Kind::kPageRank, Kind::kBfs}},
+  };
+  for (const Mix& mix : mixes) {
+    const int jobs = static_cast<int>(mix.kinds.size());
+    GtsOptions opts;
+    opts.num_streams = 4;
+    opts.max_concurrent_jobs = jobs;
+    opts.dispatch.work_stealing = true;
+    opts.use_stream_threads = mix.pull;
+    GtsEngine engine(&f.paged, f.store.get(), f.Machine(mix.gpus), opts);
+    std::vector<std::unique_ptr<GtsKernel>> kernels;
+    std::vector<JobHandle> handles;
+    for (int j = 0; j < jobs; ++j) {
+      JobOptions job;
+      job.source = (source + static_cast<VertexId>(j)) % n;
+      switch (mix.kinds[static_cast<size_t>(j)]) {
+        case Kind::kBfs:
+          kernels.push_back(std::make_unique<BfsKernel>(n, job.source));
+          break;
+        case Kind::kSssp:
+          kernels.push_back(std::make_unique<SsspKernel>(n, job.source));
+          break;
+        case Kind::kPageRank: {
+          auto pr = std::make_unique<PageRankKernel>(n);
+          pr->BeginIteration();
+          kernels.push_back(std::move(pr));
+          break;
+        }
+      }
+      handles.push_back(engine.scheduler().Submit(kernels.back().get(), job));
+    }
+    const std::string what = std::to_string(jobs) + " jobs/" +
+                             std::to_string(mix.gpus) + " gpu" +
+                             (mix.pull ? "/pull" : "/push");
+    double makespan = -1.0;
+    for (int j = 0; j < jobs; ++j) {
+      Result<RunReport> report = handles[static_cast<size_t>(j)].Wait();
+      ASSERT_TRUE(report.ok()) << what << ": " << report.status().ToString();
+      ExpectClean(*report, what + "/job" + std::to_string(j));
+      // One epoch served them all (no deferral on this machine).
+      if (makespan < 0) makespan = report->metrics.sim_seconds;
+      EXPECT_EQ(report->metrics.sim_seconds, makespan) << what;
+    }
+  }
 }
 
 TEST(RaceSweepTest, AnalysisCountersPublish) {

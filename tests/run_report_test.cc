@@ -188,7 +188,7 @@ TEST(JobOptionsTest, ReportCarriesRegistrySnapshot) {
   GtsEngine engine(&f.paged, f.store.get(), f.Machine(), GtsOptions{});
   auto bfs = RunBfsGts(engine, 0);
   ASSERT_TRUE(bfs.ok());
-  // RunInto snapshots the engine registry into the report: engine-level
+  // RunJob snapshots the engine registry into the report: engine-level
   // aggregates and component counters are both present.
   EXPECT_TRUE(bfs->report.snapshot.count("engine.runs"));
   EXPECT_TRUE(bfs->report.snapshot.count("cache.gpu0.lookups"));

@@ -160,33 +160,38 @@ run_race() {
   echo "==== [race] traces identical ===="
 }
 
-# -DGTS_SYNC_CHECK=ON rebuild: the sync::Mutex wrappers route every
-# adopted acquisition through the LockRegistry (lock-order graph, declared
-# levels, wait-while-holding, pin-across-safe-point) and the Explorer
-# suites systematically replay bounded interleavings of the adopted state
-# machines. GTS_SYNC_STRICT=1 aborts on the first unexpected violation, so
-# any ordering regression fails loudly with both sites named. Afterwards
-# the Figure 4 bench runs under the instrumented build: its trace carries
-# the sync.check metadata, which trace_lint rule 10 cross-checks against
-# the registry's violation count, and stripping that metadata must yield
-# the plain build's trace byte-for-byte (the wrappers record no timeline
-# ops, so the schedule itself is knob-invariant).
+# -DGTS_SYNC_CHECK=ON -DGTS_RACE_CHECK=ON rebuild: the sync::Mutex
+# wrappers route every adopted acquisition through the LockRegistry
+# (lock-order graph, declared levels, wait-while-holding,
+# pin-across-safe-point) and the Explorer suites systematically replay
+# bounded interleavings of the adopted state machines. GTS_SYNC_STRICT=1
+# aborts on the first unexpected violation, so any ordering regression
+# fails loudly with both sites named. The same tree carries the
+# happens-before race detector, so the engine's race hooks run in tier 1:
+# race_check_test's sweeps (single runs and multi-job batch epochs) must
+# report race_check_ran and zero races. Afterwards the Figure 4 bench runs
+# under the instrumented build: its trace carries the sync.check
+# metadata, which trace_lint rule 10 cross-checks against the registry's
+# violation count, and stripping that metadata must yield the plain
+# build's trace byte-for-byte (neither the wrappers nor the detector
+# record timeline ops, so the schedule itself is knob-invariant).
 run_sync() {
   local build="$BUILD_ROOT/sync"
-  echo "==== [sync] configure (GTS_SYNC_CHECK=ON) ===="
-  cmake -B "$build" -S "$ROOT" -DGTS_SYNC_CHECK=ON \
+  echo "==== [sync] configure (GTS_SYNC_CHECK=ON GTS_RACE_CHECK=ON) ===="
+  cmake -B "$build" -S "$ROOT" -DGTS_SYNC_CHECK=ON -DGTS_RACE_CHECK=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  echo "==== [sync] build sync/dispatch/job/ingest suites + fig4 ===="
+  echo "==== [sync] build sync/dispatch/job/ingest/race suites + fig4 ===="
   cmake --build "$build" --target sync_test dispatch_test \
-    job_scheduler_test ingest_test bench_fig4_timeline trace_lint \
-    -j "$JOBS"
-  echo "==== [sync] strict lock-order + explorer suites ===="
+    job_scheduler_test ingest_test race_check_test bench_fig4_timeline \
+    trace_lint -j "$JOBS"
+  echo "==== [sync] strict lock-order + explorer + race suites ===="
   (
     export GTS_SYNC_STRICT=1
     "$build/tests/sync_test"
     "$build/tests/dispatch_test"
     "$build/tests/job_scheduler_test"
     "$build/tests/ingest_test"
+    "$build/tests/race_check_test"
   )
   echo "==== [sync] fig4 trace: rule 10 metadata + schedule invariance ===="
   local work="$BUILD_ROOT/sync-trace"
