@@ -1,8 +1,14 @@
 // google-benchmark microbenchmarks for the hot primitives: slotted-page
-// encode/decode, page building, R-MAT generation, the page cache, and the
-// discrete-event scheduler.
+// encode/decode, page building, R-MAT generation, one kernel pass over a
+// graph's pages, the page cache, and the discrete-event scheduler.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "algorithms/bfs.h"
+#include "algorithms/pagerank.h"
+#include "core/frontier.h"
+#include "core/kernel.h"
 #include "core/page_cache.h"
 #include "gpu/device.h"
 #include "gpu/schedule.h"
@@ -54,31 +60,118 @@ void BM_PageBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_PageBuild)->Arg(12)->Arg(14)->Unit(benchmark::kMillisecond);
 
-void BM_PageScan(benchmark::State& state) {
+/// An RMAT-12 graph (edge factor 16) in (2,2) 4 KiB pages.
+PagedGraph Rmat12Pages() {
   RmatParams p;
   p.scale = 12;
   p.edge_factor = 16;
   EdgeList list = std::move(GenerateRmat(p)).ValueOrDie();
   CsrGraph csr = CsrGraph::FromEdgeList(list);
-  PagedGraph g =
-      std::move(BuildPagedGraph(csr, PageConfig::Small22())).ValueOrDie();
+  return std::move(BuildPagedGraph(csr, PageConfig::Small22())).ValueOrDie();
+}
+
+void BM_PageScan(benchmark::State& state) {
+  const PagedGraph g = Rmat12Pages();
   for (auto _ : state) {
     uint64_t sum = 0;
     for (PageId pid = 0; pid < g.num_pages(); ++pid) {
       PageView view = g.view(pid);
       for (uint32_t s = 0; s < view.num_slots(); ++s) {
-        const uint32_t sz = view.adjlist_size(s);
-        for (uint32_t j = 0; j < sz; ++j) {
-          sum += view.adj_entry(s, j).pid;
-        }
+        const AdjList list = view.adj_list(s);
+        for (uint32_t j = 0; j < list.size(); ++j) sum += list[j].pid;
       }
     }
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(csr.num_edges()));
+                          static_cast<int64_t>(g.num_edges()));
 }
 BENCHMARK(BM_PageScan);
+
+// One kernel pass over every page of Rmat12Pages() through the real
+// RunSp / RunLp: host cost per edge without the engine around it. Arg 1
+// builds the KernelContext of an inline launch (serial WA operations),
+// Arg 0 that of a stream thread (atomic ones). Items are the edges the
+// pass processed.
+
+/// Runs `kernel` once over every page, streaming RA per page like the
+/// engine does.
+WorkStats KernelPass(GtsKernel& kernel, const PagedGraph& g,
+                     KernelContext ctx) {
+  WorkStats total;
+  const uint32_t ra_b = kernel.ra_bytes_per_vertex();
+  for (PageId pid = 0; pid < g.num_pages(); ++pid) {
+    const PageView view = g.view(pid);
+    if (ra_b > 0) {
+      ctx.ra_start_vid = g.rvt().entry(pid).start_vid;
+      ctx.ra = kernel.host_ra() + ctx.ra_start_vid * ra_b;
+    }
+    total += view.kind() == PageKind::kSmall ? kernel.RunSp(view, ctx)
+                                             : kernel.RunLp(view, ctx);
+  }
+  return total;
+}
+
+KernelContext PassContext(const PagedGraph& g, uint8_t* wa, bool serial) {
+  KernelContext ctx;
+  ctx.rvt = &g.rvt();
+  ctx.wa = wa;
+  ctx.wa_end = g.num_vertices();
+  ctx.serial = serial;
+  return ctx;
+}
+
+void BM_KernelPassBfs(benchmark::State& state) {
+  const PagedGraph g = Rmat12Pages();
+  const VertexId n = g.num_vertices();
+  BfsKernel kernel(n, 0);
+  // Even vertices are the level-0 frontier and odd ones unvisited, so the
+  // pass both claims neighbours (CAS) and skips visited ones.
+  std::vector<uint16_t> levels(n);
+  for (VertexId v = 0; v < n; ++v) {
+    levels[v] = v % 2 == 0 ? 0 : BfsKernel::kUnvisited;
+  }
+  std::vector<uint16_t> wa(n);
+  PidSet next(g.num_pages());
+  KernelContext ctx = PassContext(g, reinterpret_cast<uint8_t*>(wa.data()),
+                                  state.range(0) != 0);
+  ctx.next_pid_set = &next;
+  int64_t edges = 0;
+  for (auto _ : state) {
+    wa = levels;
+    next.Clear();
+    const WorkStats work = KernelPass(kernel, g, ctx);
+    benchmark::DoNotOptimize(work);
+    benchmark::DoNotOptimize(wa.data());
+    benchmark::ClobberMemory();
+    edges += static_cast<int64_t>(work.edges_processed);
+  }
+  state.SetItemsProcessed(edges);
+  state.SetLabel(ctx.serial ? "serial" : "atomic");
+}
+BENCHMARK(BM_KernelPassBfs)->Arg(0)->Arg(1);
+
+void BM_KernelPassPageRank(benchmark::State& state) {
+  const PagedGraph g = Rmat12Pages();
+  const VertexId n = g.num_vertices();
+  PageRankKernel kernel(n);
+  kernel.BeginIteration();
+  std::vector<float> wa(n);
+  const KernelContext ctx = PassContext(
+      g, reinterpret_cast<uint8_t*>(wa.data()), state.range(0) != 0);
+  int64_t edges = 0;
+  for (auto _ : state) {
+    kernel.InitDeviceWa(ctx.wa, 0, n);
+    const WorkStats work = KernelPass(kernel, g, ctx);
+    benchmark::DoNotOptimize(work);
+    benchmark::DoNotOptimize(wa.data());
+    benchmark::ClobberMemory();
+    edges += static_cast<int64_t>(work.edges_processed);
+  }
+  state.SetItemsProcessed(edges);
+  state.SetLabel(ctx.serial ? "serial" : "atomic");
+}
+BENCHMARK(BM_KernelPassPageRank)->Arg(0)->Arg(1);
 
 void BM_PageCacheLookup(benchmark::State& state) {
   gpu::Device device(0, 64 * kMiB);

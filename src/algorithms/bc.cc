@@ -65,7 +65,8 @@ WorkStats BcForwardKernel::RunSp(const PageView& page, KernelContext& ctx) {
   if (page.num_slots() == 0) return WorkStats{};
   auto* wa = ctx.WaAs<uint64_t>();
   const uint32_t next_level = ctx.cur_level + 1;
-  std::vector<float> slot_sigma(page.num_slots(), 0.0f);
+  // Sigmas of this page's vertices, captured during the activity pass.
+  float* slot_sigma = SlotScratch<float, BcForwardKernel>(page.num_slots());
 
   uint64_t updates = 0;
   WorkStats stats = ProcessSpPage(

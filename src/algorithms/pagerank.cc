@@ -58,14 +58,16 @@ WorkStats PageRankKernel::RunSp(const PageView& page, KernelContext& ctx) {
   const float df = damping_;
 
   uint64_t updates = 0;
-  WorkStats stats = ProcessSpPage(
+  WorkStats stats = ProcessSpPageSlots(
       page, ctx.micro, start_vid,
       /*active=*/[](VertexId, uint32_t) { return true; },
-      /*edge_fn=*/
-      [&](VertexId, uint32_t slot, uint32_t, const RecordId& rid) {
+      /*slot_fn=*/
+      [&](VertexId, uint32_t slot, const AdjList& list) {
         const float share =
-            df * prev_pr[slot] / static_cast<float>(page.adjlist_size(slot));
-        Contribute(ctx, next_pr, share, rid, &updates);
+            df * prev_pr[slot] / static_cast<float>(list.size());
+        for (uint32_t j = 0; j < list.size(); ++j) {
+          Contribute(ctx, next_pr, share, list[j], &updates);
+        }
       });
   stats.wa_updates = updates;
   return stats;

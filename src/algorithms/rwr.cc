@@ -55,14 +55,16 @@ WorkStats RwrKernel::RunSp(const PageView& page, KernelContext& ctx) {
   const float walk_prob = 1.0f - restart_prob_;
 
   uint64_t updates = 0;
-  WorkStats stats = ProcessSpPage(
+  WorkStats stats = ProcessSpPageSlots(
       page, ctx.micro, page.slot_vid(0),
       /*active=*/[](VertexId, uint32_t) { return true; },
-      /*edge_fn=*/
-      [&](VertexId, uint32_t slot, uint32_t, const RecordId& rid) {
-        const float share = walk_prob * prev[slot] /
-                            static_cast<float>(page.adjlist_size(slot));
-        Walk(ctx, wa, share, rid, &updates);
+      /*slot_fn=*/
+      [&](VertexId, uint32_t slot, const AdjList& list) {
+        const float share =
+            walk_prob * prev[slot] / static_cast<float>(list.size());
+        for (uint32_t j = 0; j < list.size(); ++j) {
+          Walk(ctx, wa, share, list[j], &updates);
+        }
       });
   stats.wa_updates = updates;
   return stats;

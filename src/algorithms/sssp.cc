@@ -83,7 +83,7 @@ WorkStats SsspKernel::RunSp(const PageView& page, KernelContext& ctx) {
   const uint32_t next_level = ctx.cur_level + 1;
 
   // Distances of this page's vertices, captured during the activity pass.
-  std::vector<float> slot_dist(page.num_slots(), 0.0f);
+  float* slot_dist = SlotScratch<float, SsspKernel>(page.num_slots());
 
   uint64_t updates = 0;
   WorkStats stats = ProcessSpPage(

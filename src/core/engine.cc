@@ -116,6 +116,18 @@ namespace {
 int StreamKey(int gpu, int stream) {
   return gpu * GtsOptions::kMaxStreamsPerGpu + stream;
 }
+
+// A Strategy-S GPU whose chunk starts past the last vertex owns an empty
+// WA slice with no buffer behind it; the kernel hooks skip it.
+void InitSliceWa(const GtsKernel* kernel, JobGpuSlice& slice) {
+  if (slice.wa_begin == slice.wa_end) return;
+  kernel->InitDeviceWa(slice.wa_buf.data(), slice.wa_begin, slice.wa_end);
+}
+
+void AbsorbSliceWa(GtsKernel* kernel, const JobGpuSlice& slice) {
+  if (slice.wa_begin == slice.wa_end) return;
+  kernel->AbsorbDeviceWa(slice.wa_buf.data(), slice.wa_begin, slice.wa_end);
+}
 }  // namespace
 
 /// Per-GPU state shared by every job of an epoch. Each job's WA slice,
@@ -445,6 +457,9 @@ Status GtsEngine::ProcessPageOnCpu(JobExec* job, PageId pid) {
     ctx.out_degrees = out_degrees_.data();
   }
   ctx.micro = options_.micro;
+  // CPU pages run on the driver thread in both dispatch modes, and only
+  // the driver touches the host replica.
+  ctx.serial = true;
 
   if (race_ != nullptr) {
     if (!fetch.buffer_hit) {
@@ -710,7 +725,7 @@ void GtsEngine::UploadWaJob(JobExec* job) {
     op.bytes = bytes;
     op.job = job->job_id;
     const gpu::OpIndex op_idx = RecordOp(op);
-    kernel->InitDeviceWa(slice.wa_buf.data(), slice.wa_begin, slice.wa_end);
+    InitSliceWa(kernel, slice);
     if (race_ != nullptr) {
       // The WA upload is the copy engine writing WABuf. Every level-0
       // kernel has its page H2D serialized after this chunk on the same
@@ -787,7 +802,7 @@ void GtsEngine::DownloadWaJob(JobExec* job) {
   // Execution: fold every device replica/chunk into the host arrays.
   for (int g = 0; g < n_gpus; ++g) {
     JobGpuSlice& slice = job->gpus[static_cast<size_t>(g)];
-    kernel->AbsorbDeviceWa(slice.wa_buf.data(), slice.wa_begin, slice.wa_end);
+    AbsorbSliceWa(kernel, slice);
     if (race_ != nullptr) {
       NoteWaReplica(*job, g, race_->HostLane(),
                     analysis::AccessClass::kPlainRead,
@@ -888,7 +903,7 @@ void GtsEngine::SyncJobLevel(JobExec* job) {
   const int host = race_ != nullptr ? race_->HostLane() : 0;
   for (int g = 0; g < n_gpus; ++g) {
     JobGpuSlice& slice = job->gpus[static_cast<size_t>(g)];
-    kernel->AbsorbDeviceWa(slice.wa_buf.data(), slice.wa_begin, slice.wa_end);
+    AbsorbSliceWa(kernel, slice);
     NoteWaReplica(*job, g, host, analysis::AccessClass::kPlainRead,
                   delta_d2h[static_cast<size_t>(g)]);
   }
@@ -899,7 +914,7 @@ void GtsEngine::SyncJobLevel(JobExec* job) {
   }
   for (int g = 0; g < n_gpus; ++g) {
     JobGpuSlice& slice = job->gpus[static_cast<size_t>(g)];
-    kernel->InitDeviceWa(slice.wa_buf.data(), slice.wa_begin, slice.wa_end);
+    InitSliceWa(kernel, slice);
     NoteWaReplica(*job, g, host, analysis::AccessClass::kPlainWrite,
                   delta_h2d[static_cast<size_t>(g)]);
   }
@@ -1228,11 +1243,14 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s, bool pull,
   // points, but the execute closure can run after this pass's sync.
   const uint64_t page_version =
       ingest_ != nullptr ? ingest_->PageVersion(pid) : 0;
+  // The push loop without stream threads runs every kernel right here on
+  // the driver thread, one at a time: its WA operations need no atomics.
+  const bool on_driver = !pull && !options_.use_stream_threads;
   GpuState* gpu_ptr = &gpu;
   auto execute = [this, gpu_ptr, pin = std::move(pin),
                   staging = std::move(staging), launch_begin, n_launches,
                   kind, g, s, race_lane, insert_into_cache, pid, config,
-                  page_version]() {
+                  page_version, on_driver]() {
     const TimeModel& tm = machine_.time_model;
     GpuState& st = *gpu_ptr;
     const uint8_t* page_bytes = nullptr;
@@ -1268,6 +1286,7 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s, bool pull,
         ctx.out_degrees = out_degrees_.data();
       }
       ctx.micro = options_.micro;
+      ctx.serial = on_driver;
       if (race_ != nullptr) {
         ctx.race_site = {race_.get(), race_lane,
                          analysis::RaceDetector::WaDomain(g, jl->job->job_id),
@@ -1298,10 +1317,10 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s, bool pull,
     // outside the host-phase lock.
     host_phase.unlock();
     execute();
-  } else if (options_.use_stream_threads) {
-    gpu.streams[s]->Enqueue(std::move(execute));
-  } else {
+  } else if (on_driver) {
     execute();
+  } else {
+    gpu.streams[s]->Enqueue(std::move(execute));
   }
   return Status::OK();
 }

@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "analysis/analysis_options.h"
 #include "analysis/race_detector.h"
@@ -58,6 +60,21 @@ struct WorkStats {
   }
 };
 
+namespace kernel_internal {
+
+/// Compare-exchange as a plain host operation, for KernelContext::serial.
+template <typename T>
+bool PlainCas(T& word, T& expected, T desired) {
+  if (std::memcmp(&word, &expected, sizeof(T)) == 0) {
+    word = desired;
+    return true;
+  }
+  expected = word;
+  return false;
+}
+
+}  // namespace kernel_internal
+
 /// Everything a kernel invocation sees inside the (simulated) device.
 struct KernelContext {
   const Rvt* rvt = nullptr;  ///< RID -> VID mapping table (Appendix A)
@@ -86,6 +103,16 @@ struct KernelContext {
   const uint32_t* out_degrees = nullptr;
 
   MicroStrategy micro = MicroStrategy::kEdgeCentric;
+
+  /// Set by the engine when it runs this call inline on the driver thread,
+  /// one kernel call at a time: the push loop without stream threads, and
+  /// the CPU-assist lane, whose host WA replica only the driver touches.
+  /// No other thread can access this WA during the call, so WaCas,
+  /// WaCasWeak, WaFetchAdd and WaFetchOr run as plain host operations
+  /// (same values, same return semantics). Stream threads and pull
+  /// dispatch leave it false and keep the atomic path. The race
+  /// detector's logical classification is the same either way.
+  bool serial = false;
 
   /// True when vertex id v is in this context's WA ownership range.
   bool OwnsVertex(VertexId v) const { return v >= wa_begin && v < wa_end; }
@@ -123,10 +150,12 @@ struct KernelContext {
   }
 
   // Instrumented WA access API. All WA reads and writes must go through
-  // these helpers: every one is a relaxed std::atomic_ref operation at
-  // host level (so host TSan stays clean in either build), but each
-  // carries a *logical* classification -- WaRead/WaStore are
-  // plain-classified, the rest atomic-classified -- that the
+  // these helpers. Loads and stores are relaxed std::atomic_ref
+  // operations at host level (so host TSan stays clean in either build);
+  // the read-modify-writes are too, unless `serial` is set, when they
+  // are plain host operations. Each helper carries a *logical*
+  // classification -- WaRead/WaStore are plain-classified, the rest
+  // atomic-classified, whatever `serial` says -- that the
   // -DGTS_RACE_CHECK=ON build reports to the happens-before detector.
   // Under the simulated schedule, a plain-classified access that is
   // concurrent with any conflicting access is a logical data race even
@@ -163,32 +192,49 @@ struct KernelContext {
   }
 
   /// Atomic compare-exchange (strong). Classified as an atomic RMW write
-  /// whether or not the exchange succeeds.
+  /// whether or not the exchange succeeds. Like the atomic, it compares
+  /// object representations and, on failure, loads `word` into
+  /// `expected`.
   template <typename T>
   bool WaCas(T& word, T& expected, T desired) const {
 #if GTS_RACE_CHECK_ENABLED
     NoteWa(&word, sizeof(T), analysis::AccessClass::kAtomicWrite);
 #endif
+    if (serial) return kernel_internal::PlainCas(word, expected, desired);
     return std::atomic_ref<T>(word).compare_exchange_strong(
         expected, desired, std::memory_order_relaxed);
   }
 
-  /// Atomic compare-exchange (weak; use in retry loops).
+  /// Atomic compare-exchange (weak; use in retry loops). The serial form
+  /// never fails spuriously.
   template <typename T>
   bool WaCasWeak(T& word, T& expected, T desired) const {
 #if GTS_RACE_CHECK_ENABLED
     NoteWa(&word, sizeof(T), analysis::AccessClass::kAtomicWrite);
 #endif
+    if (serial) return kernel_internal::PlainCas(word, expected, desired);
     return std::atomic_ref<T>(word).compare_exchange_weak(
         expected, desired, std::memory_order_relaxed);
   }
 
-  /// Atomic fetch-add (integers and, in C++20, floats).
+  /// Atomic fetch-add (integers and, in C++20, floats). Integers wrap
+  /// like the atomic, also in the serial form.
   template <typename T>
   T WaFetchAdd(T& word, T add) const {
 #if GTS_RACE_CHECK_ENABLED
     NoteWa(&word, sizeof(T), analysis::AccessClass::kAtomicWrite);
 #endif
+    if (serial) {
+      const T old = word;
+      if constexpr (std::is_integral_v<T>) {
+        using U = std::make_unsigned_t<T>;
+        word = static_cast<T>(
+            static_cast<U>(static_cast<U>(old) + static_cast<U>(add)));
+      } else {
+        word = old + add;
+      }
+      return old;
+    }
     return std::atomic_ref<T>(word).fetch_add(add,
                                               std::memory_order_relaxed);
   }
@@ -199,6 +245,11 @@ struct KernelContext {
 #if GTS_RACE_CHECK_ENABLED
     NoteWa(&word, sizeof(T), analysis::AccessClass::kAtomicWrite);
 #endif
+    if (serial) {
+      const T old = word;
+      word = static_cast<T>(old | bits);
+      return old;
+    }
     return std::atomic_ref<T>(word).fetch_or(bits,
                                              std::memory_order_relaxed);
   }
@@ -250,7 +301,9 @@ class GtsKernel {
                               VertexId end) = 0;
 
   /// K_SP: processes one small page (Appendix B). Must be thread-safe
-  /// across concurrent pages (use atomics for WA writes).
+  /// across concurrent pages (access WA only through the
+  /// KernelContext::Wa* helpers, which are atomic unless the engine runs
+  /// the call serially).
   ///
   /// Page-bytes contract: on a cache hit `page` views the device page
   /// cache directly -- the engine holds a PageCache::Pin for the duration

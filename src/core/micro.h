@@ -1,9 +1,11 @@
 // Micro-level (intra-page) parallel processing (Section 6.2, Appendix E).
 //
 // Kernels iterate a page through ProcessSpPage / ProcessLpPage, supplying
-// an activity predicate and a per-edge body. The helpers execute the body
-// (real work) and account simulated warp cycles under the configured
-// strategy:
+// an activity predicate and a per-edge body (or, through
+// ProcessSpPageSlots, a per-slot body that walks the slot's list itself,
+// for kernels with per-vertex work such as PageRank's share). The helpers
+// execute the body (real work) and account simulated warp cycles under
+// the configured strategy:
 //
 //   edge-centric (VWC [15]):  a 32-thread warp cooperates on one vertex's
 //     list, so an active vertex costs ceil(deg/32) coalesced warp cycles;
@@ -39,6 +41,19 @@ inline constexpr uint64_t kNonCoalescedFactor = 4;
 /// warp_cycle_seconds for typical kernels).
 inline constexpr uint64_t kHybridMemWeight = 1;
 
+/// Per-thread scratch array of at least `n` elements for per-slot values
+/// of one page walk, such as the values a kernel captures in its activity
+/// pass. It grows to the largest page the thread has walked and is then
+/// reused, so a kernel call allocates nothing. Contents are unspecified:
+/// write an element before reading it. `Tag` keeps independent users
+/// apart (scratch of one tag must not be live in two walks at once).
+template <typename T, typename Tag = T>
+T* SlotScratch(size_t n) {
+  thread_local std::vector<T> scratch;
+  if (scratch.size() < n) scratch.resize(n);
+  return scratch.data();
+}
+
 namespace micro_internal {
 
 /// Predicts warp cycles for a page given per-slot active degrees.
@@ -67,33 +82,37 @@ uint64_t PredictVertexCentricCycles(uint32_t num_slots, DegreeFn&& deg) {
 }  // namespace micro_internal
 
 /// Iterates a small page: for each slot s with vertex vid, if
-/// `active(vid, s)` then `edge_fn(vid, s, j, rid)` runs for each adjacency
-/// entry j. Returns WorkStats with warp cycles under `micro`.
-template <typename ActiveFn, typename EdgeFn>
-WorkStats ProcessSpPage(const PageView& page, MicroStrategy micro,
-                        VertexId start_vid, ActiveFn&& active,
-                        EdgeFn&& edge_fn) {
+/// `active(vid, s)` then `slot_fn(vid, s, list)` runs with the slot's
+/// located record (an AdjList). Every slot's activity is evaluated, once,
+/// before any slot_fn runs, so a kernel that writes WA mid-page sees the
+/// page's activity as of its start. Slots whose active list is empty are
+/// skipped. Returns WorkStats with warp cycles under `micro`.
+template <typename ActiveFn, typename SlotFn>
+WorkStats ProcessSpPageSlots(const PageView& page, MicroStrategy micro,
+                             VertexId start_vid, ActiveFn&& active,
+                             SlotFn&& slot_fn) {
   WorkStats stats;
   const uint32_t num_slots = page.num_slots();
   stats.scanned_slots = num_slots;
 
   // First pass: activity + degrees (cheap; mirrors the LV/frontier check a
-  // real kernel performs before expanding).
-  // Active degree per slot; 0 for inactive slots.
-  std::vector<uint64_t> active_deg(num_slots, 0);
+  // real kernel performs before expanding). Each active slot's record is
+  // located here, once; inactive slots keep an empty list.
+  AdjList* lists = SlotScratch<AdjList>(num_slots);
+  uint64_t active_edges = 0;
   for (uint32_t s = 0; s < num_slots; ++s) {
-    const VertexId vid = start_vid + s;
-    if (active(vid, s)) {
-      active_deg[s] = page.adjlist_size(s);
+    if (active(start_vid + s, s)) {
+      lists[s] = page.adj_list(s);
+      active_edges += lists[s].size();
       ++stats.active_vertices;
+    } else {
+      lists[s] = AdjList{};
     }
   }
 
-  const auto deg = [&](uint32_t s) { return active_deg[s]; };
+  const auto deg = [lists](uint32_t s) -> uint64_t { return lists[s].size(); };
   const uint64_t edge_cycles =
       micro_internal::PredictEdgeCentricCycles(num_slots, deg);
-  uint64_t active_edges = 0;
-  for (uint32_t s = 0; s < num_slots; ++s) active_edges += active_deg[s];
 
   MicroStrategy chosen = micro;
   if (micro == MicroStrategy::kHybrid) {
@@ -115,17 +134,29 @@ WorkStats ProcessSpPage(const PageView& page, MicroStrategy micro,
     stats.mem_transactions = active_edges;
   }
 
-  // Second pass: the actual edge work.
+  // Second pass: the actual edge work. The list is copied out of the
+  // scratch so the compiler can keep it in registers across WA stores.
   for (uint32_t s = 0; s < num_slots; ++s) {
-    if (active_deg[s] == 0) continue;
-    const VertexId vid = start_vid + s;
-    const uint32_t sz = page.adjlist_size(s);
-    for (uint32_t j = 0; j < sz; ++j) {
-      edge_fn(vid, s, j, page.adj_entry(s, j));
-      ++stats.edges_processed;
-    }
+    const AdjList list = lists[s];
+    if (list.size() == 0) continue;
+    slot_fn(start_vid + s, s, list);
   }
+  stats.edges_processed = active_edges;
   return stats;
+}
+
+/// Iterates a small page: for each slot s with vertex vid, if
+/// `active(vid, s)` then `edge_fn(vid, s, j, rid)` runs for each adjacency
+/// entry j. Returns WorkStats with warp cycles under `micro`.
+template <typename ActiveFn, typename EdgeFn>
+WorkStats ProcessSpPage(const PageView& page, MicroStrategy micro,
+                        VertexId start_vid, ActiveFn&& active,
+                        EdgeFn&& edge_fn) {
+  return ProcessSpPageSlots(
+      page, micro, start_vid, active,
+      [&edge_fn](VertexId vid, uint32_t s, const AdjList& list) {
+        for (uint32_t j = 0; j < list.size(); ++j) edge_fn(vid, s, j, list[j]);
+      });
 }
 
 /// Iterates a large-page chunk (single vertex). LPs are always processed
@@ -140,10 +171,9 @@ WorkStats ProcessLpPage(const PageView& page, VertexId vid, bool active,
     return stats;
   }
   stats.active_vertices = 1;
-  const uint32_t sz = page.adjlist_size(0);
-  for (uint32_t j = 0; j < sz; ++j) {
-    edge_fn(vid, j, page.adj_entry(0, j));
-  }
+  const AdjList list = page.adj_list(0);
+  const uint32_t sz = list.size();
+  for (uint32_t j = 0; j < sz; ++j) edge_fn(vid, j, list[j]);
   stats.edges_processed = sz;
   stats.warp_cycles = 1 + (sz + kWarpSize - 1) / kWarpSize;
   stats.mem_transactions = sz;

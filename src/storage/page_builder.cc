@@ -22,6 +22,10 @@ struct OpenPage {
 }  // namespace
 
 Result<PagedGraph> PageBuilder::Build(const CsrGraph& graph) const {
+  if (!config_.HasValidIdWidths()) {
+    return Status::InvalidArgument("p and q must each be in [1, 4]: " +
+                                   config_.ToString());
+  }
   const VertexId n = graph.num_vertices();
   const uint64_t usable =
       config_.page_size > kPageHeaderBytes ? config_.page_size - kPageHeaderBytes : 0;

@@ -19,8 +19,10 @@ namespace gts {
 ///
 /// Pass 2 writes each adjacency entry as the neighbor's physical record ID.
 ///
-/// Fails with CapacityExceeded when the (p,q) configuration cannot address
-/// the graph (too many pages, or a slot number overflowing q bytes).
+/// Fails with InvalidArgument when p or q is outside [1, 4] or the page is
+/// too small for one entry, and with CapacityExceeded when the (p,q)
+/// configuration cannot address the graph (too many pages, or a slot
+/// number overflowing q bytes).
 class PageBuilder {
  public:
   explicit PageBuilder(PageConfig config) : config_(config) {}

@@ -31,6 +31,17 @@ struct PageConfig {
   /// The paper's (3,3) configuration at repro scale (64 KiB pages).
   static PageConfig Big33() { return PageConfig{3, 3, 64 * kKiB}; }
 
+  /// Widest p or q: page ids and slot numbers are 32-bit, and the page
+  /// walk decodes an entry with one 64-bit load (see AdjList).
+  static constexpr uint32_t kMaxIdBytes = 4;
+
+  /// True when 1 <= p, q <= kMaxIdBytes. PageBuilder::Build and
+  /// ReadPagedGraph reject any other config.
+  bool HasValidIdWidths() const {
+    return pid_bytes >= 1 && pid_bytes <= kMaxIdBytes && off_bytes >= 1 &&
+           off_bytes <= kMaxIdBytes;
+  }
+
   /// Bytes of one adjacency-list entry (one neighbor's record ID).
   uint64_t entry_bytes() const { return pid_bytes + off_bytes; }
 

@@ -83,6 +83,10 @@ Result<PagedGraph> ReadPagedGraph(const std::string& path) {
   PagedGraph graph;
   graph.config_ = PageConfig{header.pid_bytes, header.off_bytes,
                              header.page_size};
+  if (!graph.config_.HasValidIdWidths()) {
+    return Status::Corruption("bad (p,q) " + graph.config_.ToString() +
+                              " in " + path);
+  }
   graph.num_vertices_ = header.num_vertices;
   graph.num_edges_ = header.num_edges;
 

@@ -22,7 +22,8 @@ namespace gts {
 /// Writes the full paged representation to `path`.
 Status WritePagedGraph(const PagedGraph& graph, const std::string& path);
 
-/// Loads a file written by WritePagedGraph.
+/// Loads a file written by WritePagedGraph. A bad magic or version, p or
+/// q outside [1, 4], or a truncated file is Corruption.
 Result<PagedGraph> ReadPagedGraph(const std::string& path);
 
 }  // namespace gts

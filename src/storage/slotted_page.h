@@ -10,12 +10,16 @@
 //   slot i  := VID (u64) | OFF (u32); stored at
 //              page_size - (i+1) * kSlotBytes
 //
+// Since the slot directory sits at the end of the page, at least
+// kSlotBytes follow the last byte of every record.
+//
 // A Small Page (SP) holds the records of consecutive low-degree vertices.
 // A Large Page (LP) holds one chunk of the adjacency list of a single
 // high-degree vertex; the vertex's full list may span several LPs.
 #ifndef GTS_STORAGE_SLOTTED_PAGE_H_
 #define GTS_STORAGE_SLOTTED_PAGE_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -68,6 +72,50 @@ inline uint64_t DecodeLE(const uint8_t* src, uint32_t bytes) {
   return value;
 }
 
+// Multi-byte page fields (header, slots, entries) are read with host loads.
+static_assert(std::endian::native == std::endian::little,
+              "the page format is little-endian");
+
+/// One slot's record, located once: ADJLIST_SZ and the p+q-byte entries
+/// that follow it. Get one from PageView::adj_list; it points into the
+/// page and is valid while the page bytes are.
+///
+/// Each entry decodes with one unaligned 64-bit load and two masks. That
+/// needs 1 <= p, q <= 4 (PageConfig::HasValidIdWidths, enforced where a
+/// config enters: PageBuilder::Build and ReadPagedGraph): the load then
+/// reads at most 6 bytes past the entry, and the slot directory after
+/// the last record keeps those bytes inside the page.
+class AdjList {
+ public:
+  AdjList() = default;
+
+  /// ADJLIST_SZ: number of neighbors stored in this page.
+  uint32_t size() const { return size_; }
+
+  /// j-th adjacency entry (record ID of a neighbor); j < size().
+  RecordId operator[](uint32_t j) const {
+    uint64_t word;
+    std::memcpy(&word, entries_ + static_cast<uint64_t>(j) * entry_bytes_,
+                sizeof(word));
+    return RecordId{
+        static_cast<PageId>(word & LowBits(pid_bits_)),
+        static_cast<uint32_t>((word >> pid_bits_) & LowBits(off_bits_))};
+  }
+
+ private:
+  friend class PageView;
+
+  static uint64_t LowBits(uint32_t bits) {
+    return (uint64_t{1} << bits) - 1;
+  }
+
+  const uint8_t* entries_ = nullptr;
+  uint32_t size_ = 0;
+  uint8_t entry_bytes_ = 0;  // p + q
+  uint8_t pid_bits_ = 0;     // 8p
+  uint8_t off_bits_ = 0;     // 8q
+};
+
 /// Read-only view over one slotted page buffer.
 ///
 /// The view does not own the bytes; the engine points it at SPBuf / LPBuf /
@@ -101,23 +149,25 @@ class PageView {
     return off;
   }
 
-  /// ADJLIST_SZ of slot i's record: number of neighbors in this page.
-  uint32_t adjlist_size(uint32_t i) const {
-    uint32_t sz;
-    std::memcpy(&sz, data_ + slot_record_offset(i), sizeof(sz));
-    return sz;
+  /// Slot i's record, located once: walk its entries through the
+  /// returned list rather than calling adj_entry per entry, which
+  /// locates the record again every time.
+  AdjList adj_list(uint32_t i) const {
+    const uint8_t* record = data_ + slot_record_offset(i);
+    AdjList list;
+    std::memcpy(&list.size_, record, sizeof(list.size_));
+    list.entries_ = record + sizeof(uint32_t);
+    list.entry_bytes_ = static_cast<uint8_t>(config_.entry_bytes());
+    list.pid_bits_ = static_cast<uint8_t>(8 * config_.pid_bytes);
+    list.off_bits_ = static_cast<uint8_t>(8 * config_.off_bytes);
+    return list;
   }
 
+  /// ADJLIST_SZ of slot i's record: number of neighbors in this page.
+  uint32_t adjlist_size(uint32_t i) const { return adj_list(i).size(); }
+
   /// j-th adjacency entry (record ID of a neighbor) of slot i's record.
-  RecordId adj_entry(uint32_t i, uint32_t j) const {
-    const uint8_t* base = data_ + slot_record_offset(i) + sizeof(uint32_t) +
-                          static_cast<uint64_t>(j) * config_.entry_bytes();
-    RecordId rid;
-    rid.pid = static_cast<PageId>(DecodeLE(base, config_.pid_bytes));
-    rid.slot = static_cast<uint32_t>(
-        DecodeLE(base + config_.pid_bytes, config_.off_bytes));
-    return rid;
-  }
+  RecordId adj_entry(uint32_t i, uint32_t j) const { return adj_list(i)[j]; }
 
   /// Total adjacency entries stored in this page (all records).
   uint64_t total_entries() const {

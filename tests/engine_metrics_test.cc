@@ -2,6 +2,8 @@
 // benchmarks print must be internally consistent.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "algorithms/bfs.h"
 #include "algorithms/pagerank.h"
 #include "algorithms/sssp.h"
@@ -193,6 +195,28 @@ TEST(EngineMetricsTest, StreamThreadsMatchInlineMetrics) {
   EXPECT_EQ(a->report.metrics.work.edges_processed, b->report.metrics.work.edges_processed);
   // Simulated time is computed from the same deterministic op log.
   EXPECT_DOUBLE_EQ(a->report.metrics.sim_seconds, b->report.metrics.sim_seconds);
+
+  // PageRank at one stream per GPU: each GPU's stream worker runs that
+  // GPU's kernels in the inline order, so its atomic float adds must give
+  // the inline run's plain adds bit for bit.
+  GtsOptions inline_pr_opts;
+  inline_pr_opts.num_streams = 1;
+  GtsOptions thread_pr_opts = inline_pr_opts;
+  thread_pr_opts.use_stream_threads = true;
+  GtsEngine inline_pr(&f.paged, f.store.get(), f.Machine(2), inline_pr_opts);
+  GtsEngine thread_pr(&f.paged, f.store.get(), f.Machine(2), thread_pr_opts);
+  JobOptions pr;
+  pr.iterations = 10;
+  auto c = RunPageRankGts(inline_pr, pr);
+  auto d = RunPageRankGts(thread_pr, pr);
+  ASSERT_TRUE(c.ok()) << c.status();
+  ASSERT_TRUE(d.ok()) << d.status();
+  ASSERT_EQ(c->ranks.size(), d->ranks.size());
+  EXPECT_EQ(std::memcmp(c->ranks.data(), d->ranks.data(),
+                        c->ranks.size() * sizeof(float)),
+            0);
+  EXPECT_DOUBLE_EQ(c->report.metrics.sim_seconds,
+                   d->report.metrics.sim_seconds);
 }
 
 }  // namespace

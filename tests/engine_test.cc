@@ -77,7 +77,12 @@ struct EngineParam {
   int num_streams;
   MicroStrategy micro;
   bool threads;
+  // gtest names each instance after the param's bytes. Left as padding,
+  // these two bytes were uninitialized and the names changed from run to
+  // run; as a zeroed field they always print 00-00.
+  uint16_t zero = 0;
 };
+static_assert(sizeof(EngineParam) == 8, "no padding left in EngineParam");
 
 class BfsEngineTest : public ::testing::TestWithParam<EngineParam> {};
 

@@ -31,7 +31,12 @@ class PagedGraphIoTest : public ::testing::Test {
   EdgeList edges_;
   CsrGraph csr_;
   PagedGraph paged_;
-  std::string path_ = ::testing::TempDir() + "/gts_paged_io_test.gtsp";
+  // One file per test: ctest runs every test as its own process, several
+  // at once, and a shared path let one test read another's patched file.
+  std::string path_ =
+      ::testing::TempDir() + "/gts_paged_io_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".gtsp";
 };
 
 TEST_F(PagedGraphIoTest, RoundTripPreservesEverything) {
@@ -86,6 +91,18 @@ TEST_F(PagedGraphIoTest, DetectsBadMagic) {
   FILE* f = std::fopen(path_.c_str(), "r+");
   ASSERT_NE(f, nullptr);
   std::fputs("XXXX", f);
+  std::fclose(f);
+  EXPECT_EQ(ReadPagedGraph(path_).status().code(), StatusCode::kCorruption);
+}
+
+TEST_F(PagedGraphIoTest, RejectsBadIdWidths) {
+  ASSERT_TRUE(WritePagedGraph(paged_, path_).ok());
+  FILE* f = std::fopen(path_.c_str(), "r+");
+  ASSERT_NE(f, nullptr);
+  // Header: magic (4 B) | version (u32) | pid_bytes (u32) | ...
+  const uint32_t p = 9;
+  ASSERT_EQ(std::fseek(f, 8, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&p, sizeof(p), 1, f), 1u);
   std::fclose(f);
   EXPECT_EQ(ReadPagedGraph(path_).status().code(), StatusCode::kCorruption);
 }

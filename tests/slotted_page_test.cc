@@ -64,6 +64,49 @@ TEST(PageWriterTest, WritesRecordsAndSlots) {
   EXPECT_EQ(view.total_entries(), 2u);
 }
 
+TEST(AdjListTest, DecodesLikeDecodeLeUnderEveryIdWidth) {
+  for (uint32_t p = 1; p <= PageConfig::kMaxIdBytes; ++p) {
+    for (uint32_t q = 1; q <= PageConfig::kMaxIdBytes; ++q) {
+      const PageConfig config{p, q, 256};
+      std::vector<uint8_t> buf(config.page_size, 0);
+      PageWriter writer(buf.data(), config, PageKind::kSmall);
+      // Fill the page, so the last record ends as close to the slot
+      // directory as the layout allows; entries spread over each field's
+      // full width.
+      const uint64_t pid_mask = config.max_pages() - 1;
+      const uint64_t slot_mask = config.max_slots() - 1;
+      uint32_t n = 0;
+      while (writer.Fits(3)) {
+        const uint32_t slot = writer.AppendRecord(n, 3);
+        for (uint32_t j = 0; j < 3; ++j) {
+          const uint64_t salt = uint64_t{0x9E3779B97F4A7C15} * (n * 3 + j + 1);
+          writer.SetEntry(slot, j,
+                          RecordId{static_cast<PageId>(salt & pid_mask),
+                                   static_cast<uint32_t>((salt >> 32) &
+                                                         slot_mask)});
+        }
+        ++n;
+      }
+      PageView view(buf.data(), config);
+      ASSERT_EQ(view.num_slots(), n) << config.ToString();
+      for (uint32_t s = 0; s < n; ++s) {
+        const AdjList list = view.adj_list(s);
+        ASSERT_EQ(list.size(), 3u);
+        const uint8_t* entries =
+            buf.data() + view.slot_record_offset(s) + sizeof(uint32_t);
+        for (uint32_t j = 0; j < list.size(); ++j) {
+          const uint8_t* entry = entries + j * config.entry_bytes();
+          const RecordId expected{static_cast<PageId>(DecodeLE(entry, p)),
+                                  static_cast<uint32_t>(
+                                      DecodeLE(entry + p, q))};
+          EXPECT_EQ(list[j], expected) << config.ToString() << " slot " << s;
+          EXPECT_EQ(view.adj_entry(s, j), expected);
+        }
+      }
+    }
+  }
+}
+
 TEST(PageWriterTest, FreeBytesShrinkAndFitsSaysNo) {
   PageConfig config{2, 2, 256};
   std::vector<uint8_t> buf(config.page_size, 0);
@@ -153,6 +196,18 @@ TEST(PageBuilderTest, CapacityExceededWhenPidBytesTooSmall) {
   CsrGraph g = CsrGraph::FromEdgeList(list);
   auto built = BuildPagedGraph(g, PageConfig{1, 2, 1024});
   EXPECT_EQ(built.status().code(), StatusCode::kCapacityExceeded);
+}
+
+TEST(PageBuilderTest, RejectsIdWidthsOutsideOneToFour) {
+  EdgeList list(2, {{0, 1}});
+  CsrGraph g = CsrGraph::FromEdgeList(list);
+  for (const PageConfig& config :
+       {PageConfig{0, 2, 4 * kKiB}, PageConfig{5, 2, 4 * kKiB},
+        PageConfig{2, 5, 4 * kKiB}}) {
+    EXPECT_EQ(BuildPagedGraph(g, config).status().code(),
+              StatusCode::kInvalidArgument)
+        << config.ToString();
+  }
 }
 
 TEST(PageBuilderTest, RejectsAbsurdlySmallPages)  {
@@ -250,7 +305,8 @@ INSTANTIATE_TEST_SUITE_P(
                       PageConfig{3, 3, 64 * kKiB},
                       PageConfig{2, 4, 16 * kKiB},
                       PageConfig{4, 2, 2 * kKiB},
-                      PageConfig{3, 3, 512}),
+                      PageConfig{3, 3, 512}, PageConfig{1, 1, 1 * kKiB},
+                      PageConfig{4, 4, 4 * kKiB}),
     [](const auto& info) {
       return "p" + std::to_string(info.param.pid_bytes) + "q" +
              std::to_string(info.param.off_bytes) + "ps" +
