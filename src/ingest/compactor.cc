@@ -57,13 +57,13 @@ void Compactor::Loop() {
 
     // Rebuild every qualifying chain that is not already awaiting
     // install, one page at a time so TakeCompleted never waits long.
-    for (;;) {
-      auto compaction = store_->PickAndBuild(threshold_, &exclude);
-      if (!compaction.has_value()) break;
+    for (PageId pid : store_->CompactionCandidates(threshold_)) {
+      if (exclude.count(pid) != 0) continue;
+      auto compaction = store_->Build(pid);
+      if (!compaction.has_value()) continue;
       analysis::sync::Lock lock(mu_);
       if (stop_) return;
-      exclude.insert(compaction->pid);
-      pending_install_.insert(compaction->pid);
+      pending_install_.insert(pid);
       completed_.push_back(std::move(*compaction));
     }
   }

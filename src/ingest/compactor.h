@@ -1,12 +1,12 @@
 // Background compactor: merges long delta chains into rebuilt page images.
 //
 // The worker thread watches the DeltaStore for chains crossing the
-// compaction threshold, rebuilds each candidate page off-lock via
-// DeltaStore::PickAndBuild, and parks the finished image on a completed
-// queue. It never installs anything itself: the engine drains the queue
-// at the next safe point (EdgeStream::Publish) and performs the install
-// plus the priced device rewrite there, so in-flight pins and transfers
-// never observe a torn page.
+// compaction threshold, rebuilds each candidate page off-lock
+// (DeltaStore::CompactionCandidates, then Build), and parks the finished
+// image on a completed queue. It never installs anything itself: the
+// engine drains the queue at the next safe point (EdgeStream::Publish)
+// and performs the install plus the priced device rewrite there, so
+// in-flight pins and transfers never observe a torn page.
 #ifndef GTS_INGEST_COMPACTOR_H_
 #define GTS_INGEST_COMPACTOR_H_
 
@@ -56,8 +56,8 @@ class Compactor {
   bool nudged_ GTS_GUARDED_BY(mu_) = false;
   bool started_ GTS_GUARDED_BY(mu_) = false;
   std::vector<DeltaStore::Compaction> completed_ GTS_GUARDED_BY(mu_);
-  /// Pages with a rebuild awaiting install; excluded from PickAndBuild so
-  /// the worker does not rebuild the same chain repeatedly.
+  /// Pages with a rebuild awaiting install; the worker skips them so it
+  /// does not rebuild the same chain repeatedly.
   std::unordered_set<PageId> pending_install_ GTS_GUARDED_BY(mu_);
   std::thread thread_;
 };

@@ -1,6 +1,7 @@
 #include "ingest/delta_store.h"
 
 #include <algorithm>
+#include <cstring>
 #include <unordered_set>
 #include <utility>
 
@@ -11,83 +12,39 @@ namespace ingest {
 
 namespace {
 
-/// A page decoded into mutable per-slot adjacency vectors. Resolution and
-/// rebuilds operate on this form; RewriteParsed re-emits the page bytes.
-struct ParsedPage {
-  PageKind kind = PageKind::kSmall;
-  uint32_t lp_chunk_index = 0;
-  uint32_t lp_total = 0;
-  std::vector<VertexId> vids;
-  std::vector<std::vector<RecordId>> entries;
-};
-
-ParsedPage Parse(const uint8_t* data, const PageConfig& config) {
-  PageView view(data, config);
-  ParsedPage parsed;
-  parsed.kind = view.kind();
-  parsed.lp_chunk_index = view.header().lp_chunk_index;
-  parsed.lp_total = view.header().lp_total_degree;
-  const uint32_t n = view.num_slots();
-  parsed.vids.resize(n);
-  parsed.entries.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    parsed.vids[i] = view.slot_vid(i);
-    const uint32_t sz = view.adjlist_size(i);
-    parsed.entries[i].reserve(sz);
-    for (uint32_t j = 0; j < sz; ++j) {
-      parsed.entries[i].push_back(view.adj_entry(i, j));
-    }
-  }
-  return parsed;
+/// Index of the first entry equal to `rid`, or list.size() if absent.
+uint32_t Find(const AdjList& list, const RecordId& rid) {
+  uint32_t j = 0;
+  while (j < list.size() && !(list[j] == rid)) ++j;
+  return j;
 }
 
-void ApplyDeltaToParsed(ParsedPage* parsed, const PageDelta& delta) {
+/// Applies one delta to page bytes in place. A remove of an absent
+/// neighbor is a no-op.
+void ApplyDelta(uint8_t* bytes, const PageConfig& config,
+                const PageDelta& delta) {
   switch (delta.op) {
     case PageDelta::Op::kInsert:
-      GTS_DCHECK(delta.slot < parsed->entries.size());
-      parsed->entries[delta.slot].push_back(delta.neighbor);
+      AppendEntryInPlace(bytes, config, delta.slot, delta.neighbor);
       break;
     case PageDelta::Op::kRemove: {
-      GTS_DCHECK(delta.slot < parsed->entries.size());
-      auto& list = parsed->entries[delta.slot];
-      auto it = std::find(list.begin(), list.end(), delta.neighbor);
-      if (it != list.end()) list.erase(it);
+      const AdjList list = PageView(bytes, config).adj_list(delta.slot);
+      const uint32_t j = Find(list, delta.neighbor);
+      if (j < list.size()) EraseEntryInPlace(bytes, config, delta.slot, j);
       break;
     }
     case PageDelta::Op::kSetLpTotal:
-      parsed->lp_total = delta.lp_total;
+      reinterpret_cast<PageHeader*>(bytes)->lp_total_degree = delta.lp_total;
       break;
   }
 }
 
-/// Re-emits `parsed` as page bytes into `out` (page_size bytes, zeroed by
-/// this function). Slot order matches the parse, so the result is exactly
-/// what PageBuilder would produce for this content.
-void RewriteParsed(const ParsedPage& parsed, const PageConfig& config,
-                   uint8_t* out) {
-  std::fill(out, out + config.page_size, uint8_t{0});
-  PageWriter writer(out, config, parsed.kind);
-  for (uint32_t i = 0; i < parsed.vids.size(); ++i) {
-    const uint32_t slot =
-        writer.AppendRecord(parsed.vids[i], parsed.entries[i].size());
-    GTS_DCHECK(slot == i);
-    for (uint32_t j = 0; j < parsed.entries[i].size(); ++j) {
-      writer.SetEntry(slot, j, parsed.entries[i][j]);
-    }
-  }
-  if (parsed.kind == PageKind::kLarge) {
-    writer.set_lp_chunk_index(parsed.lp_chunk_index);
-    writer.set_lp_total_degree(parsed.lp_total);
-  }
-}
-
-/// Bytes the parsed content occupies as a page (header + slots + records).
-uint64_t ParsedFootprint(const ParsedPage& parsed, const PageConfig& config) {
-  uint64_t total_entries = 0;
-  for (const auto& list : parsed.entries) total_entries += list.size();
-  return kPageHeaderBytes +
-         parsed.vids.size() * (sizeof(uint32_t) + kSlotBytes) +
-         total_entries * config.entry_bytes();
+/// Applies `chain` in order to canonical page bytes: the result is the
+/// page PageBuilder would write for the updated content.
+void ApplyChain(uint8_t* bytes, const PageConfig& config,
+                const std::vector<PageDelta>& chain) {
+  GTS_DCHECK(HasWriterLayout(bytes, config));
+  for (const PageDelta& delta : chain) ApplyDelta(bytes, config, delta);
 }
 
 uint64_t LpChunkCapacity(const PageConfig& config) {
@@ -112,34 +69,38 @@ const uint8_t* DeltaStore::InstalledBytes(PageId pid) const {
   return graph_->page_bytes(pid).data();
 }
 
+void DeltaStore::CurrentBytes(PageId pid, uint8_t* out) const {
+  const PageConfig& config = graph_->config();
+  std::memcpy(out, InstalledBytes(pid), config.page_size);
+  auto it = states_.find(pid);
+  if (it != states_.end()) ApplyChain(out, config, it->second.chain);
+}
+
 void DeltaStore::ResolveFlushes(const std::vector<GutterBank::Flush>& flushes,
                                 std::vector<PageId>* changed) {
   analysis::sync::Lock lock(mu_);
   const PageConfig& config = graph_->config();
 
-  // Per-publish cache: each touched page parsed once, with its existing
-  // chain folded in, then mutated alongside every delta we emit so later
-  // updates in the same publish see earlier ones.
-  std::unordered_map<PageId, ParsedPage> cache;
+  // Per-publish view of each touched page: a copy of its current bytes,
+  // then mutated alongside every delta we emit so later updates in the
+  // same publish see earlier ones.
+  std::unordered_map<PageId, std::vector<uint8_t>> views;
   std::unordered_set<PageId> grew;
   std::unordered_set<VertexId> touched_lp;
 
-  auto effective = [&](PageId pid) -> ParsedPage& {
-    auto it = cache.find(pid);
-    if (it != cache.end()) return it->second;
-    ParsedPage parsed = Parse(InstalledBytes(pid), config);
-    auto st = states_.find(pid);
-    if (st != states_.end()) {
-      for (const PageDelta& d : st->second.chain) {
-        ApplyDeltaToParsed(&parsed, d);
-      }
+  auto view = [&](PageId pid) -> uint8_t* {
+    auto [it, fresh] = views.try_emplace(pid);
+    if (fresh) {
+      it->second.resize(config.page_size);
+      CurrentBytes(pid, it->second.data());
     }
-    return cache.emplace(pid, std::move(parsed)).first->second;
+    return it->second.data();
   };
+  auto page = [&](PageId pid) { return PageView(view(pid), config); };
 
   auto emit = [&](PageId pid, const PageDelta& delta) {
+    ApplyDelta(view(pid), config, delta);
     states_[pid].chain.push_back(delta);
-    ApplyDeltaToParsed(&effective(pid), delta);
     grew.insert(pid);
   };
 
@@ -147,75 +108,42 @@ void DeltaStore::ResolveFlushes(const std::vector<GutterBank::Flush>& flushes,
     for (const EdgeUpdate& update : flush.updates) {
       const RecordId loc = graph_->VertexLocation(update.src);
       const RecordId neighbor = graph_->VertexLocation(update.dst);
-
-      if (graph_->kind(loc.pid) == PageKind::kSmall) {
-        ParsedPage& parsed = effective(loc.pid);
-        if (!update.remove) {
-          if (ParsedFootprint(parsed, config) + config.entry_bytes() >
-              config.page_size) {
-            ++stats_.updates_rejected;  // page full; splits are future work
-            continue;
-          }
-          emit(loc.pid,
-               PageDelta{PageDelta::Op::kInsert, loc.slot, neighbor, 0});
-          ++degree_delta_[update.src];
-          ++edge_count_delta_;
-          ++stats_.updates_applied;
+      // An SP vertex's record is one slot of its page. An LP vertex's
+      // adjacency spans a run of consecutive page ids starting at
+      // loc.pid (slot 0 each): inserts go to the first chunk with
+      // headroom, deletes to the first chunk holding the neighbor.
+      const bool small = graph_->kind(loc.pid) == PageKind::kSmall;
+      const uint32_t run =
+          small ? 1 : graph_->rvt().entry(loc.pid).lp_more + 1;
+      PageId target = kInvalidPageId;
+      for (uint32_t k = 0; k < run && target == kInvalidPageId; ++k) {
+        const PageView chunk = page(loc.pid + k);
+        const AdjList list = chunk.adj_list(loc.slot);
+        bool hit = false;
+        if (update.remove) {
+          hit = Find(list, neighbor) != list.size();
+        } else if (small) {  // header + records + slots + the new entry
+          hit = chunk.records_end() + uint64_t{chunk.num_slots()} * kSlotBytes +
+                    config.entry_bytes() <=
+                config.page_size;
         } else {
-          const auto& list = parsed.entries[loc.slot];
-          if (std::find(list.begin(), list.end(), neighbor) == list.end()) {
-            ++stats_.deletes_dropped;
-            continue;
-          }
-          emit(loc.pid,
-               PageDelta{PageDelta::Op::kRemove, loc.slot, neighbor, 0});
-          --degree_delta_[update.src];
-          --edge_count_delta_;
-          ++stats_.updates_applied;
+          hit = list.size() < lp_chunk_capacity_;
         }
+        if (hit) target = loc.pid + k;
+      }
+      if (target == kInvalidPageId) {
+        // A delete of an absent edge is dropped; an insert with no room
+        // is rejected (page splits are future work).
+        ++(update.remove ? stats_.deletes_dropped : stats_.updates_rejected);
         continue;
       }
-
-      // LP vertex: its adjacency spans a run of consecutive page ids
-      // starting at loc.pid; inserts go to the first chunk with headroom,
-      // deletes to the first chunk holding the neighbor.
-      const uint32_t run = graph_->rvt().entry(loc.pid).lp_more + 1;
-      if (!update.remove) {
-        PageId target = kInvalidPageId;
-        for (uint32_t k = 0; k < run; ++k) {
-          if (effective(loc.pid + k).entries[0].size() < lp_chunk_capacity_) {
-            target = loc.pid + k;
-            break;
-          }
-        }
-        if (target == kInvalidPageId) {
-          ++stats_.updates_rejected;  // every chunk full
-          continue;
-        }
-        emit(target, PageDelta{PageDelta::Op::kInsert, 0, neighbor, 0});
-        ++degree_delta_[update.src];
-        ++edge_count_delta_;
-        ++stats_.updates_applied;
-        touched_lp.insert(update.src);
-      } else {
-        PageId target = kInvalidPageId;
-        for (uint32_t k = 0; k < run; ++k) {
-          const auto& list = effective(loc.pid + k).entries[0];
-          if (std::find(list.begin(), list.end(), neighbor) != list.end()) {
-            target = loc.pid + k;
-            break;
-          }
-        }
-        if (target == kInvalidPageId) {
-          ++stats_.deletes_dropped;
-          continue;
-        }
-        emit(target, PageDelta{PageDelta::Op::kRemove, 0, neighbor, 0});
-        --degree_delta_[update.src];
-        --edge_count_delta_;
-        ++stats_.updates_applied;
-        touched_lp.insert(update.src);
-      }
+      emit(target, PageDelta{update.remove ? PageDelta::Op::kRemove
+                                           : PageDelta::Op::kInsert,
+                             loc.slot, neighbor, 0});
+      degree_delta_[update.src] += update.remove ? -1 : 1;
+      edge_count_delta_ += update.remove ? -1 : 1;
+      ++stats_.updates_applied;
+      if (!small) touched_lp.insert(update.src);
     }
   }
 
@@ -226,10 +154,10 @@ void DeltaStore::ResolveFlushes(const std::vector<GutterBank::Flush>& flushes,
     const uint32_t run = graph_->rvt().entry(first).lp_more + 1;
     uint64_t total = 0;
     for (uint32_t k = 0; k < run; ++k) {
-      total += effective(first + k).entries[0].size();
+      total += page(first + k).adjlist_size(0);
     }
     for (uint32_t k = 0; k < run; ++k) {
-      if (effective(first + k).lp_total != total) {
+      if (page(first + k).header().lp_total_degree != total) {
         emit(first + k,
              PageDelta{PageDelta::Op::kSetLpTotal, 0, RecordId{},
                        static_cast<uint32_t>(total)});
@@ -249,10 +177,7 @@ bool DeltaStore::Overlay(PageId pid, uint8_t* bytes) {
   analysis::sync::Lock lock(mu_);
   auto it = states_.find(pid);
   if (it == states_.end() || it->second.chain.empty()) return false;
-  const PageConfig& config = graph_->config();
-  ParsedPage parsed = Parse(bytes, config);
-  for (const PageDelta& d : it->second.chain) ApplyDeltaToParsed(&parsed, d);
-  RewriteParsed(parsed, config, bytes);
+  ApplyChain(bytes, graph_->config(), it->second.chain);
   ++stats_.overlay_hits;
   return true;
 }
@@ -269,49 +194,56 @@ uint64_t DeltaStore::PageVersion(PageId pid) const {
   return it == states_.end() ? 0 : it->second.version;
 }
 
-std::optional<DeltaStore::Compaction> DeltaStore::PickAndBuild(
-    uint32_t threshold, const std::unordered_set<PageId>* exclude) {
-  PageId pid = kInvalidPageId;
-  std::vector<uint8_t> base;
-  std::vector<PageDelta> chain;
-  uint64_t installs = 0;
+std::vector<PageId> DeltaStore::CompactionCandidates(
+    uint32_t threshold) const {
+  std::vector<std::pair<size_t, PageId>> found;  // (chain length, page)
   {
     analysis::sync::Lock lock(mu_);
-    size_t best_len = 0;
-    for (const auto& [candidate, state] : states_) {
-      if (exclude != nullptr && exclude->count(candidate) != 0) continue;
-      if (state.chain.size() >= threshold && state.chain.size() > best_len) {
-        pid = candidate;
-        best_len = state.chain.size();
+    for (const auto& [pid, state] : states_) {
+      if (state.chain.size() >= std::max<size_t>(threshold, 1)) {
+        found.emplace_back(state.chain.size(), pid);
       }
     }
-    if (pid == kInvalidPageId) return std::nullopt;
+  }
+  std::stable_sort(found.begin(), found.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first > b.first;
+                   });
+  std::vector<PageId> pids;
+  pids.reserve(found.size());
+  for (const auto& entry : found) pids.push_back(entry.second);
+  return pids;
+}
+
+std::optional<DeltaStore::Compaction> DeltaStore::Build(PageId pid) const {
+  const PageConfig& config = graph_->config();
+  Compaction compaction;
+  std::vector<PageDelta> chain;
+  {
+    analysis::sync::Lock lock(mu_);
+    auto it = states_.find(pid);
+    if (it == states_.end() || it->second.chain.empty()) return std::nullopt;
     const uint8_t* bytes = InstalledBytes(pid);
-    base.assign(bytes, bytes + graph_->config().page_size);
-    chain = states_[pid].chain;
-    installs = states_[pid].installs;
+    compaction.image.assign(bytes, bytes + config.page_size);
+    chain = it->second.chain;
+    compaction.installs_at_snapshot = it->second.installs;
   }
 
-  // The rebuild itself runs outside the lock: producers and overlays
-  // proceed while we fold `chain` into a fresh image.
-  ParsedPage parsed = Parse(base.data(), graph_->config());
-  for (const PageDelta& d : chain) ApplyDeltaToParsed(&parsed, d);
-  Compaction compaction;
+  // The fold itself runs outside the lock: producers and overlays proceed
+  // while we apply `chain` to the snapshot.
+  ApplyChain(compaction.image.data(), config, chain);
   compaction.pid = pid;
-  compaction.image.resize(graph_->config().page_size);
-  RewriteParsed(parsed, graph_->config(), compaction.image.data());
   compaction.consumed = chain.size();
-  compaction.installs_at_snapshot = installs;
   return compaction;
 }
 
-bool DeltaStore::Install(Compaction&& compaction) {
+const uint8_t* DeltaStore::Install(Compaction&& compaction) {
   analysis::sync::Lock lock(mu_);
   auto it = states_.find(compaction.pid);
-  if (it == states_.end()) return false;
+  if (it == states_.end()) return nullptr;
   PageState& state = it->second;
   if (state.installs != compaction.installs_at_snapshot) {
-    return false;  // a newer install landed since the rebuild's snapshot
+    return nullptr;  // a newer install landed since the rebuild's snapshot
   }
   GTS_DCHECK(compaction.consumed <= state.chain.size());
   state.image = std::move(compaction.image);
@@ -321,7 +253,7 @@ bool DeltaStore::Install(Compaction&& compaction) {
   ++state.installs;
   ++state.version;
   ++stats_.compactions;
-  return true;
+  return state.image.data();
 }
 
 size_t DeltaStore::MaxChainLength() const {
@@ -331,15 +263,6 @@ size_t DeltaStore::MaxChainLength() const {
     longest = std::max(longest, state.chain.size());
   }
   return longest;
-}
-
-size_t DeltaStore::DirtyPageCount() const {
-  analysis::sync::Lock lock(mu_);
-  size_t dirty = 0;
-  for (const auto& [pid, state] : states_) {
-    if (!state.chain.empty()) ++dirty;
-  }
-  return dirty;
 }
 
 void DeltaStore::ApplyDegreeDeltas(std::vector<uint32_t>* out_degrees) const {
@@ -364,32 +287,18 @@ std::vector<VertexId> DeltaStore::CurrentNeighbors(VertexId v) const {
   analysis::sync::Lock lock(mu_);
   const PageConfig& config = graph_->config();
   const RecordId loc = graph_->VertexLocation(v);
-
-  auto effective_entries = [&](PageId pid, uint32_t slot) {
-    ParsedPage parsed = Parse(InstalledBytes(pid), config);
-    auto it = states_.find(pid);
-    if (it != states_.end()) {
-      for (const PageDelta& d : it->second.chain) {
-        ApplyDeltaToParsed(&parsed, d);
-      }
-    }
-    return std::move(parsed.entries[slot]);
-  };
-
-  std::vector<RecordId> rids;
-  if (graph_->kind(loc.pid) == PageKind::kSmall) {
-    rids = effective_entries(loc.pid, loc.slot);
-  } else {
-    const uint32_t run = graph_->rvt().entry(loc.pid).lp_more + 1;
-    for (uint32_t k = 0; k < run; ++k) {
-      auto chunk = effective_entries(loc.pid + k, 0);
-      rids.insert(rids.end(), chunk.begin(), chunk.end());
-    }
-  }
+  const bool small = graph_->kind(loc.pid) == PageKind::kSmall;
+  const uint32_t run = small ? 1 : graph_->rvt().entry(loc.pid).lp_more + 1;
 
   std::vector<VertexId> neighbors;
-  neighbors.reserve(rids.size());
-  for (const RecordId& rid : rids) neighbors.push_back(graph_->rvt().ToVid(rid));
+  std::vector<uint8_t> bytes(config.page_size);
+  for (uint32_t k = 0; k < run; ++k) {
+    CurrentBytes(loc.pid + k, bytes.data());
+    const AdjList list = PageView(bytes.data(), config).adj_list(loc.slot);
+    for (uint32_t j = 0; j < list.size(); ++j) {
+      neighbors.push_back(graph_->rvt().ToVid(list[j]));
+    }
+  }
   return neighbors;
 }
 

@@ -7,9 +7,11 @@
 // (run start, pass/level boundaries, quiesce), so queries never observe a
 // chain growing mid-pass.
 //
-// Readers overlay chains onto staged pages (Overlay), the compactor merges
-// long chains into rebuilt page images off-lock (PickAndBuild) which the
-// engine installs at the next safe point (Install). Slot assignments and
+// Readers overlay chains onto staged pages (Overlay), the compactor folds
+// long chains into rebuilt page images off-lock (CompactionCandidates,
+// Build) which the engine installs at the next safe point (Install).
+// Every delta is applied to page bytes in place: an insert or delete
+// shifts the records behind it within the page. Slot assignments and
 // the vid order within a page never change -- inserts append entries and
 // deletes splice them out -- so RecordId references from *other* pages
 // stay valid across any number of compactions.
@@ -19,7 +21,6 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/sync/sync.h"
@@ -84,25 +85,24 @@ class DeltaStore {
   /// at version 0.
   uint64_t PageVersion(PageId pid) const;
 
-  /// Picks the page with the longest chain of length >= `threshold`
-  /// (skipping pids in `exclude`, which the background compactor uses for
-  /// pages whose rebuild is already awaiting install) and rebuilds its
-  /// image with the chain folded in. The (costly) rebuild runs outside
-  /// the store lock. Returns nullopt when no chain qualifies.
-  std::optional<Compaction> PickAndBuild(
-      uint32_t threshold,
-      const std::unordered_set<PageId>* exclude = nullptr);
+  /// Pages whose pending chain holds at least `threshold` (>= 1) deltas,
+  /// in install order: longest chain first, ties in the iteration order
+  /// of the store's hash table. One pass over the pages.
+  std::vector<PageId> CompactionCandidates(uint32_t threshold) const;
 
-  /// Installs a rebuilt image at a safe point. Returns false (and drops
-  /// the rebuild) when a newer install landed since the snapshot; the
-  /// caller must then not rewrite the device page.
-  bool Install(Compaction&& compaction);
+  /// Rebuilds `pid`'s image with its whole pending chain folded in; the
+  /// fold runs outside the store lock. Returns nullopt when the page has
+  /// no pending chain.
+  std::optional<Compaction> Build(PageId pid) const;
+
+  /// Installs a rebuilt image at a safe point and returns the installed
+  /// bytes, valid until the page's next Install. Returns nullptr (and
+  /// drops the rebuild) when a newer install landed since the snapshot;
+  /// the caller must then not rewrite the device page.
+  const uint8_t* Install(Compaction&& compaction);
 
   /// Longest pending chain across all pages (0 when fully compacted).
   size_t MaxChainLength() const;
-
-  /// Pages with a non-empty pending chain.
-  size_t DirtyPageCount() const;
 
   /// Folds accumulated per-vertex degree changes into `out_degrees` (the
   /// engine's uint32 degree table, clamped at zero). Does not reset the
@@ -131,9 +131,11 @@ class DeltaStore {
   };
 
   /// Current installed bytes of `pid` (rebuilt image or frozen base).
-  const uint8_t* InstalledBytes(PageId pid) const;
+  const uint8_t* InstalledBytes(PageId pid) const GTS_REQUIRES(mu_);
 
-  PageState& StateOf(PageId pid) { return states_[pid]; }
+  /// Copies `pid`'s current content -- installed bytes with the pending
+  /// chain applied -- into `out` (page_size bytes).
+  void CurrentBytes(PageId pid, uint8_t* out) const GTS_REQUIRES(mu_);
 
   const PagedGraph* graph_;
   const uint64_t lp_chunk_capacity_;  // adjacency entries per LP chunk

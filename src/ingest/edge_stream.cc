@@ -75,11 +75,7 @@ std::vector<PageId> EdgeStream::Quiesce() {
     PublishLocked(&changed);
     // Force-compact every remaining chain; afterwards each touched device
     // page holds exactly the bytes a fresh build would produce.
-    for (;;) {
-      auto compaction = delta_.PickAndBuild(1);
-      if (!compaction.has_value()) break;
-      InstallAndRewrite(std::move(*compaction), &changed);
-    }
+    CompactInline(1, &changed);
   }
   GTS_DCHECK(delta_.MaxChainLength() == 0);
   return FinishChanged(std::move(changed));
@@ -96,12 +92,22 @@ void EdgeStream::PublishLocked(std::vector<PageId>* changed) {
       InstallAndRewrite(std::move(compaction), changed);
     }
     if (!flushes.empty()) compactor_->Nudge();
-  } else {
+  } else if (!flushes.empty()) {
     // Deterministic mode: compact inline whenever a chain crosses the
-    // threshold.
-    for (;;) {
-      auto compaction = delta_.PickAndBuild(env_.options.compact_threshold);
-      if (!compaction.has_value()) break;
+    // threshold. Only resolving flushes grows a chain, and the previous
+    // publish left none at the threshold, so a publish without flushes
+    // has nothing to compact.
+    CompactInline(env_.options.compact_threshold, changed);
+  }
+}
+
+void EdgeStream::CompactInline(uint32_t threshold,
+                               std::vector<PageId>* changed) {
+  // An install changes only its own page's chain, so one ordered pass
+  // installs what picking the longest chain after every install would.
+  for (PageId pid : delta_.CompactionCandidates(threshold)) {
+    auto compaction = delta_.Build(pid);
+    if (compaction.has_value()) {
       InstallAndRewrite(std::move(*compaction), changed);
     }
   }
@@ -135,10 +141,10 @@ void EdgeStream::PersistFlushes(
 void EdgeStream::InstallAndRewrite(DeltaStore::Compaction&& compaction,
                                    std::vector<PageId>* changed) {
   const PageId pid = compaction.pid;
-  std::vector<uint8_t> image = compaction.image;  // kept for device write
-  if (!delta_.Install(std::move(compaction))) return;  // stale rebuild
+  const uint8_t* image = delta_.Install(std::move(compaction));
+  if (image == nullptr) return;  // stale rebuild
   if (env_.rewrite_page) {
-    env_.rewrite_page(pid, image.data(), image.size());
+    env_.rewrite_page(pid, image, env_.graph->config().page_size);
   }
   changed->push_back(pid);
 }

@@ -131,8 +131,12 @@ class EdgeStream {
   void PublishLocked(std::vector<PageId>* changed)
       GTS_REQUIRES(publish_mu_);
   void PersistFlushes(const std::vector<GutterBank::Flush>& flushes);
-  /// Installs `compaction` and rewrites the device page; records the pid
-  /// in `changed` on success.
+  /// Builds and installs every chain of at least `threshold` deltas, in
+  /// DeltaStore::CompactionCandidates order; caller holds publish_mu_.
+  void CompactInline(uint32_t threshold, std::vector<PageId>* changed)
+      GTS_REQUIRES(publish_mu_);
+  /// Installs `compaction` and rewrites the device page from the
+  /// installed bytes; records the pid in `changed` on success.
   void InstallAndRewrite(DeltaStore::Compaction&& compaction,
                          std::vector<PageId>* changed);
   /// Sorts/dedups `changed`, bumps the epoch if non-empty, and syncs the

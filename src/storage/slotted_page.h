@@ -176,6 +176,15 @@ class PageView {
     return total;
   }
 
+  /// Byte offset just past the last slot's record: where the free space
+  /// begins when records lie in slot order, as PageWriter lays them out.
+  uint64_t records_end() const {
+    const uint32_t n = num_slots();
+    if (n == 0) return kPageHeaderBytes;
+    return slot_record_offset(n - 1) + sizeof(uint32_t) +
+           uint64_t{adjlist_size(n - 1)} * config_.entry_bytes();
+  }
+
  private:
   const uint8_t* SlotPtr(uint32_t i) const {
     GTS_DCHECK(i < num_slots());
@@ -234,6 +243,25 @@ class PageWriter {
   uint64_t record_cursor_ = kPageHeaderBytes;  // next free record byte
   std::vector<uint32_t> record_offsets_;       // per-slot record offset
 };
+
+// In-place edits of a page in PageWriter's layout: records back to back
+// in slot order from the header, then zeros up to the slot directory.
+// Each edit keeps that layout, so the result is the page PageWriter
+// would write for the new content.
+
+/// True if `page` has PageWriter's layout.
+bool HasWriterLayout(const uint8_t* page, const PageConfig& config);
+
+/// Appends `rid` to slot `slot`'s adjacency: the later records move up by
+/// one entry and their slots' offsets follow. The page must have room
+/// for one more entry.
+void AppendEntryInPlace(uint8_t* page, const PageConfig& config,
+                        uint32_t slot, RecordId rid);
+
+/// Deletes entry `j` of slot `slot`: the later records move down over it,
+/// the vacated tail is zeroed and the later slots' offsets follow.
+void EraseEntryInPlace(uint8_t* page, const PageConfig& config, uint32_t slot,
+                       uint32_t j);
 
 }  // namespace gts
 

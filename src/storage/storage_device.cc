@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -10,16 +11,45 @@ namespace gts {
 
 Status MemoryDevice::Write(uint64_t offset, const uint8_t* data,
                            uint64_t len) {
-  if (offset + len > bytes_.size()) bytes_.resize(offset + len);
-  std::memcpy(bytes_.data() + offset, data, len);
+  size_ = std::max(size_, offset + len);
+  chunks_.resize(std::max<uint64_t>(
+      chunks_.size(), (offset + len + kChunkBytes - 1) / kChunkBytes));
+  while (len > 0) {
+    const uint64_t within = offset % kChunkBytes;
+    const uint64_t n = std::min(len, kChunkBytes - within);
+    auto& chunk = chunks_[offset / kChunkBytes];
+    if (chunk == nullptr) {
+      chunk.reset(static_cast<uint8_t*>(std::calloc(kChunkBytes, 1)));
+      if (chunk == nullptr) {
+        return Status::ResourceExhausted("out of memory on memory device " +
+                                         name());
+      }
+    }
+    std::memcpy(chunk.get() + within, data, n);
+    offset += n;
+    data += n;
+    len -= n;
+  }
   return Status::OK();
 }
 
 Status MemoryDevice::Read(uint64_t offset, uint8_t* dst, uint64_t len) {
-  if (offset + len > bytes_.size()) {
+  if (offset + len > size_) {
     return Status::IOError("read past end of memory device " + name());
   }
-  std::memcpy(dst, bytes_.data() + offset, len);
+  while (len > 0) {
+    const uint64_t within = offset % kChunkBytes;
+    const uint64_t n = std::min(len, kChunkBytes - within);
+    const uint8_t* chunk = chunks_[offset / kChunkBytes].get();
+    if (chunk == nullptr) {
+      std::memset(dst, 0, n);  // never written
+    } else {
+      std::memcpy(dst, chunk + within, n);
+    }
+    offset += n;
+    dst += n;
+    len -= n;
+  }
   return Status::OK();
 }
 

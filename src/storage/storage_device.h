@@ -9,6 +9,7 @@
 #define GTS_STORAGE_STORAGE_DEVICE_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -102,6 +103,11 @@ class StorageDevice {
 };
 
 /// RAM-backed device (used for "in-memory" storage-type runs and tests).
+///
+/// Sparse: the bytes live in fixed 1 MiB chunks, each allocated zeroed
+/// (calloc) on its first write, so growing the device never copies it and
+/// a range no write touched holds no memory. Such a range inside the
+/// written extent reads as zeros; a read past the extent fails.
 class MemoryDevice final : public StorageDevice {
  public:
   explicit MemoryDevice(std::string name = "mem",
@@ -111,8 +117,15 @@ class MemoryDevice final : public StorageDevice {
   Status Write(uint64_t offset, const uint8_t* data, uint64_t len) override;
   Status Read(uint64_t offset, uint8_t* dst, uint64_t len) override;
 
+  static constexpr uint64_t kChunkBytes = uint64_t{1} << 20;
+
  private:
-  std::vector<uint8_t> bytes_;
+  struct FreeChunk {
+    void operator()(uint8_t* chunk) const { std::free(chunk); }
+  };
+
+  std::vector<std::unique_ptr<uint8_t, FreeChunk>> chunks_;
+  uint64_t size_ = 0;  // written extent: one past the highest written byte
 };
 
 /// File-backed device: pages live in a real file on disk, exercising the

@@ -336,6 +336,207 @@ TEST(IngestQuiesceTest, DevicePagesMatchColdRebuildByteForByte) {
   }
 }
 
+/// A graph whose pages the delta test below controls: vertex v has
+/// 1 + v % 6 distinct neighbors (v + 1 + 37k) % n, vertex 0 also lists
+/// vertex 7 twice, and vertex `lp` has the 2,500 neighbors 0..2500 except
+/// itself, three Small22 LP chunks (1,016 + 1,016 + 468 entries).
+EdgeList ShapedEdges(VertexId n, VertexId lp) {
+  EdgeList edges;
+  edges.set_num_vertices(n);
+  for (VertexId v = 0; v < n; ++v) {
+    if (v == lp) {
+      for (VertexId u = 0; u <= 2500; ++u) {
+        if (u != lp) edges.Add(v, u);
+      }
+      continue;
+    }
+    for (VertexId k = 0; k < 1 + v % 6; ++k) {
+      edges.Add(v, (v + 1 + 37 * k) % n);
+    }
+  }
+  edges.Add(0, 7);
+  edges.Add(0, 7);
+  return edges;
+}
+
+TEST(IngestOverlayTest, PendingDeltasMatchColdRebuildByteForByte) {
+  constexpr VertexId kN = 3000;
+  constexpr VertexId kLp = 1500;
+  TestGraph g;
+  g.edges = ShapedEdges(kN, kLp);
+  g.csr = CsrGraph::FromEdgeList(g.edges);
+  g.paged =
+      std::move(BuildPagedGraph(g.csr, PageConfig::Small22())).ValueOrDie();
+  g.store = MakeInMemoryStore(&g.paged);
+  const PageConfig& config = g.paged.config();
+
+  const PageId sp = g.paged.PageOfVertex(0);
+  const PageId lp = g.paged.PageOfVertex(kLp);
+  ASSERT_EQ(g.paged.kind(sp), PageKind::kSmall);
+  ASSERT_EQ(g.paged.kind(lp), PageKind::kLarge);
+  ASSERT_EQ(g.paged.rvt().entry(lp).lp_more, 2u);
+  const PageView sp_view(g.paged.page_bytes(sp).data(), config);
+  const uint32_t slots = sp_view.num_slots();
+  ASSERT_GE(slots, 3u);
+  const VertexId first = sp_view.slot_vid(0);
+  const VertexId mid = sp_view.slot_vid(slots / 2);
+  const VertexId last = sp_view.slot_vid(slots - 1);
+  // The next page only loses an entry, which frees too little for the
+  // cold build to move another record onto it (the page compare below
+  // would show one). A remove no insert follows leaves a tail to zero.
+  ASSERT_EQ(g.paged.kind(sp + 1), PageKind::kSmall);
+  const VertexId shrink =
+      PageView(g.paged.page_bytes(sp + 1).data(), config).slot_vid(0);
+  VertexId absent = 0;
+  while (std::find(g.csr.neighbors(last).begin(), g.csr.neighbors(last).end(),
+                   absent) != g.csr.neighbors(last).end()) {
+    ++absent;
+  }
+
+  // Inserts append kN - 1, the largest id, so every adjacency list stays
+  // sorted and a cold rebuild lays the pages out the same way. The SP
+  // inserts go last: they fill the page until the capacity check rejects
+  // the tail of them.
+  std::vector<EdgeUpdate> updates = {
+      EdgeUpdate::Remove(first, 7),             // one of two duplicates
+      EdgeUpdate::Remove(mid, g.csr.neighbors(mid)[0]),
+      EdgeUpdate::Remove(last, absent),         // dropped
+      EdgeUpdate::Insert(first, kN - 1),        // shifts every later slot
+      EdgeUpdate::Insert(mid, kN - 1),
+      EdgeUpdate::Remove(shrink, g.csr.neighbors(shrink)[0]),
+      EdgeUpdate::Remove(kLp, kN - 1),          // dropped: not inserted yet
+  };
+  for (int i = 0; i < 5; ++i) {
+    updates.push_back(EdgeUpdate::Insert(kLp, kN - 1));  // last chunk
+  }
+  updates.push_back(EdgeUpdate::Remove(kLp, 2500));  // in the last chunk
+  for (int i = 0; i < 1200; ++i) {
+    updates.push_back(EdgeUpdate::Insert(last, kN - 1));
+  }
+
+  GtsOptions opts = IngestOpts();
+  opts.ingest.compact_threshold = 1u << 30;  // keep every delta pending
+  GtsEngine engine(&g.paged, g.store.get(), TestMachine(), opts);
+  ingest::EdgeStream* stream = engine.edge_stream();
+  ASSERT_TRUE(stream->Append(updates).ok());
+  stream->FlushGutters();
+  (void)stream->Publish();
+
+  const IngestStats stats = stream->SnapshotStats();
+  EXPECT_EQ(stats.compactions, 0u);
+  EXPECT_EQ(stats.deletes_dropped, 2u);
+  ASSERT_GT(stats.updates_rejected, 0u);
+  ASSERT_LT(stats.updates_rejected, 1200u);
+  // Every LP chunk carries a kSetLpTotal for the new total degree.
+  for (PageId pid = lp; pid <= lp + 2; ++pid) {
+    EXPECT_TRUE(stream->HasDeltas(pid)) << "LP chunk " << pid;
+  }
+
+  TestGraph cold;
+  cold.edges = ApplyToEdgeList(
+      g.edges, std::vector<EdgeUpdate>(
+                   updates.begin(),
+                   updates.end() -
+                       static_cast<ptrdiff_t>(stats.updates_rejected)));
+  cold.csr = CsrGraph::FromEdgeList(cold.edges);
+  cold.paged =
+      std::move(BuildPagedGraph(cold.csr, PageConfig::Small22())).ValueOrDie();
+  ASSERT_EQ(cold.paged.num_pages(), g.paged.num_pages());
+  EXPECT_EQ(PageView(cold.paged.page_bytes(lp).data(), config)
+                .header()
+                .lp_total_degree,
+            2504u);
+
+  for (PageId pid = 0; pid < g.paged.num_pages(); ++pid) {
+    std::vector<uint8_t> live = g.paged.page_bytes(pid);
+    (void)stream->Overlay(pid, live.data());
+    EXPECT_EQ(std::memcmp(live.data(), cold.paged.page_bytes(pid).data(),
+                          config.page_size),
+              0)
+        << "overlaid page " << pid << " differs from the cold rebuild";
+  }
+
+  ASSERT_TRUE(engine.scheduler().QuiesceIngest().ok());
+  EXPECT_GT(stream->SnapshotStats().compactions, 0u);
+  for (PageId pid = 0; pid < g.paged.num_pages(); ++pid) {
+    auto live = g.store->Fetch(pid);
+    ASSERT_TRUE(live.ok());
+    EXPECT_EQ(std::memcmp(live->data, cold.paged.page_bytes(pid).data(),
+                          config.page_size),
+              0)
+        << "installed page " << pid << " differs from the cold rebuild";
+  }
+}
+
+// ------------------------------------------- compaction install order
+
+uint64_t DigestPages(const std::vector<PageId>& pids) {
+  uint64_t h = 14695981039346656037ull;  // FNV-1a
+  for (PageId pid : pids) {
+    for (int i = 0; i < 4; ++i) {
+      h = (h ^ ((pid >> (8 * i)) & 0xFF)) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+/// Pins the order in which inline compaction installs pages, which the
+/// simulated write schedule follows. Equal chains install in the delta
+/// store's hash-table iteration order; the digests were recorded from the
+/// picker that rescanned every page per install.
+TEST(IngestCompactionOrderTest, InstallOrderMatchesPinnedDigests) {
+  TestGraph g = MakeTestGraph(12, 8);
+  std::vector<PageId> installed;
+  ingest::EdgeStream::Env env;
+  env.graph = &g.paged;
+  env.options.enabled = true;
+  env.options.background_compaction = false;
+  env.options.compact_threshold = 2;
+  env.rewrite_page = [&installed](PageId pid, const uint8_t*, uint64_t) {
+    installed.push_back(pid);
+  };
+  ingest::EdgeStream stream(std::move(env));
+  const VertexId n = g.csr.num_vertices();
+
+  // Publish: one degree-neutral pair on the first vertex of degree >= 2
+  // of each page (chain 2), two on every third page (chain 4).
+  std::vector<int> pairs(g.paged.num_pages(), 0);
+  UpdateBatch rewire;
+  for (VertexId v = 0; v < n; ++v) {
+    const PageId pid = g.paged.PageOfVertex(v);
+    const auto nbrs = g.csr.neighbors(v);
+    if (nbrs.size() < 2 || pairs[pid] >= (pid % 3 == 0 ? 2 : 1)) continue;
+    ++pairs[pid];
+    rewire.push_back(EdgeUpdate::Remove(v, nbrs.back()));
+    rewire.push_back(EdgeUpdate::Insert(v, (nbrs.back() + 1) % n));
+  }
+  ASSERT_TRUE(stream.Append(rewire).ok());
+  stream.FlushGutters();
+  (void)stream.Publish();
+  const std::vector<PageId> published = std::move(installed);
+  installed.clear();
+
+  // Quiesce: one insert on the first vertex of each page (chain 1, left
+  // for the quiesce pass), two on every fourth page (chain 2, compacted
+  // by the quiesce's own publish first).
+  std::vector<int> inserts(g.paged.num_pages(), 0);
+  UpdateBatch grow;
+  for (VertexId v = 0; v < n; ++v) {
+    const PageId pid = g.paged.PageOfVertex(v);
+    if (inserts[pid] >= (pid % 4 == 0 ? 2 : 1)) continue;
+    ++inserts[pid];
+    grow.push_back(EdgeUpdate::Insert(v, (v + 1) % n));
+  }
+  ASSERT_TRUE(stream.Append(grow).ok());
+  (void)stream.Quiesce();
+  const std::vector<PageId> quiesced = std::move(installed);
+
+  EXPECT_EQ(published.size(), 51u);
+  EXPECT_EQ(quiesced.size(), 48u);
+  EXPECT_EQ(DigestPages(published), 16222184834968927173ull);
+  EXPECT_EQ(DigestPages(quiesced), 1886113555933321439ull);
+}
+
 /// One cell of the dispatch matrix: all ten kernels on the quiesced
 /// ingest engine vs a cold engine over the rebuilt updated graph, same
 /// options. On deterministic (inline) configs every result must be

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "core/page_cache.h"
 #include "graph/csr_graph.h"
@@ -41,6 +43,52 @@ TEST(StorageDeviceTest, MemoryDeviceReadPastEndFails) {
   MemoryDevice dev;
   uint8_t out[4];
   EXPECT_EQ(dev.Read(0, out, 4).code(), StatusCode::kIOError);
+}
+
+TEST(StorageDeviceTest, MemoryDeviceUnwrittenGapReadsZeros) {
+  MemoryDevice dev;
+  const uint8_t head[] = {1, 2, 3};
+  const uint8_t tail[] = {7, 8, 9};
+  const uint64_t far = 3 * MemoryDevice::kChunkBytes + 5;
+  ASSERT_TRUE(dev.Write(0, head, sizeof(head)).ok());
+  ASSERT_TRUE(dev.Write(far, tail, sizeof(tail)).ok());
+  // The gap spans a partly written chunk and two chunks no write touched.
+  std::vector<uint8_t> out(far + sizeof(tail), 0xAB);
+  ASSERT_TRUE(dev.Read(0, out.data(), out.size()).ok());
+  EXPECT_EQ(std::memcmp(out.data(), head, sizeof(head)), 0);
+  EXPECT_TRUE(std::all_of(out.begin() + sizeof(head), out.begin() + far,
+                          [](uint8_t b) { return b == 0; }));
+  EXPECT_EQ(std::memcmp(out.data() + far, tail, sizeof(tail)), 0);
+}
+
+TEST(StorageDeviceTest, MemoryDeviceStraddlesChunkBoundary) {
+  MemoryDevice dev;
+  std::vector<uint8_t> data(3 * MemoryDevice::kChunkBytes / 2);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 31 + 7);
+  }
+  // Starts 1,000 bytes before the first boundary, ends inside chunk 2.
+  const uint64_t offset = MemoryDevice::kChunkBytes - 1000;
+  ASSERT_TRUE(dev.Write(offset, data.data(), data.size()).ok());
+  std::vector<uint8_t> out(data.size());
+  ASSERT_TRUE(dev.Read(offset, out.data(), out.size()).ok());
+  EXPECT_EQ(out, data);
+  // A short read across the first boundary alone.
+  uint8_t around[16];
+  ASSERT_TRUE(dev.Read(MemoryDevice::kChunkBytes - 8, around, 16).ok());
+  EXPECT_EQ(std::memcmp(around, data.data() + 992, 16), 0);
+}
+
+TEST(StorageDeviceTest, MemoryDeviceReadEndingPastExtentFails) {
+  MemoryDevice dev;
+  std::vector<uint8_t> data(100, 0x11);
+  ASSERT_TRUE(dev.Write(MemoryDevice::kChunkBytes, data.data(), 100).ok());
+  std::vector<uint8_t> out(64);
+  EXPECT_TRUE(dev.Read(MemoryDevice::kChunkBytes + 36, out.data(), 64).ok());
+  EXPECT_EQ(dev.Read(MemoryDevice::kChunkBytes + 37, out.data(), 64).code(),
+            StatusCode::kIOError);
+  EXPECT_EQ(dev.Read(10, out.data(), MemoryDevice::kChunkBytes + 91).code(),
+            StatusCode::kIOError);
 }
 
 TEST(StorageDeviceTest, FileDeviceRoundTrip) {

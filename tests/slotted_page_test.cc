@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
 #include "graph/csr_graph.h"
 #include "graph/rmat_generator.h"
@@ -103,6 +104,43 @@ TEST(AdjListTest, DecodesLikeDecodeLeUnderEveryIdWidth) {
           EXPECT_EQ(view.adj_entry(s, j), expected);
         }
       }
+    }
+  }
+}
+
+/// A page PageWriter writes with one record per list (vids 1, 2, ...).
+std::vector<uint8_t> WritePage(
+    const PageConfig& config, const std::vector<std::vector<RecordId>>& lists) {
+  std::vector<uint8_t> buf(config.page_size, 0);
+  PageWriter writer(buf.data(), config, PageKind::kSmall);
+  for (const auto& list : lists) {
+    const uint32_t slot = writer.AppendRecord(writer.num_slots() + 1,
+                                              list.size());
+    for (uint32_t j = 0; j < list.size(); ++j) {
+      writer.SetEntry(slot, j, list[j]);
+    }
+  }
+  return buf;
+}
+
+TEST(PageEditTest, InPlaceEditsMatchPageWriterUnderEveryIdWidth) {
+  const RecordId a{3, 7}, b{1, 0}, c{9, 2}, d{4, 4}, e{200, 1};
+  const RecordId x{5, 250}, y{255, 255};
+  for (uint32_t p = 1; p <= PageConfig::kMaxIdBytes; ++p) {
+    for (uint32_t q = 1; q <= PageConfig::kMaxIdBytes; ++q) {
+      const PageConfig config{p, q, 256};
+      std::vector<uint8_t> page = WritePage(config, {{a, b}, {}, {c, d, e}});
+      ASSERT_TRUE(HasWriterLayout(page.data(), config));
+      AppendEntryInPlace(page.data(), config, 1, x);  // middle, empty slot
+      AppendEntryInPlace(page.data(), config, 0, y);  // shifts both others
+      EraseEntryInPlace(page.data(), config, 2, 0);   // last slot
+      EraseEntryInPlace(page.data(), config, 0, 0);   // leaves a tail
+      const std::vector<uint8_t> want =
+          WritePage(config, {{b, y}, {x}, {d, e}});
+      EXPECT_EQ(page, want) << config.ToString();
+      EXPECT_TRUE(HasWriterLayout(page.data(), config));
+      page[PageView(page.data(), config).records_end()] = 1;
+      EXPECT_FALSE(HasWriterLayout(page.data(), config));
     }
   }
 }
