@@ -1,18 +1,24 @@
-// Dispatch-pipeline policy sweep: BFS under LRU cache pressure (the
+// Dispatch-pipeline page-order sweep: BFS under LRU cache pressure (the
 // Figure 11 churn regime, where eviction order actually matters) with every
-// page-order x stream-assign policy combination. Two things must show:
+// page-order policy. Two things must show:
 //
 //  1. Results are invariant -- BFS levels are bit-identical across all
-//     policies (the pipeline only reorders work, never changes it).
-//  2. The policies move the dials they claim to move: cache-affinity lifts
-//     the LRU hit rate over the default order, and sticky streams avoid
-//     kind switches the round-robin cursor pays under interleaving.
+//     orders (the pipeline only reorders work, never changes it); a
+//     diverging order fails the bench.
+//  2. The orders move the dial they claim to move: cache-affinity lifts
+//     the LRU hit rate over the default order.
+//
+// Stream choice is the per-GPU round-robin cursor. The sweep used to carry
+// two more dispatch variants that only lost: in quick mode (3 runs,
+// identical levels in every cell) the "sticky" stream policy took 6.4-6.6
+// paper-s against round-robin's 2.5-2.6 on every page order, and
+// worker-claim ("pull") dispatch with work stealing took 6.5-6.6 paper-s
+// against push's 2.6, varying from run to run and no faster on the host
+// (0.017-0.041 s against 0.014-0.021 s inline). Both were removed.
 //
 // With --trace_out=FILE each configuration's op timeline is exported to one
-// Chrome-trace process, tagged with its policy names via trace metadata.
+// Chrome-trace process, tagged with its policy name via trace metadata.
 #include "bench_common.h"
-
-#include <chrono>
 
 #include "algorithms/bfs.h"
 #include "core/dispatch/dispatch_options.h"
@@ -21,23 +27,11 @@ namespace gts {
 namespace bench {
 namespace {
 
-/// Host wall-clock, not simulated time: the threads x stealing sweep
-/// measures real dispatch overhead and overlap, which the simulator
-/// deliberately does not model.
-double WallSeconds(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 int Main() {
   const int max_scale = QuickMode() ? 26 : 27;
   const std::vector<PageOrderKind> orders = {
       PageOrderKind::kSpThenLp, PageOrderKind::kInterleaved,
       PageOrderKind::kCacheAffinity, PageOrderKind::kFrontierDensity};
-  const std::vector<StreamAssignKind> streams = {StreamAssignKind::kRoundRobin,
-                                                 StreamAssignKind::kSticky};
 
   obs::TraceExporter exporter;
   int pid_base = 0;
@@ -54,158 +48,63 @@ int Main() {
     const uint64_t cache = 1 * kMiB;
     std::vector<uint16_t> reference_levels;
     for (PageOrderKind order : orders) {
-      for (StreamAssignKind stream : streams) {
-        GtsOptions opts;
-        opts.cache_policy = CachePolicy::kLru;
-        opts.cache_bytes = cache;
-        opts.num_streams = 16;
-        opts.keep_timeline = !Args().trace_out.empty();
-        opts.dispatch.order = order;
-        opts.dispatch.stream_assign = stream;
-        MachineConfig machine = MachineConfig::PaperScaled(1);
-        GtsEngine engine(&prepared->paged, store.get(), machine, opts);
-        auto bfs = RunBfsGts(engine, source);
-
-        const std::string config = std::string(PageOrderKindName(order)) +
-                                   " / " +
-                                   std::string(StreamAssignKindName(stream));
-        std::vector<std::string> row{spec.name + "*", config};
-        if (!bfs.ok()) {
-          row.push_back(StatusCell(bfs.status()));
-          rows.push_back(std::move(row));
-          continue;
-        }
-
-        // Invariance: every policy combination must produce the exact
-        // levels the first one did.
-        if (reference_levels.empty()) {
-          reference_levels = bfs->levels;
-        } else if (bfs->levels != reference_levels) {
-          std::fprintf(stderr, "FAIL: %s diverged from reference levels\n",
-                       config.c_str());
-          return 1;
-        }
-
-        const auto snapshot = engine.metrics_registry()->Snapshot();
-        auto counter = [&](const char* name) -> uint64_t {
-          auto it = snapshot.find(name);
-          return it == snapshot.end() ? 0 : it->second.count;
-        };
-        char buf[16];
-        std::snprintf(buf, sizeof(buf), "%.0f%%",
-                      100.0 * bfs->report.metrics.cache_hit_rate());
-        row.push_back(Cell(PaperSeconds(bfs->report.metrics.sim_seconds)));
-        row.push_back(buf);
-        row.push_back(std::to_string(counter("dispatch.order.cached_first")));
-        row.push_back(
-            std::to_string(counter("dispatch.stream.switches_avoided")));
-        rows.push_back(std::move(row));
-
-        if (!Args().trace_out.empty()) {
-          exporter.AddRun(bfs->report.metrics.timeline,
-                          obs::TraceRunOptions{config, pid_base});
-          exporter.AddRunMetadata("dispatch.order",
-                                  std::string(PageOrderKindName(order)),
-                                  pid_base);
-          exporter.AddRunMetadata("dispatch.stream_assign",
-                                  std::string(StreamAssignKindName(stream)),
-                                  pid_base);
-          pid_base += 100;
-        }
-      }
-    }
-    std::printf("results identical across all %zu policy combinations\n",
-                orders.size() * streams.size());
-    std::fflush(stdout);
-  }
-
-  PrintTable(
-      "Dispatch policy sweep: BFS under LRU churn (order / stream-assign; "
-      "identical results, different schedules)",
-      {"data", "order / stream", "paper-s", "hit rate", "cached-first",
-       "switches-avoided"},
-      rows);
-
-  // -------------------- pull-mode sweep: stream threads x work stealing
-  //
-  // Same churn regime, measured in host wall-clock: pull dispatch claims
-  // pages from the shared ready queue, so idle streams steal instead of
-  // waiting out a skewed push assignment, and steal_batch > 1 amortizes
-  // the queue lock by claiming adaptive own-deque batches. Results must
-  // stay bit-identical to the single-threaded push schedule across every
-  // threads x stealing x batch cell (hard failure otherwise); the
-  // wall-clock column is informational -- on a single hardware core the
-  // workers time-slice, so the win shows as reduced queue tail, not
-  // necessarily reduced elapsed time.
-  struct PullConfig {
-    const char* name;
-    bool threads;
-    bool stealing;
-    uint32_t steal_batch;
-  };
-  const PullConfig pull_configs[] = {
-      {"inline push", false, false, 1},
-      {"threads push", true, false, 1},
-      {"threads stealing", true, true, 1},
-      {"threads stealing b4", true, true, 4},
-      {"threads stealing b16", true, true, 16}};
-  std::vector<std::vector<std::string>> pull_rows;
-  for (int scale = 26; scale <= max_scale; ++scale) {
-    DatasetSpec spec = RmatSpec(scale);
-    auto prepared = Prepare(spec);
-    if (!prepared.ok()) continue;
-    auto store = MakeInMemoryStore(&prepared->paged);
-    const VertexId source = BusySource(prepared->csr);
-
-    std::vector<uint16_t> reference_levels;
-    for (const PullConfig& config : pull_configs) {
       GtsOptions opts;
       opts.cache_policy = CachePolicy::kLru;
-      opts.cache_bytes = 1 * kMiB;
+      opts.cache_bytes = cache;
       opts.num_streams = 16;
-      opts.use_stream_threads = config.threads;
-      opts.dispatch.work_stealing = config.stealing;
-      opts.dispatch.steal_batch = config.steal_batch;
+      opts.keep_timeline = !Args().trace_out.empty();
+      opts.dispatch.order = order;
       MachineConfig machine = MachineConfig::PaperScaled(1);
       GtsEngine engine(&prepared->paged, store.get(), machine, opts);
+      auto bfs = RunBfsGts(engine, source);
 
-      Result<BfsGtsResult> bfs = Status::FailedPrecondition("not run");
-      const double wall = WallSeconds([&] { bfs = RunBfsGts(engine, source); });
-      std::vector<std::string> row{spec.name + "*", config.name};
+      const std::string config(PageOrderKindName(order));
+      std::vector<std::string> row{spec.name + "*", config};
       if (!bfs.ok()) {
         row.push_back(StatusCell(bfs.status()));
-        pull_rows.push_back(std::move(row));
+        rows.push_back(std::move(row));
         continue;
       }
+
+      // Invariance: every order must produce the exact levels the first
+      // one did.
       if (reference_levels.empty()) {
         reference_levels = bfs->levels;
       } else if (bfs->levels != reference_levels) {
-        std::fprintf(stderr,
-                     "FAIL: %s diverged from the single-threaded levels\n",
-                     config.name);
+        std::fprintf(stderr, "FAIL: %s diverged from reference levels\n",
+                     config.c_str());
         return 1;
       }
+
       const auto snapshot = engine.metrics_registry()->Snapshot();
       auto counter = [&](const char* name) -> uint64_t {
         auto it = snapshot.find(name);
         return it == snapshot.end() ? 0 : it->second.count;
       };
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.3f", wall);
-      row.push_back(buf);
+      char buf[16];
+      std::snprintf(buf, sizeof(buf), "%.0f%%",
+                    100.0 * bfs->report.metrics.cache_hit_rate());
       row.push_back(Cell(PaperSeconds(bfs->report.metrics.sim_seconds)));
-      row.push_back(std::to_string(counter("dispatch.steals")));
-      pull_rows.push_back(std::move(row));
+      row.push_back(buf);
+      row.push_back(std::to_string(counter("dispatch.order.cached_first")));
+      rows.push_back(std::move(row));
+
+      if (!Args().trace_out.empty()) {
+        exporter.AddRun(bfs->report.metrics.timeline,
+                        obs::TraceRunOptions{config, pid_base});
+        exporter.AddRunMetadata("dispatch.order", config, pid_base);
+        pid_base += 100;
+      }
     }
-    std::printf(
-        "pull-mode results identical across all %zu thread configurations\n",
-        std::size(pull_configs));
+    std::printf("results identical across all %zu page orders\n",
+                orders.size());
     std::fflush(stdout);
   }
+
   PrintTable(
-      "Pull-mode dispatch: BFS under LRU churn (stream threads x work "
-      "stealing; identical results)",
-      {"data", "dispatch", "wall-s", "paper-s", "steals"}, pull_rows);
+      "Dispatch policy sweep: BFS under LRU churn (page order; identical "
+      "results, different schedules)",
+      {"data", "order", "paper-s", "hit rate", "cached-first"}, rows);
   if (!Args().trace_out.empty()) {
     WriteObsArtifacts(exporter, {});
   }

@@ -32,9 +32,8 @@ struct SweepResult {
 GtsOptions ServingOptions(int jobs) {
   GtsOptions opts;
   opts.max_concurrent_jobs = jobs;
-  // The concurrent dispatch path Validate() requires; keeping stream
-  // threads off makes the sweep deterministic run to run.
-  opts.dispatch.work_stealing = true;
+  // Stream threads off: kernels run inline, so the sweep is deterministic
+  // run to run.
   opts.use_stream_threads = false;
   return opts;
 }

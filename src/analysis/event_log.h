@@ -5,14 +5,11 @@
 //     from the dispatch loop and the stream worker threads;
 //   - the gts::io layer (request lifecycle: submit at DeviceQueue::Submit,
 //     issue at DeviceQueue::IssueNext, deliver when IoEngine::Acquire hands
-//     the bytes to the engine), host-side only;
-//   - the dispatch ReadyQueue (work-item lifecycle: enqueued when the pass
-//     plan publishes an item, claimed when a stream worker pulls it).
+//     the bytes to the engine), host-side only.
 //
 // The logs are deliberately dumb: a mutex-guarded append with a per-log
 // sequence number. Ordering semantics live in the validator
-// (ScheduleValidator::CheckPinEvents / CheckIoEvents /
-// CheckDispatchEvents); keeping the
+// (ScheduleValidator::CheckPinEvents / CheckIoEvents); keeping the
 // producers free of policy means a seeded test can synthesize any event
 // sequence. This header stays light (no gpu/ or obs/ includes) so
 // PageCache and DeviceQueue can depend on it without layering cycles.
@@ -54,21 +51,6 @@ struct IoEvent {
   uint64_t seq = 0;
 };
 
-/// One ready-queue work-item lifecycle event (work-stealing dispatch).
-/// `item` is the queue-assigned work-item id (a page can fan out into one
-/// item per GPU under Strategy-P, so pid alone is not a key). `claimer`
-/// is the StreamKey of the worker that claimed the item; `stolen` marks a
-/// claim that crossed the item's home stream/GPU.
-struct DispatchEvent {
-  enum class Kind : uint8_t { kEnqueued, kClaimed };
-  Kind kind = Kind::kEnqueued;
-  PageId pid = kInvalidPageId;
-  uint64_t seq = 0;
-  uint64_t item = 0;
-  int claimer = -1;
-  bool stolen = false;
-};
-
 /// Thread-safe appender; Take() drains (one validator read per run).
 template <typename Event>
 class EventLog {
@@ -76,14 +58,6 @@ class EventLog {
   void Append(typename Event::Kind kind, PageId pid) {
     std::lock_guard<std::mutex> lock(mu_);
     events_.push_back(Event{kind, pid, seq_++});
-  }
-
-  /// Appends a pre-filled event; the log overwrites `seq` with its own
-  /// counter so callers can't break the log-global order.
-  void Append(Event event) {
-    std::lock_guard<std::mutex> lock(mu_);
-    event.seq = seq_++;
-    events_.push_back(event);
   }
 
   std::vector<Event> Take() {
@@ -106,7 +80,6 @@ class EventLog {
 
 using PinEventLog = EventLog<PinEvent>;
 using IoEventLog = EventLog<IoEvent>;
-using DispatchEventLog = EventLog<DispatchEvent>;
 
 }  // namespace analysis
 }  // namespace gts

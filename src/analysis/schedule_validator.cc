@@ -275,48 +275,6 @@ void ScheduleValidator::CheckIoEvents(const std::vector<IoEvent>& events,
   // violations: only *ordering* is checked.
 }
 
-void ScheduleValidator::CheckDispatchEvents(
-    const std::vector<DispatchEvent>& events, RaceReport* report) const {
-  report->validator_ran = true;
-  // Per work-item id: 0 = never enqueued, 1 = enqueued, 2 = claimed.
-  std::unordered_map<uint64_t, uint8_t> state;
-  for (const DispatchEvent& e : events) {
-    ++report->schedule_checks;
-    uint8_t& s = state[e.item];
-    switch (e.kind) {
-      case DispatchEvent::Kind::kEnqueued:
-        if (s != 0) {
-          AddViolation(report, "claim-unique", gpu::kNoOp,
-                       "work item " + std::to_string(e.item) + " (pid " +
-                           std::to_string(e.pid) +
-                           ") enqueued twice (event seq " +
-                           std::to_string(e.seq) + ")");
-        }
-        s = 1;
-        break;
-      case DispatchEvent::Kind::kClaimed:
-        if (s == 0) {
-          AddViolation(report, "claim-unique", gpu::kNoOp,
-                       "work item " + std::to_string(e.item) + " (pid " +
-                           std::to_string(e.pid) +
-                           ") claimed without a prior enqueue (event seq " +
-                           std::to_string(e.seq) + ")");
-        } else if (s == 2) {
-          AddViolation(report, "claim-unique", gpu::kNoOp,
-                       "work item " + std::to_string(e.item) + " (pid " +
-                           std::to_string(e.pid) +
-                           ") claimed twice (stream key " +
-                           std::to_string(e.claimer) + ", event seq " +
-                           std::to_string(e.seq) + ")");
-        }
-        s = 2;
-        break;
-    }
-  }
-  // Items enqueued but never claimed at run end (failed pass teardown)
-  // are not violations: a worker crash must not cascade into R9 noise.
-}
-
 void ScheduleValidator::CheckJobIsolation(const gpu::ScheduleResult& schedule,
                                           RaceReport* report) const {
   const auto& ops = schedule.ops;

@@ -25,10 +25,6 @@
 //   R7 io-order        per request: DeviceQueue submit precedes device
 //                      issue precedes delivery to the engine (an io
 //                      completion may not be delivered before issue)
-//   R9 claim-unique    per ready-queue work item: enqueued exactly once,
-//                      claimed at most once, and any claim follows the
-//                      enqueue (work stealing must never double-run or
-//                      fabricate a page)
 //   I1 pin-after-invalidate  once a cached page is invalidated (a
 //                      gts::ingest publish superseded its image), no pin
 //                      of that pid may occur until a fresh insert
@@ -78,10 +74,6 @@ class ScheduleValidator {
   /// R7 over a gts::io event log.
   void CheckIoEvents(const std::vector<IoEvent>& events,
                      RaceReport* report) const;
-
-  /// R9 over the dispatch ready-queue event log.
-  void CheckDispatchEvents(const std::vector<DispatchEvent>& events,
-                           RaceReport* report) const;
 
   /// J1 over a batch epoch's timeline: job-tagged ops depend only on
   /// same-job or untagged ops. A no-op for single-run schedules (no op

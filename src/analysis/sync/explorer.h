@@ -26,9 +26,9 @@
 //
 //   sync::Explorer ex({.max_schedules = 2000, .max_preemptions = 2});
 //   auto result = ex.Explore([&](sync::Explorer& e) {
-//     ReadyQueue q(...);                     // fresh state per schedule
-//     e.Run({[&] { q.Push(...); }, [&] { q.TryPop(...); }});
-//     e.Check(invariant_holds, "claim cascade lost a page");
+//     PageCache cache(...);                  // fresh state per schedule
+//     e.Run({[&] { cache.Lookup(...); }, [&] { cache.Insert(...); }});
+//     e.Check(invariant_holds, "pinned page evicted");
 //   });
 //   ASSERT_TRUE(result.ok()) << result.ToString();
 #ifndef GTS_ANALYSIS_SYNC_EXPLORER_H_

@@ -2,8 +2,8 @@
 //
 // Drop-in wrappers for std::mutex / std::scoped_lock / std::unique_lock /
 // std::condition_variable used by the concurrency-critical subsystems
-// (engine dispatch, PageCache, ReadyQueue, gts::io, JobScheduler,
-// gts::ingest). Every wrapped mutex carries a *site name* and a declared
+// (PageCache, gts::io, JobScheduler, gts::ingest, the engine's schedule
+// recorder). Every wrapped mutex carries a *site name* and a declared
 // *lock level*; what the wrappers do with them depends on the build knob:
 //
 //   -DGTS_SYNC_CHECK=OFF (default): the wrappers are bare std::mutex /
@@ -72,20 +72,17 @@ inline constexpr bool kSyncCheckCompiled = GTS_SYNC_CHECK_ENABLED != 0;
 
 // ---- Declared lock levels ----------------------------------------------
 // One constant per registered site; strictly increasing along every legal
-// acquisition chain (scheduler < engine < ingest-publish < ingest-harvest
-// < dispatch queue < gutters < delta < compactor < cache < io < record).
-// Sites
-// that never nest with each other may share a level only if they are
-// never held together (the registry checks >=, not >).
+// acquisition chain (scheduler < ingest-publish < ingest-harvest <
+// gutters < delta < compactor < cache < io < record). Sites that never
+// nest with each other may share a level only if they are never held
+// together (the registry checks >=, not >).
 namespace level {
 inline constexpr int kUnordered = 0;           ///< opt out of the level rule
 inline constexpr int kScheduler = 10;          ///< job.scheduler
-inline constexpr int kEngineDispatch = 20;     ///< engine.dispatch
 inline constexpr int kIngestPublish = 22;      ///< ingest.publish
 inline constexpr int kIngestHarvest = 24;      ///< ingest.harvest (outer:
                                                ///< snapshots take the
                                                ///< gutter + delta locks)
-inline constexpr int kReadyQueue = 30;         ///< dispatch.ready_queue
 inline constexpr int kIngestGutterShard = 32;  ///< ingest.gutter_shard
 inline constexpr int kIngestGutterPending = 34;  ///< ingest.gutter_pending
 inline constexpr int kIngestDelta = 36;        ///< ingest.delta
@@ -192,15 +189,11 @@ class GTS_SCOPED_CAPABILITY Lock {
   Mutex& mu_;
 };
 
-/// std::unique_lock equivalent: supports deferred and scoped-manual
-/// lock/unlock plus CondVar waits. Not movable (no adopted site needs it).
+/// std::unique_lock equivalent: supports scoped-manual lock/unlock plus
+/// CondVar waits. Not movable (no adopted site needs it).
 class UniqueLock {
  public:
-  struct DeferT {};
-  static constexpr DeferT kDefer{};
-
   explicit UniqueLock(Mutex& mu) : mu_(&mu) { lock(); }
-  UniqueLock(Mutex& mu, DeferT) : mu_(&mu) {}
   ~UniqueLock() {
     if (owns_) unlock();
   }

@@ -30,14 +30,4 @@ std::string_view GpuPartitionKindName(GpuPartitionKind kind) {
   return "?";
 }
 
-std::string_view StreamAssignKindName(StreamAssignKind kind) {
-  switch (kind) {
-    case StreamAssignKind::kRoundRobin:
-      return "round-robin";
-    case StreamAssignKind::kSticky:
-      return "sticky";
-  }
-  return "?";
-}
-
 }  // namespace gts

@@ -1,9 +1,10 @@
 // Policy selectors for the engine's three-stage page-dispatch pipeline
 // (see DESIGN.md "Dispatch pipeline"): for every pass the engine first
 // orders the work list (stage 1), then routes each page to its GPU(s)
-// (stage 2), then picks a stream on that GPU (stage 3). The defaults
-// reproduce the paper's schedule bit-for-bit; the alternatives are the
-// ablations and the workload-aware orderings the ROADMAP calls for.
+// (stage 2), then takes the next stream of that GPU's round-robin cursor
+// (stage 3, fixed). The defaults reproduce the paper's schedule
+// bit-for-bit; the alternatives are the ablations and the workload-aware
+// orderings the ROADMAP calls for.
 #ifndef GTS_CORE_DISPATCH_DISPATCH_OPTIONS_H_
 #define GTS_CORE_DISPATCH_DISPATCH_OPTIONS_H_
 
@@ -45,18 +46,8 @@ enum class GpuPartitionKind : uint8_t {
   kDegreeBalanced,
 };
 
-/// Stage 3: stream choice on the chosen GPU.
-enum class StreamAssignKind : uint8_t {
-  /// Rotate the per-GPU cursor (paper default).
-  kRoundRobin,
-  /// Prefer a stream whose last kernel kind matches the page, avoiding
-  /// the Section 3.2 switch overhead when the order interleaves SP/LP.
-  kSticky,
-};
-
 std::string_view PageOrderKindName(PageOrderKind kind);
 std::string_view GpuPartitionKindName(GpuPartitionKind kind);
-std::string_view StreamAssignKindName(StreamAssignKind kind);
 
 /// The dispatch-pipeline block inside GtsOptions. Cross-option rules
 /// (partition kind vs. strategy and GPU count) are checked by
@@ -64,7 +55,6 @@ std::string_view StreamAssignKindName(StreamAssignKind kind);
 struct DispatchOptions {
   PageOrderKind order = PageOrderKind::kSpThenLp;
   GpuPartitionKind partition = GpuPartitionKind::kStrategyDefault;
-  StreamAssignKind stream_assign = StreamAssignKind::kRoundRobin;
   /// Admission threshold for traversal levels: frontier pages whose
   /// degree-weighted activation count (active out-edges, see
   /// PidSet::EnableCounting) falls below this are skipped for the level
@@ -83,25 +73,11 @@ struct DispatchOptions {
   /// idea) -- dense, uniform levels degrade to the exact threshold 1,
   /// skewed levels shed their near-empty page tail.
   static constexpr uint32_t kAutoMinActiveEdges = ~uint32_t{0};
-  /// Worker-driven pull dispatch: the pass is published to a shared
-  /// ready-queue and stream workers claim items (stealing from sibling
-  /// streams, and across GPUs under Strategy-P) instead of the host
-  /// thread pushing pages at streams one by one. Only takes effect with
-  /// GtsOptions::use_stream_threads; with stream threads off the push
-  /// loop runs unchanged (byte-identical schedule). Results on integer
-  /// kernels are unchanged either way; the *simulated* schedule is (the
-  /// recorded order follows claim order), so leave this off when
-  /// reproducing the paper figures.
+  /// Inert: nothing in the engine reads this field. It selected the
+  /// removed worker-claim ("pull") dispatch and stays declared only
+  /// because the gtsbench workloads still assign it; it goes with the
+  /// next change to the benchmark.
   bool work_stealing = false;
-  /// Adaptive steal granularity for pull dispatch: the most items one
-  /// claim may take from the worker's *own* deque in a single lock
-  /// acquisition. The actual batch adapts to depth -- a claim never takes
-  /// more than half of what remains (rounded up), so a shallow deque
-  /// still spreads across workers and stealers are never starved; steals
-  /// themselves stay single-item. 1 (default) is the classic one-claim
-  /// loop and is byte-identical to the pre-batching schedule. Only
-  /// meaningful with work_stealing; must be >= 1.
-  uint32_t steal_batch = 1;
 };
 
 }  // namespace gts

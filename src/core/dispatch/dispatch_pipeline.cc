@@ -31,8 +31,7 @@ DispatchPipeline::DispatchPipeline(const DispatchOptions& options,
     : order_(MakePageOrderPolicy(options.order, registry)),
       partition_(MakeGpuPartitionPolicy(
           Resolve(options.partition, replicate_stream_default, num_gpus),
-          num_gpus, registry)),
-      stream_(MakeStreamAssignPolicy(options.stream_assign, registry)) {
+          num_gpus, registry)) {
   if (registry != nullptr) {
     passes_ = &registry->GetCounter("dispatch.passes");
     pages_ = &registry->GetCounter("dispatch.pages_ordered");

@@ -1,12 +1,13 @@
-// The assembled three-stage dispatch pipeline the engine drives:
+// The assembled dispatch pipeline the engine drives:
 //
 //   pass page list --(1) PageOrderPolicy------> streamed order
 //   each page      --(2) GpuPartitionPolicy---> GPU(s)
-//   each kernel    --(3) StreamAssignPolicy---> stream on that GPU
 //
-// The pipeline owns the policy objects and the `dispatch.*` metrics; the
-// engine owns everything stateful about the machine (buffers, caches,
-// cursors) and passes the policies just enough of it per call.
+// Stage 3, the stream on that GPU, is the engine's per-GPU round-robin
+// cursor. The pipeline owns the policy objects and the `dispatch.*`
+// metrics; the engine owns everything stateful about the machine
+// (buffers, caches, cursors) and passes the policies just enough of it
+// per call.
 #ifndef GTS_CORE_DISPATCH_DISPATCH_PIPELINE_H_
 #define GTS_CORE_DISPATCH_DISPATCH_PIPELINE_H_
 
@@ -16,7 +17,6 @@
 #include "core/dispatch/dispatch_options.h"
 #include "core/dispatch/gpu_partition_policy.h"
 #include "core/dispatch/page_order_policy.h"
-#include "core/dispatch/stream_assign_policy.h"
 #include "graph/types.h"
 #include "obs/metrics.h"
 
@@ -44,21 +44,6 @@ class DispatchPipeline {
 
   bool replicates() const { return partition_->replicates(); }
   int AssignGpu(PageId pid) const { return partition_->Assign(pid); }
-  int AssignStream(int page_kind, const std::vector<int>& last_kinds,
-                   int* cursor) {
-    return stream_->Assign(page_kind, last_kinds, cursor);
-  }
-  /// Pull-mode claim for one stream worker (thread-safe; see
-  /// StreamAssignPolicy::Claim).
-  bool ClaimWork(ReadyQueue& queue, const ClaimContext& ctx, WorkItem* out) {
-    return stream_->Claim(queue, ctx, out);
-  }
-  /// Batched pull-mode claim (dispatch.steal_batch > 1; see
-  /// StreamAssignPolicy::ClaimBatch).
-  bool ClaimWorkBatch(ReadyQueue& queue, const ClaimContext& ctx,
-                      uint32_t max_items, std::vector<WorkItem>* out) {
-    return stream_->ClaimBatch(queue, ctx, max_items, out);
-  }
 
   bool needs_frontier_counts() const {
     return order_->needs_frontier_counts();
@@ -67,12 +52,10 @@ class DispatchPipeline {
   PageOrderKind order_kind() const { return order_->kind(); }
   /// Resolved partition kind (never kStrategyDefault).
   GpuPartitionKind partition_kind() const { return partition_->kind(); }
-  StreamAssignKind stream_kind() const { return stream_->kind(); }
 
  private:
   std::unique_ptr<PageOrderPolicy> order_;
   std::unique_ptr<GpuPartitionPolicy> partition_;
-  std::unique_ptr<StreamAssignPolicy> stream_;
   obs::Counter* passes_ = nullptr;
   obs::Counter* pages_ = nullptr;
 };

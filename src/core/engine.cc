@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <mutex>
 #include <string>
 #include <utility>
 
 #include "common/logging.h"
 #include "core/dispatch/dispatch_pipeline.h"
-#include "core/dispatch/ready_queue.h"
 #include "core/job/job_exec.h"
 #include "core/job/job_scheduler.h"
 #include "obs/prof.h"
@@ -52,21 +50,10 @@ Status GtsOptions::Validate(const MachineConfig& machine) const {
     return Status::InvalidArgument("max_concurrent_jobs must be >= 1, got " +
                                    std::to_string(max_concurrent_jobs));
   }
-  if (max_concurrent_jobs > 1) {
-    if (!dispatch.work_stealing && !use_stream_threads) {
-      return Status::InvalidArgument(
-          "max_concurrent_jobs " + std::to_string(max_concurrent_jobs) +
-          " needs an asynchronous dispatch path: set use_stream_threads = "
-          "true (worker streams) or dispatch.work_stealing = true (pull "
-          "dispatch), or keep max_concurrent_jobs = 1 to run one job per "
-          "epoch");
-    }
-    if (cpu_assist_fraction > 0.0) {
-      return Status::InvalidArgument(
-          "concurrent jobs do not compose with the host co-processing "
-          "extension; set cpu_assist_fraction = 0 or max_concurrent_jobs "
-          "= 1");
-    }
+  if (max_concurrent_jobs > 1 && cpu_assist_fraction > 0.0) {
+    return Status::InvalidArgument(
+        "concurrent jobs do not compose with the host co-processing "
+        "extension; set cpu_assist_fraction = 0 or max_concurrent_jobs = 1");
   }
   if (!(cpu_assist_fraction >= 0.0 && cpu_assist_fraction < 1.0)) {
     return Status::InvalidArgument(
@@ -78,10 +65,6 @@ Status GtsOptions::Validate(const MachineConfig& machine) const {
         "cache_bytes " + std::to_string(cache_bytes) +
         " exceeds device memory (" + std::to_string(machine.device_memory) +
         " B); use kAutoCacheBytes for whatever fits");
-  }
-  if (dispatch.steal_batch < 1) {
-    return Status::InvalidArgument("dispatch.steal_batch must be >= 1, got " +
-                                   std::to_string(dispatch.steal_batch));
   }
   GTS_RETURN_IF_ERROR(io.Validate());
   GTS_RETURN_IF_ERROR(ingest.Validate());
@@ -457,8 +440,8 @@ Status GtsEngine::ProcessPageOnCpu(JobExec* job, PageId pid) {
     ctx.out_degrees = out_degrees_.data();
   }
   ctx.micro = options_.micro;
-  // CPU pages run on the driver thread in both dispatch modes, and only
-  // the driver touches the host replica.
+  // CPU pages run on the driver thread, with or without stream threads,
+  // and only the driver touches the host replica.
   ctx.serial = true;
 
   if (race_ != nullptr) {
@@ -546,7 +529,7 @@ std::vector<PageId> GtsEngine::PlanPass(std::vector<PageId> sps,
   // prefetcher, then resolves the pass's transfer mode (page-stream vs
   // direct; see src/transfer/). The demand filter runs through the
   // Env::will_demand closure -- RoutePage + cache Contains, the same
-  // routing the dispatch loops use -- so the plan cannot drift from the
+  // routing the dispatch loop uses -- so the plan cannot drift from the
   // actual routing.
   transfer::PassInfo pass_info;
   pass_info.ordered = &ordered;
@@ -954,129 +937,25 @@ void GtsEngine::FinishJobInEpoch(JobExec* job) {
 }
 
 Status GtsEngine::ProcessPagesBatch(const std::vector<PageId>& ordered) {
-  if (options_.use_stream_threads && options_.dispatch.work_stealing) {
-    return ProcessPagesBatchPull(ordered);
-  }
   GTS_PROF_SCOPE("engine.process_pages");
+  const int n_streams = options_.num_streams;
   for (PageId pid : ordered) {
     const PageRoute route = RoutePage(pid);
     if (route.cpu) {
       GTS_RETURN_IF_ERROR(ProcessPageOnCpu(demand_[pid].front(), pid));
       continue;
     }
-    const PageKind kind = graph_->kind(pid);
     for (int g = route.first_gpu; g <= route.last_gpu; ++g) {
       GpuState& gpu = *gpus_[g];
-      const int s = pipeline_->AssignStream(static_cast<int>(kind),
-                                            gpu.stream_last_kind, &gpu.rr);
-      GTS_RETURN_IF_ERROR(StreamPageToGpuBatch(pid, g, s, /*pull=*/false,
-                                               /*stolen=*/false));
+      const int s = gpu.rr;
+      gpu.rr = (gpu.rr + 1) % n_streams;
+      GTS_RETURN_IF_ERROR(StreamPageToGpuBatch(pid, g, s));
     }
   }
   return Status::OK();
 }
 
-Status GtsEngine::ProcessPagesBatchPull(const std::vector<PageId>& ordered) {
-  GTS_PROF_SCOPE("engine.process_pages");
-  const int n_gpus = machine_.num_gpus;
-  const int n_streams = options_.num_streams;
-
-  // Publish the whole pass up front. The Assign step picks each item's
-  // home (gpu, stream) -- sticky's kind affinity keeps meaning as the
-  // steal hint -- and replicated pages fan out as one gpu-bound item per
-  // GPU (each GPU must run its own copy; only partitioned items may later
-  // migrate across GPUs).
-  ReadyQueue queue(n_gpus, n_streams, work_item_seq_);
-  queue.BindEventLog(&dispatch_events_);
-  queue.BindMetrics(&registry_->GetDistribution("dispatch.queue_wait"),
-                    &registry_->GetCounter("dispatch.steals"));
-  std::vector<PageId> cpu_pages;
-  for (PageId pid : ordered) {
-    const PageRoute route = RoutePage(pid);
-    if (route.cpu) {
-      cpu_pages.push_back(pid);
-      continue;
-    }
-    const PageKind kind = graph_->kind(pid);
-    const bool gpu_bound = route.last_gpu > route.first_gpu;
-    for (int g = route.first_gpu; g <= route.last_gpu; ++g) {
-      GpuState& gpu = *gpus_[g];
-      const int s = pipeline_->AssignStream(static_cast<int>(kind),
-                                            gpu.stream_last_kind, &gpu.rr);
-      queue.Push(pid, g, s, static_cast<int>(kind), gpu_bound);
-    }
-  }
-  // All ids for this pass are assigned; the next pass continues the
-  // epoch's sequence so the R9 audit's per-item key stays unique.
-  work_item_seq_ = queue.next_id();
-
-  // Hybrid CPU-assist pages run on the host thread *before* the workers
-  // start: ProcessPageOnCpu reads its page straight out of MMBuf, which
-  // concurrent worker Acquires may evict mid-kernel. Simulated time is
-  // unaffected (op overlap is the simulator's business); only host
-  // wall-clock loses the CPU/GPU overlap, and cpu_assist_fraction is 0
-  // in every paper configuration.
-  for (PageId pid : cpu_pages) {
-    GTS_RETURN_IF_ERROR(ProcessPageOnCpu(demand_[pid].front(), pid));
-  }
-
-  // Cross-GPU steals need WA replicated on every device (Strategy-P);
-  // under Strategy-S every item is gpu-bound anyway (replicated stream).
-  const bool allow_cross =
-      options_.strategy == Strategy::kPerformance && n_gpus > 1;
-  std::mutex error_mu;
-  Status first_error;
-  for (int g = 0; g < n_gpus; ++g) {
-    for (int s = 0; s < n_streams; ++s) {
-      gpus_[g]->streams[s]->Enqueue([this, &queue, &error_mu, &first_error,
-                                     allow_cross, g, s] {
-        ClaimContext ctx;
-        ctx.gpu = g;
-        ctx.stream = s;
-        ctx.stream_key = StreamKey(g, s);
-        ctx.allow_cross_gpu = allow_cross;
-        const uint32_t batch = options_.dispatch.steal_batch;
-        std::vector<WorkItem> items;
-        WorkItem item;
-        bool done = false;
-        while (!done) {
-          // stream_last_kind[s] is owner-exclusive: only this worker
-          // processes on (g, s), so the unlocked read is safe.
-          ctx.last_kind = gpus_[g]->stream_last_kind[s];
-          if (batch > 1) {
-            if (!pipeline_->ClaimWorkBatch(queue, ctx, batch, &items)) break;
-          } else {
-            // batch == 1 takes the exact pre-batching claim call.
-            if (!pipeline_->ClaimWork(queue, ctx, &item)) break;
-            items.assign(1, item);
-          }
-          for (const WorkItem& claimed : items) {
-            Status status = StreamPageToGpuBatch(claimed.pid, g, s,
-                                                 /*pull=*/true,
-                                                 claimed.stolen);
-            if (!status.ok()) {
-              std::lock_guard<std::mutex> lock(error_mu);
-              if (first_error.ok()) first_error = std::move(status);
-              done = true;
-              break;
-            }
-          }
-        }
-      });
-    }
-  }
-  // The queue and error slot live on this frame: drain every worker
-  // before returning (the caller's SynchronizeStreams is then a no-op).
-  // A worker that errored stops claiming; its siblings still drain the
-  // queue, and the first error surfaces after the pass settles.
-  for (auto& gpu : gpus_) {
-    for (auto& stream : gpu->streams) stream->Synchronize();
-  }
-  return first_error;
-}
-
-Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s, bool pull,
-                                       bool stolen) {
+Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
   const TimeModel& tm = machine_.time_model;
   const PageConfig& config = graph_->config();
   const uint64_t page_size = config.page_size;
@@ -1085,14 +964,6 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s, bool pull,
   const int stream_key = StreamKey(g, s);
   const std::vector<JobExec*>& demanders = demand_[pid];
   JobExec* first = demanders.front();
-
-  // Pull mode serializes the host-side phase: Acquire can evict the
-  // MMBuf bytes another worker is mid-copy on, and the recorded op order
-  // must be internally consistent per stream. Released before the
-  // kernels execute -- that part is the parallelism.
-  analysis::sync::UniqueLock host_phase(dispatch_mu_,
-                                      analysis::sync::UniqueLock::kDefer);
-  if (pull) host_phase.lock();
 
   // Host-side routing against cachedPIDMap (Algorithm 1 line 16). A
   // hit returns an RAII Pin: the lease blocks eviction, so the kernels
@@ -1118,7 +989,6 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s, bool pull,
     sreq.pid = pid;
     sreq.gpu = g;
     sreq.stream_key = stream_key;
-    sreq.stolen = stolen;
     // A transfer serving one job is that job's trace lane; a transfer
     // serving several is shared infrastructure (-1), so the J1 rule
     // never sees a cross-job edge from the co-served kernels. (demand_
@@ -1150,9 +1020,9 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s, bool pull,
                           /*write=*/false, staged.transfer_op);
       race_->Fuse(copy, race_->StreamLane(g, s, stream_key));
     }
-    // Copied while the host phase owns the MMBuf bytes: in pull mode a
-    // sibling worker's Acquire may evict `staged.data` the moment
-    // dispatch_mu_ is released.
+    // Copied on the driver: the next page's Acquire may evict the MMBuf
+    // bytes `staged.data` points at before a stream thread runs the
+    // kernels.
     std::memcpy(staging.data(), staged.data, page_size);
     // Streaming ingestion: overlay once per staging (the MMBuf copy stays
     // the installed base image); every co-served job reads the same
@@ -1216,7 +1086,6 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s, bool pull,
     }
     gpu.stream_last_kind[s] = static_cast<int>(kind);
     kop.page = pid;
-    kop.stolen = stolen;
     kop.job = job->job_id;
     jl.kidx = RecordOp(kop);
     if (kind == PageKind::kSmall) {
@@ -1243,9 +1112,9 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s, bool pull,
   // points, but the execute closure can run after this pass's sync.
   const uint64_t page_version =
       ingest_ != nullptr ? ingest_->PageVersion(pid) : 0;
-  // The push loop without stream threads runs every kernel right here on
-  // the driver thread, one at a time: its WA operations need no atomics.
-  const bool on_driver = !pull && !options_.use_stream_threads;
+  // Without stream threads every kernel runs right here on the driver
+  // thread, one at a time: its WA operations need no atomics.
+  const bool on_driver = !options_.use_stream_threads;
   GpuState* gpu_ptr = &gpu;
   auto execute = [this, gpu_ptr, pin = std::move(pin),
                   staging = std::move(staging), launch_begin, n_launches,
@@ -1312,12 +1181,7 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s, bool pull,
     }
   };
 
-  if (pull) {
-    // The calling thread IS the stream worker: run the kernels inline,
-    // outside the host-phase lock.
-    host_phase.unlock();
-    execute();
-  } else if (on_driver) {
+  if (on_driver) {
     execute();
   } else {
     gpu.streams[s]->Enqueue(std::move(execute));
@@ -1447,8 +1311,6 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
   io_->ResetStats();
   pin_events_.Clear();
   io_events_.Clear();
-  dispatch_events_.Clear();
-  work_item_seq_ = 0;
   if (race_ != nullptr) race_->BeginRun();
 
   // Safe point: the epoch opens on a freshly published graph version
@@ -1724,7 +1586,6 @@ void GtsEngine::FinalizeBatchEpoch(const std::vector<JobExec*>& jobs) {
     validator.Check(schedule, &report);
     validator.CheckPinEvents(pin_events_.Take(), &report);
     validator.CheckIoEvents(io_events_.Take(), &report);
-    validator.CheckDispatchEvents(dispatch_events_.Take(), &report);
     validator.CheckJobIsolation(schedule, &report);
   }
   registry_->GetCounter("analysis.races").Add(report.races_detected);

@@ -81,10 +81,9 @@ struct GtsOptions {
   /// batch epoch (shared-topology streaming: one merged page demand per
   /// pass, private WA partition per job). Every submission runs as an
   /// epoch; with the default 1 each epoch holds exactly one job, whose
-  /// ops stay untagged. Values > 1 require an asynchronous dispatch path
-  /// (use_stream_threads or dispatch.work_stealing) and are incompatible
-  /// with cpu_assist_fraction > 0; Validate() rejects those combinations
-  /// with actionable messages.
+  /// ops stay untagged. Multi-job epochs run on the same push loop as a
+  /// single job, inline or on stream threads; they are incompatible with
+  /// cpu_assist_fraction > 0, which Validate() rejects.
   int max_concurrent_jobs = 1;
 
   /// Section 9 future-work extension: fraction of the page stream the
@@ -244,25 +243,16 @@ class GtsEngine {
   /// detector.
   void NoteWaReplica(const JobExec& job, int g, int lane,
                      analysis::AccessClass cls, gpu::OpIndex op);
-  /// The dispatch loops: every page carries the list of jobs demanding
-  /// it (demand_), and one stream/cache access services them all. Pages
-  /// the hybrid extension routes to the host run on the CPU lanes.
+  /// The dispatch loop (Algorithm 1's push over k streams): every page
+  /// carries the list of jobs demanding it (demand_), and one
+  /// stream/cache access services them all. Each GPU leg takes the next
+  /// stream of that GPU's round-robin cursor. Pages the hybrid extension
+  /// routes to the host run on the CPU lanes.
   Status ProcessPagesBatch(const std::vector<PageId>& ordered);
-  /// Worker-driven pull dispatch: publishes the pass as work items on a
-  /// shared ReadyQueue (replicated pages fan out as one gpu-bound item
-  /// per GPU) and has every stream worker claim -- stealing from sibling
-  /// streams and, under Strategy-P, across GPUs -- until the queue
-  /// drains. Claim/steal edges are recorded in dispatch_events_ for the
-  /// validator's R9 rule.
-  Status ProcessPagesBatchPull(const std::vector<PageId>& ordered);
   /// Streams page `pid` to stream `s` of GPU `g` and runs one kernel per
-  /// demanding job against the staged (or cached) copy. With `pull` set,
-  /// the host-side phase (io acquire + MMBuf read, op recording, metric
-  /// bumps) runs under dispatch_mu_ and the kernels execute inline on
-  /// the calling stream worker; otherwise they are enqueued to the
-  /// stream under use_stream_threads, else run inline.
-  Status StreamPageToGpuBatch(PageId pid, int g, int s, bool pull,
-                              bool stolen);
+  /// demanding job against the staged (or cached) copy: enqueued to the
+  /// stream under use_stream_threads, else run inline on the driver.
+  Status StreamPageToGpuBatch(PageId pid, int g, int s);
   /// Epoch wrap-up: simulate once, run the analysis layer (race-report
   /// harvest, schedule validator including the job-isolation rule, lock
   /// registry drain) over the merged timeline, stamp every finished job
@@ -279,7 +269,7 @@ class GtsEngine {
 
   /// One page's CPU/GPU routing under the active strategy + partition
   /// policy. The single source of routing truth shared by PlanPass's
-  /// demand planning and both dispatch loops, so they cannot drift.
+  /// demand planning and the dispatch loop, so they cannot drift.
   struct PageRoute {
     bool cpu = false;   ///< hybrid extension routes it to the host CPUs
     int first_gpu = 0;  ///< inclusive
@@ -389,23 +379,6 @@ class GtsEngine {
   // by FinalizeBatchEpoch.
   analysis::PinEventLog pin_events_;
   analysis::IoEventLog io_events_;
-  /// Ready-queue enqueue/claim edges for the validator's R9
-  /// claim-uniqueness rule (only populated by pull-mode passes).
-  analysis::DispatchEventLog dispatch_events_;
-  /// First work-item id for the next pull-mode pass. Item ids key the R9
-  /// audit across the whole run, so each pass's ReadyQueue continues the
-  /// sequence; reset to 0 wherever dispatch_events_ is cleared.
-  uint64_t work_item_seq_ = 0;
-
-  /// Serializes the host-side phase of pull-mode stream workers:
-  /// io_->Acquire + MMBuf reads (a concurrent Acquire may evict the
-  /// bytes another worker is copying), op recording order, and
-  /// RunMetrics bumps. Kernel execution and ready-queue claims run
-  /// outside it -- that concurrency is the point of pull dispatch.
-  /// Ordered just above job.scheduler: a worker holding it may acquire
-  /// the io, cache, and record locks, never the scheduler's.
-  analysis::sync::Mutex dispatch_mu_{"engine.dispatch",
-                                     analysis::sync::level::kEngineDispatch};
   /// The happens-before detector; constructed only when the build
   /// carries -DGTS_RACE_CHECK=ON and GtsOptions::analysis.race_check is
   /// set, so every hook below is one null test otherwise.

@@ -105,12 +105,12 @@ struct KernelContext {
   MicroStrategy micro = MicroStrategy::kEdgeCentric;
 
   /// Set by the engine when it runs this call inline on the driver thread,
-  /// one kernel call at a time: the push loop without stream threads, and
-  /// the CPU-assist lane, whose host WA replica only the driver touches.
-  /// No other thread can access this WA during the call, so WaCas,
-  /// WaCasWeak, WaFetchAdd and WaFetchOr run as plain host operations
-  /// (same values, same return semantics). Stream threads and pull
-  /// dispatch leave it false and keep the atomic path. The race
+  /// one kernel call at a time: every GPU page when stream threads are
+  /// off, and the CPU-assist lane, whose host WA replica only the driver
+  /// touches. No other thread can access this WA during the call, so
+  /// WaCas, WaCasWeak, WaFetchAdd and WaFetchOr run as plain host
+  /// operations (same values, same return semantics). Kernels on stream
+  /// threads leave it false and keep the atomic path. The race
   /// detector's logical classification is the same either way.
   bool serial = false;
 

@@ -83,10 +83,6 @@ struct TimelineOp {
   /// kStorageFetch only: request was coalesced into a sequential burst
   /// and charged SequentialReadCost.
   bool merged = false;
-  /// Pull-mode dispatch only: the page behind this op was claimed by a
-  /// worker other than its home (gpu, stream) -- a work-stealing edge.
-  /// Informational (trace + metrics); never replayed by the simulator.
-  bool stolen = false;
   /// JobScheduler batch epochs only: the job this op works for, or -1
   /// for untagged infrastructure ops (shared page transfers, storage
   /// traffic, barriers) and every op of a single-job run. Informational

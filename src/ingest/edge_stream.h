@@ -150,9 +150,10 @@ class EdgeStream {
   DeltaStore delta_;
   std::unique_ptr<Compactor> compactor_;  // null unless background mode
 
-  // Serializes Publish/Quiesce. Publishing nests inside the engine's
-  // dispatch lock at safe points, hence the level between engine.dispatch
-  // and the ready queue.
+  // Serializes Publish/Quiesce. Both run on the scheduler's driver thread
+  // with the scheduler lock released, so this is the outermost lock a
+  // publish takes; the gutter, delta, compactor and io locks nest inside
+  // it, hence the level just above job.scheduler.
   analysis::sync::Mutex publish_mu_{"ingest.publish",
                                     analysis::sync::level::kIngestPublish};
   std::vector<uint64_t> delta_cursors_ GTS_GUARDED_BY(

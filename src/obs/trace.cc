@@ -226,12 +226,6 @@ void TraceExporter::AddRun(const gpu::ScheduleResult& schedule,
       if (!args.empty()) args += ",";
       args += "\"merged\":1";
     }
-    if (op.stolen) {
-      // Pull-mode dispatch: this op's page was claimed by a worker other
-      // than its home (gpu, stream) -- a work-stealing edge.
-      if (!args.empty()) args += ",";
-      args += "\"stolen\":1";
-    }
     if (op.job >= 0) {
       // JobScheduler batch epochs tag per-job ops with their job lane;
       // single-job runs leave every op untagged, so their traces are

@@ -105,7 +105,6 @@ Result<StagedPage> DirectAccessBackend::Stage(const StageRequest& req) {
   h2d.dep0 = fetch.fetch_op;
   h2d.bytes = bytes;
   h2d.page = req.pid;
-  h2d.stolen = req.stolen;
   h2d.job = req.job;
 
   StagedPage staged;

@@ -49,7 +49,6 @@ Result<StagedPage> PageStreamBackend::StagePageStream(
   h2d.dep0 = fetch.fetch_op;
   h2d.bytes = page_size;
   h2d.page = req.pid;
-  h2d.stolen = req.stolen;
   h2d.job = req.job;
 
   StagedPage staged;

@@ -56,7 +56,6 @@ struct StageRequest {
   PageId pid = kInvalidPageId;
   int gpu = 0;
   int stream_key = -1;  ///< StreamKey(gpu, stream) carrying the transfer
-  bool stolen = false;  ///< pull-mode work-stealing edge (trace/metrics)
   /// JobScheduler epochs: the single demanding job's id, or -1 for
   /// shared/solo transfers (TimelineOp::job semantics).
   int32_t job = -1;
@@ -107,8 +106,8 @@ class TransferBackend {
   virtual void BeginPass(const PassInfo& info) = 0;
 
   /// Acquires one demanded page and records its H2D transfer op.
-  /// Called only for cache misses; under pull dispatch the engine holds
-  /// its host-phase lock across Stage and the returned data's use.
+  /// Called only for cache misses, on the driver thread; the engine
+  /// copies the returned data before it stages the next page.
   virtual Result<StagedPage> Stage(const StageRequest& req) = 0;
 };
 

@@ -242,10 +242,10 @@ TEST(StreamStressTest, SynchronizeReleasesCapturedResources) {
 
 // The full engine under real stream threads with every concurrency-hungry
 // dispatch feature on at once: LRU cache churn (cache-affinity consults
-// Contains() while stream threads insert/evict), sticky stream assignment,
-// and frontier counting. Results must match a plain inline run exactly;
-// TSan/ASan patrol the pipeline's reads of shared cache state.
-TEST(DispatchStressTest, StreamThreadsWithAffinityAndStickyMatchInlineRun) {
+// Contains() while stream threads insert/evict) and frontier counting.
+// Results must match a plain inline run exactly; TSan/ASan patrol the
+// pipeline's reads of shared cache state.
+TEST(DispatchStressTest, StreamThreadsWithAffinityMatchInlineRun) {
   RmatParams p;
   p.scale = 10;
   p.edge_factor = 8;
@@ -269,7 +269,6 @@ TEST(DispatchStressTest, StreamThreadsWithAffinityAndStickyMatchInlineRun) {
     opts.cache_policy = CachePolicy::kLru;
     opts.cache_bytes = 64 * kKiB;  // far below the working set: constant churn
     opts.dispatch.order = PageOrderKind::kCacheAffinity;
-    opts.dispatch.stream_assign = StreamAssignKind::kSticky;
     GtsEngine engine(&paged, store.get(), machine, opts);
     auto result = RunBfsGts(engine, source);
     GTS_CHECK(result.ok());
@@ -460,10 +459,10 @@ TEST(ThreadPoolStressTest, ParallelForInterleavedWithSubmits) {
 // ----------------------------------------------------------- JobScheduler
 
 // Many client threads hammer one engine's JobScheduler: concurrent
-// Submit/Wait with driver handoff between waiters, batches formed under
-// stream threads + work stealing (the pull dispatch path), and a
-// mid-flight Cancel thrown in. Every completed BFS must still match the
-// reference; run under every GTS_SANITIZE mode (tsan-jobs).
+// Submit/Wait with driver handoff between waiters, multi-job batches
+// whose kernels run on stream threads, and a mid-flight Cancel thrown
+// in. Every completed BFS must still match the reference; run under
+// every GTS_SANITIZE mode (tier-1 check_tsan_jobs).
 TEST(JobSchedulerStressTest, ConcurrentSubmittersShareOneEngine) {
   RmatParams p;
   p.scale = 10;
@@ -481,7 +480,6 @@ TEST(JobSchedulerStressTest, ConcurrentSubmittersShareOneEngine) {
   opts.num_streams = 4;
   opts.max_concurrent_jobs = 3;
   opts.use_stream_threads = true;
-  opts.dispatch.work_stealing = true;
   GtsEngine engine(&paged, store.get(), machine, opts);
 
   // The busiest sources, so traversals do real page streaming.
@@ -549,7 +547,7 @@ TEST(JobSchedulerStressTest, ConcurrentSubmittersShareOneEngine) {
 // degree-neutrally, so the final edge set is deterministic no matter how
 // the interleaving lands; after QuiesceIngest a final BFS must match the
 // reference on the updated graph. Run under every GTS_SANITIZE mode
-// (tsan-ingest).
+// (tier-1 check_tsan_jobs).
 TEST(IngestStressTest, ProducersVersusConcurrentJobs) {
   RmatParams p;
   p.scale = 10;
@@ -566,7 +564,6 @@ TEST(IngestStressTest, ProducersVersusConcurrentJobs) {
   GtsOptions opts;
   opts.max_concurrent_jobs = 2;
   opts.use_stream_threads = true;
-  opts.dispatch.work_stealing = true;
   opts.ingest.enabled = true;
   opts.ingest.background_compaction = true;
   GtsEngine engine(&paged, store.get(), machine, opts);

@@ -1,7 +1,7 @@
 // The dispatch pipeline's policy contracts: ordering is a pure
 // permutation (identical algorithm results across policies), partition
-// plans cover every page, stream assignment reproduces the monolithic
-// engine's cursor semantics, and the policy metrics publish.
+// plans cover every page, stream threads compute what the inline loop
+// does, and the policy metrics publish.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,14 +10,9 @@
 #include "algorithms/bfs.h"
 #include "algorithms/pagerank.h"
 #include "algorithms/wcc.h"
-#include "analysis/event_log.h"
-#include "analysis/race_report.h"
-#include "analysis/schedule_validator.h"
 #include "core/dispatch/dispatch_pipeline.h"
 #include "core/dispatch/gpu_partition_policy.h"
 #include "core/dispatch/page_order_policy.h"
-#include "core/dispatch/ready_queue.h"
-#include "core/dispatch/stream_assign_policy.h"
 #include "core/engine.h"
 #include "core/frontier.h"
 #include "graph/csr_graph.h"
@@ -174,125 +169,6 @@ TEST(GpuPartitionPolicyTest, DegreeBalancedFallsBackForUnplannedPages) {
   EXPECT_EQ(policy->Assign(1), 1);
 }
 
-// --------------------------------------------- StreamAssignPolicy units
-
-TEST(StreamAssignPolicyTest, RoundRobinMatchesMonolithCursor) {
-  auto policy = MakeStreamAssignPolicy(StreamAssignKind::kRoundRobin, nullptr);
-  std::vector<int> last_kinds(3, -1);
-  int cursor = 0;
-  // s = cursor; cursor = (cursor + 1) % k -- regardless of page kind.
-  EXPECT_EQ(policy->Assign(0, last_kinds, &cursor), 0);
-  EXPECT_EQ(cursor, 1);
-  EXPECT_EQ(policy->Assign(1, last_kinds, &cursor), 1);
-  EXPECT_EQ(policy->Assign(0, last_kinds, &cursor), 2);
-  EXPECT_EQ(policy->Assign(1, last_kinds, &cursor), 0);
-  EXPECT_EQ(cursor, 1);
-}
-
-TEST(StreamAssignPolicyTest, StickyPrefersMatchingKind) {
-  auto policy = MakeStreamAssignPolicy(StreamAssignKind::kSticky, nullptr);
-  std::vector<int> last_kinds = {0, 1, 0};  // streams 0,2 last ran SP
-  int cursor = 0;
-  // LP page: stream 0 would switch; stream 1 matches.
-  EXPECT_EQ(policy->Assign(1, last_kinds, &cursor), 1);
-  EXPECT_EQ(cursor, 2);
-  // SP page from cursor 2: stream 2 matches immediately.
-  EXPECT_EQ(policy->Assign(0, last_kinds, &cursor), 2);
-  EXPECT_EQ(cursor, 0);
-}
-
-TEST(StreamAssignPolicyTest, StickyPrefersFreshStreamOverSwitching) {
-  auto policy = MakeStreamAssignPolicy(StreamAssignKind::kSticky, nullptr);
-  std::vector<int> last_kinds = {0, -1, 0};
-  int cursor = 0;
-  // LP page: no stream ran LP yet; the fresh stream 1 costs no switch.
-  EXPECT_EQ(policy->Assign(1, last_kinds, &cursor), 1);
-  // All streams ran SP: an LP must switch somewhere; fall back to cursor.
-  std::vector<int> all_sp = {0, 0, 0};
-  cursor = 2;
-  EXPECT_EQ(policy->Assign(1, all_sp, &cursor), 2);
-  EXPECT_EQ(cursor, 0);
-}
-
-// ------------------------------------------------------ ReadyQueue units
-
-TEST(ReadyQueueTest, OwnDequeIsFifoAndNotASteal) {
-  ReadyQueue q(1, 2);
-  q.Push(10, 0, 0, /*kind=*/0, /*gpu_bound=*/false);
-  q.Push(11, 0, 0, /*kind=*/1, /*gpu_bound=*/false);
-  WorkItem item;
-  ASSERT_TRUE(q.TryPop(0, 0, /*prefer_kind=*/-1, /*claimer_key=*/0, &item));
-  EXPECT_EQ(item.pid, 10u);
-  EXPECT_FALSE(item.stolen);
-  ASSERT_TRUE(q.TryPop(0, 0, -1, 0, &item));
-  EXPECT_EQ(item.pid, 11u);
-  EXPECT_TRUE(q.Empty());
-  EXPECT_FALSE(q.TryPop(0, 0, -1, 0, &item));
-  EXPECT_EQ(q.steals(), 0u);
-}
-
-TEST(ReadyQueueTest, StealTakesSiblingBackAndCounts) {
-  ReadyQueue q(1, 2);
-  q.Push(1, 0, 0, 0, false);
-  q.Push(2, 0, 0, 0, false);
-  WorkItem item;
-  // Stream 1 owns nothing; it steals stream 0's *back* item, leaving the
-  // victim its front (the classic deque discipline).
-  ASSERT_FALSE(q.TryPop(0, 1, -1, /*claimer_key=*/1, &item));
-  ASSERT_TRUE(q.TrySteal(0, 1, -1, 1, &item));
-  EXPECT_EQ(item.pid, 2u);
-  EXPECT_TRUE(item.stolen);
-  EXPECT_EQ(q.steals(), 1u);
-  EXPECT_EQ(q.cross_steals(), 0u);
-}
-
-TEST(ReadyQueueTest, CrossGpuStealSkipsGpuBoundItems) {
-  ReadyQueue q(2, 1);
-  q.Push(5, 0, 0, 0, /*gpu_bound=*/true);   // a replicated fan-out copy
-  q.Push(6, 0, 0, 0, /*gpu_bound=*/false);
-  WorkItem item;
-  ASSERT_TRUE(q.TryStealCross(1, /*claimer_key=*/9, &item));
-  EXPECT_EQ(item.pid, 6u);
-  EXPECT_TRUE(item.stolen);
-  EXPECT_EQ(q.cross_steals(), 1u);
-  // Only the bound copy remains: no cross-GPU claim may take it, but its
-  // home GPU still drains it.
-  EXPECT_FALSE(q.TryStealCross(1, 9, &item));
-  ASSERT_TRUE(q.TryPop(0, 0, -1, 0, &item));
-  EXPECT_EQ(item.pid, 5u);
-  EXPECT_TRUE(q.Empty());
-}
-
-TEST(ReadyQueueTest, KindPreferenceSkipsMismatchedFront) {
-  ReadyQueue q(1, 1);
-  q.Push(1, 0, 0, /*kind=*/1, false);  // LP at the front
-  q.Push(2, 0, 0, /*kind=*/0, false);  // SP behind it
-  WorkItem item;
-  bool skipped = false;
-  ASSERT_TRUE(q.TryPop(0, 0, /*prefer_kind=*/0, 0, &item, &skipped));
-  EXPECT_EQ(item.pid, 2u);  // the sticky preference took the SP
-  EXPECT_TRUE(skipped);
-  // Preference falls back to the front when nothing matches.
-  ASSERT_TRUE(q.TryPop(0, 0, /*prefer_kind=*/0, 0, &item, &skipped));
-  EXPECT_EQ(item.pid, 1u);
-  EXPECT_FALSE(skipped);
-}
-
-TEST(ReadyQueueTest, EventLogSatisfiesClaimUniqueRule) {
-  analysis::DispatchEventLog log;
-  ReadyQueue q(1, 2);
-  q.BindEventLog(&log);
-  q.Push(1, 0, 0, 0, false);
-  q.Push(2, 0, 1, 0, false);
-  q.Push(3, 0, 1, 0, false);  // enqueued, never claimed: legal
-  WorkItem item;
-  ASSERT_TRUE(q.TryPop(0, 0, -1, 0, &item));
-  ASSERT_TRUE(q.TrySteal(0, 0, -1, 0, &item));
-  analysis::RaceReport report;
-  analysis::ScheduleValidator().CheckDispatchEvents(log.Take(), &report);
-  EXPECT_EQ(report.violations_detected, 0u) << report.ToString();
-}
-
 // ------------------------------------------------- DispatchPipeline units
 
 TEST(DispatchPipelineTest, StrategyDefaultResolvesPerStrategy) {
@@ -356,9 +232,9 @@ TEST(PidSetCountingTest, CountsActivationsOnlyWhenEnabled) {
 
 // --------------------------------------- end-to-end policy equivalence
 
-/// Every page-order x stream-assign combination must produce bit-identical
-/// algorithm results: ordering and stream choice change the simulated
-/// schedule, never what the kernels compute.
+/// Every page order must produce bit-identical algorithm results:
+/// ordering changes the simulated schedule, never what the kernels
+/// compute.
 TEST(DispatchEquivalenceTest, BfsLevelsIdenticalAcrossAllPolicies) {
   Fixture f;
   const VertexId source = f.Source();
@@ -367,23 +243,16 @@ TEST(DispatchEquivalenceTest, BfsLevelsIdenticalAcrossAllPolicies) {
   for (auto order :
        {PageOrderKind::kSpThenLp, PageOrderKind::kInterleaved,
         PageOrderKind::kCacheAffinity, PageOrderKind::kFrontierDensity}) {
-    for (auto stream :
-         {StreamAssignKind::kRoundRobin, StreamAssignKind::kSticky}) {
-      GtsOptions opts;
-      opts.cache_policy = CachePolicy::kLru;
-      opts.dispatch.order = order;
-      opts.dispatch.stream_assign = stream;
-      GtsEngine engine(&f.paged, f.store.get(), f.Machine(), opts);
-      auto bfs = RunBfsGts(engine, source);
-      ASSERT_TRUE(bfs.ok())
-          << PageOrderKindName(order) << "/" << StreamAssignKindName(stream);
-      if (reference.empty()) {
-        reference = bfs->levels;
-      } else {
-        EXPECT_EQ(bfs->levels, reference)
-            << PageOrderKindName(order) << "/"
-            << StreamAssignKindName(stream);
-      }
+    GtsOptions opts;
+    opts.cache_policy = CachePolicy::kLru;
+    opts.dispatch.order = order;
+    GtsEngine engine(&f.paged, f.store.get(), f.Machine(), opts);
+    auto bfs = RunBfsGts(engine, source);
+    ASSERT_TRUE(bfs.ok()) << PageOrderKindName(order);
+    if (reference.empty()) {
+      reference = bfs->levels;
+    } else {
+      EXPECT_EQ(bfs->levels, reference) << PageOrderKindName(order);
     }
   }
 }
@@ -406,65 +275,31 @@ TEST(DispatchEquivalenceTest, WccLabelsIdenticalAcrossOrderPolicies) {
   }
 }
 
-/// PageRank sums floats, so bit-identity across *page orders* is not
-/// promised (float addition is not associative); across stream policies
-/// the page order is unchanged, so results stay bit-identical inline.
-TEST(DispatchEquivalenceTest, PageRankBitIdenticalAcrossStreamPolicies) {
-  Fixture f;
-  std::vector<float> reference;
-  for (auto stream :
-       {StreamAssignKind::kRoundRobin, StreamAssignKind::kSticky}) {
-    GtsOptions opts;
-    opts.dispatch.stream_assign = stream;
-    GtsEngine engine(&f.paged, f.store.get(), f.Machine(), opts);
-    auto pr = RunPageRankGts(engine, {.iterations = 3});
-    ASSERT_TRUE(pr.ok());
-    if (reference.empty()) {
-      reference = pr->ranks;
-    } else {
-      ASSERT_EQ(pr->ranks.size(), reference.size());
-      for (size_t v = 0; v < reference.size(); ++v) {
-        EXPECT_EQ(pr->ranks[v], reference[v]) << v;  // exact, not NEAR
-      }
-    }
-  }
-}
-
-/// The pull-mode ready queue moves pages between streams (and, on two
-/// GPUs under Strategy-P, between GPUs), which must change only the
-/// schedule: BFS levels (an integer kernel) stay bit-identical to the
-/// single-threaded push dispatch across the whole threads x stealing x
-/// stream-policy matrix, and the per-run analysis (which audits the R9
-/// claim-unique rule over the recorded dispatch events) stays clean.
-TEST(DispatchEquivalenceTest, WorkStealingBitIdenticalAcrossThreadMatrix) {
+/// Stream threads run the kernels concurrently and atomically, which
+/// must change only the host execution: BFS levels (an integer kernel)
+/// stay bit-identical to the inline push loop on one and two GPUs, and
+/// the per-run schedule validation stays clean.
+TEST(DispatchEquivalenceTest, StreamThreadsBitIdenticalToInline) {
   Fixture f;
   const VertexId source = f.Source();
   for (int gpus : {1, 2}) {
     std::vector<uint16_t> reference;
     for (bool threads : {false, true}) {
-      for (bool stealing : {false, true}) {
-        for (auto stream :
-             {StreamAssignKind::kRoundRobin, StreamAssignKind::kSticky}) {
-          GtsOptions opts;
-          opts.num_streams = 4;
-          opts.use_stream_threads = threads;
-          opts.dispatch.work_stealing = stealing;
-          opts.dispatch.stream_assign = stream;
-          GtsEngine engine(&f.paged, f.store.get(), f.Machine(gpus), opts);
-          auto bfs = RunBfsGts(engine, source);
-          const std::string what = std::string(StreamAssignKindName(stream)) +
-                                   (threads ? " threads" : " inline") +
-                                   (stealing ? " stealing" : " push") + " x" +
-                                   std::to_string(gpus);
-          ASSERT_TRUE(bfs.ok()) << what << ": " << bfs.status().ToString();
-          EXPECT_EQ(bfs->report.metrics.analysis.violations_detected, 0u)
-              << what << ": " << bfs->report.metrics.analysis.ToString();
-          if (reference.empty()) {
-            reference = bfs->levels;
-          } else {
-            EXPECT_EQ(bfs->levels, reference) << what;
-          }
-        }
+      GtsOptions opts;
+      opts.num_streams = 4;
+      opts.use_stream_threads = threads;
+      GtsEngine engine(&f.paged, f.store.get(), f.Machine(gpus), opts);
+      auto bfs = RunBfsGts(engine, source);
+      const std::string what =
+          std::string(threads ? "threads" : "inline") + " x" +
+          std::to_string(gpus);
+      ASSERT_TRUE(bfs.ok()) << what << ": " << bfs.status().ToString();
+      EXPECT_EQ(bfs->report.metrics.analysis.violations_detected, 0u)
+          << what << ": " << bfs->report.metrics.analysis.ToString();
+      if (reference.empty()) {
+        reference = bfs->levels;
+      } else {
+        EXPECT_EQ(bfs->levels, reference) << what;
       }
     }
   }
@@ -493,49 +328,6 @@ TEST(DispatchEffectTest, CacheAffinityRaisesLruHits) {
   const uint64_t default_hits = hits_with(PageOrderKind::kSpThenLp);
   const uint64_t affinity_hits = hits_with(PageOrderKind::kCacheAffinity);
   EXPECT_GT(affinity_hits, default_hits);
-}
-
-/// Interleaving SPs and LPs maximizes kind alternation; the sticky stream
-/// policy must dodge switches the round-robin cursor would pay.
-TEST(DispatchEffectTest, StickyStreamsAvoidSwitchesUnderInterleaving) {
-  // 1 KiB pages make every hub spill into LP chunks, so the interleaved
-  // order genuinely alternates page kinds.
-  Fixture f;
-  PagedGraph paged =
-      std::move(BuildPagedGraph(f.csr, PageConfig{2, 2, 1 * kKiB}))
-          .ValueOrDie();
-  auto store = MakeInMemoryStore(&paged);
-  GtsOptions opts;
-  opts.num_streams = 4;
-  opts.dispatch.order = PageOrderKind::kInterleaved;
-  opts.dispatch.stream_assign = StreamAssignKind::kSticky;
-  GtsEngine engine(&paged, store.get(), f.Machine(), opts);
-  ASSERT_GT(paged.num_large_pages(), 0u);
-  auto pr = RunPageRankGts(engine, {.iterations = 1});
-  ASSERT_TRUE(pr.ok());
-  const auto snapshot = engine.metrics_registry()->Snapshot();
-  ASSERT_TRUE(snapshot.count("dispatch.stream.switches_avoided"));
-  EXPECT_GT(snapshot.at("dispatch.stream.switches_avoided").count, 0u);
-}
-
-/// Pull-mode dispatch publishes its observability whether or not any
-/// steal happened on this machine: the counters exist in the run report
-/// and the claim audit covers every dispatched page.
-TEST(DispatchEffectTest, WorkStealingCountersPublish) {
-  Fixture f;
-  GtsOptions opts;
-  opts.num_streams = 4;
-  opts.use_stream_threads = true;
-  opts.dispatch.work_stealing = true;
-  GtsEngine engine(&f.paged, f.store.get(), f.Machine(), opts);
-  auto pr = RunPageRankGts(engine, {.iterations = 1});
-  ASSERT_TRUE(pr.ok()) << pr.status().ToString();
-  const auto& snapshot = pr->report.snapshot;
-  ASSERT_TRUE(snapshot.count("dispatch.steals"));
-  ASSERT_TRUE(snapshot.count("dispatch.queue_wait"));
-  // Every page the pass published was claimed exactly once.
-  EXPECT_EQ(pr->report.metrics.analysis.violations_detected, 0u)
-      << pr->report.metrics.analysis.ToString();
 }
 
 TEST(DispatchEffectTest, SequentialMergeCutsScanIoTime) {

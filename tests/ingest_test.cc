@@ -158,9 +158,6 @@ TEST(IngestOptionsTest, ValidateRejectsZeroKnobs) {
   opts.ingest.compact_threshold = 0;
   EXPECT_EQ(opts.Validate(machine).code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(IngestOpts().Validate(machine).ok());
-  opts = IngestOpts();
-  opts.dispatch.steal_batch = 0;
-  EXPECT_EQ(opts.Validate(machine).code(), StatusCode::kInvalidArgument);
 }
 
 // ------------------------------------------------- EdgeStream semantics
@@ -537,27 +534,18 @@ TEST(IngestCompactionOrderTest, InstallOrderMatchesPinnedDigests) {
   EXPECT_EQ(DigestPages(quiesced), 1886113555933321439ull);
 }
 
-/// One cell of the dispatch matrix: all ten kernels on the quiesced
-/// ingest engine vs a cold engine over the rebuilt updated graph, same
-/// options. On deterministic (inline) configs every result must be
+/// One cell of the dispatch matrix (the parameter: stream threads on):
+/// all ten kernels on the quiesced ingest engine vs a cold engine over
+/// the rebuilt updated graph, same options. Inline every result must be
 /// bit-identical; with stream threads the order-sensitive float
 /// accumulations may legally differ between any two runs, so only the
 /// order-insensitive kernels are compared exactly there.
-struct MatrixParam {
-  bool work_stealing;
-  bool stream_threads;
-  uint32_t steal_batch;
-};
-
-class IngestDispatchMatrixTest
-    : public ::testing::TestWithParam<MatrixParam> {};
+class IngestDispatchMatrixTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(IngestDispatchMatrixTest, TenKernelsMatchColdRebuild) {
   TestGraph g = MakeTestGraph(9, 6);
   GtsOptions opts = IngestOpts();
-  opts.dispatch.work_stealing = GetParam().work_stealing;
-  opts.use_stream_threads = GetParam().stream_threads;
-  opts.dispatch.steal_batch = GetParam().steal_batch;
+  opts.use_stream_threads = GetParam();
 
   GtsEngine engine(&g.paged, g.store.get(), TestMachine(), opts);
   const auto updates = DegreeNeutralUpdates(g.csr, /*every_nth=*/2);
@@ -574,7 +562,7 @@ TEST_P(IngestDispatchMatrixTest, TenKernelsMatchColdRebuild) {
   GtsEngine cold_engine(&cold.paged, cold.store.get(), TestMachine(), opts);
 
   const VertexId source = BusySource(cold.csr);
-  const bool deterministic = !GetParam().stream_threads;
+  const bool deterministic = !GetParam();
 
   {  // 1. BFS
     auto live = RunBfsGts(engine, source);
@@ -645,18 +633,12 @@ TEST_P(IngestDispatchMatrixTest, TenKernelsMatchColdRebuild) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    DispatchMatrix, IngestDispatchMatrixTest,
-    ::testing::Values(MatrixParam{false, false, 1},
-                      MatrixParam{true, false, 1},
-                      MatrixParam{true, true, 1},
-                      MatrixParam{true, true, 4}),
-    [](const ::testing::TestParamInfo<MatrixParam>& info) {
-      std::string name = info.param.work_stealing ? "steal" : "push";
-      name += info.param.stream_threads ? "_threads" : "_inline";
-      name += "_b" + std::to_string(info.param.steal_batch);
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(DispatchMatrix, IngestDispatchMatrixTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "threads"
+                                                         : "inline");
+                         });
 
 // --------------------------------------- queries before/without quiesce
 

@@ -79,31 +79,23 @@ void ExpectBfsMatchesReference(const TestGraph& g,
   }
 }
 
-/// Deterministic multi-job configuration: work_stealing satisfies the
-/// Validate() rule for max_concurrent_jobs > 1, while keeping
-/// use_stream_threads off routes batch passes through the inline push
-/// loop (the pull path needs both flags), so batch schedules and kernel
-/// execution order are reproducible run to run.
+/// Deterministic multi-job configuration: with stream threads off (the
+/// default) batch passes run every kernel inline on the driver, so batch
+/// schedules and kernel execution order are reproducible run to run.
 GtsOptions MultiJobOptions(int jobs) {
   GtsOptions opts;
   opts.max_concurrent_jobs = jobs;
-  opts.dispatch.work_stealing = true;
-  opts.use_stream_threads = false;
   return opts;
 }
 
 // ----------------------------------------------------- single-job path
 
-struct DispatchParam {
-  bool work_stealing;
-  bool stream_threads;
-};
-
-class SoloJobTest : public ::testing::TestWithParam<DispatchParam> {};
+/// The parameter: stream threads on.
+class SoloJobTest : public ::testing::TestWithParam<bool> {};
 
 /// A job submitted through Submit/Wait and the positional Engine::Run
 /// shim both run as a batch epoch of one: results and deterministic
-/// metrics match exactly across the dispatch-policy matrix. Both sides
+/// metrics match exactly, inline and on stream threads. Both sides
 /// take the same path, so SoloJobDigestTest below pins that path's
 /// schedules against digests recorded before the engine had one run
 /// body.
@@ -112,8 +104,7 @@ TEST_P(SoloJobTest, SubmitMatchesEngineRun) {
   const VertexId source = BusySource(g.csr);
 
   GtsOptions opts;
-  opts.dispatch.work_stealing = GetParam().work_stealing;
-  opts.use_stream_threads = GetParam().stream_threads;
+  opts.use_stream_threads = GetParam();
 
   // Reference: the positional Engine::Run API on a fresh engine.
   GtsEngine ref_engine(&g.paged, g.store.get(), TestMachine(), opts);
@@ -142,7 +133,7 @@ TEST_P(SoloJobTest, SubmitMatchesEngineRun) {
   EXPECT_EQ(got.lp_kernel_calls, ref.lp_kernel_calls);
   EXPECT_EQ(got.levels, ref.levels);
   EXPECT_EQ(got.work.edges_processed, ref.work.edges_processed);
-  if (!GetParam().stream_threads) {
+  if (!GetParam()) {
     // Thread-free configs record ops in one deterministic order, so the
     // simulated clock must be bit-identical.
     EXPECT_EQ(got.sim_seconds, ref.sim_seconds);
@@ -151,11 +142,11 @@ TEST_P(SoloJobTest, SubmitMatchesEngineRun) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(DispatchMatrix, SoloJobTest,
-                         ::testing::Values(DispatchParam{false, false},
-                                           DispatchParam{true, false},
-                                           DispatchParam{false, true},
-                                           DispatchParam{true, true}));
+INSTANTIATE_TEST_SUITE_P(DispatchMatrix, SoloJobTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "threads"
+                                                         : "inline");
+                         });
 
 // ------------------------------------------------ pinned solo schedules
 
@@ -742,19 +733,60 @@ TEST(JobSchedulerTest, CancelRunningJobResolvesAndEngineSurvives) {
 
 // ------------------------------------------------- Validate() coverage
 
-TEST(JobSchedulerValidateTest, MultiJobNeedsConcurrentDispatchPath) {
+/// Multi-job epochs need no option beyond max_concurrent_jobs: the
+/// default inline push loop runs them. dispatch.work_stealing is inert,
+/// so a 2-job BFS epoch is the same with it off or on.
+TEST(JobSchedulerValidateTest, MultiJobValidatesWithDefaultOptions) {
   GtsOptions opts;
   opts.max_concurrent_jobs = 2;
-  opts.dispatch.work_stealing = false;
-  opts.use_stream_threads = false;
-  EXPECT_EQ(opts.Validate(TestMachine()).code(),
-            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(opts.Validate(TestMachine()).ok());
 
-  opts.dispatch.work_stealing = true;
-  EXPECT_TRUE(opts.Validate(TestMachine()).ok());
-  opts.dispatch.work_stealing = false;
-  opts.use_stream_threads = true;
-  EXPECT_TRUE(opts.Validate(TestMachine()).ok());
+  TestGraph g = MakeTestGraph(10, 8);
+  const VertexId n = g.csr.num_vertices();
+  const VertexId src_a = BusySource(g.csr);
+  const VertexId src_b = (src_a + 1) % n;
+  struct Epoch {
+    std::vector<uint16_t> levels_a, levels_b;
+    uint64_t pages_streamed = 0;
+    double sim_seconds = 0.0;
+  };
+  auto run_epoch = [&](bool work_stealing) {
+    GtsOptions o = opts;
+    o.dispatch.work_stealing = work_stealing;
+    GtsEngine engine(&g.paged, g.store.get(), TestMachine(), o);
+    BfsKernel ka(n, src_a);
+    BfsKernel kb(n, src_b);
+    JobOptions ja;
+    ja.source = src_a;
+    JobOptions jb;
+    jb.source = src_b;
+    JobHandle ha = engine.scheduler().Submit(&ka, ja);
+    JobHandle hb = engine.scheduler().Submit(&kb, jb);
+    Result<RunReport> ra = ha.Wait();
+    Result<RunReport> rb = hb.Wait();
+    EXPECT_TRUE(ra.ok()) << ra.status();
+    EXPECT_TRUE(rb.ok()) << rb.status();
+    Epoch epoch;
+    epoch.levels_a = ka.levels();
+    epoch.levels_b = kb.levels();
+    if (ra.ok() && rb.ok()) {
+      epoch.pages_streamed =
+          ra->metrics.pages_streamed + rb->metrics.pages_streamed;
+      // One epoch served both jobs.
+      EXPECT_EQ(ra->metrics.sim_seconds, rb->metrics.sim_seconds);
+      epoch.sim_seconds = ra->metrics.sim_seconds;
+    }
+    return epoch;
+  };
+  const Epoch off = run_epoch(false);
+  const Epoch on = run_epoch(true);
+  ExpectBfsMatchesReference(g, off.levels_a, src_a);
+  ExpectBfsMatchesReference(g, off.levels_b, src_b);
+  EXPECT_EQ(on.levels_a, off.levels_a);
+  EXPECT_EQ(on.levels_b, off.levels_b);
+  EXPECT_GT(off.pages_streamed, 0u);
+  EXPECT_EQ(on.pages_streamed, off.pages_streamed);
+  EXPECT_EQ(on.sim_seconds, off.sim_seconds);
 }
 
 TEST(JobSchedulerValidateTest, MultiJobRejectsCpuAssist) {

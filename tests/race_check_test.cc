@@ -504,48 +504,6 @@ TEST(ScheduleValidatorTest, IoCompletionBeforeIssueIsRejected) {
   EXPECT_EQ(r3.violations_detected, 0u);
 }
 
-/// R9: a ready-queue work item is enqueued exactly once and claimed at
-/// most once. A double claim is exactly the bug work stealing can
-/// introduce (two workers winning one item), so the seeded negative must
-/// flag even though no shipped code path produces it.
-TEST(ScheduleValidatorTest, DispatchClaimViolationsAreRejected) {
-  using analysis::DispatchEvent;
-  ScheduleValidator validator;
-  // Fields: {kind, pid, seq, item, claimer, stolen}.
-  std::vector<DispatchEvent> double_claim = {
-      {DispatchEvent::Kind::kEnqueued, /*pid=*/3, /*seq=*/0, /*item=*/7},
-      {DispatchEvent::Kind::kClaimed, 3, 1, 7, /*claimer=*/0},
-      {DispatchEvent::Kind::kClaimed, 3, 2, 7, /*claimer=*/1,
-       /*stolen=*/true}};
-  RaceReport r1;
-  validator.CheckDispatchEvents(double_claim, &r1);
-  EXPECT_TRUE(HasRule(r1, "claim-unique"));
-
-  std::vector<DispatchEvent> claim_without_enqueue = {
-      {DispatchEvent::Kind::kClaimed, 4, 0, 8, 0}};
-  RaceReport r2;
-  validator.CheckDispatchEvents(claim_without_enqueue, &r2);
-  EXPECT_TRUE(HasRule(r2, "claim-unique"));
-
-  std::vector<DispatchEvent> double_enqueue = {
-      {DispatchEvent::Kind::kEnqueued, 5, 0, 9},
-      {DispatchEvent::Kind::kEnqueued, 5, 1, 9}};
-  RaceReport r3;
-  validator.CheckDispatchEvents(double_enqueue, &r3);
-  EXPECT_TRUE(HasRule(r3, "claim-unique"));
-
-  // Enqueued-then-claimed is clean, and so is an enqueued item nobody
-  // claimed (a CPU-assist page withheld from the queue, or a pass whose
-  // items drain on another GPU's workers).
-  std::vector<DispatchEvent> clean = {
-      {DispatchEvent::Kind::kEnqueued, 6, 0, 10},
-      {DispatchEvent::Kind::kClaimed, 6, 1, 10, 2, true},
-      {DispatchEvent::Kind::kEnqueued, 7, 2, 11}};
-  RaceReport r4;
-  validator.CheckDispatchEvents(clean, &r4);
-  EXPECT_EQ(r4.violations_detected, 0u) << r4.ToString();
-}
-
 // J1 (job isolation) over a JobScheduler batch epoch: a job-tagged op may
 // depend only on same-job or untagged ops. A kernel wired to another
 // job's kernel is exactly the cross-contamination the rule exists for.
@@ -673,27 +631,19 @@ void RunAllAlgorithms(const Fixture& f, GtsOptions opts,
   }
 }
 
-/// The positive sweep: all four shipped kernels, every page-order x
-/// stream-assign combination from tests/dispatch_test.cc. Any logical
-/// race or impossible timeline here is an engine or kernel bug.
+/// The positive sweep: all four shipped kernels under every page order
+/// from tests/dispatch_test.cc. Any logical race or impossible timeline
+/// here is an engine or kernel bug.
 TEST(RaceSweepTest, ShippedKernelsCleanAcrossDispatchPolicies) {
   Fixture f;
   const PageOrderKind orders[] = {
       PageOrderKind::kSpThenLp, PageOrderKind::kInterleaved,
       PageOrderKind::kCacheAffinity, PageOrderKind::kFrontierDensity};
-  const StreamAssignKind assigns[] = {StreamAssignKind::kRoundRobin,
-                                      StreamAssignKind::kSticky};
   for (PageOrderKind order : orders) {
-    for (StreamAssignKind assign : assigns) {
-      GtsOptions opts;
-      opts.num_streams = 4;
-      opts.dispatch.order = order;
-      opts.dispatch.stream_assign = assign;
-      const std::string what =
-          std::string(PageOrderKindName(order)) + "+" +
-          std::string(StreamAssignKindName(assign));
-      RunAllAlgorithms(f, opts, what);
-    }
+    GtsOptions opts;
+    opts.num_streams = 4;
+    opts.dispatch.order = order;
+    RunAllAlgorithms(f, opts, std::string(PageOrderKindName(order)));
   }
 }
 
@@ -717,51 +667,36 @@ TEST(RaceSweepTest, MultiGpuPartitionsClean) {
   RunAllAlgorithms(f, s_opts, "strategy-s", /*gpus=*/2);
 }
 
+/// Kernels on real stream threads: one GPU, two GPUs under Strategy-P
+/// (replicated WA, partitioned stream) and Strategy-S (every page on
+/// every GPU), and stream threads next to the CPU-assist lanes; plus the
+/// inline hybrid run. Every run's schedule validation and -- when
+/// compiled in -- the WA race detector must be clean.
 TEST(RaceSweepTest, StreamThreadsAndHybridClean) {
-  Fixture f;
-  {
-    GtsOptions opts;
-    opts.num_streams = 4;
-    opts.use_stream_threads = true;
-    RunAllAlgorithms(f, opts, "stream-threads");
-  }
-  {
-    GtsOptions opts;
-    opts.num_streams = 4;
-    opts.cpu_assist_fraction = 0.25;
-    RunAllAlgorithms(f, opts, "hybrid");
-  }
-}
-
-/// Work-stealing pull dispatch under real stream threads: single GPU
-/// (same-GPU stream steals), two GPUs under Strategy-P (cross-GPU steals
-/// are legal -- WA is replicated), and two GPUs under Strategy-S (items
-/// are gpu_bound, so steals stay inside each GPU). Every run's R9 claim
-/// audit and -- when compiled in -- the WA race detector must be clean.
-TEST(RaceSweepTest, WorkStealingDispatchClean) {
   Fixture f;
   GtsOptions opts;
   opts.num_streams = 4;
   opts.use_stream_threads = true;
-  opts.dispatch.work_stealing = true;
-  RunAllAlgorithms(f, opts, "work-stealing");
-  RunAllAlgorithms(f, opts, "work-stealing-2gpu", /*gpus=*/2);
+  RunAllAlgorithms(f, opts, "stream-threads");
+  RunAllAlgorithms(f, opts, "stream-threads-2gpu", /*gpus=*/2);
 
   GtsOptions s_opts = opts;
   s_opts.strategy = Strategy::kScalability;
-  RunAllAlgorithms(f, s_opts, "work-stealing-strategy-s", /*gpus=*/2);
+  RunAllAlgorithms(f, s_opts, "stream-threads-strategy-s", /*gpus=*/2);
 
-  // Stealing combined with CPU co-processing: assist pages are carved
-  // off before the queue is published, so the claim audit still covers
-  // exactly the GPU-bound remainder.
   GtsOptions h_opts = opts;
   h_opts.cpu_assist_fraction = 0.25;
-  RunAllAlgorithms(f, h_opts, "work-stealing-hybrid");
+  RunAllAlgorithms(f, h_opts, "stream-threads-hybrid");
+
+  GtsOptions inline_hybrid;
+  inline_hybrid.num_streams = 4;
+  inline_hybrid.cpu_assist_fraction = 0.25;
+  RunAllAlgorithms(f, inline_hybrid, "hybrid");
 }
 
 /// Multi-job batch epochs: mixes of BFS, SSSP and PageRank submitted
-/// together as 2- and 4-job batches on 1 and 2 GPUs, through the inline
-/// push loop and (4 jobs, 2 GPUs) the pull loop. Jobs share page
+/// together as 2- and 4-job batches on 1 and 2 GPUs, inline and (4 jobs,
+/// 2 GPUs) on stream threads. Jobs share page
 /// transfers, the cache and the stream lanes but own their WA replicas,
 /// which the detector shadows per job and GPU. Every job's analysis
 /// block -- the validator with the J1 job-isolation rule and, when
@@ -773,7 +708,7 @@ TEST(RaceSweepTest, MultiJobBatchesClean) {
   enum class Kind { kBfs, kSssp, kPageRank };
   struct Mix {
     int gpus;
-    bool pull;
+    bool threads;
     std::vector<Kind> kinds;
   };
   const std::vector<Mix> mixes = {
@@ -788,8 +723,7 @@ TEST(RaceSweepTest, MultiJobBatchesClean) {
     GtsOptions opts;
     opts.num_streams = 4;
     opts.max_concurrent_jobs = jobs;
-    opts.dispatch.work_stealing = true;
-    opts.use_stream_threads = mix.pull;
+    opts.use_stream_threads = mix.threads;
     GtsEngine engine(&f.paged, f.store.get(), f.Machine(mix.gpus), opts);
     std::vector<std::unique_ptr<GtsKernel>> kernels;
     std::vector<JobHandle> handles;
@@ -814,7 +748,7 @@ TEST(RaceSweepTest, MultiJobBatchesClean) {
     }
     const std::string what = std::to_string(jobs) + " jobs/" +
                              std::to_string(mix.gpus) + " gpu" +
-                             (mix.pull ? "/pull" : "/push");
+                             (mix.threads ? "/threads" : "/inline");
     double makespan = -1.0;
     for (int j = 0; j < jobs; ++j) {
       Result<RunReport> report = handles[static_cast<size_t>(j)].Wait();

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -20,7 +19,6 @@
 
 #include "algorithms/bfs.h"
 #include "analysis/sync/explorer.h"
-#include "core/dispatch/ready_queue.h"
 #include "core/engine.h"
 #include "core/job/job_scheduler.h"
 #include "core/page_cache.h"
@@ -312,53 +310,6 @@ void ExpectCleanReplay(const std::function<void(Explorer&)>& body,
   Explorer::Result result = ex.Explore(body);
   EXPECT_EQ(result.schedules_run, 1);
   EXPECT_TRUE(result.ok()) << result.ToString();
-}
-
-/// ReadyQueue claim cascade: three workers pop from their own deques and
-/// steal from siblings; every published item must be claimed exactly
-/// once no matter the interleaving.
-TEST(ExplorerMachineTest, ReadyQueueClaimCascade) {
-  std::array<std::vector<uint64_t>, 3> claimed;
-  auto body = [&](Explorer& e) {
-    ReadyQueue queue(/*num_gpus=*/1, /*num_streams=*/3);
-    for (int s = 0; s < 3; ++s) {
-      for (int i = 0; i < 2; ++i) {
-        queue.Push(/*pid=*/static_cast<PageId>(s * 2 + i), 0, s,
-                   /*kind=*/0, /*gpu_bound=*/false);
-      }
-    }
-    for (auto& c : claimed) c.clear();
-    auto worker = [&](int s) {
-      WorkItem item;
-      for (;;) {
-        if (queue.TryPop(0, s, -1, s, &item)) {
-          claimed[s].push_back(item.id);
-        } else if (queue.TrySteal(0, s, -1, s, &item)) {
-          claimed[s].push_back(item.id);
-        } else {
-          break;
-        }
-      }
-    };
-    e.Run({[&] { worker(0); }, [&] { worker(1); }, [&] { worker(2); }});
-    std::vector<uint64_t> all;
-    for (const auto& c : claimed) all.insert(all.end(), c.begin(), c.end());
-    std::sort(all.begin(), all.end());
-    bool unique_claims = all.size() == 6;
-    for (size_t i = 0; i < all.size(); ++i) {
-      unique_claims = unique_claims && all[i] == i;
-    }
-    e.Check(unique_claims, "claim cascade lost or duplicated an item");
-    e.Check(queue.Empty(), "queue not drained");
-  };
-
-  Explorer::Options opt;
-  opt.max_schedules = 2500;
-  Explorer ex(opt);
-  Explorer::Result result = ex.Explore(body);
-  EXPECT_TRUE(result.ok()) << result.ToString();
-  EXPECT_GE(result.distinct_schedules, 1000) << result.ToString();
-  ExpectCleanReplay(body, ex.current_schedule());
 }
 
 /// PageCache pin/evict/invalidate: a pinner, an inserter driving

@@ -79,7 +79,6 @@ void ExpectSameTimeline(const gpu::ScheduleResult& got,
     EXPECT_EQ(a.dep1, b.dep1) << what << " op " << i;
     EXPECT_EQ(a.bytes, b.bytes) << what << " op " << i;
     EXPECT_EQ(a.page, b.page) << what << " op " << i;
-    EXPECT_EQ(a.stolen, b.stolen) << what << " op " << i;
     EXPECT_EQ(a.job, b.job) << what << " op " << i;
     EXPECT_EQ(a.start, b.start) << what << " op " << i;
     EXPECT_EQ(a.end, b.end) << what << " op " << i;
@@ -207,38 +206,33 @@ TEST(TransferBackendTest, FactoryBuildsModeMatchingBackends) {
 // -------------------------------------- page-stream schedule reproduction
 
 /// The extracted PageStreamBackend must leave the schedule a pure
-/// function of the options across the dispatch matrix -- same graph,
-/// same knobs, fresh engine: identical op list (the golden-trace test
-/// pins the same property against the checked-in fig4 bytes).
+/// function of the options on one and two GPUs -- same graph, same
+/// knobs, fresh engine: identical op list (the golden-trace test pins
+/// the same property against the checked-in fig4 bytes).
 TEST(TransferBackendTest, PageStreamTimelineDeterministicAcrossEngines) {
   Fixture f;
   for (int gpus : {1, 2}) {
-    for (bool stealing : {false, true}) {
-      GtsOptions opts;
-      opts.keep_timeline = true;
-      opts.num_streams = 4;
-      opts.dispatch.work_stealing = stealing;
-      const std::string what =
-          std::string(stealing ? "stealing" : "push") + " x" +
-          std::to_string(gpus);
+    GtsOptions opts;
+    opts.keep_timeline = true;
+    opts.num_streams = 4;
+    const std::string what = "x" + std::to_string(gpus);
 
-      gpu::ScheduleResult reference;
-      for (int round = 0; round < 2; ++round) {
-        GtsEngine engine(&f.paged, f.store.get(), f.Machine(gpus), opts);
-        auto pr = RunPageRankGts(engine, {.iterations = 1});
-        ASSERT_TRUE(pr.ok()) << what;
-        EXPECT_EQ(CountOps(pr->report.metrics.timeline,
-                           gpu::OpKind::kH2DDirect),
-                  0u)
-            << what;
-        EXPECT_EQ(pr->report.snapshot.at("transfer.pages").count,
-                  pr->report.metrics.pages_streamed)
-            << what;
-        if (round == 0) {
-          reference = pr->report.metrics.timeline;
-        } else {
-          ExpectSameTimeline(pr->report.metrics.timeline, reference, what);
-        }
+    gpu::ScheduleResult reference;
+    for (int round = 0; round < 2; ++round) {
+      GtsEngine engine(&f.paged, f.store.get(), f.Machine(gpus), opts);
+      auto pr = RunPageRankGts(engine, {.iterations = 1});
+      ASSERT_TRUE(pr.ok()) << what;
+      EXPECT_EQ(CountOps(pr->report.metrics.timeline,
+                         gpu::OpKind::kH2DDirect),
+                0u)
+          << what;
+      EXPECT_EQ(pr->report.snapshot.at("transfer.pages").count,
+                pr->report.metrics.pages_streamed)
+          << what;
+      if (round == 0) {
+        reference = pr->report.metrics.timeline;
+      } else {
+        ExpectSameTimeline(pr->report.metrics.timeline, reference, what);
       }
     }
   }
@@ -280,8 +274,8 @@ TEST(TransferBackendTest, DirectFallsBackToPageStreamOnScans) {
 
 /// The direct backend swaps only the simulated PCI-E leg; kernels still
 /// execute against the whole staged page, so integer-kernel results are
-/// bit-identical across every transfer mode (solo and under pull-mode
-/// work stealing).
+/// bit-identical across every transfer mode, inline and on stream
+/// threads.
 TEST(TransferEquivalenceTest, BfsLevelsIdenticalAcrossModes) {
   Fixture f;
   const VertexId source = f.Source();
@@ -290,17 +284,16 @@ TEST(TransferEquivalenceTest, BfsLevelsIdenticalAcrossModes) {
     for (auto mode :
          {transfer::TransferMode::kPageStream, transfer::TransferMode::kDirect,
           transfer::TransferMode::kAuto}) {
-      for (bool stealing : {false, true}) {
+      for (bool threads : {false, true}) {
         GtsOptions opts;
         opts.num_streams = 4;
-        opts.use_stream_threads = stealing;
-        opts.dispatch.work_stealing = stealing;
+        opts.use_stream_threads = threads;
         opts.transfer.mode = mode;
         GtsEngine engine(&f.paged, f.store.get(), f.Machine(gpus), opts);
         auto bfs = RunBfsGts(engine, source);
         const std::string what =
             std::string(transfer::TransferModeName(mode)) +
-            (stealing ? " stealing" : " push") + " x" + std::to_string(gpus);
+            (threads ? " threads" : " inline") + " x" + std::to_string(gpus);
         ASSERT_TRUE(bfs.ok()) << what << ": " << bfs.status().ToString();
         EXPECT_EQ(bfs->report.metrics.analysis.violations_detected, 0u)
             << what << ": " << bfs->report.metrics.analysis.ToString();
@@ -347,8 +340,7 @@ TEST(TransferEquivalenceTest, MultiJobResultsIdenticalAcrossModes) {
         transfer::TransferMode::kAuto}) {
     GtsOptions opts;
     opts.max_concurrent_jobs = 2;
-    opts.dispatch.work_stealing = true;  // Validate() rule for batches
-    opts.use_stream_threads = false;     // deterministic inline push loop
+    opts.use_stream_threads = false;  // deterministic inline push loop
     opts.transfer.mode = mode;
     GtsEngine engine(&f.paged, f.store.get(), f.Machine(), opts);
     BfsKernel ka(n, source);

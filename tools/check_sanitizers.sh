@@ -6,7 +6,7 @@
 # pure observer: the Figure 4 trace from the instrumented build must be
 # byte-identical to the trace from the plain (knob OFF) build.
 #
-# Usage: tools/check_sanitizers.sh [plain|tsan|tsan-steal|tsan-jobs|tsan-transfer|tsan-ingest|asan|race|sync|all]
+# Usage: tools/check_sanitizers.sh [plain|tsan|tsan-concurrency|tsan-jobs|tsan-transfer|tsan-ingest|asan|race|sync|all]
 #        (default: all)
 # Env:   JOBS=N        parallelism (default: nproc)
 #        BUILD_ROOT=d  where build trees go (default: <repo>/build-san)
@@ -45,97 +45,36 @@ run_config() {
   echo "==== [$name] OK ===="
 }
 
-# Targeted ThreadSanitizer sweep of the work-stealing pull dispatch:
-# builds only the dispatch and race-check suites under TSan and runs the
-# ReadyQueue units, the stream-threads x stealing bit-identity matrix,
-# and the R9 claim-audit sweeps. Focused enough to sit in tier 1 (see
-# tools/CMakeLists.txt check_tsan_stealing); the full three-config
-# rebuild stays in the opt-in `-C sanitize` configuration. Shares the
-# tsan build tree with run_config tsan, so running both costs one build.
-run_tsan_steal() {
+# Targeted ThreadSanitizer sweep of the suites labelled
+# "concurrency_<area>" (tests/CMakeLists.txt); with no area, of all of
+# them (`ctest -L concurrency`). Areas: jobs (dispatch, job-scheduler,
+# race-check and concurrency-stress suites -- stream threads on one and
+# two GPUs, concurrent Submit/Wait clients and multi-job batch epochs),
+# transfer (the transfer backends reading concurrently updated PidSet
+# counts) and ingest (producers and the background compactor racing
+# queries). Builds every concurrency suite in the tsan tree (shared with
+# run_config tsan and between areas, so running every area costs one
+# build) and runs the area's tests through ctest. Focused enough to sit
+# in tier 1 (see tools/CMakeLists.txt check_tsan_<area>); the full
+# three-config rebuild stays in the opt-in `-C sanitize` configuration.
+run_tsan_concurrency() {
+  local area="${1:-}"
+  local name="tsan-${area:-concurrency}"
+  local label="^concurrency${area:+_$area}"
   local build="$BUILD_ROOT/tsan"
-  echo "==== [tsan-steal] configure (GTS_SANITIZE='thread') ===="
+  echo "==== [$name] configure (GTS_SANITIZE='thread') ===="
   cmake -B "$build" -S "$ROOT" -DGTS_SANITIZE=thread \
     -DGTS_RACE_CHECK=OFF \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  echo "==== [tsan-steal] build dispatch_test race_check_test ===="
-  cmake --build "$build" --target dispatch_test race_check_test -j "$JOBS"
-  echo "==== [tsan-steal] work-stealing matrix under TSan ===="
+  echo "==== [$name] build the concurrency-labelled suites ===="
+  cmake --build "$build" --target concurrency_suites -j "$JOBS"
+  echo "==== [$name] ctest -L '$label' under TSan ===="
   (
-    export TSAN_OPTIONS="suppressions=$SUPP halt_on_error=1 second_deadlock_stack=1"
-    "$build/tests/dispatch_test" --gtest_filter='ReadyQueueTest.*:DispatchEquivalenceTest.WorkStealingBitIdenticalAcrossThreadMatrix:DispatchEffectTest.WorkStealingCountersPublish'
-    "$build/tests/race_check_test" --gtest_filter='ScheduleValidatorTest.DispatchClaimViolationsAreRejected:RaceSweepTest.StreamThreadsAndHybridClean:RaceSweepTest.WorkStealingDispatchClean'
+    cd "$build"
+    TSAN_OPTIONS="suppressions=$SUPP halt_on_error=1 second_deadlock_stack=1" \
+      ctest --output-on-failure -j "$JOBS" -L "$label"
   )
-  echo "==== [tsan-steal] OK ===="
-}
-
-# Targeted ThreadSanitizer sweep of the JobScheduler serving path:
-# concurrent Submit/Wait clients with driver handoff, multi-job batch
-# epochs over shared streaming state, and cancellation racing batch
-# formation. Focused enough to sit in tier 1 (see tools/CMakeLists.txt
-# check_tsan_jobs); shares the tsan build tree with run_config tsan and
-# run_tsan_steal, so combined runs cost one build.
-run_tsan_jobs() {
-  local build="$BUILD_ROOT/tsan"
-  echo "==== [tsan-jobs] configure (GTS_SANITIZE='thread') ===="
-  cmake -B "$build" -S "$ROOT" -DGTS_SANITIZE=thread \
-    -DGTS_RACE_CHECK=OFF \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  echo "==== [tsan-jobs] build job_scheduler_test concurrency_stress_test ===="
-  cmake --build "$build" --target job_scheduler_test concurrency_stress_test -j "$JOBS"
-  echo "==== [tsan-jobs] multi-job scheduler under TSan ===="
-  (
-    export TSAN_OPTIONS="suppressions=$SUPP halt_on_error=1 second_deadlock_stack=1"
-    "$build/tests/job_scheduler_test"
-    "$build/tests/concurrency_stress_test" --gtest_filter='JobSchedulerStressTest.*'
-  )
-  echo "==== [tsan-jobs] OK ===="
-}
-
-# Targeted ThreadSanitizer sweep of the transfer backends: the direct
-# and auto modes read the concurrently-updated PidSet activation counts
-# (VertexCountOf/CountOf) during BeginPass/Stage, under stream threads,
-# work stealing, and multi-job batches. Focused enough to sit in tier 1
-# (see tools/CMakeLists.txt check_tsan_transfer); shares the tsan build
-# tree with the other targeted sweeps, so combined runs cost one build.
-run_tsan_transfer() {
-  local build="$BUILD_ROOT/tsan"
-  echo "==== [tsan-transfer] configure (GTS_SANITIZE='thread') ===="
-  cmake -B "$build" -S "$ROOT" -DGTS_SANITIZE=thread \
-    -DGTS_RACE_CHECK=OFF \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  echo "==== [tsan-transfer] build transfer_test ===="
-  cmake --build "$build" --target transfer_test -j "$JOBS"
-  echo "==== [tsan-transfer] transfer backends under TSan ===="
-  (
-    export TSAN_OPTIONS="suppressions=$SUPP halt_on_error=1 second_deadlock_stack=1"
-    "$build/tests/transfer_test"
-  )
-  echo "==== [tsan-transfer] OK ===="
-}
-
-# Targeted ThreadSanitizer sweep of the streaming-ingestion subsystem
-# (gts::ingest): concurrent producers appending into the gutter banks,
-# the background compactor rebuilding pages off-lock while queries
-# stream, and producers racing concurrent jobs through the scheduler's
-# publish safe points. Focused enough to sit in tier 1 (see
-# tools/CMakeLists.txt check_tsan_ingest); shares the tsan build tree
-# with the other targeted sweeps, so combined runs cost one build.
-run_tsan_ingest() {
-  local build="$BUILD_ROOT/tsan"
-  echo "==== [tsan-ingest] configure (GTS_SANITIZE='thread') ===="
-  cmake -B "$build" -S "$ROOT" -DGTS_SANITIZE=thread \
-    -DGTS_RACE_CHECK=OFF \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  echo "==== [tsan-ingest] build ingest_test concurrency_stress_test ===="
-  cmake --build "$build" --target ingest_test concurrency_stress_test -j "$JOBS"
-  echo "==== [tsan-ingest] streaming ingestion under TSan ===="
-  (
-    export TSAN_OPTIONS="suppressions=$SUPP halt_on_error=1 second_deadlock_stack=1"
-    "$build/tests/ingest_test"
-    "$build/tests/concurrency_stress_test" --gtest_filter='IngestStressTest.*'
-  )
-  echo "==== [tsan-ingest] OK ===="
+  echo "==== [$name] OK ===="
 }
 
 # GTS_RACE_CHECK=ON rebuild: runs the full tier-1 suite (including the
@@ -223,10 +162,10 @@ run_sync() {
 case "$MODE" in
   plain) run_config plain "" ;;
   tsan) run_config tsan thread ;;
-  tsan-steal) run_tsan_steal ;;
-  tsan-jobs) run_tsan_jobs ;;
-  tsan-transfer) run_tsan_transfer ;;
-  tsan-ingest) run_tsan_ingest ;;
+  tsan-concurrency) run_tsan_concurrency ;;
+  tsan-jobs) run_tsan_concurrency jobs ;;
+  tsan-transfer) run_tsan_concurrency transfer ;;
+  tsan-ingest) run_tsan_concurrency ingest ;;
   asan) run_config asan-ubsan "address;undefined" ;;
   race) run_race ;;
   sync) run_sync ;;
@@ -237,7 +176,7 @@ case "$MODE" in
     run_race
     ;;
   *)
-    echo "unknown mode '$MODE' (expected plain|tsan|tsan-steal|tsan-jobs|tsan-transfer|tsan-ingest|asan|race|sync|all)" >&2
+    echo "unknown mode '$MODE' (expected plain|tsan|tsan-concurrency|tsan-jobs|tsan-transfer|tsan-ingest|asan|race|sync|all)" >&2
     exit 2
     ;;
 esac
