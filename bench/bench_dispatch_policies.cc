@@ -1,24 +1,46 @@
-// Dispatch-pipeline page-order sweep: BFS under LRU cache pressure (the
-// Figure 11 churn regime, where eviction order actually matters) with every
-// page-order policy. Two things must show:
+// Page-order sweep: BFS under LRU cache pressure (the Figure 11 churn
+// regime, where eviction order actually matters) with every page order.
+// Two things must show, and the bench fails when either does not:
 //
 //  1. Results are invariant -- BFS levels are bit-identical across all
-//     orders (the pipeline only reorders work, never changes it); a
-//     diverging order fails the bench.
-//  2. The orders move the dial they claim to move: cache-affinity lifts
-//     the LRU hit rate over the default order.
+//     orders (an order only reorders work, never changes it).
+//  2. cache-affinity earns its place: on every dataset row its simulated
+//     time is below sp-then-lp's, because fronting cache-resident pages
+//     turns would-be LRU misses into hits (RMAT26 2.63 -> 2.48 paper-s,
+//     RMAT27 5.22 -> 5.06).
 //
-// Stream choice is the per-GPU round-robin cursor. The sweep used to carry
-// two more dispatch variants that only lost: in quick mode (3 runs,
-// identical levels in every cell) the "sticky" stream policy took 6.4-6.6
-// paper-s against round-robin's 2.5-2.6 on every page order, and
-// worker-claim ("pull") dispatch with work stealing took 6.5-6.6 paper-s
-// against push's 2.6, varying from run to run and no faster on the host
-// (0.017-0.041 s against 0.014-0.021 s inline). Both were removed.
+// Pages go to GPUs by the multi-GPU strategy alone, and the stream is the
+// per-GPU round-robin cursor. The engine used to carry a `partition`
+// knob beside the strategy. Its one value that added behaviour,
+// `degree-balanced` (greedy least-loaded placement by page weight), was
+// swept over BFS and 2-iteration PageRank on the RMAT26/27/28 and Twitter
+// stand-ins, 1 and 2 GPUs, in memory and from 2 SSDs (MMBuf 20% of the
+// topology), pinned and 1 MiB LRU caches, under every page order:
+//
+//  - BFS was 30% (Twitter) to 74% (RMAT28 from 2 SSDs) slower on every
+//    2-GPU pinned-cache row. Kernel busy time was identical, but the
+//    per-GPU cache hit rate fell from 61% to 33% on RMAT27 and from 45%
+//    to 25% on Twitter, so 73% and 37% more pages were streamed: the
+//    locality pid striping keeps outweighs the load balance.
+//  - Under the 1 MiB LRU cache it beat sp-then-lp by 0.1-0.3% on the RMAT
+//    graphs but lost to cache-affinity by 1.3-9.8%.
+//  - PageRank stayed within -0.02% and +0.16% of the strategy's route.
+//
+// The explicit `round-robin` and `replicate` values either equalled the
+// strategy's route or were invalid beside it. The knob was removed. The
+// sweep also used to carry two more dispatch variants that only lost: in
+// quick mode (3 runs, identical levels in every cell) the "sticky" stream
+// policy took 6.4-6.6 paper-s against round-robin's 2.5-2.6 on every page
+// order, and worker-claim ("pull") dispatch with work stealing took
+// 6.5-6.6 paper-s against push's 2.6, varying from run to run and no
+// faster on the host (0.017-0.041 s against 0.014-0.021 s inline). Both
+// were removed.
 //
 // With --trace_out=FILE each configuration's op timeline is exported to one
-// Chrome-trace process, tagged with its policy name via trace metadata.
+// Chrome-trace process, tagged with its order name via trace metadata.
 #include "bench_common.h"
+
+#include <map>
 
 #include "algorithms/bfs.h"
 #include "core/dispatch/dispatch_options.h"
@@ -47,6 +69,7 @@ int Main() {
     // page-visit order decides the hit rate.
     const uint64_t cache = 1 * kMiB;
     std::vector<uint16_t> reference_levels;
+    std::map<PageOrderKind, SimTime> sim_seconds;
     for (PageOrderKind order : orders) {
       GtsOptions opts;
       opts.cache_policy = CachePolicy::kLru;
@@ -81,6 +104,7 @@ int Main() {
         auto it = snapshot.find(name);
         return it == snapshot.end() ? 0 : it->second.count;
       };
+      sim_seconds[order] = bfs->report.metrics.sim_seconds;
       char buf[16];
       std::snprintf(buf, sizeof(buf), "%.0f%%",
                     100.0 * bfs->report.metrics.cache_hit_rate());
@@ -98,12 +122,30 @@ int Main() {
     }
     std::printf("results identical across all %zu page orders\n",
                 orders.size());
+
+    // cache-affinity is kept because it wins under LRU churn; a row where
+    // it does not is a regression.
+    if (sim_seconds.count(PageOrderKind::kSpThenLp) &&
+        sim_seconds.count(PageOrderKind::kCacheAffinity)) {
+      const double base = PaperSeconds(sim_seconds[PageOrderKind::kSpThenLp]);
+      const double affinity =
+          PaperSeconds(sim_seconds[PageOrderKind::kCacheAffinity]);
+      std::printf("%s* cache-affinity vs sp-then-lp: %.2f -> %.2f paper-s\n",
+                  spec.name.c_str(), base, affinity);
+      if (!(affinity < base)) {
+        std::fprintf(stderr,
+                     "FAIL: %s* cache-affinity (%.4f paper-s) is not "
+                     "faster than sp-then-lp (%.4f paper-s)\n",
+                     spec.name.c_str(), affinity, base);
+        return 1;
+      }
+    }
     std::fflush(stdout);
   }
 
   PrintTable(
-      "Dispatch policy sweep: BFS under LRU churn (page order; identical "
-      "results, different schedules)",
+      "Page-order sweep: BFS under LRU churn (identical results, "
+      "different schedules)",
       {"data", "order", "paper-s", "hit rate", "cached-first"}, rows);
   if (!Args().trace_out.empty()) {
     WriteObsArtifacts(exporter, {});

@@ -16,18 +16,4 @@ std::string_view PageOrderKindName(PageOrderKind kind) {
   return "?";
 }
 
-std::string_view GpuPartitionKindName(GpuPartitionKind kind) {
-  switch (kind) {
-    case GpuPartitionKind::kStrategyDefault:
-      return "strategy-default";
-    case GpuPartitionKind::kRoundRobin:
-      return "round-robin";
-    case GpuPartitionKind::kReplicate:
-      return "replicate";
-    case GpuPartitionKind::kDegreeBalanced:
-      return "degree-balanced";
-  }
-  return "?";
-}
-
 }  // namespace gts

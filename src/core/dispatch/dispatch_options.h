@@ -1,10 +1,11 @@
-// Policy selectors for the engine's three-stage page-dispatch pipeline
-// (see DESIGN.md "Dispatch pipeline"): for every pass the engine first
-// orders the work list (stage 1), then routes each page to its GPU(s)
-// (stage 2), then takes the next stream of that GPU's round-robin cursor
-// (stage 3, fixed). The defaults reproduce the paper's schedule
-// bit-for-bit; the alternatives are the ablations and the workload-aware
-// orderings the ROADMAP calls for.
+// Selectors for how the engine dispatches a pass (see DESIGN.md
+// "Dispatch"): the engine orders the pass's pages (OrderPages, see
+// page_order.h), routes each page by the multi-GPU strategy (page j to
+// GPU j mod n under Strategy-P, every page to every GPU under
+// Strategy-S), then takes the next stream of that GPU's round-robin
+// cursor. The defaults reproduce the paper's schedule bit-for-bit; the
+// alternative orders are the ablation and the workload-aware orderings
+// the ROADMAP calls for.
 #ifndef GTS_CORE_DISPATCH_DISPATCH_OPTIONS_H_
 #define GTS_CORE_DISPATCH_DISPATCH_OPTIONS_H_
 
@@ -13,7 +14,7 @@
 
 namespace gts {
 
-/// Stage 1: order of the pages within one pass.
+/// The order of the pages within one pass.
 enum class PageOrderKind : uint8_t {
   /// Paper default: all SPs, then all LPs (Section 3.2's kernel-switch
   /// avoidance).
@@ -31,30 +32,11 @@ enum class PageOrderKind : uint8_t {
   kFrontierDensity,
 };
 
-/// Stage 2: which GPU(s) a page is streamed to.
-enum class GpuPartitionKind : uint8_t {
-  /// Follow GtsOptions::strategy: Strategy-P partitions the stream
-  /// round-robin, Strategy-S replicates it to every GPU.
-  kStrategyDefault,
-  /// pid % num_gpus (Strategy-P's striping, Section 4.1).
-  kRoundRobin,
-  /// Every page to every GPU (Strategy-S's pattern, Section 4.2).
-  kReplicate,
-  /// Greedy least-loaded placement by page weight (slots + adjacency
-  /// entries), evening out kernel time when page fill is skewed. Only
-  /// valid where partitioned streams are (i.e. wherever kRoundRobin is).
-  kDegreeBalanced,
-};
-
 std::string_view PageOrderKindName(PageOrderKind kind);
-std::string_view GpuPartitionKindName(GpuPartitionKind kind);
 
-/// The dispatch-pipeline block inside GtsOptions. Cross-option rules
-/// (partition kind vs. strategy and GPU count) are checked by
-/// GtsOptions::Validate().
+/// The dispatch block inside GtsOptions.
 struct DispatchOptions {
   PageOrderKind order = PageOrderKind::kSpThenLp;
-  GpuPartitionKind partition = GpuPartitionKind::kStrategyDefault;
   /// Admission threshold for traversal levels: frontier pages whose
   /// degree-weighted activation count (active out-edges, see
   /// PidSet::EnableCounting) falls below this are skipped for the level

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "core/dispatch/dispatch_pipeline.h"
+#include "core/dispatch/page_order.h"
 #include "core/job/job_exec.h"
 #include "core/job/job_scheduler.h"
 #include "obs/prof.h"
@@ -68,29 +68,6 @@ Status GtsOptions::Validate(const MachineConfig& machine) const {
   }
   GTS_RETURN_IF_ERROR(io.Validate());
   GTS_RETURN_IF_ERROR(ingest.Validate());
-  // The partition stage must agree with the strategy's WA layout on
-  // multi-GPU machines (with one GPU every kind degrades to striping and
-  // any combination is fine). Strategy-S partitions scan WA, so every GPU
-  // must see every page: a partitioned stream would drop the updates
-  // owned by the other GPUs. Strategy-P replicates WA, so a replicated
-  // stream would apply every scan update num_gpus times.
-  if (machine.num_gpus > 1) {
-    if (strategy == Strategy::kScalability &&
-        (dispatch.partition == GpuPartitionKind::kRoundRobin ||
-         dispatch.partition == GpuPartitionKind::kDegreeBalanced)) {
-      return Status::InvalidArgument(
-          "Strategy-S partitions WA across GPUs and needs the replicated "
-          "page stream; dispatch.partition " +
-          std::string(GpuPartitionKindName(dispatch.partition)) +
-          " would drop cross-partition updates");
-    }
-    if (strategy == Strategy::kPerformance &&
-        dispatch.partition == GpuPartitionKind::kReplicate) {
-      return Status::InvalidArgument(
-          "Strategy-P replicates WA on every GPU; a replicated page stream "
-          "(dispatch.partition replicate) would double-count scan updates");
-    }
-  }
   return Status::OK();
 }
 
@@ -150,13 +127,12 @@ GtsEngine::GtsEngine(const PagedGraph* graph, PageStore* store,
       store_(store),
       machine_(machine),
       options_(options),
-      registry_(std::make_shared<obs::MetricsRegistry>()) {
+      registry_(std::make_shared<obs::MetricsRegistry>()),
+      replicate_(options.strategy == Strategy::kScalability &&
+                 machine.num_gpus > 1) {
   const Status valid = options_.Validate(machine_);
   GTS_CHECK(valid.ok()) << valid.ToString();
   store_->BindMetrics(registry_);
-  pipeline_ = std::make_unique<DispatchPipeline>(
-      options_.dispatch, options_.strategy == Strategy::kScalability,
-      machine_.num_gpus, registry_.get());
   io_ = std::make_unique<io::IoEngine>(
       graph_, store_, options_.io,
       [this](const gpu::TimelineOp& op) { return RecordOp(op); },
@@ -220,9 +196,17 @@ GtsEngine::GtsEngine(const PagedGraph* graph, PageStore* store,
     race_ = std::make_unique<analysis::RaceDetector>(
         options_.analysis.max_reported);
   }
+  // Touch the dispatch counters up front so snapshot keys don't depend
+  // on whether a run actually planned a pass or skipped anything.
+  registry_->GetCounter("dispatch.passes");
+  registry_->GetCounter("dispatch.pages_ordered");
+  if (options_.dispatch.order == PageOrderKind::kCacheAffinity) {
+    registry_->GetCounter("dispatch.order.cached_first");
+  }
+  if (options_.dispatch.order == PageOrderKind::kFrontierDensity) {
+    registry_->GetCounter("dispatch.order.density_sorted");
+  }
   if (options_.dispatch.min_active_edges > 0) {
-    // Touch the counter up front so snapshot keys don't depend on whether
-    // a run actually skipped anything.
     registry_->GetCounter("dispatch.skipped_pages");
   }
   obs::Counter& stream_ops = registry_->GetCounter("gpu.stream_ops");
@@ -268,7 +252,7 @@ void GtsEngine::WaRange(int g, bool traversal, VertexId* begin,
 }
 
 bool GtsEngine::CountFrontier() const {
-  return pipeline_->needs_frontier_counts() ||
+  return options_.dispatch.order == PageOrderKind::kFrontierDensity ||
          options_.dispatch.min_active_edges > 0 ||
          options_.transfer.mode != transfer::TransferMode::kPageStream;
 }
@@ -504,14 +488,12 @@ std::vector<PageId> GtsEngine::PlanPass(std::vector<PageId> sps,
                                         std::vector<PageId> lps,
                                         const PidSet* frontier) {
   PageOrderContext ctx;
-  // Cache residency is queried lazily inside Order() -- after BeginPass
-  // has planned the partition -- so cache-affinity composes with
-  // degree-balanced assignment. Contains() touches no cache statistics.
+  // Contains() touches no cache statistics.
   bool any_cache = false;
   for (const auto& gpu : gpus_) any_cache |= gpu->cache != nullptr;
   if (any_cache) {
     ctx.is_cached = [this](PageId pid) {
-      const int g = pipeline_->replicates() ? 0 : pipeline_->AssignGpu(pid);
+      const int g = replicate_ ? 0 : static_cast<int>(pid) % machine_.num_gpus;
       const auto& cache = gpus_[g]->cache;
       return cache != nullptr && cache->Contains(pid);
     };
@@ -522,7 +504,8 @@ std::vector<PageId> GtsEngine::PlanPass(std::vector<PageId> sps,
     };
   }
   std::vector<PageId> ordered =
-      pipeline_->PlanPass(std::move(sps), std::move(lps), *graph_, ctx);
+      OrderPages(options_.dispatch.order, std::move(sps), std::move(lps), ctx,
+                 registry_.get());
 
   // The transfer backend turns the ordered list into the storage demand
   // sequence (pages that will actually reach Acquire) and primes the io
@@ -540,13 +523,18 @@ std::vector<PageId> GtsEngine::PlanPass(std::vector<PageId> sps,
 
 GtsEngine::PageRoute GtsEngine::RoutePage(PageId pid) const {
   PageRoute route;
-  if (!pipeline_->replicates() && AssignToCpu(pid)) {
+  if (replicate_) {
+    // Strategy-S (Section 4.2): every page to every GPU.
+    route.last_gpu = machine_.num_gpus - 1;
+    return route;
+  }
+  if (AssignToCpu(pid)) {
     route.cpu = true;
     return route;  // last_gpu stays below first_gpu: no GPU leg
   }
-  route.first_gpu = pipeline_->replicates() ? 0 : pipeline_->AssignGpu(pid);
-  route.last_gpu =
-      pipeline_->replicates() ? machine_.num_gpus - 1 : route.first_gpu;
+  // Strategy-P's striping (Section 4.1): page j goes to GPU j mod n.
+  route.first_gpu = static_cast<int>(pid) % machine_.num_gpus;
+  route.last_gpu = route.first_gpu;
   return route;
 }
 
@@ -1237,7 +1225,6 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
     any_traversal |=
         job->kernel->access_pattern() == AccessPattern::kTraversal;
   }
-  if (any_traversal && CountFrontier()) BuildDegreeTable();
 
   // WA admission control, in batch (priority) order: a job whose
   // partition does not fit next to the already-admitted ones is deferred
@@ -1449,7 +1436,7 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
         }
       } else {
         // Full scan: one pass over all SPs, then all LPs (Section 3.2),
-        // reordered per the dispatch pipeline's page-order policy.
+        // reordered per dispatch.order.
         jp.sps = graph_->small_page_ids();
         jp.lps = graph_->large_page_ids();
       }
@@ -1516,10 +1503,8 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
     size_t max_launches = 0;
     for (PageId pid : ordered) max_launches += demand_[pid].size();
     launches_.clear();
-    launches_.reserve(max_launches * static_cast<size_t>(
-                                         pipeline_->replicates()
-                                             ? machine_.num_gpus
-                                             : 1));
+    launches_.reserve(max_launches *
+                      static_cast<size_t>(replicate_ ? machine_.num_gpus : 1));
     Status pass_status = ProcessPagesBatch(ordered);
     SynchronizeStreams();
     for (PageId pid : ordered) demand_[pid].clear();

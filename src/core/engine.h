@@ -46,7 +46,6 @@
 
 namespace gts {
 
-class DispatchPipeline;
 class JobScheduler;
 struct JobExec;
 
@@ -92,10 +91,10 @@ struct GtsOptions {
   /// co-processing, which is the paper's GTS. Requires Strategy-P.
   double cpu_assist_fraction = 0.0;
 
-  /// The three-stage dispatch pipeline (src/core/dispatch/): page
-  /// ordering, GPU partitioning, stream assignment. The defaults
-  /// reproduce the paper's schedule bit-for-bit; the SP/LP-interleaving
-  /// ablation that used to be `interleave_sp_lp` is now
+  /// How a pass is dispatched (src/core/dispatch/): the page order and
+  /// the traversal admission threshold. The strategy alone routes pages
+  /// to GPUs. The defaults reproduce the paper's schedule bit-for-bit;
+  /// the SP/LP-interleaving ablation is
   /// `dispatch.order = PageOrderKind::kInterleaved`.
   DispatchOptions dispatch;
 
@@ -130,9 +129,8 @@ struct GtsOptions {
   /// Checks every option invariant against the target machine:
   /// num_streams in [1, kMaxStreamsPerGpu], max_levels >= 1,
   /// cpu_assist_fraction in [0, 1), an explicit cache_bytes that fits in
-  /// device memory, a machine with at least one GPU, and a dispatch
-  /// partition kind compatible with the strategy (see engine.cc). The
-  /// single
+  /// device memory, a machine with at least one GPU, and the io and
+  /// ingest blocks (see engine.cc). The single
   /// source of option validation; the engine constructor calls it and
   /// refuses (aborts) on failure, so construct-time callers that need a
   /// recoverable error should Validate() first. Workload-dependent
@@ -267,9 +265,10 @@ class GtsEngine {
   /// True if the hybrid extension routes page `pid` to the host CPUs.
   bool AssignToCpu(PageId pid) const;
 
-  /// One page's CPU/GPU routing under the active strategy + partition
-  /// policy. The single source of routing truth shared by PlanPass's
-  /// demand planning and the dispatch loop, so they cannot drift.
+  /// One page's CPU/GPU routing under the active strategy: every GPU
+  /// when replicate_, else the CPU-assist hash, else GPU pid % num_gpus.
+  /// The single source of routing truth shared by PlanPass's demand
+  /// planning and the dispatch loop, so they cannot drift.
   struct PageRoute {
     bool cpu = false;   ///< hybrid extension routes it to the host CPUs
     int first_gpu = 0;  ///< inclusive
@@ -283,9 +282,9 @@ class GtsEngine {
   /// Publishes one run's counters cumulatively into registry_.
   void PublishMetrics(const RunMetrics& metrics);
 
-  /// Stage 0 of every pass: drives the dispatch pipeline (partition plan
-  /// + page order) and hands the ordered batch to the io engine, which
-  /// begins prefetching it into MMBuf through the per-device queues.
+  /// Stage 0 of every pass: orders the pass's pages (OrderPages) and
+  /// hands the ordered batch to the io engine, which begins prefetching
+  /// it into MMBuf through the per-device queues.
   /// `frontier` is the level's counted frontier for traversal passes,
   /// null otherwise.
   std::vector<PageId> PlanPass(std::vector<PageId> sps,
@@ -293,7 +292,7 @@ class GtsEngine {
                                const PidSet* frontier);
 
   /// True when traversal frontiers should count activations (the
-  /// frontier-density order policy, the admission threshold, or a
+  /// frontier-density order, the admission threshold, or a
   /// non-page-stream transfer backend needs the per-page totals).
   bool CountFrontier() const;
 
@@ -330,7 +329,10 @@ class GtsEngine {
   MachineConfig machine_;
   GtsOptions options_;
   std::shared_ptr<obs::MetricsRegistry> registry_;
-  std::unique_ptr<DispatchPipeline> pipeline_;
+  /// Strategy-S on more than one GPU: every page goes to every GPU (and
+  /// the CPU-assist route is off). With one GPU the strategies stream
+  /// alike, so Strategy-S stripes and keeps the CPU route.
+  bool replicate_;
   std::unique_ptr<io::IoEngine> io_;
   /// The H2D topology-transfer backend (GtsOptions::transfer.mode);
   /// constructed after io_, whose lifetime it depends on.

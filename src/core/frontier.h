@@ -106,7 +106,7 @@ class PidSet {
   /// also adds `w` to a per-page counter. Kernels pass the activated
   /// vertex's out-degree as the weight, so a traversal level knows how
   /// many active *edges* the frontier put in each page -- the
-  /// frontier-density order policy's sort key and the admission
+  /// frontier-density order's sort key and the admission
   /// threshold's (dispatch.min_active_edges) yardstick. Off by default --
   /// Set() stays a single fetch_or on the hot path, and counts never
   /// affect membership.

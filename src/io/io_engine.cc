@@ -18,11 +18,8 @@ IoEngine::IoEngine(const PagedGraph* graph, PageStore* store,
   const Status valid = options_.Validate();
   GTS_CHECK(valid.ok()) << valid.ToString();
   for (size_t d = 0; d < store_->num_devices(); ++d) {
-    // Heterogeneous mixes: each queue gets the base options with its
-    // device's overrides folded in (an HDD can run a deep elevator queue
-    // while the SSDs keep the FIFO default).
     queues_.emplace_back(static_cast<int>(d), store_->device(d).timing(),
-                         options_.ForDevice(static_cast<int>(d)));
+                         options_);
   }
   if (registry != nullptr) {
     submitted_metric_ = &registry->GetCounter("io.submitted");

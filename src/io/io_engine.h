@@ -1,8 +1,8 @@
 // The gts::io front-end: depth-queued asynchronous page reads between the
 // PageStore and the engine's dispatch loop.
 //
-// One IoEngine serves one engine. Per pass, BeginPass() hands the dispatch
-// pipeline's page order to the prefetcher, which keeps every device's
+// One IoEngine serves one engine. Per pass, BeginPass() hands the pass's
+// page order to the prefetcher, which keeps every device's
 // DeviceQueue primed; Acquire(pid) then delivers the page bytes, servicing
 // the queues through the in-device scheduler as demand arrives. Requests
 // completed ahead of demand are parked and consumed without further device
@@ -94,7 +94,7 @@ class IoEngine {
 
   /// Starts one pass: resets every device queue (pass-local clocks, head
   /// positions, merge state) and rebuilds the prefetch plans from the
-  /// dispatch pipeline's ordered page list. Pages already resident in
+  /// pass's ordered page list. Pages already resident in
   /// MMBuf are not planned.
   void BeginPass(const std::vector<PageId>& ordered);
 

@@ -17,18 +17,6 @@ std::string_view IoReorderKindName(IoReorderKind kind) {
   return "?";
 }
 
-IoOptions IoOptions::ForDevice(int d) const {
-  IoOptions resolved = *this;
-  resolved.device_overrides.clear();
-  const auto it = device_overrides.find(d);
-  if (it == device_overrides.end()) return resolved;
-  const DeviceIoOverride& ovr = it->second;
-  if (ovr.queue_depth != 0) resolved.queue_depth = ovr.queue_depth;
-  if (ovr.reorder.has_value()) resolved.reorder = *ovr.reorder;
-  if (ovr.inflight_slots != -1) resolved.inflight_slots = ovr.inflight_slots;
-  return resolved;
-}
-
 Status IoOptions::Validate() const {
   if (queue_depth < 1) {
     return Status::InvalidArgument("io.queue_depth must be >= 1, got " +
@@ -39,36 +27,6 @@ Status IoOptions::Validate() const {
         "io.inflight_slots " + std::to_string(inflight_slots) +
         " is below io.queue_depth " + std::to_string(queue_depth) +
         "; the queue could never fill (use 0 for the 2x auto default)");
-  }
-  for (const auto& [dev, ovr] : device_overrides) {
-    if (dev < 0) {
-      return Status::InvalidArgument(
-          "io.device_overrides key must be a device index >= 0, got " +
-          std::to_string(dev));
-    }
-    if (ovr.queue_depth < 0) {
-      return Status::InvalidArgument(
-          "io.device_overrides[" + std::to_string(dev) +
-          "].queue_depth must be >= 1 (or 0 to inherit), got " +
-          std::to_string(ovr.queue_depth));
-    }
-    if (ovr.inflight_slots < -1) {
-      return Status::InvalidArgument(
-          "io.device_overrides[" + std::to_string(dev) +
-          "].inflight_slots must be >= 0 (or -1 to inherit), got " +
-          std::to_string(ovr.inflight_slots));
-    }
-    const IoOptions resolved = ForDevice(dev);
-    if (resolved.inflight_slots != 0 &&
-        resolved.inflight_slots < resolved.queue_depth) {
-      return Status::InvalidArgument(
-          "io.device_overrides[" + std::to_string(dev) +
-          "] resolves to inflight_slots " +
-          std::to_string(resolved.inflight_slots) + " below queue_depth " +
-          std::to_string(resolved.queue_depth) +
-          "; the queue could never fill (use -1 to inherit or 0 for the "
-          "2x auto default)");
-    }
   }
   return Status::OK();
 }

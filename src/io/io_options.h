@@ -2,15 +2,13 @@
 //
 // The io engine replaces the engine's old synchronous Fetch path with
 // per-device submission queues: the prefetcher keeps each device's queue
-// primed from the dispatch pipeline's page order, and an in-device
+// primed from the pass's page order, and an in-device
 // scheduler picks which queued request to service next. The defaults
 // (depth 1, FIFO) reproduce the pre-io-engine schedule byte for byte.
 #ifndef GTS_IO_IO_OPTIONS_H_
 #define GTS_IO_IO_OPTIONS_H_
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <string_view>
 
 #include "common/status.h"
@@ -38,19 +36,6 @@ enum class IoReorderKind : uint8_t {
 
 std::string_view IoReorderKindName(IoReorderKind kind);
 
-/// Per-device deviations from the base IoOptions for heterogeneous
-/// storage mixes (e.g. one HDD that wants a deep elevator queue next to
-/// SSDs happy with the FIFO default). Unset fields inherit the base.
-struct DeviceIoOverride {
-  /// 0 inherits the base queue_depth.
-  int queue_depth = 0;
-  /// Unset inherits the base reorder kind.
-  std::optional<IoReorderKind> reorder;
-  /// -1 inherits the base inflight_slots (note 0 means "auto" there, so
-  /// the sentinel here must be distinct).
-  int inflight_slots = -1;
-};
-
 /// The io block inside GtsOptions; validated by GtsOptions::Validate().
 struct IoOptions {
   /// Requests a device queue holds at once; the in-device scheduler
@@ -72,21 +57,10 @@ struct IoOptions {
   /// scheduled and traced like reads instead of bypassing the queue.
   bool wa_snapshot = false;
 
-  /// Per-device overrides keyed by storage device index. A DeviceQueue is
-  /// constructed from ForDevice(d), so a heterogeneous HDD+SSD array can
-  /// give each device its own depth/scheduler while the rest inherit the
-  /// base options. Devices without an entry use the base options as-is.
-  std::map<int, DeviceIoOverride> device_overrides;
-
   /// Effective per-device slot bound after resolving the 0 = auto default.
   int ResolvedSlots() const {
     return inflight_slots == 0 ? 2 * queue_depth : inflight_slots;
   }
-
-  /// The base options with device `d`'s overrides applied (and
-  /// device_overrides cleared -- the result is a flat, single-device
-  /// view, suitable for constructing that device's DeviceQueue).
-  IoOptions ForDevice(int d) const;
 
   Status Validate() const;
 };

@@ -1,9 +1,9 @@
-// The pipelined prefetcher: turns the dispatch pipeline's page order into
+// The pipelined prefetcher: turns the pass's page order into
 // per-device read plans and keeps every DeviceQueue primed ahead of the
 // stream demand.
 //
 // BeginPass snapshots which ordered pages will miss MMBuf and splits them
-// per owning device, preserving the pipeline's order. Prime() then tops a
+// per owning device, preserving the pass's order. Prime() then tops a
 // device's queue up from its plan front; the IoEngine calls it on every
 // Acquire so queues refill as completions are consumed. Priming stops at
 // the queue depth (drain, not an error) or at the in-flight slot bound
@@ -27,7 +27,7 @@ namespace io {
 class Prefetcher {
  public:
   /// Rebuilds the per-device plans for one pass. `ordered` is the
-  /// dispatch pipeline's output; pages for which `resident` returns true
+  /// pass's page order; pages for which `resident` returns true
   /// are dropped (they will hit MMBuf). Offsets follow the store's
   /// striping: page j is the (j / num_devices)-th page on device
   /// j % num_devices.
@@ -80,7 +80,7 @@ class Prefetcher {
   }
 
  private:
-  std::vector<std::deque<IoRequest>> plans_;  // per device, pipeline order
+  std::vector<std::deque<IoRequest>> plans_;  // per device, pass order
   std::unordered_set<PageId> pending_;
 };
 

@@ -43,8 +43,8 @@ namespace transfer {
 
 /// One pass's transfer-planning inputs.
 struct PassInfo {
-  /// The dispatch pipeline's final streaming order (SPs then LPs under
-  /// the default policy). Not owned; alive for the whole pass.
+  /// The pass's page order (SPs then LPs under the default
+  /// dispatch.order). Not owned; alive for the whole pass.
   const std::vector<PageId>* ordered = nullptr;
   /// The level's counted frontier for traversal passes, null otherwise
   /// (full scans, explicit page passes). Alive for the whole pass.

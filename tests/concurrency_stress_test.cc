@@ -238,13 +238,13 @@ TEST(StreamStressTest, SynchronizeReleasesCapturedResources) {
   }
 }
 
-// ------------------------------------------------------- Dispatch pipeline
+// ---------------------------------------------------------------- Dispatch
 
 // The full engine under real stream threads with every concurrency-hungry
 // dispatch feature on at once: LRU cache churn (cache-affinity consults
 // Contains() while stream threads insert/evict) and frontier counting.
 // Results must match a plain inline run exactly; TSan/ASan patrol the
-// pipeline's reads of shared cache state.
+// page order's reads of shared cache state.
 TEST(DispatchStressTest, StreamThreadsWithAffinityMatchInlineRun) {
   RmatParams p;
   p.scale = 10;

@@ -1,18 +1,17 @@
-// The dispatch pipeline's policy contracts: ordering is a pure
-// permutation (identical algorithm results across policies), partition
-// plans cover every page, stream threads compute what the inline loop
-// does, and the policy metrics publish.
+// Dispatch contracts: ordering is a pure permutation (identical
+// algorithm results across page orders), stream threads compute what the
+// inline loop does, the admission threshold drops no work, and the
+// dispatch metrics publish.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "algorithms/bfs.h"
 #include "algorithms/pagerank.h"
 #include "algorithms/wcc.h"
-#include "core/dispatch/dispatch_pipeline.h"
-#include "core/dispatch/gpu_partition_policy.h"
-#include "core/dispatch/page_order_policy.h"
+#include "core/dispatch/page_order.h"
 #include "core/engine.h"
 #include "core/frontier.h"
 #include "graph/csr_graph.h"
@@ -54,152 +53,95 @@ struct Fixture {
   }
 };
 
-// ------------------------------------------------- PageOrderPolicy units
+// ------------------------------------------------------ OrderPages units
 
 TEST(PageOrderPolicyTest, SpThenLpConcatenates) {
-  auto policy = MakePageOrderPolicy(PageOrderKind::kSpThenLp, nullptr);
-  auto out = policy->Order({0, 2, 5}, {1, 3, 4}, PageOrderContext{});
+  auto out = OrderPages(PageOrderKind::kSpThenLp, {0, 2, 5}, {1, 3, 4},
+                        PageOrderContext{}, nullptr);
   EXPECT_EQ(out, (std::vector<PageId>{0, 2, 5, 1, 3, 4}));
 }
 
 TEST(PageOrderPolicyTest, InterleavedSortsByPid) {
-  auto policy = MakePageOrderPolicy(PageOrderKind::kInterleaved, nullptr);
-  auto out = policy->Order({0, 2, 5}, {1, 3, 4}, PageOrderContext{});
+  auto out = OrderPages(PageOrderKind::kInterleaved, {0, 2, 5}, {1, 3, 4},
+                        PageOrderContext{}, nullptr);
   EXPECT_EQ(out, (std::vector<PageId>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(PageOrderPolicyTest, CacheAffinityFrontsCachedPagesPerGroup) {
-  auto policy = MakePageOrderPolicy(PageOrderKind::kCacheAffinity, nullptr);
   PageOrderContext ctx;
   ctx.is_cached = [](PageId pid) { return pid == 2 || pid == 4; };
   // Cached pages move to the front of their own group; relative order
   // inside the cached and uncached partitions is preserved (stable), and
   // SPs still stream before LPs.
-  auto out = policy->Order({0, 1, 2}, {3, 4, 5}, ctx);
+  auto out = OrderPages(PageOrderKind::kCacheAffinity, {0, 1, 2}, {3, 4, 5},
+                        ctx, nullptr);
   EXPECT_EQ(out, (std::vector<PageId>{2, 0, 1, 4, 3, 5}));
 }
 
 TEST(PageOrderPolicyTest, CacheAffinityDegradesWithoutCacheInfo) {
-  auto policy = MakePageOrderPolicy(PageOrderKind::kCacheAffinity, nullptr);
-  auto out = policy->Order({0, 1}, {2, 3}, PageOrderContext{});
+  auto out = OrderPages(PageOrderKind::kCacheAffinity, {0, 1}, {2, 3},
+                        PageOrderContext{}, nullptr);
   EXPECT_EQ(out, (std::vector<PageId>{0, 1, 2, 3}));
 }
 
 TEST(PageOrderPolicyTest, FrontierDensitySortsDescendingWithPidTiebreak) {
-  auto policy = MakePageOrderPolicy(PageOrderKind::kFrontierDensity, nullptr);
-  EXPECT_TRUE(policy->needs_frontier_counts());
   PageOrderContext ctx;
   ctx.frontier_count = [](PageId pid) -> uint32_t {
     if (pid == 1) return 9;
     if (pid == 3 || pid == 5) return 4;
     return 0;
   };
-  auto out = policy->Order({0, 1, 2}, {3, 4, 5}, ctx);
+  auto out = OrderPages(PageOrderKind::kFrontierDensity, {0, 1, 2},
+                        {3, 4, 5}, ctx, nullptr);
   // Within SPs: 1 (9 hits) first, then 0 and 2 (ties keep ascending pid).
   // Within LPs: 3 and 5 tie at 4 hits, pid order breaks the tie.
   EXPECT_EQ(out, (std::vector<PageId>{1, 0, 2, 3, 5, 4}));
 }
 
 TEST(PageOrderPolicyTest, FrontierDensityDegradesWithoutCounts) {
-  auto policy = MakePageOrderPolicy(PageOrderKind::kFrontierDensity, nullptr);
-  auto out = policy->Order({2, 0}, {1}, PageOrderContext{});
+  auto out = OrderPages(PageOrderKind::kFrontierDensity, {2, 0}, {1},
+                        PageOrderContext{}, nullptr);
   EXPECT_EQ(out, (std::vector<PageId>{2, 0, 1}));
 }
 
-// --------------------------------------------- GpuPartitionPolicy units
+// ------------------------------------------------------------ page route
 
-TEST(GpuPartitionPolicyTest, RoundRobinStripesByPid) {
-  auto policy =
-      MakeGpuPartitionPolicy(GpuPartitionKind::kRoundRobin, 3, nullptr);
-  EXPECT_FALSE(policy->replicates());
-  EXPECT_FALSE(policy->needs_pass_plan());
-  for (PageId pid = 0; pid < 9; ++pid) {
-    EXPECT_EQ(policy->Assign(pid), static_cast<int>(pid % 3));
+/// GPUs whose kernel pool ran each page of one PageRank scan.
+std::map<PageId, std::set<int>> RouteScan(Fixture& f, int gpus,
+                                          GtsOptions opts) {
+  opts.keep_timeline = true;
+  GtsEngine engine(&f.paged, f.store.get(), f.Machine(gpus), opts);
+  auto pr = RunPageRankGts(engine, {.iterations = 1});
+  GTS_CHECK(pr.ok()) << pr.status().ToString();
+  std::map<PageId, std::set<int>> routes;
+  for (const gpu::TimelineOp& op : pr->report.metrics.timeline.ops) {
+    if (op.kind == gpu::OpKind::kKernel &&
+        op.resource.type == gpu::ResourceId::Type::kKernelPool) {
+      routes[op.page].insert(op.resource.index);
+    }
   }
+  return routes;
 }
 
-TEST(GpuPartitionPolicyTest, ReplicateSendsEverywhere) {
-  auto policy =
-      MakeGpuPartitionPolicy(GpuPartitionKind::kReplicate, 4, nullptr);
-  EXPECT_TRUE(policy->replicates());
-  EXPECT_EQ(policy->Assign(17), 0);
-}
-
-TEST(GpuPartitionPolicyTest, DegreeBalancedCoversAndBalances) {
+/// The strategy alone routes pages: Strategy-P stripes page j to GPU
+/// j mod n (Section 4.1) and Strategy-S sends every page to every GPU
+/// (Section 4.2). Three GPUs, which no pinned digest covers, so a route
+/// that only agrees with j mod n on two GPUs fails here.
+TEST(DispatchRouteTest, StrategyRoutesEveryPage) {
   Fixture f;
-  const int kGpus = 3;
-  auto policy = MakeGpuPartitionPolicy(GpuPartitionKind::kDegreeBalanced,
-                                       kGpus, nullptr);
-  ASSERT_TRUE(policy->needs_pass_plan());
-  std::vector<PageId> all;
-  for (PageId pid = 0; pid < f.paged.num_pages(); ++pid) all.push_back(pid);
-  policy->BeginPass(all, f.paged);
-
-  std::vector<uint64_t> load(kGpus, 0);
-  for (PageId pid : all) {
-    const int g = policy->Assign(pid);
-    ASSERT_GE(g, 0);
-    ASSERT_LT(g, kGpus);
-    const PageView view = f.paged.view(pid);
-    load[g] += view.num_slots() + view.total_entries();
+  const auto striped = RouteScan(f, 3, GtsOptions{});
+  EXPECT_EQ(striped.size(), f.paged.num_pages());
+  for (const auto& [pid, gpus] : striped) {
+    EXPECT_EQ(gpus, (std::set<int>{static_cast<int>(pid % 3)})) << pid;
   }
-  // Greedy min-load placement: no GPU carries more than the mean plus the
-  // heaviest single page (the classic greedy bound, far tighter than the
-  // 2x worst case on real page weights).
-  uint64_t total = 0, heaviest = 0;
-  for (PageId pid : all) {
-    const PageView view = f.paged.view(pid);
-    const uint64_t w = view.num_slots() + view.total_entries();
-    total += w;
-    heaviest = std::max(heaviest, w);
+
+  GtsOptions s_opts;
+  s_opts.strategy = Strategy::kScalability;
+  const auto replicated = RouteScan(f, 3, s_opts);
+  EXPECT_EQ(replicated.size(), f.paged.num_pages());
+  for (const auto& [pid, gpus] : replicated) {
+    EXPECT_EQ(gpus, (std::set<int>{0, 1, 2})) << pid;
   }
-  const uint64_t mean = total / kGpus;
-  for (int g = 0; g < kGpus; ++g) {
-    EXPECT_LE(load[g], mean + heaviest) << "gpu " << g;
-    EXPECT_GT(load[g], 0u) << "gpu " << g;
-  }
-}
-
-TEST(GpuPartitionPolicyTest, DegreeBalancedFallsBackForUnplannedPages) {
-  Fixture f;
-  auto policy =
-      MakeGpuPartitionPolicy(GpuPartitionKind::kDegreeBalanced, 2, nullptr);
-  policy->BeginPass({0}, f.paged);
-  // Page 1 was not in the pass plan: striping places it deterministically.
-  EXPECT_EQ(policy->Assign(1), 1);
-}
-
-// ------------------------------------------------- DispatchPipeline units
-
-TEST(DispatchPipelineTest, StrategyDefaultResolvesPerStrategy) {
-  const DispatchOptions defaults;
-  DispatchPipeline perf(defaults, /*replicate_stream_default=*/false, 2,
-                        nullptr);
-  EXPECT_EQ(perf.partition_kind(), GpuPartitionKind::kRoundRobin);
-  EXPECT_FALSE(perf.replicates());
-
-  DispatchPipeline scal(defaults, /*replicate_stream_default=*/true, 2,
-                        nullptr);
-  EXPECT_EQ(scal.partition_kind(), GpuPartitionKind::kReplicate);
-  EXPECT_TRUE(scal.replicates());
-
-  // One GPU: replication degrades to striping so the CPU-assist route
-  // stays reachable (the monolith's `n_gpus > 1` guard).
-  DispatchPipeline single(defaults, /*replicate_stream_default=*/true, 1,
-                          nullptr);
-  EXPECT_EQ(single.partition_kind(), GpuPartitionKind::kRoundRobin);
-  EXPECT_FALSE(single.replicates());
-}
-
-TEST(DispatchPipelineTest, PlanPassPublishesMetrics) {
-  Fixture f;
-  obs::MetricsRegistry registry;
-  DispatchPipeline pipeline(DispatchOptions{}, false, 1, &registry);
-  auto out = pipeline.PlanPass({0, 1}, {2}, f.paged, PageOrderContext{});
-  EXPECT_EQ(out.size(), 3u);
-  const auto snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.at("dispatch.passes").count, 1u);
-  EXPECT_EQ(snapshot.at("dispatch.pages_ordered").count, 3u);
 }
 
 // ------------------------------------------------- PidSet counting
@@ -442,9 +384,10 @@ TEST(DispatchAdmissionTest, ThresholdIgnoredOnFullScans) {
 
 TEST(DispatchMetricsTest, DispatchCountersAppearInSnapshot) {
   Fixture f;
-  GtsOptions opts;
-  opts.dispatch.partition = GpuPartitionKind::kDegreeBalanced;
-  GtsEngine engine(&f.paged, f.store.get(), f.Machine(2), opts);
+  GtsEngine engine(&f.paged, f.store.get(), f.Machine(2), GtsOptions{});
+  // Registered at construction, so snapshot keys do not depend on
+  // whether a run planned a pass.
+  EXPECT_TRUE(engine.metrics_registry()->Snapshot().count("dispatch.passes"));
   auto pr = RunPageRankGts(engine, {.iterations = 1});
   ASSERT_TRUE(pr.ok());
   const auto& snapshot = pr->report.snapshot;
@@ -452,30 +395,6 @@ TEST(DispatchMetricsTest, DispatchCountersAppearInSnapshot) {
   EXPECT_EQ(snapshot.at("dispatch.passes").count, 1u);
   EXPECT_EQ(snapshot.at("dispatch.pages_ordered").count,
             f.paged.num_pages());
-  EXPECT_TRUE(snapshot.count("dispatch.partition.planned_pages"));
-  EXPECT_TRUE(snapshot.count("dispatch.partition.imbalance"));
-}
-
-/// Degree-balanced placement must not change what a scan computes, only
-/// where pages run.
-TEST(DispatchEquivalenceTest, DegreeBalancedScanMatchesRoundRobin) {
-  Fixture f;
-  auto ranks_with = [&](GpuPartitionKind partition) {
-    GtsOptions opts;
-    opts.dispatch.partition = partition;
-    GtsEngine engine(&f.paged, f.store.get(), f.Machine(2), opts);
-    auto pr = RunPageRankGts(engine, {.iterations = 2});
-    GTS_CHECK(pr.ok());
-    return pr->ranks;
-  };
-  const auto rr = ranks_with(GpuPartitionKind::kRoundRobin);
-  const auto balanced = ranks_with(GpuPartitionKind::kDegreeBalanced);
-  ASSERT_EQ(rr.size(), balanced.size());
-  for (size_t v = 0; v < rr.size(); ++v) {
-    // Placement changes which GPU's WA replica accumulates each page's
-    // contributions, but the merged result must agree to float precision.
-    EXPECT_NEAR(rr[v], balanced[v], 1e-6f) << v;
-  }
 }
 
 }  // namespace

@@ -513,90 +513,6 @@ TEST(IoEngineInvarianceTest, WaSnapshotWritesThroughQueueWithoutChangingResults)
       << snap_report.metrics.analysis.ToString();
 }
 
-// --------------------------------------------- per-device io overrides
-
-TEST(IoDeviceOverrideTest, ForDeviceResolvesAgainstBase) {
-  IoOptions base = Opts(2, IoReorderKind::kFifo, /*slots=*/0);
-  base.device_overrides[1] = DeviceIoOverride{
-      /*queue_depth=*/8, IoReorderKind::kSequentialMerge,
-      /*inflight_slots=*/16};
-  base.device_overrides[2] = DeviceIoOverride{};  // all-inherit entry
-
-  // Device 0 has no entry: the flat base view, overrides stripped.
-  const IoOptions d0 = base.ForDevice(0);
-  EXPECT_EQ(d0.queue_depth, 2);
-  EXPECT_EQ(d0.reorder, IoReorderKind::kFifo);
-  EXPECT_EQ(d0.ResolvedSlots(), 4);
-  EXPECT_TRUE(d0.device_overrides.empty());
-
-  const IoOptions d1 = base.ForDevice(1);
-  EXPECT_EQ(d1.queue_depth, 8);
-  EXPECT_EQ(d1.reorder, IoReorderKind::kSequentialMerge);
-  EXPECT_EQ(d1.inflight_slots, 16);
-
-  // Sentinel fields (0 / nullopt / -1) inherit the base per field.
-  const IoOptions d2 = base.ForDevice(2);
-  EXPECT_EQ(d2.queue_depth, 2);
-  EXPECT_EQ(d2.reorder, IoReorderKind::kFifo);
-  EXPECT_EQ(d2.inflight_slots, 0);
-}
-
-/// Overriding one device of a two-device HDD array to a deep seq-merge
-/// queue cuts that device's scattered-read cost while the other keeps
-/// paying the depth-1 FIFO price: cost lands strictly between the
-/// all-FIFO and all-merged configurations.
-TEST(IoDeviceOverrideTest, SingleDeviceOverrideChangesOnlyThatDevice) {
-  IoFixture f;
-  const std::vector<PageId> order = f.ShuffledPages();
-  auto cost_with = [&](IoOptions options, IoStats* stats) {
-    auto store = MakeHddStore(&f.paged, 2, ~uint64_t{0});
-    return DrainInOrder(f, store.get(), options, order, stats);
-  };
-
-  IoOptions mixed = Opts(1, IoReorderKind::kFifo);
-  mixed.device_overrides[1] = DeviceIoOverride{
-      /*queue_depth=*/4, IoReorderKind::kSequentialMerge,
-      /*inflight_slots=*/-1};
-  ASSERT_TRUE(mixed.Validate().ok());
-
-  IoStats fifo_stats, mixed_stats, merged_stats;
-  const double fifo = cost_with(Opts(1, IoReorderKind::kFifo), &fifo_stats);
-  const double part = cost_with(mixed, &mixed_stats);
-  const double full =
-      cost_with(Opts(4, IoReorderKind::kSequentialMerge), &merged_stats);
-
-  EXPECT_EQ(fifo_stats.merged_bursts, 0u);
-  EXPECT_GT(mixed_stats.merged_bursts, 0u);
-  EXPECT_GT(merged_stats.merged_bursts, mixed_stats.merged_bursts)
-      << "merging both devices must beat merging one";
-  EXPECT_LT(part, fifo);
-  EXPECT_LT(full, part);
-  // Same reads in every configuration; only the scheduling changed.
-  EXPECT_EQ(mixed_stats.completed, fifo_stats.completed);
-}
-
-TEST(IoDeviceOverrideTest, ValidateRejectsBadOverrides) {
-  IoOptions negative_dev = Opts(2, IoReorderKind::kFifo);
-  negative_dev.device_overrides[-1] = DeviceIoOverride{};
-  EXPECT_FALSE(negative_dev.Validate().ok());
-
-  IoOptions bad_depth = Opts(2, IoReorderKind::kFifo);
-  bad_depth.device_overrides[0].queue_depth = -3;
-  EXPECT_FALSE(bad_depth.Validate().ok());
-
-  IoOptions bad_slots = Opts(2, IoReorderKind::kFifo);
-  bad_slots.device_overrides[0].inflight_slots = -2;
-  EXPECT_FALSE(bad_slots.Validate().ok());
-
-  // Inherited explicit slot bound below the overridden depth: the
-  // resolved per-device view could never fill its queue.
-  IoOptions starved = Opts(2, IoReorderKind::kFifo, /*slots=*/4);
-  starved.device_overrides[1].queue_depth = 8;
-  EXPECT_FALSE(starved.Validate().ok());
-  starved.device_overrides[1].inflight_slots = 0;  // back to 2x auto
-  EXPECT_TRUE(starved.Validate().ok());
-}
-
 }  // namespace
 }  // namespace io
 }  // namespace gts

@@ -215,6 +215,10 @@ std::vector<DigestConfig> DigestConfigs() {
     opts.cpu_assist_fraction = 0.25;
     configs.push_back({"cpu1", 1, opts});
     configs.push_back({"cpu2", 2, opts});
+    // Strategy-S on one GPU stripes and keeps the CPU route, so it
+    // schedules exactly like cpu1.
+    opts.strategy = Strategy::kScalability;
+    configs.push_back({"s1cpu", 1, opts});
   }
   {
     GtsOptions opts = base();
@@ -315,6 +319,10 @@ TEST(SoloJobDigestTest, InlineSchedulesMatchPinnedDigests) {
       {"cpu2/bfs", 12252553131332640254ull},
       {"cpu2/sssp", 844112029988540675ull},
       {"cpu2/pagerank", 12184112679990810853ull},
+      {"s1cpu/bfs", 3590231012730904706ull},
+      {"s1cpu/sssp", 14789416739092039397ull},
+      {"s1cpu/pagerank", 5536184551504830473ull},
+      {"s1cpu/bc", 10435819079654176473ull},
       {"ingest1/bfs", 2083632278824688811ull},
       {"ingest1/sssp", 8165561236381502983ull},
       {"ingest1/pagerank", 13156003438075468709ull},

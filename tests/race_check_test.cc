@@ -649,18 +649,9 @@ TEST(RaceSweepTest, ShippedKernelsCleanAcrossDispatchPolicies) {
 
 TEST(RaceSweepTest, MultiGpuPartitionsClean) {
   Fixture f;
-  const GpuPartitionKind partitions[] = {GpuPartitionKind::kStrategyDefault,
-                                         GpuPartitionKind::kRoundRobin,
-                                         GpuPartitionKind::kDegreeBalanced};
-  for (GpuPartitionKind partition : partitions) {
-    GtsOptions opts;
-    opts.num_streams = 4;
-    opts.dispatch.partition = partition;
-    RunAllAlgorithms(f, opts,
-                     "strategy-p/" +
-                         std::string(GpuPartitionKindName(partition)),
-                     /*gpus=*/2);
-  }
+  GtsOptions opts;
+  opts.num_streams = 4;
+  RunAllAlgorithms(f, opts, "strategy-p", /*gpus=*/2);
   GtsOptions s_opts;
   s_opts.strategy = Strategy::kScalability;
   s_opts.num_streams = 4;

@@ -251,41 +251,6 @@ TEST(ValidateTest, RejectsCacheLargerThanDeviceMemory) {
   EXPECT_TRUE(opts.Validate(machine).ok());
 }
 
-TEST(ValidateTest, RejectsPartitionKindsIncompatibleWithStrategy) {
-  const MachineConfig multi = MachineConfig::PaperScaled(2);
-  const MachineConfig single = MachineConfig::PaperScaled(1);
-
-  // Strategy-S partitions WA: a partitioned page stream would drop the
-  // updates owned by the other GPUs.
-  GtsOptions opts;
-  opts.strategy = Strategy::kScalability;
-  opts.dispatch.partition = GpuPartitionKind::kRoundRobin;
-  EXPECT_EQ(opts.Validate(multi).code(), StatusCode::kInvalidArgument);
-  opts.dispatch.partition = GpuPartitionKind::kDegreeBalanced;
-  EXPECT_EQ(opts.Validate(multi).code(), StatusCode::kInvalidArgument);
-  opts.dispatch.partition = GpuPartitionKind::kReplicate;
-  EXPECT_TRUE(opts.Validate(multi).ok());
-
-  // Strategy-P replicates WA: a replicated stream double-counts updates.
-  opts = GtsOptions{};
-  opts.dispatch.partition = GpuPartitionKind::kReplicate;
-  EXPECT_EQ(opts.Validate(multi).code(), StatusCode::kInvalidArgument);
-  opts.dispatch.partition = GpuPartitionKind::kDegreeBalanced;
-  EXPECT_TRUE(opts.Validate(multi).ok());
-
-  // One GPU: every kind degrades to striping and any combination is fine.
-  for (auto partition :
-       {GpuPartitionKind::kStrategyDefault, GpuPartitionKind::kRoundRobin,
-        GpuPartitionKind::kReplicate, GpuPartitionKind::kDegreeBalanced}) {
-    for (auto strategy : {Strategy::kPerformance, Strategy::kScalability}) {
-      GtsOptions any;
-      any.strategy = strategy;
-      any.dispatch.partition = partition;
-      EXPECT_TRUE(any.Validate(single).ok());
-    }
-  }
-}
-
 TEST(ValidateTest, EngineConstructionChecksValidate) {
   Fixture f;
   GtsOptions opts;
