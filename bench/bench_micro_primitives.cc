@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the hot primitives: slotted-page
-// encode/decode, page building, R-MAT generation, one kernel pass over a
-// graph's pages, the page cache, and the discrete-event scheduler.
+// encode/decode, the CSR and page builds, R-MAT generation, one kernel
+// pass over a graph's pages, the page cache, and the discrete-event
+// scheduler.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -45,29 +46,48 @@ void BM_RmatGenerate(benchmark::State& state) {
 }
 BENCHMARK(BM_RmatGenerate)->Arg(12)->Arg(14)->Unit(benchmark::kMillisecond);
 
-void BM_PageBuild(benchmark::State& state) {
+// The two set-up stages that do per-edge work, on a fixed R-MAT graph
+// (Graph500 skew, edge factor 16) whose hubs become LPs in (2,2) 4 KiB
+// pages. Items are the graph's edges.
+
+/// The fixed R-MAT edge list of 2^scale vertices.
+EdgeList HubRmat(int scale) {
   RmatParams p;
-  p.scale = static_cast<int>(state.range(0));
+  p.scale = scale;
   p.edge_factor = 16;
-  EdgeList list = std::move(GenerateRmat(p)).ValueOrDie();
-  CsrGraph csr = CsrGraph::FromEdgeList(list);
+  return std::move(GenerateRmat(p)).ValueOrDie();
+}
+
+void BM_CsrFromEdgeList(benchmark::State& state) {
+  const EdgeList list = HubRmat(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    CsrGraph csr = CsrGraph::FromEdgeList(list);
+    benchmark::DoNotOptimize(csr.targets().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(list.num_edges()));
+}
+BENCHMARK(BM_CsrFromEdgeList)->Arg(12)->Arg(14)->Unit(benchmark::kMillisecond);
+
+void BM_BuildPagedGraph(benchmark::State& state) {
+  const CsrGraph csr =
+      CsrGraph::FromEdgeList(HubRmat(static_cast<int>(state.range(0))));
   for (auto _ : state) {
     auto g = BuildPagedGraph(csr, PageConfig::Small22());
-    benchmark::DoNotOptimize(g.ok());
+    benchmark::DoNotOptimize(g->page_bytes(0).data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(csr.num_edges()));
 }
-BENCHMARK(BM_PageBuild)->Arg(12)->Arg(14)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BuildPagedGraph)->Arg(12)->Arg(14)->Unit(benchmark::kMillisecond);
 
 /// An RMAT-12 graph (edge factor 16) in (2,2) 4 KiB pages.
 PagedGraph Rmat12Pages() {
-  RmatParams p;
-  p.scale = 12;
-  p.edge_factor = 16;
-  EdgeList list = std::move(GenerateRmat(p)).ValueOrDie();
-  CsrGraph csr = CsrGraph::FromEdgeList(list);
-  return std::move(BuildPagedGraph(csr, PageConfig::Small22())).ValueOrDie();
+  return std::move(BuildPagedGraph(CsrGraph::FromEdgeList(HubRmat(12)),
+                                   PageConfig::Small22()))
+      .ValueOrDie();
 }
 
 void BM_PageScan(benchmark::State& state) {

@@ -172,6 +172,9 @@ Status PageCache::Insert(PageId pid, const uint8_t* bytes,
       entries_.size() >= capacity_pages_) {
     return Status::OK();  // full: scan-resistant, keep the resident set
   }
+  // The last victim's device buffer, reused for the new page: the device
+  // keeps the same bytes reserved, and nothing is allocated or zeroed.
+  gpu::DeviceBuffer buffer;
   while (entries_.size() >= capacity_pages_) {
     // Oldest-first victim scan that skips pages leased out via Pin; a
     // pinned page may be mid-read on a stream thread, so destroying its
@@ -194,12 +197,19 @@ Status PageCache::Insert(PageId pid, const uint8_t* bytes,
     if (pin_log_ != nullptr) {
       pin_log_->Append(analysis::PinEvent::Kind::kEvicted, *victim);
     }
-    entries_.erase(*victim);
+    auto evicted = entries_.find(*victim);
+    buffer = std::move(evicted->second.buffer);
+    entries_.erase(evicted);
     order_.erase(victim);
   }
-  GTS_ASSIGN_OR_RETURN(
-      gpu::DeviceBuffer buffer,
-      device_->Allocate(page_size_, "cache[" + std::to_string(pid) + "]"));
+  if (!buffer.valid()) {
+    Result<gpu::DeviceBuffer> fresh = device_->Allocate(page_size_, "cache");
+    if (!fresh.ok()) {
+      return Status::OutOfDeviceMemory("cache[" + std::to_string(pid) +
+                                       "]: " + fresh.status().message());
+    }
+    buffer = std::move(fresh).value();
+  }
   std::memcpy(buffer.data(), bytes, page_size_);
   order_.push_front(pid);
   Entry entry;

@@ -20,7 +20,8 @@ class CsrGraph {
   CsrGraph() = default;
 
   /// Builds CSR from an edge list. Edges need not be sorted; duplicates are
-  /// kept (the generators dedup when requested).
+  /// kept (the generators dedup when requested). Each adjacency list comes
+  /// out in ascending order.
   static CsrGraph FromEdgeList(const EdgeList& edges);
 
   VertexId num_vertices() const {
@@ -32,7 +33,7 @@ class CsrGraph {
     return offsets_[v + 1] - offsets_[v];
   }
 
-  /// Neighbors of v, in ascending order if the input was sorted.
+  /// Neighbors of v, in ascending order.
   std::span<const VertexId> neighbors(VertexId v) const {
     return std::span<const VertexId>(targets_.data() + offsets_[v],
                                      out_degree(v));

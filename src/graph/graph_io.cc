@@ -50,6 +50,10 @@ Result<EdgeList> ReadEdgeListBinary(const std::string& path) {
   in.read(reinterpret_cast<char*>(&nv), sizeof(nv));
   in.read(reinterpret_cast<char*>(&ne), sizeof(ne));
   if (!in) return Status::Corruption("truncated header in " + path);
+  if (ne > BytesLeft(in) / sizeof(Edge)) {
+    return Status::Corruption("edge count " + std::to_string(ne) +
+                              " exceeds the file: " + path);
+  }
   std::vector<Edge> edges(ne);
   in.read(reinterpret_cast<char*>(edges.data()),
           static_cast<std::streamsize>(ne * sizeof(Edge)));
@@ -57,6 +61,14 @@ Result<EdgeList> ReadEdgeListBinary(const std::string& path) {
   EdgeList list(nv, std::move(edges));
   GTS_RETURN_IF_ERROR(list.Validate());
   return list;
+}
+
+uint64_t BytesLeft(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(here);
+  return here < 0 || end < here ? 0 : static_cast<uint64_t>(end - here);
 }
 
 Status WriteEdgeListText(const EdgeList& list, const std::string& path) {

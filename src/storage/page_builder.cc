@@ -1,7 +1,9 @@
 #include "storage/page_builder.h"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -18,6 +20,34 @@ struct OpenPage {
   std::vector<uint8_t> bytes;
   std::unique_ptr<PageWriter> writer;
 };
+
+/// Writes one list of p+q-byte entries (one record's entries in one
+/// page): entry j holds the record ID of `neighbors[j]`. It mirrors
+/// AdjList's decoder: entry j is the word `pid | slot << 8p`, written with
+/// one unaligned 64-bit store. A store spills past its entry only into the
+/// list's later entries, which overwrite the spill; the last entries, where
+/// 8 bytes would cross the list's end, are written with exactly p+q bytes,
+/// so nothing after the list changes.
+void EncodeEntries(uint8_t* entries, std::span<const VertexId> neighbors,
+                   const std::vector<RecordId>& locations,
+                   const PageConfig& config) {
+  const uint64_t width = config.entry_bytes();
+  const uint32_t pid_bits = 8 * config.pid_bytes;
+  const uint64_t end = neighbors.size() * width;
+  auto word = [&](size_t j) {
+    const RecordId rid = locations[neighbors[j]];
+    return uint64_t{rid.pid} | uint64_t{rid.slot} << pid_bits;
+  };
+  size_t j = 0;
+  for (; j * width + sizeof(uint64_t) <= end; ++j) {
+    const uint64_t w = word(j);
+    std::memcpy(entries + j * width, &w, sizeof(w));
+  }
+  for (; j < neighbors.size(); ++j) {
+    const uint64_t w = word(j);
+    std::memcpy(entries + j * width, &w, width);
+  }
+}
 
 }  // namespace
 
@@ -130,35 +160,20 @@ Result<PagedGraph> PageBuilder::Build(const CsrGraph& graph) const {
     const RecordId loc = out.locations_[v];
     if (out.kind(loc.pid) == PageKind::kSmall) {
       uint8_t* page = out.pages_[loc.pid].data();
-      PageView view(page, config_);
-      const uint32_t rec_off = view.slot_record_offset(loc.slot);
-      uint8_t* entry_base = page + rec_off + sizeof(uint32_t);
-      for (size_t j = 0; j < neighbors.size(); ++j) {
-        const RecordId target = out.locations_[neighbors[j]];
-        EncodeLE(entry_base + j * config_.entry_bytes(), target.pid,
-                 config_.pid_bytes);
-        EncodeLE(entry_base + j * config_.entry_bytes() + config_.pid_bytes,
-                 target.slot, config_.off_bytes);
-      }
+      const PageView view(page, config_);
+      EncodeEntries(page + view.slot_record_offset(loc.slot) + sizeof(uint32_t),
+                    neighbors, out.locations_, config_);
     } else {
       // Entries spread over this vertex's run of LPs, which are consecutive
       // page ids starting at loc.pid.
       size_t j = 0;
-      PageId pid = loc.pid;
-      while (j < neighbors.size()) {
+      for (PageId pid = loc.pid; j < neighbors.size(); ++pid) {
         uint8_t* page = out.pages_[pid].data();
-        PageView view(page, config_);
+        const PageView view(page, config_);
         const uint32_t in_page = view.adjlist_size(0);
-        const uint32_t rec_off = view.slot_record_offset(0);
-        uint8_t* entry_base = page + rec_off + sizeof(uint32_t);
-        for (uint32_t k = 0; k < in_page; ++k, ++j) {
-          const RecordId target = out.locations_[neighbors[j]];
-          EncodeLE(entry_base + k * config_.entry_bytes(), target.pid,
-                   config_.pid_bytes);
-          EncodeLE(entry_base + k * config_.entry_bytes() + config_.pid_bytes,
-                   target.slot, config_.off_bytes);
-        }
-        ++pid;
+        EncodeEntries(page + view.slot_record_offset(0) + sizeof(uint32_t),
+                      neighbors.subspan(j, in_page), out.locations_, config_);
+        j += in_page;
       }
     }
   }

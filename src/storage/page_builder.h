@@ -17,7 +17,9 @@ namespace gts {
 /// `start_vid + slot`, the VIDs within an SP must be gap-free, so an LP
 /// vertex always terminates the current SP.
 ///
-/// Pass 2 writes each adjacency entry as the neighbor's physical record ID.
+/// Pass 2 writes each adjacency entry as the neighbor's physical record ID,
+/// one unaligned 64-bit store per entry; no store writes past the end of
+/// the list it belongs to.
 ///
 /// Fails with InvalidArgument when p or q is outside [1, 4] or the page is
 /// too small for one entry, and with CapacityExceeded when the (p,q)

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <vector>
 
+#include "graph/graph_io.h"
+
 namespace gts {
 
 namespace {
@@ -89,6 +91,20 @@ Result<PagedGraph> ReadPagedGraph(const std::string& path) {
   }
   graph.num_vertices_ = header.num_vertices;
   graph.num_edges_ = header.num_edges;
+  // Check every count against what the file holds before allocating.
+  uint64_t left = BytesLeft(in);
+  if (header.num_pages > left / sizeof(RvtRecord)) {
+    return Status::Corruption("page count exceeds the file: " + path);
+  }
+  left -= header.num_pages * sizeof(RvtRecord);
+  if (header.num_vertices > left / sizeof(LocationRecord)) {
+    return Status::Corruption("vertex count exceeds the file: " + path);
+  }
+  left -= header.num_vertices * sizeof(LocationRecord);
+  if (header.num_pages > 0 && (header.page_size < kPageHeaderBytes ||
+                               header.num_pages > left / header.page_size)) {
+    return Status::Corruption("pages exceed the file: " + path);
+  }
 
   std::vector<RvtEntry> rvt(header.num_pages);
   for (uint64_t pid = 0; pid < header.num_pages; ++pid) {

@@ -23,7 +23,8 @@ namespace gts {
 Status WritePagedGraph(const PagedGraph& graph, const std::string& path);
 
 /// Loads a file written by WritePagedGraph. A bad magic or version, p or
-/// q outside [1, 4], or a truncated file is Corruption.
+/// q outside [1, 4], a page smaller than its header, a count or page size
+/// larger than the file holds, or a truncated file is Corruption.
 Result<PagedGraph> ReadPagedGraph(const std::string& path);
 
 }  // namespace gts

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <random>
 #include <set>
 
+#include "common/random.h"
 #include "graph/csr_graph.h"
 #include "graph/datasets.h"
 #include "graph/degree.h"
@@ -57,6 +59,54 @@ TEST(CsrGraphTest, EmptyGraph) {
   EXPECT_EQ(g.num_vertices(), 0u);
   EXPECT_EQ(g.num_edges(), 0u);
   EXPECT_EQ(g.max_degree(), 0u);
+}
+
+// FromEdgeList radix-sorts lists of 64 or more entries and std::sorts the
+// shorter ones; either way each list must equal a plain std::sort of it.
+TEST(CsrGraphTest, LongAndShortListsMatchPerVertexSortReference) {
+  // Ids of 1,000 and 2,048 vertices fit one 11-bit digit; 4,096 and
+  // 70,000 take two digit passes.
+  for (const VertexId n : {1000, 2048, 4096, 70000}) {
+    SplitMix64 rng(n);
+    std::vector<Edge> edges;
+    std::vector<std::vector<VertexId>> expected(n);
+    auto add = [&](VertexId src, VertexId dst) {
+      edges.push_back({src, dst});
+      expected[src].push_back(dst);
+    };
+    // A hub far past the cutoff, with repeats, a self-loop and the
+    // widest id.
+    for (int i = 0; i < 3000; ++i) add(0, rng.Next() % n);
+    for (int i = 0; i < 200; ++i) add(0, 5);
+    add(0, 0);
+    add(0, n - 1);
+    // Lists at the cutoff and just under it.
+    for (int i = 0; i < 64; ++i) add(1, rng.Next() % n);
+    for (int i = 0; i < 63; ++i) add(2, rng.Next() % n);
+    // Many short lists, each opening with a self-loop; every 7th vertex
+    // is isolated.
+    for (VertexId v = 3; v < n; ++v) {
+      if (v % 7 == 0) continue;
+      const uint64_t degree = rng.Next() % 20;
+      for (uint64_t i = 0; i < degree; ++i) add(v, i == 0 ? v : rng.Next() % n);
+    }
+    std::shuffle(edges.begin(), edges.end(), std::mt19937_64(n));
+
+    const CsrGraph g = CsrGraph::FromEdgeList(EdgeList(n, edges));
+    std::vector<uint64_t> offsets = {0};
+    std::vector<VertexId> targets;
+    for (std::vector<VertexId>& list : expected) {
+      std::sort(list.begin(), list.end());
+      targets.insert(targets.end(), list.begin(), list.end());
+      offsets.push_back(targets.size());
+    }
+    EXPECT_EQ(g.offsets(), offsets) << n << " vertices";
+    EXPECT_EQ(g.targets(), targets) << n << " vertices";
+  }
+  // Every id 0: no digit to sort on.
+  const CsrGraph loops = CsrGraph::FromEdgeList(
+      EdgeList(1, std::vector<Edge>(100, Edge{0, 0})));
+  EXPECT_EQ(loops.targets(), std::vector<VertexId>(100, 0));
 }
 
 TEST(RmatTest, GeneratesRequestedSize) {
@@ -160,7 +210,12 @@ class GraphIoTest : public ::testing::Test {
   void TearDown() override {
     std::remove(path_.c_str());
   }
-  std::string path_ = ::testing::TempDir() + "/gts_graph_io_test.bin";
+  // One file per test: ctest runs every test as its own process, several
+  // at once, so a shared path would let one test read another's file.
+  std::string path_ =
+      ::testing::TempDir() + "/gts_graph_io_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".bin";
 };
 
 TEST_F(GraphIoTest, BinaryRoundTrip) {
@@ -191,6 +246,21 @@ TEST_F(GraphIoTest, BinaryDetectsCorruption) {
   ASSERT_NE(f, nullptr);
   ASSERT_EQ(std::fflush(f), 0);
   ASSERT_EQ(::truncate(path_.c_str(), 30), 0);
+  std::fclose(f);
+  EXPECT_EQ(ReadEdgeListBinary(path_).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST_F(GraphIoTest, BinaryRejectsEdgeCountLargerThanTheFile) {
+  EdgeList original(3, {{0, 1}, {1, 2}});
+  ASSERT_TRUE(WriteEdgeListBinary(original, path_).ok());
+  // Header: magic (4 B) | version (u32) | num_vertices (u64) | num_edges
+  // (u64). 2^40 edges would need 16 TiB; the reader must not allocate them.
+  FILE* f = std::fopen(path_.c_str(), "r+");
+  ASSERT_NE(f, nullptr);
+  const uint64_t ne = uint64_t{1} << 40;
+  ASSERT_EQ(std::fseek(f, 16, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&ne, sizeof(ne), 1, f), 1u);
   std::fclose(f);
   EXPECT_EQ(ReadEdgeListBinary(path_).status().code(),
             StatusCode::kCorruption);

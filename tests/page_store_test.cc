@@ -260,6 +260,19 @@ TEST(PageCacheTest, CachedBytesMatchInserted) {
   ASSERT_TRUE(pin.valid());
   EXPECT_EQ(pin.page_id(), 9u);
   EXPECT_EQ(std::memcmp(pin.data(), page.data(), page.size()), 0);
+  pin.Release();
+
+  // Page 13 evicts page 9 and takes over its device buffer: it must hold
+  // its own bytes, and the device reservation stays at four pages.
+  for (PageId pid = 10; pid < 14; ++pid) {
+    std::fill(page.begin(), page.end(), static_cast<uint8_t>(pid));
+    ASSERT_TRUE(cache.Insert(pid, page.data()).ok());
+  }
+  EXPECT_FALSE(cache.Contains(9));
+  EXPECT_EQ(device.used(), 4 * kKiB);
+  pin = cache.Lookup(13);
+  ASSERT_TRUE(pin.valid());
+  EXPECT_EQ(std::memcmp(pin.data(), page.data(), page.size()), 0);
 }
 
 TEST(PageCacheTest, EvictionSkipsPinnedVictim) {

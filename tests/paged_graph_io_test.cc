@@ -113,6 +113,23 @@ TEST_F(PagedGraphIoTest, DetectsTruncation) {
   EXPECT_EQ(ReadPagedGraph(path_).status().code(), StatusCode::kCorruption);
 }
 
+TEST_F(PagedGraphIoTest, RejectsCountsLargerThanTheFile) {
+  // Header: magic | version | p | q (u32 each) | page_size (u64 at 16) |
+  // num_vertices (u64 at 24) | num_edges (u64 at 32) | num_pages (u64 at
+  // 40). Each count in turn claims 2^40; the reader must not allocate it.
+  for (const long offset : {16L, 24L, 40L}) {
+    ASSERT_TRUE(WritePagedGraph(paged_, path_).ok());
+    FILE* f = std::fopen(path_.c_str(), "r+");
+    ASSERT_NE(f, nullptr);
+    const uint64_t count = uint64_t{1} << 40;
+    ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&count, sizeof(count), 1, f), 1u);
+    std::fclose(f);
+    EXPECT_EQ(ReadPagedGraph(path_).status().code(), StatusCode::kCorruption)
+        << "header offset " << offset;
+  }
+}
+
 TEST_F(PagedGraphIoTest, MissingFileIsIOError) {
   EXPECT_EQ(ReadPagedGraph("/nonexistent/x.gtsp").status().code(),
             StatusCode::kIOError);

@@ -351,6 +351,66 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.page_size);
     });
 
+// ---- Pinned bytes: every page byte, the RVT and the locations ---------
+
+/// FNV-1a over `len` bytes, continuing from `hash`.
+uint64_t Fnv1a(uint64_t hash, const void* data, size_t len) {
+  const auto* bytes = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < len; ++i) hash = (hash ^ bytes[i]) * 1099511628211ULL;
+  return hash;
+}
+
+uint64_t PagedGraphDigest(const PagedGraph& g) {
+  uint64_t hash = 1469598103934665603ULL;
+  for (PageId pid = 0; pid < g.num_pages(); ++pid) {
+    hash = Fnv1a(hash, g.page_bytes(pid).data(), g.page_bytes(pid).size());
+  }
+  for (PageId pid = 0; pid < g.num_pages(); ++pid) {
+    const RvtEntry& entry = g.rvt().entry(pid);
+    hash = Fnv1a(hash, &entry.start_vid, sizeof(entry.start_vid));
+    hash = Fnv1a(hash, &entry.lp_more, sizeof(entry.lp_more));
+  }
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const RecordId loc = g.VertexLocation(v);
+    hash = Fnv1a(hash, &loc.pid, sizeof(loc.pid));
+    hash = Fnv1a(hash, &loc.slot, sizeof(loc.slot));
+  }
+  return hash;
+}
+
+// The round-trip tests check decoded edges; this pins the bytes, so the
+// zero padding, the slot directories and whatever an entry store writes
+// past its entry are checked too. The digests were recorded from the
+// builder that wrote entries byte by byte; the hubs (max degree 12,002)
+// make LPs under every config.
+TEST(PageBuilderTest, PagesMatchPinnedDigests) {
+  RmatParams params;
+  params.scale = 10;
+  params.edge_factor = 64;
+  params.a = 0.72;
+  params.b = 0.12;
+  params.c = 0.09;
+  params.seed = 23;
+  const CsrGraph g =
+      CsrGraph::FromEdgeList(std::move(GenerateRmat(params)).ValueOrDie());
+  struct Pinned {
+    PageConfig config;
+    uint64_t digest;
+  };
+  for (const auto& [config, digest] :
+       {Pinned{PageConfig{2, 2, 4 * kKiB}, 0xb4e4cf1b94d60e3eULL},
+        Pinned{PageConfig{3, 3, 64 * kKiB}, 0x7d573355b0d3abafULL},
+        Pinned{PageConfig{1, 1, 1 * kKiB}, 0x49f1c1ad468143cfULL},
+        Pinned{PageConfig{4, 3, 16 * kKiB}, 0x093239e3b706d2fdULL}}) {
+    auto built = BuildPagedGraph(g, config);
+    ASSERT_TRUE(built.ok()) << config.ToString() << ": " << built.status();
+    EXPECT_GT(built->num_large_pages(), 0u) << config.ToString();
+    EXPECT_EQ(PagedGraphDigest(*built), digest)
+        << config.ToString() << " digest 0x" << std::hex
+        << PagedGraphDigest(*built);
+  }
+}
+
 TEST(PageBuilderTest, EveryVertexHasALocationIncludingIsolated) {
   EdgeList list(10, {{0, 9}});  // vertices 1..8 isolated
   CsrGraph g = CsrGraph::FromEdgeList(list);
