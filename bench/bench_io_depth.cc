@@ -1,30 +1,23 @@
-// Queue-depth x reorder-mode sweep of the gts::io storage engine: BFS in
-// frontier-density page order (a deliberately scattered device access
-// pattern) over an HDD-like and an SSD-like two-device store, MMBuf at 20%
-// of the topology. Reports simulated storage-busy seconds (paper scale)
-// per configuration plus the scheduler's own accounting (merged bursts,
-// reorder wins, backpressure).
+// Sequential-merge sweep of the gts::io read path: BFS under every page
+// order, with io.merge_sequential off (fifo: every read pays the full
+// ReadCost) and on, over an HDD-like and an SSD-like two-device store,
+// MMBuf at 20% of the topology. Prints each run's makespan next to its
+// storage-busy time (paper-scale seconds) and the merged-read count.
 //
-// The headline contract: on the latency-bound HDD profile, depth 4 with
-// sequential merge must beat depth 1 strictly -- the in-device window
-// reassembles sequential runs the frontier order scattered.
+// The gate: on the latency-bound HDD profile under the default sp-then-lp
+// order, merging must make the BFS makespan strictly shorter -- the one
+// row where merge_sequential has to pay for itself.
 //
-// With --trace_out=FILE the deepest seq-merge HDD run is exported as
-// Chrome trace JSON (per-device io-queue lanes at tid 1000+); with
-// --metrics_out=FILE the engine registry snapshot of that run is written.
+// With --trace_out=FILE the gated merge_sequential HDD run is exported as
+// Chrome trace JSON; with --metrics_out=FILE the engine registry snapshot
+// of that run is written.
 #include "bench_common.h"
 
 #include "algorithms/bfs.h"
-#include "gpu/schedule.h"
 
 namespace gts {
 namespace bench {
 namespace {
-
-struct SweepCell {
-  SimTime storage_busy = 0.0;
-  io::IoStats io;
-};
 
 int Main() {
   DatasetSpec spec = RmatSpec(QuickMode() ? 26 : 27);
@@ -37,10 +30,9 @@ int Main() {
   const VertexId source = BusySource(prepared->csr);
   const uint64_t mmbuf = prepared->paged.TotalTopologyBytes() / 5;
 
-  const std::vector<int> depths = {1, 2, 4, 8, 16};
-  const std::vector<io::IoReorderKind> modes = {
-      io::IoReorderKind::kFifo, io::IoReorderKind::kElevator,
-      io::IoReorderKind::kSequentialMerge};
+  const std::vector<PageOrderKind> orders = {
+      PageOrderKind::kSpThenLp, PageOrderKind::kInterleaved,
+      PageOrderKind::kCacheAffinity, PageOrderKind::kFrontierDensity};
 
   obs::TraceExporter exporter;
   obs::MetricsSnapshot last_snapshot;
@@ -51,22 +43,21 @@ int Main() {
   };
   for (const Profile profile : {Profile{"HDD", true}, Profile{"SSD", false}}) {
     std::vector<std::vector<std::string>> rows;
-    std::vector<std::vector<SweepCell>> cells(depths.size());
-    for (size_t di = 0; di < depths.size(); ++di) {
-      std::vector<std::string> row{std::to_string(depths[di])};
-      for (io::IoReorderKind mode : modes) {
+    // makespan[merge] under sp-then-lp, the gated order.
+    SimTime gated_makespan[2] = {0.0, 0.0};
+    for (PageOrderKind order : orders) {
+      std::vector<std::string> row{std::string(PageOrderKindName(order))};
+      for (bool merge : {false, true}) {
         // Fresh store per configuration: every run starts from a cold
         // MMBuf, so the sweep compares schedules, not warm-up luck.
         auto store = profile.hdd
                          ? MakeHddStore(&prepared->paged, 2, mmbuf)
                          : MakeSsdStore(&prepared->paged, 2, mmbuf);
         GtsOptions opts;
-        opts.io.queue_depth = depths[di];
-        opts.io.reorder = mode;
-        opts.dispatch.order = PageOrderKind::kFrontierDensity;
-        const bool export_run =
-            profile.hdd && depths[di] == depths.back() &&
-            mode == io::IoReorderKind::kSequentialMerge;
+        opts.io.merge_sequential = merge;
+        opts.dispatch.order = order;
+        const bool gated = order == PageOrderKind::kSpThenLp;
+        const bool export_run = profile.hdd && gated && merge;
         opts.keep_timeline = export_run;
         GtsEngine engine(&prepared->paged, store.get(),
                          MachineConfig::PaperScaled(1), opts);
@@ -77,23 +68,21 @@ int Main() {
           return 1;
         }
         const RunMetrics& m = bfs->report.metrics;
-        cells[di].push_back(SweepCell{m.storage_busy, m.io_queue});
-        // Four decimals: sequential merge saves the per-request access
-        // latency only, a small slice of a transfer-dominated page read.
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.4f (m:%llu r:%llu)",
+        if (gated) gated_makespan[merge ? 1 : 0] = m.sim_seconds;
+        // Four decimals: merging saves the per-request access latency
+        // only, a small slice of a transfer-dominated page read.
+        char buf[96];
+        std::snprintf(buf, sizeof(buf), "%.4f / %.4f (m:%llu)",
+                      PaperSeconds(m.sim_seconds),
                       PaperSeconds(m.storage_busy),
                       static_cast<unsigned long long>(
-                          m.io_queue.merged_bursts),
-                      static_cast<unsigned long long>(
-                          m.io_queue.reorder_wins));
+                          m.io_queue.merged_bursts));
         row.push_back(buf);
         if (export_run) {
           exporter.AddRun(m.timeline,
                           obs::TraceRunOptions{
                               std::string("BFS ") + profile.name +
-                                  " depth" + std::to_string(depths[di]) +
-                                  " seq-merge",
+                                  " sp-then-lp merge_sequential",
                               /*pid_base=*/0});
           last_snapshot = engine.metrics_registry()->Snapshot();
         }
@@ -101,31 +90,24 @@ int Main() {
       rows.push_back(std::move(row));
     }
 
-    std::vector<std::string> headers{"depth"};
-    for (io::IoReorderKind mode : modes) {
-      headers.emplace_back(IoReorderKindName(mode));
-    }
-    PrintTable(std::string("io depth sweep, ") + profile.name +
+    PrintTable(std::string("sequential-merge sweep, ") + profile.name +
                    " x2, BFS " + spec.name +
-                   "* frontier-density order -- storage-busy paper-scale "
-                   "seconds (m: merged bursts, r: reorder wins)",
-               headers, rows);
+                   "* -- makespan / storage-busy paper-scale seconds "
+                   "(m: merged reads)",
+               {"order", "fifo", "merge_sequential"}, rows);
 
-    if (profile.hdd) {
-      // The acceptance bar for the io engine: lookahead must pay for
-      // itself on the latency-bound device.
-      const double d1 = cells[0].back().storage_busy;   // depth 1, seq-merge
-      const double d4 = cells[2].back().storage_busy;   // depth 4, seq-merge
-      std::printf("\nHDD seq-merge storage-busy (sim seconds): depth1 "
-                  "%.9f -> depth4 %.9f (%s, %.3f%% saved)\n",
-                  d1, d4, d4 < d1 ? "improved" : "NOT improved",
-                  d1 > 0 ? 100.0 * (d1 - d4) / d1 : 0.0);
-      if (d4 >= d1) {
-        std::fprintf(stderr,
-                     "FAIL: depth 4 did not improve on depth 1 with "
-                     "sequential merge on the HDD profile\n");
-        return 1;
-      }
+    const SimTime fifo = gated_makespan[0];
+    const SimTime merged = gated_makespan[1];
+    std::printf("\n%s sp-then-lp BFS makespan (sim seconds): fifo %.9f -> "
+                "merge_sequential %.9f (%s, %.3f%% saved)\n",
+                profile.name, fifo, merged,
+                merged < fifo ? "improved" : "NOT improved",
+                fifo > 0 ? 100.0 * (fifo - merged) / fifo : 0.0);
+    if (profile.hdd && merged >= fifo) {
+      std::fprintf(stderr,
+                   "FAIL: merge_sequential did not shorten the sp-then-lp "
+                   "BFS makespan on the HDD profile\n");
+      return 1;
     }
   }
 

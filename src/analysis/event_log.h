@@ -1,18 +1,16 @@
-// Lightweight sequence-numbered event logs that feed the ScheduleValidator.
+// A lightweight sequence-numbered event log that feeds the
+// ScheduleValidator.
 //
-// Two producers record into these logs during a run:
-//   - PageCache (pin lifecycle: pinned / released / evicted / inserted),
-//     from the dispatch loop and the stream worker threads;
-//   - the gts::io layer (request lifecycle: submit at DeviceQueue::Submit,
-//     issue at DeviceQueue::IssueNext, deliver when IoEngine::Acquire hands
-//     the bytes to the engine), host-side only.
+// PageCache records its pin lifecycle (pinned / released / evicted /
+// inserted / invalidated) into it during a run, from the dispatch loop
+// and the stream worker threads.
 //
-// The logs are deliberately dumb: a mutex-guarded append with a per-log
+// The log is deliberately dumb: a mutex-guarded append with a per-log
 // sequence number. Ordering semantics live in the validator
-// (ScheduleValidator::CheckPinEvents / CheckIoEvents); keeping the
-// producers free of policy means a seeded test can synthesize any event
-// sequence. This header stays light (no gpu/ or obs/ includes) so
-// PageCache and DeviceQueue can depend on it without layering cycles.
+// (ScheduleValidator::CheckPinEvents); keeping the producer free of
+// policy means a seeded test can synthesize any event sequence. This
+// header stays light (no gpu/ or obs/ includes) so PageCache can depend
+// on it without layering cycles.
 #ifndef GTS_ANALYSIS_EVENT_LOG_H_
 #define GTS_ANALYSIS_EVENT_LOG_H_
 
@@ -43,14 +41,6 @@ struct PinEvent {
   uint64_t seq = 0;  ///< log-global order (assigned by the log)
 };
 
-/// One gts::io request-lifecycle event.
-struct IoEvent {
-  enum class Kind : uint8_t { kSubmit, kIssue, kDeliver };
-  Kind kind = Kind::kSubmit;
-  PageId pid = kInvalidPageId;
-  uint64_t seq = 0;
-};
-
 /// Thread-safe appender; Take() drains (one validator read per run).
 template <typename Event>
 class EventLog {
@@ -79,7 +69,6 @@ class EventLog {
 };
 
 using PinEventLog = EventLog<PinEvent>;
-using IoEventLog = EventLog<IoEvent>;
 
 }  // namespace analysis
 }  // namespace gts

@@ -231,50 +231,6 @@ void ScheduleValidator::CheckPinEvents(const std::vector<PinEvent>& events,
   }
 }
 
-void ScheduleValidator::CheckIoEvents(const std::vector<IoEvent>& events,
-                                      RaceReport* report) const {
-  report->validator_ran = true;
-  enum class State : uint8_t { kIdle, kSubmitted, kIssued };
-  std::unordered_map<PageId, State> state;
-  for (const IoEvent& e : events) {
-    ++report->schedule_checks;
-    State& s = state[e.pid];
-    switch (e.kind) {
-      case IoEvent::Kind::kSubmit:
-        if (s != State::kIdle) {
-          AddViolation(report, "io-order", gpu::kNoOp,
-                       "pid " + std::to_string(e.pid) +
-                           " re-submitted while a request is outstanding "
-                           "(event seq " +
-                           std::to_string(e.seq) + ")");
-        }
-        s = State::kSubmitted;
-        break;
-      case IoEvent::Kind::kIssue:
-        if (s != State::kSubmitted) {
-          AddViolation(report, "io-order", gpu::kNoOp,
-                       "pid " + std::to_string(e.pid) +
-                           " issued without a pending submit (event seq " +
-                           std::to_string(e.seq) + ")");
-        }
-        s = State::kIssued;
-        break;
-      case IoEvent::Kind::kDeliver:
-        if (s != State::kIssued) {
-          AddViolation(report, "io-order", gpu::kNoOp,
-                       "pid " + std::to_string(e.pid) +
-                           " completion delivered before device-queue issue "
-                           "(event seq " +
-                           std::to_string(e.seq) + ")");
-        }
-        s = State::kIdle;
-        break;
-    }
-  }
-  // Requests still in flight at run end (failed pass cleanup) are not
-  // violations: only *ordering* is checked.
-}
-
 void ScheduleValidator::CheckJobIsolation(const gpu::ScheduleResult& schedule,
                                           RaceReport* report) const {
   const auto& ops = schedule.ops;

@@ -1,5 +1,5 @@
 // Post-hoc schedule-invariant validation: replays a gpu::ScheduleResult
-// (and the run's pin / io event logs) and rejects impossible timelines.
+// (and the run's pin event log) and rejects impossible timelines.
 //
 // The discrete-event simulator *should* never produce these; the
 // validator is the independent check that it (and every policy feeding
@@ -19,12 +19,9 @@
 //                      no later op starts before the barrier ends
 //   R8 malformed-op    non-negative durations/queue waits, end >= start
 //
-// Rules over the event logs:
+// Rules over the pin event log:
 //   R6 pin-lifetime    a cached page is never evicted while a pin is
 //                      outstanding, and releases match pins
-//   R7 io-order        per request: DeviceQueue submit precedes device
-//                      issue precedes delivery to the engine (an io
-//                      completion may not be delivered before issue)
 //   I1 pin-after-invalidate  once a cached page is invalidated (a
 //                      gts::ingest publish superseded its image), no pin
 //                      of that pid may occur until a fresh insert
@@ -70,10 +67,6 @@ class ScheduleValidator {
   /// R6 + I1 over a PageCache pin-event log.
   void CheckPinEvents(const std::vector<PinEvent>& events,
                       RaceReport* report) const;
-
-  /// R7 over a gts::io event log.
-  void CheckIoEvents(const std::vector<IoEvent>& events,
-                     RaceReport* report) const;
 
   /// J1 over a batch epoch's timeline: job-tagged ops depend only on
   /// same-job or untagged ops. A no-op for single-run schedules (no op

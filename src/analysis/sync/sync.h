@@ -89,7 +89,6 @@ inline constexpr int kIngestDelta = 36;        ///< ingest.delta
 inline constexpr int kIngestCompactor = 38;    ///< ingest.compactor
 inline constexpr int kCache = 40;              ///< cache.page_cache (per GPU)
 inline constexpr int kIo = 50;                 ///< io.engine
-inline constexpr int kIoDevice = 52;           ///< io.device_queue
 inline constexpr int kRecord = 60;             ///< engine.record
 }  // namespace level
 

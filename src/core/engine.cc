@@ -66,7 +66,6 @@ Status GtsOptions::Validate(const MachineConfig& machine) const {
         " exceeds device memory (" + std::to_string(machine.device_memory) +
         " B); use kAutoCacheBytes for whatever fits");
   }
-  GTS_RETURN_IF_ERROR(io.Validate());
   GTS_RETURN_IF_ERROR(ingest.Validate());
   return Status::OK();
 }
@@ -137,22 +136,12 @@ GtsEngine::GtsEngine(const PagedGraph* graph, PageStore* store,
       graph_, store_, options_.io,
       [this](const gpu::TimelineOp& op) { return RecordOp(op); },
       registry_.get());
-  io_->BindEventLog(&io_events_);
   {
     transfer::TransferBackend::Env tenv;
     tenv.graph = graph_;
     tenv.io = io_.get();
     tenv.time_model = &machine_.time_model;
     tenv.record = [this](const gpu::TimelineOp& op) { return RecordOp(op); };
-    tenv.will_demand = [this](PageId pid) {
-      const PageRoute route = RoutePage(pid);
-      if (route.cpu) return true;  // the CPU path has no page cache
-      for (int g = route.first_gpu; g <= route.last_gpu; ++g) {
-        const auto& cache = gpus_[g]->cache;
-        if (cache == nullptr || !cache->Contains(pid)) return true;
-      }
-      return false;
-    };
     tenv.registry = registry_.get();
     transfer_ = transfer::MakeTransferBackend(options_.transfer,
                                               std::move(tenv));
@@ -507,13 +496,10 @@ std::vector<PageId> GtsEngine::PlanPass(std::vector<PageId> sps,
       OrderPages(options_.dispatch.order, std::move(sps), std::move(lps), ctx,
                  registry_.get());
 
-  // The transfer backend turns the ordered list into the storage demand
-  // sequence (pages that will actually reach Acquire) and primes the io
-  // prefetcher, then resolves the pass's transfer mode (page-stream vs
-  // direct; see src/transfer/). The demand filter runs through the
-  // Env::will_demand closure -- RoutePage + cache Contains, the same
-  // routing the dispatch loop uses -- so the plan cannot drift from the
-  // actual routing.
+  // No read merges across the pass barrier. The transfer backend then
+  // resolves the pass's transfer mode (page-stream vs direct; see
+  // src/transfer/).
+  io_->BeginPass();
   transfer::PassInfo pass_info;
   pass_info.ordered = &ordered;
   pass_info.frontier = frontier;
@@ -560,7 +546,7 @@ Result<RunMetrics> GtsEngine::RunPass(GtsKernel* kernel,
 // ---------------------------------------------------------------------------
 // Batch epochs: the engine's one run path. Every JobScheduler batch --
 // a single submission is a batch of one -- runs as an epoch in which the
-// admitted jobs share the streaming machinery (page cache, io queues,
+// admitted jobs share the streaming machinery (page cache, storage reads,
 // dispatch, copy engines) while each owns a private WA partition,
 // frontier, and metrics scope. The ops of a one-job epoch stay untagged
 // and follow the paper's single-run schedule exactly; with several jobs
@@ -790,13 +776,13 @@ void GtsEngine::DownloadWaJob(JobExec* job) {
   }
   if (options_.io.wa_snapshot) {
     // Spill each GPU's downloaded WA replica/chunk to storage through the
-    // io write path: the write queues behind pending reads on its device
-    // and is recorded as kStorageWrite depending on the D2H that produced
-    // the bytes, so checkpoint traffic contends in the simulated schedule
-    // instead of being invisible. Layout: past the striped page region,
-    // GPUs round-robined over devices, chunks packed in GPU order -- the
-    // same offsets every download (a snapshot, not a journal: jobs
-    // completing later in an epoch overwrite earlier snapshots).
+    // io write path: the write is recorded on its device as kStorageWrite
+    // depending on the D2H that produced the bytes, so checkpoint traffic
+    // contends with reads in the simulated schedule instead of being
+    // invisible. Layout: past the striped page region, GPUs round-robined
+    // over devices, chunks packed in GPU order -- the same offsets every
+    // download (a snapshot, not a journal: jobs completing later in an
+    // epoch overwrite earlier snapshots).
     const size_t n_dev = store_->num_devices();
     std::vector<uint64_t> cursor(n_dev);
     for (size_t d = 0; d < n_dev; ++d) cursor[d] = store_->DevicePageBytes(d);
@@ -915,8 +901,8 @@ void GtsEngine::FinishJobInEpoch(JobExec* job) {
       job->metrics.cpu_lane_work = cpu_->lane_work;
     }
     // Storage/io counters are epoch-cumulative up to this job's
-    // completion (the queues are shared; per-job attribution of a merged
-    // read would be arbitrary).
+    // completion (reads are shared; per-job attribution of a merged read
+    // would be arbitrary).
     job->metrics.io = store_->stats();
     job->metrics.io_queue = io_->stats();
   }
@@ -1297,7 +1283,6 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
   store_->ResetStats();
   io_->ResetStats();
   pin_events_.Clear();
-  io_events_.Clear();
   if (race_ != nullptr) race_->BeginRun();
 
   // Safe point: the epoch opens on a freshly published graph version
@@ -1570,7 +1555,6 @@ void GtsEngine::FinalizeBatchEpoch(const std::vector<JobExec*>& jobs) {
         analysis::ValidatorOptions{1e-12, options_.analysis.max_reported});
     validator.Check(schedule, &report);
     validator.CheckPinEvents(pin_events_.Take(), &report);
-    validator.CheckIoEvents(io_events_.Take(), &report);
     validator.CheckJobIsolation(schedule, &report);
   }
   registry_->GetCounter("analysis.races").Add(report.races_detected);

@@ -98,9 +98,8 @@ struct GtsOptions {
   /// `dispatch.order = PageOrderKind::kInterleaved`.
   DispatchOptions dispatch;
 
-  /// The storage I/O engine (src/io/): per-device queue depth, in-device
-  /// reorder policy, prefetch in-flight bound. The depth-1 FIFO default
-  /// reproduces the classic synchronous fetch schedule bit-for-bit.
+  /// The storage read/write path (src/io/): sequential-read merging and
+  /// the WA snapshot spill, both off by default (the paper's pricing).
   io::IoOptions io;
 
   /// The H2D topology-transfer backend (src/transfer/): page_stream
@@ -129,8 +128,8 @@ struct GtsOptions {
   /// Checks every option invariant against the target machine:
   /// num_streams in [1, kMaxStreamsPerGpu], max_levels >= 1,
   /// cpu_assist_fraction in [0, 1), an explicit cache_bytes that fits in
-  /// device memory, a machine with at least one GPU, and the io and
-  /// ingest blocks (see engine.cc). The single
+  /// device memory, a machine with at least one GPU, and the ingest
+  /// block (see engine.cc). The single
   /// source of option validation; the engine constructor calls it and
   /// refuses (aborts) on failure, so construct-time callers that need a
   /// recoverable error should Validate() first. Workload-dependent
@@ -267,8 +266,7 @@ class GtsEngine {
 
   /// One page's CPU/GPU routing under the active strategy: every GPU
   /// when replicate_, else the CPU-assist hash, else GPU pid % num_gpus.
-  /// The single source of routing truth shared by PlanPass's demand
-  /// planning and the dispatch loop, so they cannot drift.
+  /// The single source of routing truth for the dispatch loop.
   struct PageRoute {
     bool cpu = false;   ///< hybrid extension routes it to the host CPUs
     int first_gpu = 0;  ///< inclusive
@@ -282,9 +280,10 @@ class GtsEngine {
   /// Publishes one run's counters cumulatively into registry_.
   void PublishMetrics(const RunMetrics& metrics);
 
-  /// Stage 0 of every pass: orders the pass's pages (OrderPages) and
-  /// hands the ordered batch to the io engine, which begins prefetching
-  /// it into MMBuf through the per-device queues.
+  /// Stage 0 of every pass: orders the pass's pages (OrderPages), starts
+  /// the io engine's pass (resetting the device heads) and lets the
+  /// transfer backend resolve the pass's mode. Pages are read from
+  /// storage later, when the dispatch loop demands them.
   /// `frontier` is the level's counted frontier for traversal passes,
   /// null otherwise.
   std::vector<PageId> PlanPass(std::vector<PageId> sps,
@@ -375,12 +374,10 @@ class GtsEngine {
   gpu::OpIndex RecordOp(gpu::TimelineOp op);
   void PatchKernelDuration(gpu::OpIndex idx, SimTime duration);
 
-  // gts::analysis wiring. The event logs feed the always-on schedule
-  // validator (pin lifetimes from every PageCache, submit/issue/deliver
-  // sequences from gts::io); both are cleared at epoch start and drained
-  // by FinalizeBatchEpoch.
+  // gts::analysis wiring. The pin event log of every PageCache feeds the
+  // always-on schedule validator; it is cleared at epoch start and
+  // drained by FinalizeBatchEpoch.
   analysis::PinEventLog pin_events_;
-  analysis::IoEventLog io_events_;
   /// The happens-before detector; constructed only when the build
   /// carries -DGTS_RACE_CHECK=ON and GtsOptions::analysis.race_check is
   /// set, so every hook below is one null test otherwise.

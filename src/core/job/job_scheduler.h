@@ -5,7 +5,7 @@
 // scheduler forms batches of up to GtsOptions::max_concurrent_jobs jobs
 // (priority-ordered, FIFO within a priority) and executes each batch as
 // one engine epoch in which every job owns a private WA partition and
-// RunReport/metrics scope while the PageCache, the gts::io DeviceQueues,
+// RunReport/metrics scope while the PageCache, the gts::io storage reads,
 // the pass's page order, and the copy engines are shared. Per pass the
 // engine merges the jobs' page demand into one PlanPass union, so a page
 // streamed (or cache-resident) for one job services every job that wants

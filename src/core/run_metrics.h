@@ -46,7 +46,7 @@ struct RunMetrics {
   uint64_t shared_page_hits = 0;
   WorkStats work;
   PageStoreStats io;          ///< storage-level counters for this run
-  io::IoStats io_queue;       ///< io-engine (queue/scheduler) counters
+  io::IoStats io_queue;       ///< io-engine read/write counters
   /// Frontier pages skipped by the dispatch.min_active_edges admission
   /// threshold (they held fewer active edges than the cut).
   uint64_t pages_skipped = 0;

@@ -76,12 +76,12 @@ struct TimelineOp {
   OpIndex dep1 = kNoOp;
   uint64_t bytes = 0;           ///< informational (transfer size)
   PageId page = kInvalidPageId; ///< informational (which page)
-  /// kStorageFetch only: time spent in the device queue before the
-  /// in-device scheduler serviced the request (io engine accounting;
-  /// informational, not replayed by the simulator).
+  /// Always 0: storage ops are recorded when demanded, with no device
+  /// queue in front of them. Still declared because the gtsbench layer
+  /// metrics read it; it goes with the next change to the benchmark.
   SimTime queue_wait = 0.0;
-  /// kStorageFetch only: request was coalesced into a sequential burst
-  /// and charged SequentialReadCost.
+  /// kStorageFetch only: the read continued its device's head under
+  /// io.merge_sequential and was charged SequentialReadCost.
   bool merged = false;
   /// JobScheduler batch epochs only: the job this op works for, or -1
   /// for untagged infrastructure ops (shared page transfers, storage

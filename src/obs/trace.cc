@@ -21,12 +21,6 @@ constexpr int kHostPid = 0;
 constexpr int kStoragePid = 1;
 constexpr int kGpuPidBase = 2;
 
-/// tid base (within the storage pid) of the per-device io-queue lanes:
-/// "queued" events showing how long a request sat in the device queue
-/// before the in-device scheduler serviced it. Far above any real device
-/// index so the lanes never collide with the device tracks.
-constexpr int kIoQueueLaneBase = 1000;
-
 std::string_view OpCategory(const gpu::TimelineOp& op) {
   switch (op.resource.type) {
     case gpu::ResourceId::Type::kStorageDevice:
@@ -237,33 +231,6 @@ void TraceExporter::AddRun(const gpu::ScheduleResult& schedule,
     json += "}";
 
     pending.push_back(PendingEvent{ts, pid, tid, i, std::move(json)});
-
-    // io-queue lane: a storage fetch or spill write that waited in its
-    // device queue gets a companion "queued" span covering the wait.
-    // Depth-1 FIFO schedules have no waits, so their traces carry no io
-    // lane at all.
-    if ((op.kind == gpu::OpKind::kStorageFetch ||
-         op.kind == gpu::OpKind::kStorageWrite) &&
-        op.queue_wait > 0.0) {
-      const int qtid = kIoQueueLaneBase + op.resource.index;
-      track_name(pid, qtid,
-                 "storage",
-                 "device " + std::to_string(op.resource.index) + " io queue");
-      // The wait is measured on the device's pass-local clock; clamp so a
-      // wait longer than the op's absolute start cannot go negative.
-      const SimTime qstart = std::max(0.0, op.start - op.queue_wait);
-      const SimTime qts = qstart + options.time_offset;
-      std::string qjson = "{\"name\":\"queued\",\"cat\":\"io\",\"ph\":\"X\"";
-      qjson += ",\"ts\":" + FormatUs(qts);
-      qjson += ",\"dur\":" + FormatUs(op.start - qstart);
-      qjson += ",\"pid\":" + std::to_string(pid);
-      qjson += ",\"tid\":" + std::to_string(qtid);
-      if (op.page != kInvalidPageId) {
-        qjson += ",\"args\":{\"page\":" + std::to_string(op.page) + "}";
-      }
-      qjson += "}";
-      pending.push_back(PendingEvent{qts, pid, qtid, i, std::move(qjson)});
-    }
   }
 
   std::sort(pending.begin(), pending.end());

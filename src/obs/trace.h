@@ -10,11 +10,7 @@
 // Track layout, for a run added with pid_base P:
 //   pid P+0 "<label> host"     tid 0 host thread (merges, barriers),
 //                              tid 1+i CPU co-processing lane i
-//   pid P+1 "<label> storage"  tid d = storage device d (serial queue),
-//                              tid 1000+d = device d's io-queue lane
-//                              ("queued" spans, cat "io": time a request
-//                              waited before the in-device scheduler
-//                              serviced it; absent at queue depth 1 FIFO)
+//   pid P+1 "<label> storage"  tid d = storage device d (serial queue)
 //   pid P+2+g "<label> GPU g"  tid 0 = copy engine (serial),
 //                              tid 1+k = kernel lane k (greedy interval
 //                              packing of the concurrent kernel pool)

@@ -97,13 +97,11 @@ Status PageStore::StageFromDevice(PageId pid) {
   }
   const uint64_t page_size = graph_->config().page_size;
   const size_t d = DeviceOfPage(pid);
-  // Device offset: position of this page among the pages striped to d.
-  const uint64_t offset =
-      static_cast<uint64_t>(pid / devices_.size()) * page_size;
 
   BufferedPage entry;
   entry.bytes.resize(page_size);
-  GTS_RETURN_IF_ERROR(devices_[d]->Read(offset, entry.bytes.data(), page_size));
+  GTS_RETURN_IF_ERROR(
+      devices_[d]->Read(OffsetOfPage(pid), entry.bytes.data(), page_size));
 
   lru_.push_front(pid);
   entry.lru_it = lru_.begin();
@@ -161,10 +159,8 @@ Status PageStore::RewritePage(PageId pid, const uint8_t* data, uint64_t len) {
   if (len != page_size) {
     return Status::InvalidArgument("page rewrite must cover a whole page");
   }
-  const size_t d = DeviceOfPage(pid);
-  const uint64_t offset =
-      static_cast<uint64_t>(pid / devices_.size()) * page_size;
-  GTS_RETURN_IF_ERROR(devices_[d]->Write(offset, data, len));
+  GTS_RETURN_IF_ERROR(devices_[DeviceOfPage(pid)]->Write(OffsetOfPage(pid),
+                                                         data, len));
   auto it = buffer_.find(pid);
   if (it != buffer_.end()) {
     lru_.erase(it->second.lru_it);
@@ -172,13 +168,6 @@ Status PageStore::RewritePage(PageId pid, const uint8_t* data, uint64_t len) {
     buffered_bytes_ -= page_size;
   }
   return Status::OK();
-}
-
-const uint8_t* PageStore::TouchResident(PageId pid) {
-  auto it = buffer_.find(pid);
-  if (it == buffer_.end()) return nullptr;
-  TouchLru(pid);
-  return it->second.bytes.data();
 }
 
 void PageStore::TouchLru(PageId pid) {

@@ -55,36 +55,37 @@ class PageStore {
   };
 
   /// Returns the page bytes, fetching from the device on a buffer miss.
-  /// A miss is charged the device's full per-request ReadCost; batched,
-  /// reordered, and merged reads go through io::IoEngine instead, which
-  /// prices each request itself and stages bytes via StageFromDevice().
+  /// A miss is priced at the device's full per-request ReadCost;
+  /// io::IoEngine::Acquire reads every page through here and records the
+  /// op (discounting a sequential continuation when asked to).
   Result<FetchResult> Fetch(PageId pid);
 
   /// True when `pid` currently sits in MMBuf. Touches no LRU state and no
-  /// counters (the io engine's plan snapshot must not disturb recency).
+  /// counters.
   bool Resident(PageId pid) const { return buffer_.count(pid) > 0; }
 
   /// Reads a non-resident page from its device into MMBuf as the
   /// most-recent entry (evicting LRU pages over capacity) and counts the
-  /// device read. No simulated cost is computed: the caller (the io
-  /// engine's device scheduler) prices the request.
+  /// device read. No simulated cost is computed: Fetch's miss path prices
+  /// it.
   Status StageFromDevice(PageId pid);
-
-  /// Marks a resident page most-recently-used and returns its bytes;
-  /// null when not resident. Bumps no hit counter: used by the io engine
-  /// to consume a completion whose device read was already counted at
-  /// staging time.
-  const uint8_t* TouchResident(PageId pid);
 
   /// g(j): which device holds page j.
   size_t DeviceOfPage(PageId pid) const { return pid % devices_.size(); }
+
+  /// Byte offset of page j on device g(j): its position among the pages
+  /// striped to that device.
+  uint64_t OffsetOfPage(PageId pid) const {
+    return static_cast<uint64_t>(pid / devices_.size()) *
+           graph_->config().page_size;
+  }
 
   /// Bytes of striped page data on device `d` -- the first offset free
   /// for out-of-band writes (WA snapshots land past the page region).
   uint64_t DevicePageBytes(size_t d) const;
 
   /// Raw write-through to device `d` (WA spill / snapshot). MMBuf is not
-  /// involved; the io engine's write path does the queueing and pricing.
+  /// involved; the io engine's write path does the pricing.
   Status WriteDevice(size_t d, uint64_t offset, const uint8_t* data,
                      uint64_t len);
 

@@ -54,9 +54,8 @@ struct DeviceTimingParams {
 
   /// ReadCost for a request that continues the previous one: the head is
   /// already positioned, so only the transfer is paid, not the per-request
-  /// access latency. Used by the io engine's sequential-merge scheduler
-  /// (io::IoReorderKind::kSequentialMerge) when a queued request starts
-  /// exactly at the device head.
+  /// access latency. Charged by io::IoEngine::Acquire under
+  /// io.merge_sequential when a read starts exactly at the device head.
   SimTime SequentialReadCost(uint64_t bytes) const {
     if (seq_bandwidth <= 0.0) return 0.0;
     return static_cast<double>(bytes) / seq_bandwidth;

@@ -24,8 +24,6 @@ DirectAccessBackend::DirectAccessBackend(Env env, bool auto_mode)
 }
 
 void DirectAccessBackend::BeginPass(const PassInfo& info) {
-  PlanDemand(info);
-
   frontier_ = info.frontier;
   if (frontier_ == nullptr || !frontier_->counting()) {
     // Full scans, explicit page passes, or counting disabled: every

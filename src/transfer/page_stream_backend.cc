@@ -12,28 +12,6 @@ PageStreamBackend::PageStreamBackend(Env env) : env_(std::move(env)) {
   }
 }
 
-void PageStreamBackend::PlanDemand(const PassInfo& info) {
-  // The io engine prefetches the *demand* sequence: the ordered pages
-  // that will actually reach Acquire. Pages every target GPU serves from
-  // its page cache never touch storage (Algorithm 1 line 17), so planning
-  // them would make the queues issue reads the synchronous path never
-  // did. Env::will_demand is the engine's RoutePage + cache Contains
-  // helper -- the same routing the dispatch loops use, so the demand
-  // plan cannot drift from the actual routing. The Contains() filter is
-  // still a prediction: under an evicting cache policy a page can pass
-  // it here and miss at Acquire time (the pass's own inserts evicted
-  // it); IoEngine::Acquire covers that window with a demand fetch routed
-  // through the device queue.
-  std::vector<PageId> demand;
-  demand.reserve(info.ordered->size());
-  for (PageId pid : *info.ordered) {
-    if (env_.will_demand(pid)) demand.push_back(pid);
-  }
-  env_.io->BeginPass(demand);
-}
-
-void PageStreamBackend::BeginPass(const PassInfo& info) { PlanDemand(info); }
-
 Result<StagedPage> PageStreamBackend::StagePageStream(
     const StageRequest& req) {
   const TimeModel& tm = *env_.time_model;

@@ -1,8 +1,8 @@
 // The paper's transfer path: whole slotted pages at the c2 streaming
 // bandwidth. This backend is the extracted-but-unchanged pre-refactor
-// code; its demand planning and kH2DStream ops are byte-identical to
-// the inline engine sites it replaced (the fig4 golden-trace cmp and
-// the dispatch bit-identity suite hold across the extraction).
+// code; its kH2DStream ops are byte-identical to the inline engine sites
+// it replaced (the fig4 golden-trace cmp and the dispatch bit-identity
+// suite hold across the extraction).
 #ifndef GTS_TRANSFER_PAGE_STREAM_BACKEND_H_
 #define GTS_TRANSFER_PAGE_STREAM_BACKEND_H_
 
@@ -23,15 +23,11 @@ class PageStreamBackend : public TransferBackend {
     return TransferMode::kPageStream;
   }
 
-  void BeginPass(const PassInfo& info) override;
+  /// Every pass streams whole pages: nothing to resolve.
+  void BeginPass(const PassInfo&) override {}
   Result<StagedPage> Stage(const StageRequest& req) override;
 
  protected:
-  /// Shared with DirectAccessBackend: the demand filter + io BeginPass
-  /// (identical under both backends -- direct access still stages whole
-  /// pages from storage into MMBuf; only the PCI-E leg differs).
-  void PlanDemand(const PassInfo& info);
-
   /// The pre-refactor staging body: Acquire + one kH2DStream page op.
   Result<StagedPage> StagePageStream(const StageRequest& req);
 

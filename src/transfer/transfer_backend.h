@@ -4,10 +4,8 @@
 // at ~6 sites in core/engine.cc. A TransferBackend now owns the two
 // halves of that path the sites shared:
 //
-//   BeginPass  -- turn the pass's ordered page list into the storage
-//                 *demand* sequence (pages that will actually reach
-//                 Acquire) and prime the io engine's prefetcher; resolve
-//                 the pass's transfer mode (page_stream vs direct).
+//   BeginPass  -- resolve the pass's transfer mode (page_stream vs
+//                 direct) from the pass's ordered page list.
 //   Stage      -- acquire one demanded page from storage and record the
 //                 timeline op that carries it over the copy engine,
 //                 returning the staged host bytes plus the op handles
@@ -85,9 +83,6 @@ class TransferBackend {
     const TimeModel* time_model = nullptr;
     /// Appends to the engine's schedule recorder (thread-safe).
     std::function<gpu::OpIndex(const gpu::TimelineOp&)> record;
-    /// True when `pid` will reach Acquire (RoutePage + cache Contains,
-    /// the engine's single source of routing truth).
-    std::function<bool(PageId)> will_demand;
     obs::MetricsRegistry* registry = nullptr;  ///< may be null (tests)
   };
 
@@ -101,8 +96,7 @@ class TransferBackend {
   /// passes. Meaningful between BeginPass and the next BeginPass.
   virtual TransferMode pass_mode() const = 0;
 
-  /// Plans one pass: filters `info.ordered` down to the demand sequence
-  /// and primes the io prefetcher, then resolves pass_mode().
+  /// Starts one pass: resolves pass_mode() from `info`.
   virtual void BeginPass(const PassInfo& info) = 0;
 
   /// Acquires one demanded page and records its H2D transfer op.

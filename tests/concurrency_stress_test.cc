@@ -315,12 +315,13 @@ TEST(DispatchStressTest, FrontierDensityUnderStreamThreadsIsDeterministic) {
 // --------------------------------------------------------------- gts::io
 
 // The io engine under real stream threads: the dispatch loop is the only
-// submitter/consumer by design, but kernel completions on stream threads
-// touch the MMBuf-adjacent state (cache inserts, WA writes) while the io
-// queues stage and evict around them. Depth 8 with sequential merge plus
-// an MMBuf far below the working set maximizes parked completions,
-// prefetch evictions and demand fallbacks; results must still match a
-// plain inline run exactly, under TSan/ASan like the rest of this file.
+// reader by design, but kernel completions on stream threads touch the
+// MMBuf-adjacent state (cache inserts, WA writes) while Acquire stages and
+// evicts around them. Sequential merge in frontier-density order plus an
+// MMBuf far below the working set maximizes evictions and re-reads;
+// results must still match a plain inline run exactly, under TSan/ASan
+// like the rest of this file. (The name is kept from when this case also
+// ran deep device queues.)
 TEST(IoStressTest, DeepQueuesWithStreamThreadsMatchInlineRun) {
   RmatParams p;
   p.scale = 10;
@@ -343,8 +344,7 @@ TEST(IoStressTest, DeepQueuesWithStreamThreadsMatchInlineRun) {
     GtsOptions opts;
     opts.num_streams = 4;
     opts.use_stream_threads = threads;
-    opts.io.queue_depth = 8;
-    opts.io.reorder = io::IoReorderKind::kSequentialMerge;
+    opts.io.merge_sequential = true;
     opts.dispatch.order = PageOrderKind::kFrontierDensity;
     GtsEngine engine(&paged, store.get(), machine, opts);
     auto result = RunBfsGts(engine, source);
@@ -386,8 +386,7 @@ TEST(IoStressTest, AdmissionThresholdUnderStreamThreadsIsDeterministic) {
     opts.num_streams = 4;
     opts.use_stream_threads = true;
     opts.dispatch.min_active_edges = 1;
-    opts.io.queue_depth = 4;
-    opts.io.reorder = io::IoReorderKind::kElevator;
+    opts.io.merge_sequential = true;
     GtsEngine engine(&paged, store.get(), machine, opts);
     auto result = RunBfsGts(engine, 1);
     GTS_CHECK(result.ok());

@@ -274,24 +274,22 @@ TEST(DispatchEffectTest, CacheAffinityRaisesLruHits) {
 
 TEST(DispatchEffectTest, SequentialMergeCutsScanIoTime) {
   Fixture f;
-  auto scan_with = [&](io::IoReorderKind reorder, int depth) {
+  auto scan_with = [&](bool merge_sequential) {
     auto store = MakeSsdStore(&f.paged, 2, /*buffer_capacity=*/256 * kKiB);
     GtsOptions opts;
-    opts.io.reorder = reorder;
-    opts.io.queue_depth = depth;
+    opts.io.merge_sequential = merge_sequential;
     GtsEngine engine(&f.paged, store.get(), f.Machine(), opts);
     auto pr = RunPageRankGts(engine, {.iterations = 1});
     GTS_CHECK(pr.ok());
     return pr->report.metrics;
   };
 
-  const RunMetrics base = scan_with(io::IoReorderKind::kFifo, 1);
-  const RunMetrics merged =
-      scan_with(io::IoReorderKind::kSequentialMerge, 4);
+  const RunMetrics base = scan_with(false);
+  const RunMetrics merged = scan_with(true);
   EXPECT_EQ(base.io_queue.merged_bursts, 0u);
   // A scan in SP-then-LP order fetches each device's stripe in ascending
-  // offset order: nearly every read continues the previous one, so the
-  // seq-merge scheduler charges it SequentialReadCost.
+  // offset order: nearly every read continues the previous one, so
+  // merge_sequential charges it SequentialReadCost.
   EXPECT_GT(merged.io_queue.merged_bursts, 0u);
   EXPECT_EQ(merged.io.device_reads, base.io.device_reads);
   EXPECT_LT(merged.storage_busy, base.storage_busy);

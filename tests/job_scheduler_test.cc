@@ -232,7 +232,6 @@ std::vector<DigestConfig> DigestConfigs() {
     GtsOptions opts = base();
     opts.transfer.mode = transfer::TransferMode::kAuto;
     configs.push_back({"auto1", 1, opts});
-    opts.io.queue_depth = 4;
     opts.io.wa_snapshot = true;
     configs.push_back({"auto-ssd2", 2, opts, true});
   }

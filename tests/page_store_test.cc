@@ -411,7 +411,7 @@ TEST(PageCacheTest, PinnedPolicyFullInsertIsScanResistantNotBackpressure) {
   EXPECT_EQ(cache.insert_backpressure(), 0u);
 }
 
-// ------------------------------- staging primitives (io-engine hooks)
+// ------------------------------------ staging primitives (Fetch miss path)
 
 TEST(StagingTest, StageFromDeviceCountsReadWithoutHit) {
   PagedGraph paged = SmallPagedGraph();
@@ -433,25 +433,6 @@ TEST(StagingTest, StageFromDeviceCountsReadWithoutHit) {
   EXPECT_TRUE(hit->buffer_hit);
   EXPECT_EQ(store->stats().device_reads, 1u);
   EXPECT_EQ(store->stats().buffer_hits, 1u);
-}
-
-TEST(StagingTest, TouchResidentRefreshesLruWithoutCounting) {
-  PagedGraph paged = SmallPagedGraph();
-  ASSERT_GE(paged.num_pages(), 3u);
-  // MMBuf holds exactly two pages.
-  auto store =
-      MakeSsdStore(&paged, 1, /*buffer_capacity=*/2 * paged.config().page_size);
-  ASSERT_TRUE(store->StageFromDevice(0).ok());
-  ASSERT_TRUE(store->StageFromDevice(1).ok());
-
-  EXPECT_EQ(store->TouchResident(2), nullptr);  // not resident
-  // Touch 0 so it becomes most recent; staging 2 then evicts 1, not 0.
-  EXPECT_NE(store->TouchResident(0), nullptr);
-  ASSERT_TRUE(store->StageFromDevice(2).ok());
-  EXPECT_TRUE(store->Resident(0));
-  EXPECT_FALSE(store->Resident(1));
-  // Touches bump no hit counter (the io engine counts its completions).
-  EXPECT_EQ(store->stats().buffer_hits, 0u);
 }
 
 TEST(StagingTest, FetchMissPaysFullReadCost) {

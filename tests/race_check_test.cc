@@ -479,31 +479,6 @@ TEST(ScheduleValidatorTest, PinAfterInvalidateIsRejected) {
   EXPECT_EQ(r3.violations_detected, 0u);
 }
 
-TEST(ScheduleValidatorTest, IoCompletionBeforeIssueIsRejected) {
-  using analysis::IoEvent;
-  ScheduleValidator validator;
-
-  std::vector<IoEvent> deliver_before_issue = {
-      {IoEvent::Kind::kSubmit, /*pid=*/1, /*seq=*/0},
-      {IoEvent::Kind::kDeliver, 1, 1}};
-  RaceReport r1;
-  validator.CheckIoEvents(deliver_before_issue, &r1);
-  EXPECT_TRUE(HasRule(r1, "io-order"));
-
-  std::vector<IoEvent> issue_without_submit = {
-      {IoEvent::Kind::kIssue, 2, 0}};
-  RaceReport r2;
-  validator.CheckIoEvents(issue_without_submit, &r2);
-  EXPECT_TRUE(HasRule(r2, "io-order"));
-
-  std::vector<IoEvent> clean = {{IoEvent::Kind::kSubmit, 1, 0},
-                                {IoEvent::Kind::kIssue, 1, 1},
-                                {IoEvent::Kind::kDeliver, 1, 2}};
-  RaceReport r3;
-  validator.CheckIoEvents(clean, &r3);
-  EXPECT_EQ(r3.violations_detected, 0u);
-}
-
 // J1 (job isolation) over a JobScheduler batch epoch: a job-tagged op may
 // depend only on same-job or untagged ops. A kernel wired to another
 // job's kernel is exactly the cross-contamination the rule exists for.

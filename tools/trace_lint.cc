@@ -11,9 +11,9 @@
 //   4. kernel-lane tids never exceed the simulator's concurrency cap of
 //      32 resident kernels per GPU (TimeModel::max_concurrent_kernels),
 //      i.e. cat=="kernel" implies 1 <= tid <= 32;
-//   5. io-queue lane events (cat=="io", the "queued" spans the exporter
-//      emits for storage requests that waited in a device queue) are
-//      X events confined to the io lanes, i.e. tid >= 1000;
+//   5. io-queue lane events (cat=="io" "queued" spans; the exporter
+//      emits none now that storage reads do not queue) are X events
+//      confined to the io lanes, i.e. tid >= 1000;
 //   6. serial-resource lanes never overlap: X spans on a copy-engine lane
 //      (cat=="copy") or a storage-device lane (cat=="storage") must not
 //      start before the previous span on the same (pid, tid) lane ended.
@@ -270,8 +270,7 @@ class JsonParser {
 /// tid 1..cap within a GPU process.
 constexpr int kMaxKernelLanes = 32;
 
-/// First io-queue lane tid within a storage process (mirrors the
-/// exporter's kIoQueueLaneBase in src/obs/trace.cc).
+/// First io-queue lane tid within a storage process (rule 5).
 constexpr int kIoQueueLaneBase = 1000;
 
 /// Timestamp slack for rules 6/7: the exporter prints ts/dur with %.6f
