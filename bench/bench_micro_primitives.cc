@@ -132,12 +132,11 @@ WorkStats KernelPass(GtsKernel& kernel, const PagedGraph& g,
   return total;
 }
 
-KernelContext PassContext(const PagedGraph& g, uint8_t* wa, bool serial) {
+KernelContext PassContext(const PagedGraph& g, uint8_t* wa) {
   KernelContext ctx;
   ctx.rvt = &g.rvt();
   ctx.wa = wa;
   ctx.wa_end = g.num_vertices();
-  ctx.serial = serial;
   return ctx;
 }
 
@@ -153,8 +152,7 @@ void BM_KernelPassBfs(benchmark::State& state) {
   }
   std::vector<uint16_t> wa(n);
   PidSet next(g.num_pages());
-  KernelContext ctx = PassContext(g, reinterpret_cast<uint8_t*>(wa.data()),
-                                  state.range(0) != 0);
+  KernelContext ctx = PassContext(g, reinterpret_cast<uint8_t*>(wa.data()));
   ctx.next_pid_set = &next;
   int64_t edges = 0;
   for (auto _ : state) {
@@ -167,9 +165,8 @@ void BM_KernelPassBfs(benchmark::State& state) {
     edges += static_cast<int64_t>(work.edges_processed);
   }
   state.SetItemsProcessed(edges);
-  state.SetLabel(ctx.serial ? "serial" : "atomic");
 }
-BENCHMARK(BM_KernelPassBfs)->Arg(0)->Arg(1);
+BENCHMARK(BM_KernelPassBfs);
 
 void BM_KernelPassPageRank(benchmark::State& state) {
   const PagedGraph g = Rmat12Pages();
@@ -177,8 +174,8 @@ void BM_KernelPassPageRank(benchmark::State& state) {
   PageRankKernel kernel(n);
   kernel.BeginIteration();
   std::vector<float> wa(n);
-  const KernelContext ctx = PassContext(
-      g, reinterpret_cast<uint8_t*>(wa.data()), state.range(0) != 0);
+  const KernelContext ctx =
+      PassContext(g, reinterpret_cast<uint8_t*>(wa.data()));
   int64_t edges = 0;
   for (auto _ : state) {
     kernel.InitDeviceWa(ctx.wa, 0, n);
@@ -189,9 +186,8 @@ void BM_KernelPassPageRank(benchmark::State& state) {
     edges += static_cast<int64_t>(work.edges_processed);
   }
   state.SetItemsProcessed(edges);
-  state.SetLabel(ctx.serial ? "serial" : "atomic");
 }
-BENCHMARK(BM_KernelPassPageRank)->Arg(0)->Arg(1);
+BENCHMARK(BM_KernelPassPageRank);
 
 void BM_PageCacheLookup(benchmark::State& state) {
   gpu::Device device(0, 64 * kMiB);

@@ -2,8 +2,7 @@
 // ScheduleValidator.
 //
 // PageCache records its pin lifecycle (pinned / released / evicted /
-// inserted / invalidated) into it during a run, from the dispatch loop
-// and the stream worker threads.
+// inserted / invalidated) into it during a run, from the dispatch loop.
 //
 // The log is deliberately dumb: a mutex-guarded append with a per-log
 // sequence number. Ordering semantics live in the validator

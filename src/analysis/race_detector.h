@@ -39,9 +39,9 @@
 // perturbs the schedule; builds with -DGTS_RACE_CHECK=OFF compile the
 // per-access instrumentation out and the engine never constructs a
 // detector (this class still compiles for unit tests). All entry points
-// are mutex-guarded so stream worker threads may report accesses
-// concurrently; attribution is to *logical* lanes, so the verdict is
-// identical in inline and threaded execution modes.
+// are mutex-guarded so the GPU workers may report accesses from their
+// own threads; attribution is to *logical* lanes, so the verdict does
+// not depend on which host thread ran a kernel.
 #ifndef GTS_ANALYSIS_RACE_DETECTOR_H_
 #define GTS_ANALYSIS_RACE_DETECTOR_H_
 

@@ -462,7 +462,7 @@ namespace detail {
 
 bool ExplorerLock(Mutex* m) {
   Explorer* ex = tls_explorer;
-  return ex != nullptr && ex->CoopLock(m);
+  return ex != nullptr && m->explorer_yields() && ex->CoopLock(m);
 }
 
 bool ExplorerUnlock(Mutex* m) {
@@ -472,7 +472,8 @@ bool ExplorerUnlock(Mutex* m) {
 
 bool ExplorerWait(CondVar* cv, UniqueLock* lk) {
   Explorer* ex = tls_explorer;
-  return ex != nullptr && ex->CoopWait(cv, lk);
+  return ex != nullptr && lk->mutex()->explorer_yields() &&
+         ex->CoopWait(cv, lk);
 }
 
 void ExplorerNotify(CondVar* cv) {

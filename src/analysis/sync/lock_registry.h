@@ -77,8 +77,8 @@ class LockRegistry {
 
   // ---- PageCache pin rule ---------------------------------------------
   /// Registers a pin acquired on the calling thread; the returned id is
-  /// the owner key NotePinReleased needs (pins may release on another
-  /// thread -- push-mode kernels run the closure on a stream worker).
+  /// the owner key NotePinReleased needs (a pin may be released on
+  /// another thread than the one that took it).
   std::thread::id NotePinAcquired();
   void NotePinReleased(std::thread::id owner);
   /// Declares a safe point (e.g. "ingest-publish") on the calling thread;

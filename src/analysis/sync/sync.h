@@ -73,7 +73,7 @@ inline constexpr bool kSyncCheckCompiled = GTS_SYNC_CHECK_ENABLED != 0;
 // ---- Declared lock levels ----------------------------------------------
 // One constant per registered site; strictly increasing along every legal
 // acquisition chain (scheduler < ingest-publish < ingest-harvest <
-// gutters < delta < compactor < cache < io < record). Sites that never
+// gutters < delta < compactor < cache < io < stream). Sites that never
 // nest with each other may share a level only if they are never held
 // together (the registry checks >=, not >).
 namespace level {
@@ -89,7 +89,7 @@ inline constexpr int kIngestDelta = 36;        ///< ingest.delta
 inline constexpr int kIngestCompactor = 38;    ///< ingest.compactor
 inline constexpr int kCache = 40;              ///< cache.page_cache (per GPU)
 inline constexpr int kIo = 50;                 ///< io.engine
-inline constexpr int kRecord = 60;             ///< engine.record
+inline constexpr int kStream = 60;             ///< gpu.stream (leaf)
 }  // namespace level
 
 class Mutex;
@@ -122,16 +122,26 @@ void ExplorerNotify(CondVar* cv);
 /// one logical site shares the site `name` (e.g. each GPU's PageCache
 /// mutex registers as "cache.page_cache"), so the lock-order graph is a
 /// graph over sites, not instances.
+///
+/// `explorer_yields = false` keeps the site out of sync::Explorer
+/// scheduling (the registry still checks it): acquisitions and waits by
+/// managed threads are plain blocking calls, not scheduling points. It is
+/// for sites whose waits only an engine-internal thread ends (a GPU
+/// worker), where whether a wait happens at all depends on host timing;
+/// a scheduling point there would make the explorer's decision strings
+/// timing-dependent.
 class GTS_CAPABILITY("mutex") Mutex {
  public:
-  explicit Mutex(const char* name, int lock_level = level::kUnordered)
+  explicit Mutex(const char* name, int lock_level = level::kUnordered,
+                 bool explorer_yields = true)
 #if GTS_SYNC_CHECK_ENABLED
-      : name_(name), level_(lock_level)
+      : name_(name), level_(lock_level), explorer_yields_(explorer_yields)
 #endif
   {
 #if !GTS_SYNC_CHECK_ENABLED
     (void)name;
     (void)lock_level;
+    (void)explorer_yields;
 #endif
   }
 
@@ -151,6 +161,7 @@ class GTS_CAPABILITY("mutex") Mutex {
 
   const char* name() const { return name_; }
   int lock_level() const { return level_; }
+  bool explorer_yields() const { return explorer_yields_; }
 
   /// Explorer-side raw access (cooperative acquisition probes the
   /// underlying mutex directly; the registry hooks stay in lock()).
@@ -172,6 +183,7 @@ class GTS_CAPABILITY("mutex") Mutex {
 #if GTS_SYNC_CHECK_ENABLED
   const char* name_;
   int level_;
+  bool explorer_yields_;
 #endif
 };
 

@@ -71,6 +71,9 @@ Status GtsOptions::Validate(const MachineConfig& machine) const {
 }
 
 namespace {
+/// Host bytes of staged pages each GPU's worker ring can hold.
+constexpr uint64_t kRingBytes = uint64_t{512} << 10;
+
 /// Encodes (gpu, stream) into a ScheduleSimulator stream key.
 int StreamKey(int gpu, int stream) {
   return gpu * GtsOptions::kMaxStreamsPerGpu + stream;
@@ -92,13 +95,22 @@ void AbsorbSliceWa(GtsKernel* kernel, const JobGpuSlice& slice) {
 /// Per-GPU state shared by every job of an epoch. Each job's WA slice,
 /// frontier contribution and per-stream work live in its JobGpuSlice.
 struct GtsEngine::GpuState {
+  GpuState(size_t ring_depth, uint64_t page_size)
+      : worker(ring_depth, page_size) {}
+
   std::unique_ptr<gpu::Device> device;
-  std::vector<std::unique_ptr<gpu::Stream>> streams;  // empty when inline
-  std::vector<gpu::DeviceBuffer> sp_buf;  // one per stream
-  std::vector<gpu::DeviceBuffer> lp_buf;
-  std::vector<gpu::DeviceBuffer> ra_buf;
+  /// Runs this GPU's kernel launches in dispatch order. A staged page
+  /// waits in its ring slot's buffer; a launch copies its RA into its
+  /// stream's RABuf (the worker runs one launch at a time).
+  gpu::Stream worker;
+  /// Device memory of the SPBuf and LPBuf of every stream, accounted
+  /// without host bytes: the worker's ring holds the staged pages.
+  uint64_t stream_buf_bytes = 0;
+  std::vector<gpu::DeviceBuffer> ra_buf;  // one per stream
   std::vector<int> stream_last_kind;  // -1 until a kernel ran on the stream
-  std::unique_ptr<PageCache> cache;
+  /// Kept across epochs, so its page buffers are too.
+  std::unique_ptr<PageCache> page_cache;
+  PageCache* cache = nullptr;  // page_cache while an epoch caches, else null
   int rr = 0;  // round-robin stream cursor
 };
 
@@ -110,14 +122,19 @@ struct GtsEngine::CpuState {
   int rr = 0;
 };
 
-/// One job's kernel launch against a staged or cached page: recorded in
-/// the host phase, executed by the page's closure.
-struct GtsEngine::JobLaunch {
-  JobExec* job = nullptr;
-  gpu::OpIndex kidx = gpu::kNoOp;
+/// One job's kernel launch against a staged or cached page: recorded by
+/// the driver, run by the GPU's worker, which reads nothing else of the
+/// job. One cache line each keeps the driver's and worker's writes apart.
+struct alignas(64) GtsEngine::JobLaunch {
+  GtsKernel* kernel = nullptr;
+  JobGpuSlice* slice = nullptr;
   const uint8_t* ra_src = nullptr;  // host RA subvector
   uint64_t ra_bytes = 0;
+  gpu::OpIndex kidx = gpu::kNoOp;
   VertexId ra_start_vid = 0;
+  uint32_t level = 0;
+  int32_t job_id = -1;
+  SimTime duration = 0.0;  // kernel time, written by the worker
 };
 
 GtsEngine::GtsEngine(const PagedGraph* graph, PageStore* store,
@@ -198,17 +215,18 @@ GtsEngine::GtsEngine(const PagedGraph* graph, PageStore* store,
   if (options_.dispatch.min_active_edges > 0) {
     registry_->GetCounter("dispatch.skipped_pages");
   }
-  obs::Counter& stream_ops = registry_->GetCounter("gpu.stream_ops");
+  // Counted only by the retired per-stream thread mode; the key stays
+  // so metrics snapshots keep their shape.
+  registry_->GetCounter("gpu.stream_ops");
+  // The ring holds at least one page per stream, and enough pages that
+  // the driver can run ahead of the worker through a stretch of cheap
+  // (cached) pages.
+  const uint64_t page_size = graph_->config().page_size;
+  const size_t ring_depth = std::max<size_t>(
+      static_cast<size_t>(options_.num_streams), kRingBytes / page_size);
   for (int g = 0; g < machine_.num_gpus; ++g) {
-    auto state = std::make_unique<GpuState>();
+    auto state = std::make_unique<GpuState>(ring_depth, page_size);
     state->device = std::make_unique<gpu::Device>(g, machine_.device_memory);
-    if (options_.use_stream_threads) {
-      for (int s = 0; s < options_.num_streams; ++s) {
-        auto stream = std::make_unique<gpu::Stream>();
-        stream->BindOpsCounter(&stream_ops);
-        state->streams.push_back(std::move(stream));
-      }
-    }
     gpus_.push_back(std::move(state));
   }
   for (PageId pid = 0; pid < graph_->num_pages(); ++pid) {
@@ -300,10 +318,10 @@ void GtsEngine::PublishIngest() {
   if (changed.empty()) return;
   // Every cached copy of a changed page is one (or more) published
   // versions behind: invalidate so the next lookup restages the page
-  // with the fresh chain overlaid. Entries still pinned by an in-flight
-  // kernel turn stale (old bytes live until the pin drops) -- but at a
-  // safe point SynchronizeStreams has already drained the workers, so
-  // pins here would be engine bugs that rule I1 flags.
+  // with the fresh chain overlaid. Entries still pinned turn stale (old
+  // bytes live until the pin drops) -- but the driver releases every pin
+  // before the safe point, so pins here would be engine bugs that rule
+  // I1 flags.
   for (auto& gpu : gpus_) {
     if (gpu->cache == nullptr) continue;
     for (PageId pid : changed) (void)gpu->cache->Invalidate(pid);
@@ -317,8 +335,8 @@ Status GtsEngine::QuiesceIngestExclusive() {
         "GtsOptions::ingest.enabled = true");
   }
   // Caller (JobScheduler::QuiesceIngest) holds the driver role: no run
-  // is active, so no page cache exists (caches live only inside a run's
-  // buffer setup) and nothing holds staged bytes -- the changed set
+  // is active, so every page cache is empty (caches hold pages only
+  // inside a run) and nothing holds staged bytes -- the changed set
   // needs no invalidation.
   (void)ingest_->Quiesce();
   return Status::OK();
@@ -326,32 +344,17 @@ Status GtsEngine::QuiesceIngestExclusive() {
 
 void GtsEngine::ReleaseBuffers() {
   for (auto& gpu : gpus_) {
-    gpu->sp_buf.clear();
-    gpu->lp_buf.clear();
+    gpu->device->Release(gpu->stream_buf_bytes);
+    gpu->stream_buf_bytes = 0;
     gpu->ra_buf.clear();
-    gpu->cache.reset();
+    if (gpu->cache != nullptr) gpu->cache->Close();
+    gpu->cache = nullptr;
   }
   cpu_.reset();
 }
 
-bool GtsEngine::AssignToCpu(PageId pid) const {
-  if (cpu_ == nullptr) return false;
-  // Deterministic multiplicative hash of the page id.
-  const uint32_t h = static_cast<uint32_t>(pid) * 2654435761u;
-  return static_cast<double>(h >> 8 & 0xFFFFFF) / 16777216.0 <
-         options_.cpu_assist_fraction;
-}
-
 gpu::OpIndex GtsEngine::RecordOp(gpu::TimelineOp op) {
-  analysis::sync::Lock lock(record_mu_);
   return recorder_.Add(op);
-}
-
-void GtsEngine::PatchKernelDuration(gpu::OpIndex idx, SimTime duration) {
-  analysis::sync::Lock lock(record_mu_);
-  // Safe: Add() only appends, and idx was returned by a previous Add.
-  // Adds on top of any switch overhead recorded at issue time.
-  recorder_.op(idx).duration += duration;
 }
 
 void GtsEngine::NoteWaReplica(const JobExec& job, int g, int lane,
@@ -384,9 +387,7 @@ Status GtsEngine::ProcessPageOnCpu(JobExec* job, PageId pid) {
   cpu_->rr = (cpu_->rr + 1) % tm.cpu_worker_threads;
 
   // Recorded before execution (duration patched in afterwards, like the
-  // GPU path) so the op index exists for race-site attribution. Trace
-  // order is unchanged: nothing else records between the two calls on
-  // this thread, and stream workers only patch.
+  // GPU path) so the op index exists for race-site attribution.
   gpu::TimelineOp kop;
   kop.kind = gpu::OpKind::kKernel;
   kop.stream_key = (1 << 20) + lane;  // dedicated CPU lanes
@@ -413,9 +414,6 @@ Status GtsEngine::ProcessPageOnCpu(JobExec* job, PageId pid) {
     ctx.out_degrees = out_degrees_.data();
   }
   ctx.micro = options_.micro;
-  // CPU pages run on the driver thread, with or without stream threads,
-  // and only the driver touches the host replica.
-  ctx.serial = true;
 
   if (race_ != nullptr) {
     if (!fetch.buffer_hit) {
@@ -450,12 +448,11 @@ Status GtsEngine::ProcessPageOnCpu(JobExec* job, PageId pid) {
   cpu_->lane_work[lane] += work;
 
   // One worker core: no warp parallelism, no coalescing, but no PCI-E.
-  PatchKernelDuration(
-      kidx,
+  recorder_.op(kidx).duration +=
       static_cast<double>(work.warp_cycles) * tm.warp_cycle_seconds *
           tm.cpu_cycle_multiplier +
       static_cast<double>(work.mem_transactions) *
-          kernel->seconds_per_mem_transaction(tm) * tm.cpu_mem_multiplier);
+          kernel->seconds_per_mem_transaction(tm) * tm.cpu_mem_multiplier;
 
   ++job->metrics.cpu_pages;
   if (kind == PageKind::kSmall) {
@@ -466,11 +463,23 @@ Status GtsEngine::ProcessPageOnCpu(JobExec* job, PageId pid) {
   return Status::OK();
 }
 
-void GtsEngine::SynchronizeStreams() {
-  if (!options_.use_stream_threads) return;
-  for (auto& gpu : gpus_) {
-    for (auto& stream : gpu->streams) stream->Synchronize();
+void GtsEngine::DrainWorkers() {
+  {
+    // How much kernel time the staging of the pass left exposed.
+    GTS_PROF_SCOPE("engine.drain");
+    for (auto& gpu : gpus_) gpu->worker.Synchronize();
   }
+  // Added to any switch overhead recorded at issue time.
+  for (const JobLaunch& jl : launches_) {
+    recorder_.op(jl.kidx).duration += jl.duration;
+  }
+}
+
+bool GtsEngine::WorkersBlocked() const {
+  for (const auto& gpu : gpus_) {
+    if (!gpu->worker.blocked()) return false;
+  }
+  return true;
 }
 
 std::vector<PageId> GtsEngine::PlanPass(std::vector<PageId> sps,
@@ -514,7 +523,11 @@ GtsEngine::PageRoute GtsEngine::RoutePage(PageId pid) const {
     route.last_gpu = machine_.num_gpus - 1;
     return route;
   }
-  if (AssignToCpu(pid)) {
+  // The hybrid extension's share, by a deterministic multiplicative hash
+  // of the page id.
+  const uint32_t h = static_cast<uint32_t>(pid) * 2654435761u;
+  if (cpu_ != nullptr && static_cast<double>(h >> 8 & 0xFFFFFF) / 16777216.0 <
+                             options_.cpu_assist_fraction) {
     route.cpu = true;
     return route;  // last_gpu stays below first_gpu: no GPU leg
   }
@@ -590,14 +603,11 @@ Status GtsEngine::SetupSharedStreamBuffers(uint32_t max_ra_b) {
   for (int g = 0; g < machine_.num_gpus; ++g) {
     GpuState& gpu = *gpus_[g];
     for (int s = 0; s < options_.num_streams; ++s) {
-      GTS_ASSIGN_OR_RETURN(
-          gpu::DeviceBuffer sp,
-          gpu.device->Allocate(page_size, "SPBuf[" + std::to_string(s) + "]"));
-      gpu.sp_buf.push_back(std::move(sp));
-      GTS_ASSIGN_OR_RETURN(
-          gpu::DeviceBuffer lp,
-          gpu.device->Allocate(page_size, "LPBuf[" + std::to_string(s) + "]"));
-      gpu.lp_buf.push_back(std::move(lp));
+      for (const char* buf : {"SPBuf[", "LPBuf["}) {
+        GTS_RETURN_IF_ERROR(gpu.device->Reserve(
+            page_size, buf + std::to_string(s) + "]"));
+        gpu.stream_buf_bytes += page_size;
+      }
       if (max_ra_b > 0) {
         // Sized for the largest admitted RA record: one shared RABuf set
         // serves every job of the epoch.
@@ -647,10 +657,14 @@ void GtsEngine::SetupCaches() {
         options_.cache_bytes == GtsOptions::kAutoCacheBytes
             ? avail
             : std::min(options_.cache_bytes, avail);
-    gpu.cache = std::make_unique<PageCache>(
-        gpu.device.get(), cache_bytes, page_size, options_.cache_policy,
-        registry_.get(), "cache.gpu" + std::to_string(g));
-    gpu.cache->BindPinLog(&pin_events_);
+    if (gpu.page_cache == nullptr) {
+      gpu.page_cache = std::make_unique<PageCache>(
+          gpu.device.get(), 0, page_size, options_.cache_policy,
+          registry_.get(), "cache.gpu" + std::to_string(g));
+      gpu.page_cache->BindPinLog(&pin_events_);
+    }
+    gpu.page_cache->Open(cache_bytes);
+    gpu.cache = gpu.page_cache.get();
   }
 }
 
@@ -709,10 +723,7 @@ void GtsEngine::DownloadWaJob(JobExec* job) {
   // WA sync happens after the whole pass completes (Step 3/4, Figure 5):
   // the job's final WA state exists only after every in-flight kernel of
   // the pass retired.
-  {
-    analysis::sync::Lock lock(record_mu_);
-    recorder_.AddBarrier(0.0);
-  }
+  recorder_.AddBarrier(0.0);
   // The download is barrier-ordered: its ops are recorded after the
   // AddBarrier above, so every kernel of the pass happens-before the
   // host-side absorb.
@@ -888,7 +899,6 @@ void GtsEngine::FinishJobInEpoch(JobExec* job) {
     if (job->traversal()) {
       job->metrics.levels = job->level;
     } else {
-      analysis::sync::Lock lock(record_mu_);
       recorder_.AddBarrier(machine_.time_model.sync_overhead *
                            machine_.num_gpus);
       job->metrics.levels = 1;
@@ -931,8 +941,7 @@ Status GtsEngine::ProcessPagesBatch(const std::vector<PageId>& ordered) {
 
 Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
   const TimeModel& tm = machine_.time_model;
-  const PageConfig& config = graph_->config();
-  const uint64_t page_size = config.page_size;
+  const uint64_t page_size = graph_->config().page_size;
   const PageKind kind = graph_->kind(pid);
   GpuState& gpu = *gpus_[g];
   const int stream_key = StreamKey(g, s);
@@ -940,11 +949,9 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
   JobExec* first = demanders.front();
 
   // Host-side routing against cachedPIDMap (Algorithm 1 line 16). A
-  // hit returns an RAII Pin: the lease blocks eviction, so the kernels
-  // can run in place against the cached device page even while Insert
-  // calls on other stream threads evict around it. The Pin is move-only
-  // and moves straight into the execute closure (gpu::Task). Lookups
-  // and hits are credited to the first demander, like pages_streamed.
+  // hit returns an RAII Pin over the cached device page, which the
+  // kernels then read in place. Lookups and hits are credited to the
+  // first demander, like pages_streamed.
   PageCache::Pin pin;
   if (gpu.cache != nullptr) {
     pin = gpu.cache->Lookup(pid);
@@ -953,12 +960,11 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
   }
   const bool cached = pin.valid();
 
-  // Holds streamed page bytes alive for the enqueued closure (thread
-  // mode); unused on a cache hit, where the pinned bytes are read
-  // directly.
-  std::vector<uint8_t> staging;
+  // The worker's next ring slot: its page buffer is the driver's to fill
+  // until the slot's launches are enqueued.
+  const size_t slot = gpu.worker.Reserve();
+  const uint8_t* page_bytes = cached ? pin.data() : nullptr;
   if (!cached) {
-    staging.resize(page_size);
     transfer::StageRequest sreq;
     sreq.pid = pid;
     sreq.gpu = g;
@@ -994,14 +1000,16 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
                           /*write=*/false, staged.transfer_op);
       race_->Fuse(copy, race_->StreamLane(g, s, stream_key));
     }
-    // Copied on the driver: the next page's Acquire may evict the MMBuf
-    // bytes `staged.data` points at before a stream thread runs the
-    // kernels.
-    std::memcpy(staging.data(), staged.data, page_size);
+    // The page's one host copy, straight into the ring slot: the next
+    // page's Acquire may evict the MMBuf bytes `staged.data` points at
+    // before the worker runs the kernels.
+    uint8_t* dst = gpu.worker.buffer(slot);
+    std::memcpy(dst, staged.data, page_size);
     // Streaming ingestion: overlay once per staging (the MMBuf copy stays
     // the installed base image); every co-served job reads the same
     // patched epoch-consistent copy.
-    if (ingest_ != nullptr) (void)ingest_->Overlay(pid, staging.data());
+    if (ingest_ != nullptr) (void)ingest_->Overlay(pid, dst);
+    page_bytes = dst;
   }
   if (demanders.back() != first) {
     obs::Counter& shared = registry_->GetCounter("cache.shared_page_hits");
@@ -1026,7 +1034,10 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
   JobLaunch* const launch_begin = launches_.data() + launches_.size();
   for (JobExec* job : demanders) {
     JobLaunch jl;
-    jl.job = job;
+    jl.kernel = job->kernel;
+    jl.slice = &job->gpus[static_cast<size_t>(g)];
+    jl.level = job->cur_level();
+    jl.job_id = job->job_id;
     const uint32_t ra_b = job->kernel->ra_bytes_per_vertex();
     const uint8_t* host_ra = job->kernel->host_ra();
     if (ra_b > 0 && host_ra != nullptr) {
@@ -1082,84 +1093,62 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
   }
   const size_t n_launches = demanders.size();
 
-  // Captured in the host phase: PageVersion may only move at safe
-  // points, but the execute closure can run after this pass's sync.
-  const uint64_t page_version =
-      ingest_ != nullptr ? ingest_->PageVersion(pid) : 0;
-  // Without stream threads every kernel runs right here on the driver
-  // thread, one at a time: its WA operations need no atomics.
-  const bool on_driver = !options_.use_stream_threads;
-  GpuState* gpu_ptr = &gpu;
-  auto execute = [this, gpu_ptr, pin = std::move(pin),
-                  staging = std::move(staging), launch_begin, n_launches,
-                  kind, g, s, race_lane, insert_into_cache, pid, config,
-                  page_version, on_driver]() {
+  if (insert_into_cache) {
+    // Device-internal copy; deliberately not a timeline op (it does not
+    // cross PCI-E). An evicting insert may reuse the buffer of a page a
+    // queued kernel reads, so the worker drains first (with every pin
+    // released, as inline). Failure leaves the page on the streaming path.
+    if (gpu.cache->InsertEvicts(pid)) gpu.worker.Synchronize();
+    (void)gpu.cache->Insert(pid, page_bytes,
+                            ingest_ != nullptr ? ingest_->PageVersion(pid)
+                                               : 0);
+  }
+
+  uint8_t* const ra_dst = gpu.ra_buf.empty() ? nullptr : gpu.ra_buf[s].data();
+  gpu.worker.Enqueue([this, page_bytes, ra_dst, launch_begin, n_launches,
+                      kind, g, s, race_lane, pid] {
     const TimeModel& tm = machine_.time_model;
-    GpuState& st = *gpu_ptr;
-    const uint8_t* page_bytes = nullptr;
-    if (pin.valid()) {
-      // Cache hit: run in place against the pinned device page; no copy
-      // is needed and the Pin keeps the buffer alive until this closure
-      // is destroyed.
-      page_bytes = pin.data();
-    } else {
-      // "Copy" into the device stream buffer, then run there.
-      uint8_t* dst = kind == PageKind::kSmall ? st.sp_buf[s].data()
-                                              : st.lp_buf[s].data();
-      std::memcpy(dst, staging.data(), staging.size());
-      page_bytes = dst;
-    }
-    PageView view(page_bytes, config);
-    for (const JobLaunch* jl = launch_begin; jl != launch_begin + n_launches;
-         ++jl) {
-      JobGpuSlice& slice = jl->job->gpus[static_cast<size_t>(g)];
-      if (jl->ra_src != nullptr) {
-        std::memcpy(st.ra_buf[s].data(), jl->ra_src, jl->ra_bytes);
-      }
+    const PageView view(page_bytes, graph_->config());
+    for (JobLaunch* jl = launch_begin; jl != launch_begin + n_launches; ++jl) {
+      JobGpuSlice& slice = *jl->slice;
+      if (jl->ra_src != nullptr) std::memcpy(ra_dst, jl->ra_src, jl->ra_bytes);
       KernelContext ctx;
       ctx.rvt = &graph_->rvt();
       ctx.wa = slice.wa_buf.data();
       ctx.wa_begin = slice.wa_begin;
       ctx.wa_end = slice.wa_end;
-      ctx.ra = jl->ra_src != nullptr ? st.ra_buf[s].data() : nullptr;
+      ctx.ra = jl->ra_src != nullptr ? ra_dst : nullptr;
       ctx.ra_start_vid = jl->ra_start_vid;
-      ctx.cur_level = jl->job->cur_level();
+      ctx.cur_level = jl->level;
       ctx.next_pid_set = slice.local_next.get();
       if (slice.local_next != nullptr && slice.local_next->counting()) {
         ctx.out_degrees = out_degrees_.data();
       }
       ctx.micro = options_.micro;
-      ctx.serial = on_driver;
       if (race_ != nullptr) {
         ctx.race_site = {race_.get(), race_lane,
-                         analysis::RaceDetector::WaDomain(g, jl->job->job_id),
+                         analysis::RaceDetector::WaDomain(g, jl->job_id),
                          jl->kidx, pid};
       }
-      GtsKernel* kernel = jl->job->kernel;
+      GtsKernel* kernel = jl->kernel;
       const WorkStats work = kind == PageKind::kSmall
                                  ? kernel->RunSp(view, ctx)
                                  : kernel->RunLp(view, ctx);
       slice.stream_work[static_cast<size_t>(s)] += work;
-      PatchKernelDuration(
-          jl->kidx,
+      jl->duration =
           tm.kernel_launch_overhead +
-              static_cast<double>(work.warp_cycles) * tm.warp_cycle_seconds +
-              static_cast<double>(work.mem_transactions) *
-                  kernel->seconds_per_mem_transaction(tm));
+          static_cast<double>(work.warp_cycles) * tm.warp_cycle_seconds +
+          static_cast<double>(work.mem_transactions) *
+              kernel->seconds_per_mem_transaction(tm);
     }
-    if (insert_into_cache) {
-      // Device-internal copy; deliberately not a timeline op (it does
-      // not cross PCI-E). Failure is cache-full backpressure (counted
-      // by the cache) -- the page simply stays on the streaming path.
-      (void)st.cache->Insert(pid, page_bytes, page_version);
-    }
-  };
-
-  if (on_driver) {
-    execute();
-  } else {
-    gpu.streams[s]->Enqueue(std::move(execute));
-  }
+  });
+  // The bytes of a hit stay put without the lease: nothing evicts or
+  // invalidates a cached page before the worker drains. Releasing here
+  // logs the pin events in inline order.
+  pin.Release();
+  // The race detector stamps WA accesses with the lane's clock, which the
+  // next launch advances: run each page's kernels before the next issue.
+  if (race_ != nullptr) gpu.worker.Synchronize();
   return Status::OK();
 }
 
@@ -1276,10 +1265,7 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
   if (any_cache) SetupCaches();
 
   // Epoch-start clears (one epoch = one schedule).
-  {
-    analysis::sync::Lock lock(record_mu_);
-    recorder_.Clear();
-  }
+  recorder_.Clear();
   store_->ResetStats();
   io_->ResetStats();
   pin_events_.Clear();
@@ -1491,7 +1477,7 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
     launches_.reserve(max_launches *
                       static_cast<size_t>(replicate_ ? machine_.num_gpus : 1));
     Status pass_status = ProcessPagesBatch(ordered);
-    SynchronizeStreams();
+    DrainWorkers();
     for (PageId pid : ordered) demand_[pid].clear();
     if (!pass_status.ok()) {
       for (JobExec* job : running) {
@@ -1505,7 +1491,7 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
 
     // Per-level sync, job by job in admission order, then one host merge
     // + barrier for the pass. The level boundary is a BSP barrier for the
-    // race detector: the stream sync above orders every kernel of this
+    // race detector: the drain above orders every kernel of this
     // level before the host-side frontier/WA merge (the simulated D2H
     // ops may still overlap kernels in the timeline, but their payload
     // is only read here), and its release lets the next level's kernels
@@ -1518,29 +1504,23 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
     merge.kind = gpu::OpKind::kHostCompute;
     merge.duration = tm.host_merge_overhead;
     RecordOp(merge);
-    {
-      analysis::sync::Lock lock(record_mu_);
-      recorder_.AddBarrier(tm.sync_overhead);
-    }
+    recorder_.AddBarrier(tm.sync_overhead);
     if (race_ != nullptr) race_->BarrierRelease();
     for (JobExec* job : running) {
       if (job->traversal()) ++job->level;
     }
   }
 
+  // No worker spins between runs.
+  for (auto& gpu : gpus_) gpu->worker.Park();
   FinalizeBatchEpoch(jobs);
   return Status::OK();
 }
 
 void GtsEngine::FinalizeBatchEpoch(const std::vector<JobExec*>& jobs) {
   GTS_PROF_SCOPE("engine.finalize_run");
-  std::vector<gpu::TimelineOp> ops;
-  {
-    analysis::sync::Lock lock(record_mu_);
-    ops = recorder_.TakeOps();
-  }
   gpu::ScheduleResult schedule =
-      gpu::ScheduleSimulator(machine_.time_model).Run(std::move(ops));
+      gpu::ScheduleSimulator(machine_.time_model).Run(recorder_.TakeOps());
 
   // gts::analysis: harvest the race detector and replay the schedule
   // through the invariant validator (J1 only sees tagged ops, so a

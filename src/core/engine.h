@@ -67,9 +67,9 @@ struct GtsOptions {
   /// Device bytes reserved for the page cache; kAutoCacheBytes = all free
   /// device memory after WABuf and the stream buffers.
   uint64_t cache_bytes = kAutoCacheBytes;
-  /// Execute kernels on real asynchronous gpu::Streams (worker threads)
-  /// instead of inline. Results are equivalent; inline is deterministic
-  /// to the bit for floating-point kernels.
+  /// Inert: every engine runs each GPU's kernels on one host worker
+  /// (gpu::Stream) with bit-identical results. Kept only because the
+  /// benchmark's workload setup assigns it.
   bool use_stream_threads = false;
   /// Retain the full per-op timeline in RunMetrics (Figure 4).
   bool keep_timeline = false;
@@ -81,8 +81,8 @@ struct GtsOptions {
   /// pass, private WA partition per job). Every submission runs as an
   /// epoch; with the default 1 each epoch holds exactly one job, whose
   /// ops stay untagged. Multi-job epochs run on the same push loop as a
-  /// single job, inline or on stream threads; they are incompatible with
-  /// cpu_assist_fraction > 0, which Validate() rejects.
+  /// single job; they are incompatible with cpu_assist_fraction > 0,
+  /// which Validate() rejects.
   int max_concurrent_jobs = 1;
 
   /// Section 9 future-work extension: fraction of the page stream the
@@ -190,6 +190,10 @@ class GtsEngine {
   /// compaction at a point where no job is running.
   ingest::EdgeStream* edge_stream() { return ingest_.get(); }
 
+  /// True when every GPU worker is blocked waiting for work, as it is
+  /// whenever no run is in progress: no engine thread spins between runs.
+  bool WorkersBlocked() const;
+
  private:
   friend class JobScheduler;
 
@@ -212,8 +216,9 @@ class GtsEngine {
   /// for traversal kernels); on failure every partial slice is released
   /// and the allocation error returned (the admission-control signal).
   Status AdmitJobSlices(JobExec* job, int slot);
-  /// Allocates the shared per-stream SP/LP/RA buffers (RA sized for the
-  /// largest admitted ra_bytes_per_vertex) and resets stream state.
+  /// Takes the device memory of the per-stream SP/LP/RA buffers (RA sized
+  /// for the largest admitted ra_bytes_per_vertex) and resets stream
+  /// state.
   Status SetupSharedStreamBuffers(uint32_t max_ra_b);
   /// Host co-processing state for `kernel` (cpu_assist_fraction > 0;
   /// Validate() keeps such epochs to one job). FailedPrecondition for
@@ -246,9 +251,9 @@ class GtsEngine {
   /// stream of that GPU's round-robin cursor. Pages the hybrid extension
   /// routes to the host run on the CPU lanes.
   Status ProcessPagesBatch(const std::vector<PageId>& ordered);
-  /// Streams page `pid` to stream `s` of GPU `g` and runs one kernel per
-  /// demanding job against the staged (or cached) copy: enqueued to the
-  /// stream under use_stream_threads, else run inline on the driver.
+  /// Streams page `pid` to stream `s` of GPU `g` -- staged once into a
+  /// ring slot of the GPU's worker, or read in place from the cache --
+  /// and enqueues one kernel launch per demanding job on that worker.
   Status StreamPageToGpuBatch(PageId pid, int g, int s);
   /// Epoch wrap-up: simulate once, run the analysis layer (race-report
   /// harvest, schedule validator including the job-isolation rule, lock
@@ -260,9 +265,6 @@ class GtsEngine {
   /// Per-GPU WA ownership range under the active strategy. Traversal
   /// kernels always replicate WA (they read arbitrary neighbors' state).
   void WaRange(int g, bool traversal, VertexId* begin, VertexId* end) const;
-
-  /// True if the hybrid extension routes page `pid` to the host CPUs.
-  bool AssignToCpu(PageId pid) const;
 
   /// One page's CPU/GPU routing under the active strategy: every GPU
   /// when replicate_, else the CPU-assist hash, else GPU pid % num_gpus.
@@ -312,8 +314,8 @@ class GtsEngine {
   /// chains + installs finished compactions, then invalidates cached
   /// copies of every changed page on every GPU (in-flight pins keep
   /// their stale bytes until released). No-op when ingestion is
-  /// disabled. Must only run at pass/level boundaries -- never while
-  /// stream workers hold staged pages.
+  /// disabled. Must only run at pass/level boundaries, after
+  /// DrainWorkers: a queued kernel may read a cached page in place.
   void PublishIngest();
 
   /// Scheduler-only (driver-exclusive) full drain: flush + publish +
@@ -321,7 +323,9 @@ class GtsEngine {
   /// JobScheduler::QuiesceIngest.
   Status QuiesceIngestExclusive();
 
-  void SynchronizeStreams();
+  /// The pass barrier on the host: waits until every GPU worker ran its
+  /// queued launches, then adds their kernel times to the recorded ops.
+  void DrainWorkers();
 
   const PagedGraph* graph_;
   PageStore* store_;
@@ -362,17 +366,13 @@ class GtsEngine {
   uint32_t merge_epoch_ = 0;
   /// Kernel launches recorded by the current pass, one per (page, GPU,
   /// demanding job). Reserved before the pass for its worst case, so
-  /// the element ranges handed to execute closures never move.
+  /// the element ranges handed to the workers never move.
   std::vector<JobLaunch> launches_;
 
-  // Schedule recording (guarded: stream threads patch kernel durations).
-  // Leaf lock: nothing is acquired while holding it, hence the highest
-  // level in the declared order.
-  analysis::sync::Mutex record_mu_{"engine.record",
-                                   analysis::sync::level::kRecord};
-  gpu::ScheduleRecorder recorder_ GTS_GUARDED_BY(record_mu_);
+  // Schedule recording. Only the driver records; workers report kernel
+  // durations through launches_, which DrainWorkers folds in.
+  gpu::ScheduleRecorder recorder_;
   gpu::OpIndex RecordOp(gpu::TimelineOp op);
-  void PatchKernelDuration(gpu::OpIndex idx, SimTime duration);
 
   // gts::analysis wiring. The pin event log of every PageCache feeds the
   // always-on schedule validator; it is cleared at epoch start and

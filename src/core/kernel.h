@@ -6,7 +6,6 @@
 #ifndef GTS_CORE_KERNEL_H_
 #define GTS_CORE_KERNEL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -60,21 +59,6 @@ struct WorkStats {
   }
 };
 
-namespace kernel_internal {
-
-/// Compare-exchange as a plain host operation, for KernelContext::serial.
-template <typename T>
-bool PlainCas(T& word, T& expected, T desired) {
-  if (std::memcmp(&word, &expected, sizeof(T)) == 0) {
-    word = desired;
-    return true;
-  }
-  expected = word;
-  return false;
-}
-
-}  // namespace kernel_internal
-
 /// Everything a kernel invocation sees inside the (simulated) device.
 struct KernelContext {
   const Rvt* rvt = nullptr;  ///< RID -> VID mapping table (Appendix A)
@@ -104,16 +88,6 @@ struct KernelContext {
 
   MicroStrategy micro = MicroStrategy::kEdgeCentric;
 
-  /// Set by the engine when it runs this call inline on the driver thread,
-  /// one kernel call at a time: every GPU page when stream threads are
-  /// off, and the CPU-assist lane, whose host WA replica only the driver
-  /// touches. No other thread can access this WA during the call, so
-  /// WaCas, WaCasWeak, WaFetchAdd and WaFetchOr run as plain host
-  /// operations (same values, same return semantics). Kernels on stream
-  /// threads leave it false and keep the atomic path. The race
-  /// detector's logical classification is the same either way.
-  bool serial = false;
-
   /// True when vertex id v is in this context's WA ownership range.
   bool OwnsVertex(VertexId v) const { return v >= wa_begin && v < wa_end; }
 
@@ -138,36 +112,41 @@ struct KernelContext {
   /// compiled out otherwise, so the OFF build pays nothing per edge.
   analysis::AccessSite race_site;
 
-  /// Reports one WA access to the race detector. `addr` must point into
+  /// Reports one WA access to the race detector; compiled out unless the
+  /// build carries -DGTS_RACE_CHECK=ON. `addr` must point into
   /// [wa, wa + (wa_end - wa_begin) * bytes_per_vertex).
   void NoteWa(const void* addr, uint32_t size,
               analysis::AccessClass cls) const {
+#if GTS_RACE_CHECK_ENABLED
     if (race_site.detector == nullptr) return;
     const uint64_t offset = static_cast<uint64_t>(
         reinterpret_cast<const uint8_t*>(addr) - wa);
     race_site.detector->OnWaAccess(race_site.lane, race_site.domain, offset,
                                    size, cls, race_site.op, race_site.page);
+#else
+    (void)addr;
+    (void)size;
+    (void)cls;
+#endif
   }
 
   // Instrumented WA access API. All WA reads and writes must go through
-  // these helpers. Loads and stores are relaxed std::atomic_ref
-  // operations at host level (so host TSan stays clean in either build);
-  // the read-modify-writes are too, unless `serial` is set, when they
-  // are plain host operations. Each helper carries a *logical*
-  // classification -- WaRead/WaStore are plain-classified, the rest
-  // atomic-classified, whatever `serial` says -- that the
-  // -DGTS_RACE_CHECK=ON build reports to the happens-before detector.
-  // Under the simulated schedule, a plain-classified access that is
-  // concurrent with any conflicting access is a logical data race even
-  // though the host execution never faults.
+  // these helpers. At host level they are plain operations: every WA
+  // replica has one writer thread at a time (its GPU's worker during a
+  // pass, the driver between passes and for the CPU-assist replica). Each
+  // helper carries a *logical* classification -- WaRead/WaStore are
+  // plain-classified, the rest atomic-classified, as the CUDA kernel
+  // would issue them -- that the -DGTS_RACE_CHECK=ON build reports to the
+  // happens-before detector. Under the simulated schedule, a
+  // plain-classified access that is concurrent with any conflicting
+  // access is a logical data race even though the host execution never
+  // faults.
 
-  /// Atomic relaxed load (peer streams CAS/RMW concurrently).
+  /// Atomic-classified load (peer streams CAS/RMW concurrently).
   template <typename T>
   T WaLoad(T& word) const {
-#if GTS_RACE_CHECK_ENABLED
     NoteWa(&word, sizeof(T), analysis::AccessClass::kAtomicRead);
-#endif
-    return std::atomic_ref<T>(word).load(std::memory_order_relaxed);
+    return word;
   }
 
   /// Plain-classified read: the kernel asserts no concurrent conflicting
@@ -175,83 +154,60 @@ struct KernelContext {
   /// settled entries). The detector checks the assertion.
   template <typename T>
   T WaRead(T& word) const {
-#if GTS_RACE_CHECK_ENABLED
     NoteWa(&word, sizeof(T), analysis::AccessClass::kPlainRead);
-#endif
-    return std::atomic_ref<T>(word).load(std::memory_order_relaxed);
+    return word;
   }
 
   /// Plain-classified store: the kernel asserts exclusive ownership of
   /// the word (e.g. one SP record per vertex). The detector checks it.
   template <typename T>
   void WaStore(T& word, T value) const {
-#if GTS_RACE_CHECK_ENABLED
     NoteWa(&word, sizeof(T), analysis::AccessClass::kPlainWrite);
-#endif
-    std::atomic_ref<T>(word).store(value, std::memory_order_relaxed);
+    word = value;
   }
 
-  /// Atomic compare-exchange (strong). Classified as an atomic RMW write
-  /// whether or not the exchange succeeds. Like the atomic, it compares
-  /// object representations and, on failure, loads `word` into
-  /// `expected`.
+  /// Compare-exchange (strong), classified as an atomic RMW write whether
+  /// or not the exchange succeeds. Like the atomic, it compares object
+  /// representations and, on failure, loads `word` into `expected`.
   template <typename T>
   bool WaCas(T& word, T& expected, T desired) const {
-#if GTS_RACE_CHECK_ENABLED
     NoteWa(&word, sizeof(T), analysis::AccessClass::kAtomicWrite);
-#endif
-    if (serial) return kernel_internal::PlainCas(word, expected, desired);
-    return std::atomic_ref<T>(word).compare_exchange_strong(
-        expected, desired, std::memory_order_relaxed);
+    if (std::memcmp(&word, &expected, sizeof(T)) == 0) {
+      word = desired;
+      return true;
+    }
+    expected = word;
+    return false;
   }
 
-  /// Atomic compare-exchange (weak; use in retry loops). The serial form
-  /// never fails spuriously.
+  /// Compare-exchange for retry loops; never fails spuriously.
   template <typename T>
   bool WaCasWeak(T& word, T& expected, T desired) const {
-#if GTS_RACE_CHECK_ENABLED
-    NoteWa(&word, sizeof(T), analysis::AccessClass::kAtomicWrite);
-#endif
-    if (serial) return kernel_internal::PlainCas(word, expected, desired);
-    return std::atomic_ref<T>(word).compare_exchange_weak(
-        expected, desired, std::memory_order_relaxed);
+    return WaCas(word, expected, desired);
   }
 
-  /// Atomic fetch-add (integers and, in C++20, floats). Integers wrap
-  /// like the atomic, also in the serial form.
+  /// Fetch-add (integers and floats). Integers wrap like the atomic.
   template <typename T>
   T WaFetchAdd(T& word, T add) const {
-#if GTS_RACE_CHECK_ENABLED
     NoteWa(&word, sizeof(T), analysis::AccessClass::kAtomicWrite);
-#endif
-    if (serial) {
-      const T old = word;
-      if constexpr (std::is_integral_v<T>) {
-        using U = std::make_unsigned_t<T>;
-        word = static_cast<T>(
-            static_cast<U>(static_cast<U>(old) + static_cast<U>(add)));
-      } else {
-        word = old + add;
-      }
-      return old;
+    const T old = word;
+    if constexpr (std::is_integral_v<T>) {
+      using U = std::make_unsigned_t<T>;
+      word = static_cast<T>(
+          static_cast<U>(static_cast<U>(old) + static_cast<U>(add)));
+    } else {
+      word = old + add;
     }
-    return std::atomic_ref<T>(word).fetch_add(add,
-                                              std::memory_order_relaxed);
+    return old;
   }
 
-  /// Atomic fetch-or (integer bit sketches).
+  /// Fetch-or (integer bit sketches).
   template <typename T>
   T WaFetchOr(T& word, T bits) const {
-#if GTS_RACE_CHECK_ENABLED
     NoteWa(&word, sizeof(T), analysis::AccessClass::kAtomicWrite);
-#endif
-    if (serial) {
-      const T old = word;
-      word = static_cast<T>(old | bits);
-      return old;
-    }
-    return std::atomic_ref<T>(word).fetch_or(bits,
-                                             std::memory_order_relaxed);
+    const T old = word;
+    word = static_cast<T>(old | bits);
+    return old;
   }
 
   template <typename T>
@@ -300,17 +256,17 @@ class GtsKernel {
   virtual void AbsorbDeviceWa(const uint8_t* device_wa, VertexId begin,
                               VertexId end) = 0;
 
-  /// K_SP: processes one small page (Appendix B). Must be thread-safe
-  /// across concurrent pages (access WA only through the
-  /// KernelContext::Wa* helpers, which are atomic unless the engine runs
-  /// the call serially).
+  /// K_SP: processes one small page (Appendix B). The GPUs' workers call
+  /// one kernel object concurrently, each with its own WA replica: access
+  /// WA only through the KernelContext::Wa* helpers, and keep any other
+  /// state touched here (counters, scratch) safe for concurrent calls.
   ///
   /// Page-bytes contract: on a cache hit `page` views the device page
-  /// cache directly -- the engine holds a PageCache::Pin for the duration
-  /// of the call, which keeps the bytes stable while concurrent streams
-  /// insert and evict around it. Kernels must treat page memory as
-  /// strictly read-only (topology is immutable; writes go to WA) and must
-  /// not retain the view past the call.
+  /// cache directly -- the engine drains the GPU's worker before anything
+  /// evicts or invalidates a cached page, so the bytes stay stable for
+  /// the call. Kernels must treat page memory as strictly read-only
+  /// (topology is immutable; writes go to WA) and must not retain the
+  /// view past the call.
   virtual WorkStats RunSp(const PageView& page, KernelContext& ctx) = 0;
 
   /// K_LP: processes one large-page chunk of a single vertex. Same

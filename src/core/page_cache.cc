@@ -1,7 +1,6 @@
 #include "core/page_cache.h"
 
 #include <cstring>
-#include <iterator>
 #include <string>
 #include <utility>
 
@@ -16,10 +15,7 @@ PageCache::PageCache(gpu::Device* device, uint64_t capacity_bytes,
                      uint64_t page_size, CachePolicy policy,
                      obs::MetricsRegistry* registry,
                      std::string_view metric_prefix)
-    : device_(device),
-      page_size_(page_size),
-      capacity_pages_(page_size == 0 ? 0 : capacity_bytes / page_size),
-      policy_(policy) {
+    : device_(device), page_size_(page_size), policy_(policy) {
   if (registry != nullptr) {
     const std::string prefix(metric_prefix);
     lookups_metric_ = &registry->GetCounter(prefix + ".lookups");
@@ -27,13 +23,34 @@ PageCache::PageCache(gpu::Device* device, uint64_t capacity_bytes,
     inserts_metric_ = &registry->GetCounter(prefix + ".inserts");
     backpressure_metric_ = &registry->GetCounter(prefix + ".backpressure");
   }
+  Open(capacity_bytes);
 }
 
-PageCache::~PageCache() {
+PageCache::~PageCache() { Close(); }
+
+void PageCache::Open(uint64_t capacity_bytes) {
+  analysis::sync::Lock lock(mu_);
+  GTS_CHECK(size_ == 0) << "PageCache::Open on a cache holding pages";
+  capacity_pages_ = page_size_ == 0 ? 0 : capacity_bytes / page_size_;
+  lookups_ = 0;
+  hits_ = 0;
+  insert_backpressure_ = 0;
+}
+
+void PageCache::Close() {
   analysis::sync::Lock lock(mu_);
   GTS_CHECK(total_pins_ == 0)
-      << "PageCache destroyed with " << total_pins_
+      << "PageCache closed with " << total_pins_
       << " outstanding Pin(s); every Pin must be released first";
+  for (PageId pid = order_.older; pid != kSentinel;) {
+    const PageId older = entries_[pid].older;
+    free_buffers_.push_back(entries_[pid].data);
+    entries_[pid] = Entry{};
+    pid = older;
+  }
+  device_->Release(size_ * page_size_);
+  size_ = 0;
+  order_ = Entry{};
 }
 
 PageCache::Pin& PageCache::Pin::operator=(Pin&& other) noexcept {
@@ -71,7 +88,7 @@ PageCache::Pin PageCache::Lookup(PageId pid) {
   if (pin_log_ != nullptr) {
     pin_log_->Append(analysis::PinEvent::Kind::kPinned, pid);
   }
-  Pin pin(this, pid, entry->buffer.data());
+  Pin pin(this, pid, entry->data);
 #if GTS_SYNC_CHECK_ENABLED
   pin.sync_owner_ = analysis::sync::LockRegistry::Global().NotePinAcquired();
 #endif
@@ -82,70 +99,79 @@ bool PageCache::LookupInto(PageId pid, uint8_t* dst) {
   analysis::sync::Lock lock(mu_);
   const Entry* entry = FindLocked(pid);
   if (entry == nullptr) return false;
-  std::memcpy(dst, entry->buffer.data(), page_size_);
+  std::memcpy(dst, entry->data, page_size_);
   return true;
 }
 
 PageCache::Entry* PageCache::FindLocked(PageId pid) {
   ++lookups_;
   if (lookups_metric_ != nullptr) lookups_metric_->Add();
-  auto it = entries_.find(pid);
   // A stale entry (invalidated while pinned) misses: its bytes are a
   // previous page version kept alive only for the pins already holding it.
-  if (it == entries_.end() || it->second.stale) return nullptr;
+  if (!ResidentLocked(pid) || entries_[pid].stale) return nullptr;
   ++hits_;
   if (hits_metric_ != nullptr) hits_metric_->Add();
   if (policy_ == CachePolicy::kLru) {
-    order_.erase(it->second.order_it);
-    order_.push_front(pid);
-    it->second.order_it = order_.begin();
+    UnlinkLocked(pid);
+    LinkFrontLocked(pid);
   }
-  return &it->second;
+  return &entries_[pid];
+}
+
+void PageCache::LinkFrontLocked(PageId pid) {
+  entries_[pid].newer = kSentinel;
+  entries_[pid].older = order_.older;
+  Node(order_.older).newer = pid;
+  order_.older = pid;
+}
+
+void PageCache::EraseLocked(PageId pid) {
+  UnlinkLocked(pid);
+  free_buffers_.push_back(entries_[pid].data);
+  entries_[pid] = Entry{};
+  --size_;
+  device_->Release(page_size_);
 }
 
 void PageCache::Unpin(PageId pid) {
   analysis::sync::Lock lock(mu_);
-  auto it = entries_.find(pid);
   // Eviction skips pinned pages, so a pinned entry can never disappear.
-  GTS_CHECK(it != entries_.end()) << "Unpin of evicted page " << pid;
-  GTS_CHECK(it->second.pins > 0) << "Unpin without a pin on page " << pid;
-  --it->second.pins;
+  GTS_CHECK(ResidentLocked(pid)) << "Unpin of evicted page " << pid;
+  Entry& entry = entries_[pid];
+  GTS_CHECK(entry.pins > 0) << "Unpin without a pin on page " << pid;
+  --entry.pins;
   --total_pins_;
   if (pin_log_ != nullptr) {
     pin_log_->Append(analysis::PinEvent::Kind::kReleased, pid);
   }
   // Deferred invalidation: the last reader of a stale version just left,
   // so the old bytes can finally go.
-  if (it->second.stale && it->second.pins == 0) {
+  if (entry.stale && entry.pins == 0) {
     if (pin_log_ != nullptr) {
       pin_log_->Append(analysis::PinEvent::Kind::kEvicted, pid);
     }
-    order_.erase(it->second.order_it);
-    entries_.erase(it);
+    EraseLocked(pid);
   }
 }
 
 uint64_t PageCache::VersionOf(PageId pid) const {
   analysis::sync::Lock lock(mu_);
-  auto it = entries_.find(pid);
-  return it == entries_.end() ? 0 : it->second.version;
+  return ResidentLocked(pid) ? entries_[pid].version : 0;
 }
 
 bool PageCache::Invalidate(PageId pid) {
   analysis::sync::Lock lock(mu_);
-  auto it = entries_.find(pid);
-  if (it == entries_.end()) return true;
+  if (!ResidentLocked(pid)) return true;
   if (pin_log_ != nullptr) {
     pin_log_->Append(analysis::PinEvent::Kind::kInvalidated, pid);
   }
-  if (it->second.pins > 0) {
+  if (entries_[pid].pins > 0) {
     // A kernel may still be reading the old version through its Pin;
     // keep the bytes but hide them from every future lookup.
-    it->second.stale = true;
+    entries_[pid].stale = true;
     return false;
   }
-  order_.erase(it->second.order_it);
-  entries_.erase(it);
+  EraseLocked(pid);
   return true;
 }
 
@@ -167,56 +193,60 @@ Status PageCache::Insert(PageId pid, const uint8_t* bytes,
   if (capacity_pages_ == 0) return Status::OK();
   // Already present -- including a stale-but-pinned copy, whose device
   // buffer cannot be replaced until its readers drain.
-  if (entries_.count(pid) != 0) return Status::OK();
-  if (policy_ == CachePolicy::kPinned &&
-      entries_.size() >= capacity_pages_) {
+  if (ResidentLocked(pid)) return Status::OK();
+  if (policy_ == CachePolicy::kPinned && size_ >= capacity_pages_) {
     return Status::OK();  // full: scan-resistant, keep the resident set
   }
-  // The last victim's device buffer, reused for the new page: the device
-  // keeps the same bytes reserved, and nothing is allocated or zeroed.
-  gpu::DeviceBuffer buffer;
-  while (entries_.size() >= capacity_pages_) {
+  // The victim's buffer, reused for the new page: the device keeps the
+  // same bytes reserved, and nothing is allocated.
+  uint8_t* buffer = nullptr;
+  // Capacity is fixed while pages are resident, so one eviction makes
+  // room.
+  if (size_ >= capacity_pages_) {
     // Oldest-first victim scan that skips pages leased out via Pin; a
-    // pinned page may be mid-read on a stream thread, so destroying its
-    // DeviceBuffer here would be a use-after-free.
-    auto victim = order_.end();
-    for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-      if (entries_.at(*it).pins == 0) {
-        victim = std::next(it).base();
-        break;
-      }
+    // pinned page may be mid-read by a kernel, so reusing its buffer here
+    // would overwrite bytes under the reader.
+    PageId victim = order_.newer;
+    while (victim != kSentinel && entries_[victim].pins > 0) {
+      victim = entries_[victim].newer;
     }
-    if (victim == order_.end()) {
+    if (victim == kSentinel) {
       ++insert_backpressure_;
       if (backpressure_metric_ != nullptr) backpressure_metric_->Add();
       return Status::CapacityExceeded(
-          "page cache full: all " + std::to_string(entries_.size()) +
+          "page cache full: all " + std::to_string(size_) +
           " resident pages are pinned (page " + std::to_string(pid) +
           " stays on the streaming path)");
     }
     if (pin_log_ != nullptr) {
-      pin_log_->Append(analysis::PinEvent::Kind::kEvicted, *victim);
+      pin_log_->Append(analysis::PinEvent::Kind::kEvicted, victim);
     }
-    auto evicted = entries_.find(*victim);
-    buffer = std::move(evicted->second.buffer);
-    entries_.erase(evicted);
-    order_.erase(victim);
+    buffer = entries_[victim].data;
+    UnlinkLocked(victim);
+    entries_[victim] = Entry{};
+    --size_;
   }
-  if (!buffer.valid()) {
-    Result<gpu::DeviceBuffer> fresh = device_->Allocate(page_size_, "cache");
-    if (!fresh.ok()) {
+  if (buffer == nullptr) {
+    const Status reserved = device_->Reserve(page_size_, "cache");
+    if (!reserved.ok()) {
       return Status::OutOfDeviceMemory("cache[" + std::to_string(pid) +
-                                       "]: " + fresh.status().message());
+                                       "]: " + reserved.message());
     }
-    buffer = std::move(fresh).value();
+    if (free_buffers_.empty()) {
+      // Uninitialised: the copy below fills every byte.
+      buffers_.emplace_back(new uint8_t[page_size_]);
+      free_buffers_.push_back(buffers_.back().get());
+    }
+    buffer = free_buffers_.back();
+    free_buffers_.pop_back();
   }
-  std::memcpy(buffer.data(), bytes, page_size_);
-  order_.push_front(pid);
-  Entry entry;
-  entry.buffer = std::move(buffer);
-  entry.order_it = order_.begin();
+  std::memcpy(buffer, bytes, page_size_);
+  if (pid >= entries_.size()) entries_.resize(static_cast<size_t>(pid) + 1);
+  Entry& entry = entries_[pid];
+  entry.data = buffer;
   entry.version = version;
-  entries_.emplace(pid, std::move(entry));
+  LinkFrontLocked(pid);
+  ++size_;
   if (inserts_metric_ != nullptr) inserts_metric_->Add();
   if (pin_log_ != nullptr) {
     pin_log_->Append(analysis::PinEvent::Kind::kInserted, pid);

@@ -8,9 +8,8 @@
 #define GTS_CORE_PAGE_CACHE_H_
 
 #include <cstdint>
-#include <list>
+#include <memory>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/event_log.h"
@@ -37,12 +36,12 @@ std::string_view CachePolicyName(CachePolicy policy);
 /// Device-memory page cache for one GPU.
 ///
 /// Holds real page copies in device memory (so kernels can run against
-/// them) and tracks hit statistics for Figure 11.
+/// them) and tracks hit statistics for Figure 11. The page buffers outlive
+/// Close(), so a cache reopened for the next run allocates nothing.
 ///
-/// Thread-safety: every public method is safe to call concurrently (the
-/// engine's stream worker threads Insert while the main loop looks pages
-/// up). Page bytes escape the cache lock only through a Pin, which holds a
-/// refcount that eviction respects -- see Lookup vs LookupInto below.
+/// Thread-safety: every public method is safe to call concurrently. Page
+/// bytes escape the cache lock only through a Pin, which holds a refcount
+/// that eviction respects -- see Lookup vs LookupInto below.
 class PageCache {
  public:
   /// RAII read lease on one cached page.
@@ -51,8 +50,8 @@ class PageCache {
   /// without holding the cache mutex (kernels run against it directly).
   /// Move-only; releasing (destruction, assignment, or Release()) unpins.
   /// Lifetime rule: every Pin must be released before its PageCache is
-  /// destroyed -- the cache aborts on outstanding pins in its destructor
-  /// rather than letting a stale handle dangle.
+  /// closed or destroyed -- the cache aborts on outstanding pins rather
+  /// than letting a stale handle dangle.
   class Pin {
    public:
     Pin() = default;
@@ -92,9 +91,8 @@ class PageCache {
   /// Reserves space for up to `capacity_bytes` of pages of `page_size`
   /// bytes each on `device`. A zero capacity disables the cache. With a
   /// `registry`, lookups/hits/inserts/backpressure are also published as
-  /// `<metric_prefix>.*` counters (cumulative across cache lifetimes,
-  /// since one engine rebuilds its caches per run); the registry must
-  /// outlive the cache.
+  /// `<metric_prefix>.*` counters (cumulative across Open/Close cycles);
+  /// the registry must outlive the cache.
   PageCache(gpu::Device* device, uint64_t capacity_bytes, uint64_t page_size,
             CachePolicy policy, obs::MetricsRegistry* registry = nullptr,
             std::string_view metric_prefix = "cache");
@@ -106,11 +104,18 @@ class PageCache {
   PageCache(const PageCache&) = delete;
   PageCache& operator=(const PageCache&) = delete;
 
+  /// Restarts the statistics with `capacity_bytes` of room. Requires an
+  /// empty cache.
+  void Open(uint64_t capacity_bytes);
+  /// Empties the cache and returns its device memory, keeping the page
+  /// buffers. Aborts on outstanding pins; logs no pin events.
+  void Close();
+
   /// Max pages the cache can hold.
   size_t capacity_pages() const { return capacity_pages_; }
   size_t size() const {
     analysis::sync::Lock lock(mu_);
-    return entries_.size();
+    return size_;
   }
   /// Outstanding Pin handles across all pages.
   size_t pinned() const {
@@ -136,8 +141,15 @@ class PageCache {
   /// (Algorithm 1 consults the *host copy* of cachedPIDMap when routing).
   bool Contains(PageId pid) const {
     analysis::sync::Lock lock(mu_);
-    auto it = entries_.find(pid);
-    return it != entries_.end() && !it->second.stale;
+    return ResidentLocked(pid) && !entries_[pid].stale;
+  }
+
+  /// True when Insert(pid, ...) would evict a resident page to make room
+  /// (never under kPinned, which stops inserting when full).
+  bool InsertEvicts(PageId pid) const {
+    analysis::sync::Lock lock(mu_);
+    return policy_ != CachePolicy::kPinned && capacity_pages_ > 0 &&
+           size_ >= capacity_pages_ && !ResidentLocked(pid);
   }
 
   /// Inserts a copy of `bytes` for `pid`, evicting per policy when full.
@@ -192,25 +204,38 @@ class PageCache {
                          : static_cast<double>(hits_) /
                                static_cast<double>(lookups_);
   }
-  void ResetStats() {
-    analysis::sync::Lock lock(mu_);
-    lookups_ = 0;
-    hits_ = 0;
-    insert_backpressure_ = 0;
-  }
 
  private:
+  static constexpr PageId kSentinel = kInvalidPageId;
+  /// One page id's slot in the flat index (`data` null: not resident).
+  /// Resident entries form a circular list through `newer`/`older`,
+  /// closed by the sentinel `order_`.
   struct Entry {
-    gpu::DeviceBuffer buffer;
-    std::list<PageId>::iterator order_it;
+    uint8_t* data = nullptr;
     uint32_t pins = 0;
+    PageId newer = kSentinel;
+    PageId older = kSentinel;
     uint64_t version = 0;  ///< ingest page version at insert time
     /// Invalidated while pinned: lookups miss, erased at last Unpin.
     bool stale = false;
   };
 
+  bool ResidentLocked(PageId pid) const GTS_REQUIRES(mu_) {
+    return pid < entries_.size() && entries_[pid].data != nullptr;
+  }
+  Entry& Node(PageId id) GTS_REQUIRES(mu_) {
+    return id == kSentinel ? order_ : entries_[id];
+  }
   /// Stats/recency-updating find; requires mu_ held.
   Entry* FindLocked(PageId pid) GTS_REQUIRES(mu_);
+  void LinkFrontLocked(PageId pid) GTS_REQUIRES(mu_);
+  void UnlinkLocked(PageId pid) GTS_REQUIRES(mu_) {
+    Node(entries_[pid].newer).older = entries_[pid].older;
+    Node(entries_[pid].older).newer = entries_[pid].newer;
+  }
+  /// Makes `pid` non-resident; its buffer goes to the free list and its
+  /// device memory back to the device.
+  void EraseLocked(PageId pid) GTS_REQUIRES(mu_);
   /// Pin::Release hook.
   void Unpin(PageId pid);
 
@@ -218,7 +243,6 @@ class PageCache {
                                     analysis::sync::level::kCache};
   gpu::Device* device_;
   uint64_t page_size_;
-  size_t capacity_pages_;
   CachePolicy policy_;
 
   // Registry handles (nullptr when no registry was given).
@@ -229,10 +253,18 @@ class PageCache {
 
   analysis::PinEventLog* pin_log_ = nullptr;
 
-  std::unordered_map<PageId, Entry> entries_ GTS_GUARDED_BY(mu_);
-  // For LRU: front = most recent. For FIFO: front = newest insert; eviction
-  // takes from the back in both policies (skipping pinned pages).
-  std::list<PageId> order_ GTS_GUARDED_BY(mu_);
+  size_t capacity_pages_ = 0;  // set by Open, with no run in progress
+  /// Indexed by page id; grows to the largest id inserted.
+  std::vector<Entry> entries_ GTS_GUARDED_BY(mu_);
+  size_t size_ GTS_GUARDED_BY(mu_) = 0;  ///< resident entries
+  // order_.older is the front: for LRU the most recent, for FIFO the
+  // newest insert. Eviction takes from the back (order_.newer) in both
+  // policies, skipping pinned pages.
+  Entry order_ GTS_GUARDED_BY(mu_);
+  /// Every page buffer the cache ever allocated, and those not holding a
+  /// resident page.
+  std::vector<std::unique_ptr<uint8_t[]>> buffers_ GTS_GUARDED_BY(mu_);
+  std::vector<uint8_t*> free_buffers_ GTS_GUARDED_BY(mu_);
 
   size_t total_pins_ GTS_GUARDED_BY(mu_) = 0;
   uint64_t lookups_ GTS_GUARDED_BY(mu_) = 0;

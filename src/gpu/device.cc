@@ -29,18 +29,21 @@ void DeviceBuffer::Reset() {
 }
 
 Result<DeviceBuffer> Device::Allocate(uint64_t size, const std::string& tag) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (used_ + size > capacity_) {
-      return Status::OutOfDeviceMemory(
-          "GPU" + std::to_string(id_) + ": allocating " + FormatBytes(size) +
-          " for " + tag + " exceeds capacity (" + FormatBytes(used_) +
-          " of " + FormatBytes(capacity_) + " in use)");
-    }
-    used_ += size;
-  }
+  GTS_RETURN_IF_ERROR(Reserve(size, tag));
   // The backing-store resize happens outside the accounting lock.
   return DeviceBuffer(this, size);
+}
+
+Status Device::Reserve(uint64_t size, const std::string& tag) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (used_ + size > capacity_) {
+    return Status::OutOfDeviceMemory(
+        "GPU" + std::to_string(id_) + ": allocating " + FormatBytes(size) +
+        " for " + tag + " exceeds capacity (" + FormatBytes(used_) +
+        " of " + FormatBytes(capacity_) + " in use)");
+  }
+  used_ += size;
+  return Status::OK();
 }
 
 void Device::Release(uint64_t size) {

@@ -53,9 +53,7 @@ class DeviceBuffer {
 
 /// One simulated GPU.
 ///
-/// Thread-safe: the page cache allocates and evicts from stream worker
-/// threads while the engine inspects availability, so the memory accounting
-/// is guarded by a mutex.
+/// Thread-safe: the memory accounting is guarded by a mutex.
 class Device {
  public:
   Device(int id, uint64_t memory_capacity)
@@ -80,9 +78,13 @@ class Device {
   /// (e.g. "WABuf", "SPBuf[3]").
   Result<DeviceBuffer> Allocate(uint64_t size, const std::string& tag);
 
- private:
-  friend class DeviceBuffer;
+  /// Takes `size` bytes of the capacity without host backing, for callers
+  /// that keep their own buffers (the page cache); fails like Allocate.
+  Status Reserve(uint64_t size, const std::string& tag);
+  /// Returns `size` bytes taken by Reserve (or Allocate).
   void Release(uint64_t size);
+
+ private:
 
   int id_;
   uint64_t capacity_;

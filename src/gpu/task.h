@@ -23,8 +23,8 @@ namespace gpu {
 class Task {
  public:
   /// Captures up to this many bytes live inline (no heap allocation).
-  /// Sized for the engine's execute closures: a Pin, a staging vector,
-  /// and a dozen scalars fit comfortably.
+  /// Sized for the engine's kernel-launch closures: a dozen pointers and
+  /// scalars fit comfortably.
   static constexpr std::size_t kInlineSize = 256;
 
   Task() = default;

@@ -70,22 +70,25 @@ class RadixSorter {
 CsrGraph CsrGraph::FromEdgeList(const EdgeList& edges) {
   CsrGraph g;
   const VertexId n = edges.num_vertices();
-  g.offsets_.assign(n + 1, 0);
+  // One spare entry: degrees are counted two entries up and summed one
+  // entry up, so offsets_[v + 1] holds v's first slot; the scatter then
+  // advances it to v's end, the finished CSR's offsets_[v + 1].
+  g.offsets_.assign(static_cast<size_t>(n) + 2, 0);
   for (const Edge& e : edges.edges()) {
-    g.offsets_[e.src + 1]++;
+    g.offsets_[e.src + 2]++;
   }
   uint64_t longest = 0;
   for (VertexId v = 0; v < n; ++v) {
-    longest = std::max(longest, g.offsets_[v + 1]);
-    g.offsets_[v + 1] += g.offsets_[v];
+    longest = std::max(longest, g.offsets_[v + 2]);
+    g.offsets_[v + 2] += g.offsets_[v + 1];
   }
   g.targets_.resize(edges.num_edges());
-  std::vector<uint64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
   VertexId max_target = 0;
   for (const Edge& e : edges.edges()) {
-    g.targets_[cursor[e.src]++] = e.dst;
+    g.targets_[g.offsets_[e.src + 1]++] = e.dst;
     max_target = std::max(max_target, e.dst);
   }
+  g.offsets_.pop_back();
   // Keep each adjacency list sorted: page records then inherit the paper's
   // "record IDs are consecutive and ordered within a page" property. The
   // digits cover the widest target id, so every list sorts fully.

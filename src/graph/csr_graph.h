@@ -4,8 +4,12 @@
 #ifndef GTS_GRAPH_CSR_GRAPH_H_
 #define GTS_GRAPH_CSR_GRAPH_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -13,6 +17,36 @@
 #include "graph/types.h"
 
 namespace gts {
+
+/// Allocator whose value-less construct default-initialises, so resizing a
+/// vector of trivial elements leaves them uninitialised for a caller that
+/// overwrites every one.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// CSR target ids: a vector the build fills without zeroing it first.
+using VertexIdArray = std::vector<VertexId, DefaultInitAllocator<VertexId>>;
+
+inline bool operator==(const VertexIdArray& a, const std::vector<VertexId>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
 
 /// Immutable CSR adjacency structure (out-edges).
 class CsrGraph {
@@ -40,7 +74,7 @@ class CsrGraph {
   }
 
   const std::vector<uint64_t>& offsets() const { return offsets_; }
-  const std::vector<VertexId>& targets() const { return targets_; }
+  const VertexIdArray& targets() const { return targets_; }
 
   /// Maximum out-degree; drives LP creation in the page builder.
   EdgeCount max_degree() const;
@@ -54,7 +88,7 @@ class CsrGraph {
  private:
   // offsets_[v]..offsets_[v+1] indexes targets_; offsets_ has |V|+1 entries.
   std::vector<uint64_t> offsets_;
-  std::vector<VertexId> targets_;
+  VertexIdArray targets_;
 };
 
 }  // namespace gts

@@ -8,8 +8,7 @@
 // (page building, scheduling, kernel execution), not the simulated
 // machine; simulated time lives in RunMetrics / the trace export.
 //
-// Sinks must be thread-safe: stream worker threads end scopes
-// concurrently.
+// Sinks must be thread-safe: scopes may end on several threads at once.
 #ifndef GTS_OBS_PROF_H_
 #define GTS_OBS_PROF_H_
 

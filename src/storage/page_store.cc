@@ -1,5 +1,6 @@
 #include "storage/page_store.h"
 
+#include <algorithm>
 #include <string>
 
 #include "common/logging.h"
@@ -13,6 +14,19 @@ PageStore::PageStore(const PagedGraph* graph,
       devices_(std::move(devices)),
       buffer_capacity_(buffer_capacity) {
   GTS_CHECK(!devices_.empty()) << "page store needs at least one device";
+  const uint64_t num_pages = graph_->num_pages();
+  const uint64_t page_size = graph_->config().page_size;
+  max_resident_ = static_cast<uint32_t>(std::max<uint64_t>(
+      1, std::min(num_pages, buffer_capacity_ / page_size)));
+  const uint32_t slots = max_resident_ + (max_resident_ < num_pages ? 1 : 0);
+  // Uninitialised: a slot is written in full before it is read.
+  arena_.reset(new uint8_t[static_cast<uint64_t>(slots) * page_size]);
+  slot_of_.assign(num_pages, kNoSlot);
+  page_of_.assign(slots, kInvalidPageId);
+  newer_.assign(slots, kNoSlot);
+  older_.assign(slots, kNoSlot);
+  free_slots_.reserve(slots);
+  for (uint32_t slot = slots; slot-- > 0;) free_slots_.push_back(slot);
 }
 
 Status PageStore::Init() {
@@ -62,12 +76,13 @@ Result<PageStore::FetchResult> PageStore::Fetch(PageId pid) {
                                    std::to_string(pid));
   }
   FetchResult result;
-  auto it = buffer_.find(pid);
-  if (it != buffer_.end()) {
-    TouchLru(pid);
+  const uint32_t slot = slot_of_[pid];
+  if (slot != kNoSlot) {
+    Unlink(slot);
+    LinkFront(slot);
     ++stats_.buffer_hits;
     if (buffer_hits_metric_ != nullptr) buffer_hits_metric_->Add();
-    result.data = it->second.bytes.data();
+    result.data = SlotBytes(slot);
     result.buffer_hit = true;
     return result;
   }
@@ -76,7 +91,7 @@ Result<PageStore::FetchResult> PageStore::Fetch(PageId pid) {
 
   const size_t d = DeviceOfPage(pid);
   const uint64_t page_size = graph_->config().page_size;
-  result.data = buffer_.at(pid).bytes.data();
+  result.data = SlotBytes(slot_of_[pid]);
   result.buffer_hit = false;
   result.device_index = d;
   result.io_cost = devices_[d]->timing().ReadCost(page_size);
@@ -91,25 +106,24 @@ Status PageStore::StageFromDevice(PageId pid) {
     return Status::InvalidArgument("page id out of range: " +
                                    std::to_string(pid));
   }
-  if (buffer_.count(pid) > 0) {
+  if (Resident(pid)) {
     return Status::FailedPrecondition("page " + std::to_string(pid) +
                                       " already resident");
   }
   const uint64_t page_size = graph_->config().page_size;
   const size_t d = DeviceOfPage(pid);
 
-  BufferedPage entry;
-  entry.bytes.resize(page_size);
+  // A free slot always exists: the arena has a spare whenever MMBuf can
+  // fill up before every page is resident.
+  const uint32_t slot = free_slots_.back();
   GTS_RETURN_IF_ERROR(
-      devices_[d]->Read(OffsetOfPage(pid), entry.bytes.data(), page_size));
-
-  lru_.push_front(pid);
-  entry.lru_it = lru_.begin();
-  auto [ins, ok] = buffer_.emplace(pid, std::move(entry));
-  GTS_CHECK(ok);
-  (void)ins;
-  buffered_bytes_ += page_size;
-  EvictIfNeeded();
+      devices_[d]->Read(OffsetOfPage(pid), SlotBytes(slot), page_size));
+  free_slots_.pop_back();
+  slot_of_[pid] = slot;
+  page_of_[slot] = pid;
+  LinkFront(slot);
+  // Never evict the page just read: the caller holds a pointer to it.
+  if (++resident_ > max_resident_) FreeSlot(lru_back_);
 
   ++stats_.device_reads;
   stats_.bytes_read += page_size;
@@ -161,31 +175,40 @@ Status PageStore::RewritePage(PageId pid, const uint8_t* data, uint64_t len) {
   }
   GTS_RETURN_IF_ERROR(devices_[DeviceOfPage(pid)]->Write(OffsetOfPage(pid),
                                                          data, len));
-  auto it = buffer_.find(pid);
-  if (it != buffer_.end()) {
-    lru_.erase(it->second.lru_it);
-    buffer_.erase(it);
-    buffered_bytes_ -= page_size;
-  }
+  if (Resident(pid)) FreeSlot(slot_of_[pid]);
   return Status::OK();
 }
 
-void PageStore::TouchLru(PageId pid) {
-  auto it = buffer_.find(pid);
-  lru_.erase(it->second.lru_it);
-  lru_.push_front(pid);
-  it->second.lru_it = lru_.begin();
+void PageStore::LinkFront(uint32_t slot) {
+  newer_[slot] = kNoSlot;
+  older_[slot] = lru_front_;
+  if (lru_front_ != kNoSlot) {
+    newer_[lru_front_] = slot;
+  } else {
+    lru_back_ = slot;
+  }
+  lru_front_ = slot;
 }
 
-void PageStore::EvictIfNeeded() {
-  const uint64_t page_size = graph_->config().page_size;
-  while (buffered_bytes_ > buffer_capacity_ && lru_.size() > 1) {
-    // Never evict the most recent page: the caller holds a pointer to it.
-    const PageId victim = lru_.back();
-    lru_.pop_back();
-    buffer_.erase(victim);
-    buffered_bytes_ -= page_size;
+void PageStore::Unlink(uint32_t slot) {
+  if (newer_[slot] != kNoSlot) {
+    older_[newer_[slot]] = older_[slot];
+  } else {
+    lru_front_ = older_[slot];
   }
+  if (older_[slot] != kNoSlot) {
+    newer_[older_[slot]] = newer_[slot];
+  } else {
+    lru_back_ = newer_[slot];
+  }
+}
+
+void PageStore::FreeSlot(uint32_t slot) {
+  Unlink(slot);
+  slot_of_[page_of_[slot]] = kNoSlot;
+  page_of_[slot] = kInvalidPageId;
+  free_slots_.push_back(slot);
+  --resident_;
 }
 
 namespace {

@@ -4,9 +4,7 @@
 #define GTS_STORAGE_PAGE_STORE_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -30,6 +28,11 @@ struct PageStoreStats {
 /// Fetch() consults the buffer first (bufferPIDMap); on a miss it reads from
 /// the owning device into MMBuf, evicting least-recently-used pages when the
 /// buffer is over capacity, and reports the simulated I/O cost.
+///
+/// MMBuf holds max(1, min(num_pages, buffer_capacity / page_size)) pages
+/// in one arena of page slots (plus one spare slot when pages can be
+/// evicted, so a failed device read leaves the buffer as it was). The
+/// arena is allocated uninitialised: slots never filled cost no memory.
 class PageStore {
  public:
   /// `buffer_capacity` is MMBuf size in bytes. Devices must be non-empty.
@@ -62,7 +65,9 @@ class PageStore {
 
   /// True when `pid` currently sits in MMBuf. Touches no LRU state and no
   /// counters.
-  bool Resident(PageId pid) const { return buffer_.count(pid) > 0; }
+  bool Resident(PageId pid) const {
+    return pid < slot_of_.size() && slot_of_[pid] != kNoSlot;
+  }
 
   /// Reads a non-resident page from its device into MMBuf as the
   /// most-recent entry (evicting LRU pages over capacity) and counts the
@@ -110,22 +115,34 @@ class PageStore {
   void BindMetrics(std::shared_ptr<obs::MetricsRegistry> registry);
 
  private:
-  void TouchLru(PageId pid);
-  void EvictIfNeeded();
+  static constexpr uint32_t kNoSlot = ~uint32_t{0};
+
+  uint8_t* SlotBytes(uint32_t slot) {
+    return arena_.get() +
+           static_cast<uint64_t>(slot) * graph_->config().page_size;
+  }
+  void LinkFront(uint32_t slot);
+  void Unlink(uint32_t slot);
+  /// Drops `slot`'s page from MMBuf; the slot becomes free.
+  void FreeSlot(uint32_t slot);
 
   const PagedGraph* graph_;
   std::vector<std::unique_ptr<StorageDevice>> devices_;
   uint64_t buffer_capacity_;
   bool initialized_ = false;
 
-  struct BufferedPage {
-    std::vector<uint8_t> bytes;
-    std::list<PageId>::iterator lru_it;
-  };
-  // bufferPIDMap: page id -> buffered copy; lru_ front = most recent.
-  std::unordered_map<PageId, BufferedPage> buffer_;
-  std::list<PageId> lru_;
-  uint64_t buffered_bytes_ = 0;
+  // MMBuf. bufferPIDMap is slot_of_ (page id -> slot); per slot, its page
+  // and its neighbours on the LRU list (front = most recent).
+  uint32_t max_resident_ = 0;
+  std::unique_ptr<uint8_t[]> arena_;
+  std::vector<uint32_t> slot_of_;
+  std::vector<PageId> page_of_;
+  std::vector<uint32_t> newer_;
+  std::vector<uint32_t> older_;
+  std::vector<uint32_t> free_slots_;
+  uint32_t lru_front_ = kNoSlot;
+  uint32_t lru_back_ = kNoSlot;
+  uint32_t resident_ = 0;
 
   PageStoreStats stats_;
 

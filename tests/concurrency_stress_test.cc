@@ -161,53 +161,6 @@ TEST(PageCacheStressTest, LookupIntoSnapshotsAreNeverTorn) {
 
 // ------------------------------------------------------------- gpu::Stream
 
-// Multiple producers enqueue onto one stream while another thread spams
-// Synchronize: ops must run exactly once, in stream order, and
-// Synchronize must only return with the queue fully drained.
-TEST(StreamStressTest, MultiProducerEnqueueVsSynchronize) {
-  constexpr int kProducers = 3;
-  constexpr int kOpsPerProducer = 400;
-  gpu::Stream stream;
-  std::atomic<int> executed{0};
-  // Only the stream worker writes this (ops on one stream are serial), and
-  // the final read happens after join -- any violation is a TSan finding.
-  std::vector<int> order;
-  order.reserve(kProducers * kOpsPerProducer);
-
-  std::atomic<bool> stop{false};
-  std::thread syncer([&] {
-    while (!stop.load()) stream.Synchronize();
-  });
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kOpsPerProducer; ++i) {
-        const int value = p * kOpsPerProducer + i;
-        stream.Enqueue([&executed, &order, value] {
-          executed.fetch_add(1);
-          order.push_back(value);
-        });
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  stream.Synchronize();
-  stop.store(true);
-  syncer.join();
-
-  EXPECT_EQ(executed.load(), kProducers * kOpsPerProducer);
-  EXPECT_EQ(stream.ops_issued(), static_cast<uint64_t>(kProducers * kOpsPerProducer));
-  ASSERT_EQ(order.size(), static_cast<size_t>(kProducers * kOpsPerProducer));
-  // Per-producer FIFO: each producer's ops appear in its issue order.
-  std::vector<int> last_seen(kProducers, -1);
-  for (int value : order) {
-    const int p = value / kOpsPerProducer;
-    EXPECT_LT(last_seen[p], value % kOpsPerProducer);
-    last_seen[p] = value % kOpsPerProducer;
-  }
-}
-
 // Destroying a stream with a backlog must drain it (no dropped ops, no
 // leaks of captured state).
 TEST(StreamStressTest, DestroyWithPendingOpsDrainsQueue) {
@@ -225,8 +178,8 @@ TEST(StreamStressTest, DestroyWithPendingOpsDrainsQueue) {
 }
 
 // Synchronize must imply that op *closures* are destroyed, not merely
-// executed: the engine parks PageCache::Pin leases and staging buffers in
-// captures and tears the cache down right after SynchronizeStreams().
+// executed: a closure's captures are released by the time the producer
+// reuses what they pointed at.
 TEST(StreamStressTest, SynchronizeReleasesCapturedResources) {
   gpu::Stream stream;
   for (int i = 0; i < 50; ++i) {

@@ -318,6 +318,27 @@ TEST(SsspEngineTest, MatchesDijkstraWithLargePagesAndThreads) {
   }
 }
 
+// -------------------------------------------------------------- workers
+
+/// No engine thread runs between runs: once a run returns, every GPU
+/// worker is blocked on its condition variable, not spinning -- after a
+/// traversal with the page cache, a PageRank scan, and a run that failed.
+TEST(EngineWorkerTest, EveryWorkerBlockedOnceRunReturns) {
+  TestGraph g = MakeTestGraph(10, 8);
+  GtsEngine engine(&g.paged, g.store.get(), TestMachine(2), GtsOptions{});
+  EXPECT_TRUE(engine.WorkersBlocked());  // no run yet
+  const VertexId source = BusySource(g.csr);
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(RunBfsGts(engine, source).ok());
+    EXPECT_TRUE(engine.WorkersBlocked()) << "after BFS, round " << round;
+    ASSERT_TRUE(RunPageRankGts(engine).ok());
+    EXPECT_TRUE(engine.WorkersBlocked()) << "after PageRank, round " << round;
+  }
+  BfsKernel kernel(g.csr.num_vertices(), 0);
+  EXPECT_FALSE(engine.Run(&kernel, g.csr.num_vertices()).ok());
+  EXPECT_TRUE(engine.WorkersBlocked()) << "after a rejected run";
+}
+
 // ------------------------------------------------------------------ WCC
 
 TEST(WccEngineTest, MatchesUnionFind) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <random>
+#include <thread>
 #include <vector>
 
 #include "gpu/device.h"
@@ -89,6 +92,67 @@ TEST(StreamTest, TwoStreamsRunIndependently) {
   a.Synchronize();
   b.Synchronize();
   EXPECT_EQ(count.load(), 2);
+}
+
+TEST(StreamTest, ReserveHandsOutRingSlotsInOrder) {
+  Stream stream(3);
+  std::atomic<bool> release{false};
+  std::vector<size_t> slots;
+  for (int i = 0; i < 3; ++i) {
+    slots.push_back(stream.Reserve());
+    stream.Enqueue([&release] {
+      while (!release.load()) std::this_thread::yield();
+    });
+  }
+  EXPECT_EQ(slots, (std::vector<size_t>{0, 1, 2}));
+  release.store(true);
+  // The fourth slot is the first one again, free once its op finished.
+  EXPECT_EQ(stream.Reserve(), 0u);
+  stream.Synchronize();
+  EXPECT_EQ(stream.ops_issued(), 3u);
+}
+
+// A lost wake-up in the handoff hangs this test instead of passing it:
+// every cycle waits for ops it enqueued. Random pauses on both sides make
+// each side outlast the other's spin, so both sleep and wake thousands of
+// times, on a full ring as well as an empty one.
+TEST(StreamTest, HandoffSurvivesSleepAndWakeStress) {
+  constexpr int kCycles = 100000;
+  Stream stream(4);
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<int> percent(0, 99);
+  std::uniform_int_distribution<int> burst(1, 8);
+  uint64_t ran = 0;  // only the worker writes it; read after a drain
+  uint64_t enqueued = 0;
+  auto pause_us = [](int us) {
+    std::this_thread::sleep_for(std::chrono::microseconds(us));
+  };
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    const int ops = burst(rng);
+    for (int i = 0; i < ops; ++i) {
+      // About one op in 400 outlasts the producer's spin: the producer
+      // finds the ring full and sleeps.
+      const bool slow = percent(rng) == 0 && percent(rng) < 25;
+      stream.Enqueue([&ran, slow, &pause_us] {
+        if (slow) pause_us(300);
+        ++ran;
+      });
+      ++enqueued;
+    }
+    const int action = percent(rng);
+    if (action < 2) {
+      pause_us(300);  // the worker outlasts its spin and sleeps
+    } else if (action < 4) {
+      stream.Park();
+      ASSERT_TRUE(stream.blocked());
+    } else if (action < 30) {
+      stream.Synchronize();
+      ASSERT_EQ(ran, enqueued);
+    }
+  }
+  stream.Synchronize();
+  EXPECT_EQ(ran, enqueued);
+  EXPECT_EQ(stream.ops_issued(), enqueued);
 }
 
 // ------------------------------------------------------------- Scheduler

@@ -185,14 +185,16 @@ uint64_t DigestTimeline(const gpu::ScheduleResult& timeline, uint64_t h) {
   return h;
 }
 
-/// One pinned single-job configuration: engine options, GPU count,
-/// storage, and whether ingest updates are appended before each run.
+/// One pinned configuration: engine options, GPU count, storage, whether
+/// ingest updates are appended before each run, and how many jobs share
+/// each epoch (every config but one runs single jobs).
 struct DigestConfig {
   const char* name;
   int gpus;
   GtsOptions opts;
   bool ssd = false;
   bool append_updates = false;
+  int jobs = 1;
 };
 
 std::vector<DigestConfig> DigestConfigs() {
@@ -235,7 +237,31 @@ std::vector<DigestConfig> DigestConfigs() {
     opts.io.wa_snapshot = true;
     configs.push_back({"auto-ssd2", 2, opts, true});
   }
+  {
+    // Caches of three 4 KiB pages per GPU, far below a BFS frontier of
+    // the test graph: nearly every insert evicts.
+    GtsOptions opts = base();
+    opts.cache_bytes = 3 * PageConfig::Small22().page_size;
+    opts.cache_policy = CachePolicy::kLru;
+    configs.push_back({"lru2", 2, opts});
+    opts.cache_policy = CachePolicy::kFifo;
+    configs.push_back({"fifo2", 2, opts});
+  }
+  {
+    // Two jobs of the same algorithm from different sources in one epoch.
+    GtsOptions opts = base();
+    opts.max_concurrent_jobs = 2;
+    configs.push_back({"jobs2", 1, opts, false, false, 2});
+  }
   return configs;
+}
+
+/// A second traversal source: the lowest-numbered vertex with out-edges
+/// other than `first`.
+VertexId SecondSource(const CsrGraph& csr, VertexId first) {
+  VertexId v = 0;
+  while (v == first || csr.out_degree(v) == 0) ++v;
+  return v;
 }
 
 /// Runs `algo` on a fresh inline engine under `config` and digests the
@@ -268,7 +294,43 @@ uint64_t DigestSoloRun(const TestGraph& g, const DigestConfig& config,
     h = DigestTimeline(run->timeline, h);
     return std::move(run).value();
   };
-  if (algo == "bfs") {
+  if (config.jobs > 1) {
+    // One epoch per submission round; every job of an epoch carries the
+    // epoch's timeline, so the first job's is the one folded.
+    const VertexId sources[2] = {source, SecondSource(g.csr, source)};
+    std::vector<std::unique_ptr<GtsKernel>> kernels;
+    for (int j = 0; j < config.jobs; ++j) {
+      if (algo == "bfs") {
+        kernels.push_back(std::make_unique<BfsKernel>(n, sources[j % 2]));
+      } else if (algo == "sssp") {
+        kernels.push_back(std::make_unique<SsspKernel>(n, sources[j % 2]));
+      } else {
+        kernels.push_back(std::make_unique<PageRankKernel>(n));
+      }
+    }
+    const int rounds = algo == "pagerank" ? 2 : 1;
+    for (int round = 0; round < rounds; ++round) {
+      std::vector<JobHandle> handles;
+      for (int j = 0; j < config.jobs; ++j) {
+        auto* pr = dynamic_cast<PageRankKernel*>(kernels[j].get());
+        if (pr != nullptr) pr->BeginIteration();
+        JobOptions job;
+        if (pr == nullptr) job.source = sources[j % 2];
+        handles.push_back(engine.scheduler().Submit(kernels[j].get(), job));
+      }
+      for (int j = 0; j < config.jobs; ++j) {
+        Result<RunReport> report = handles[j].Wait();
+        if (j == 0) {
+          fold(report.ok() ? Result<RunMetrics>(report->metrics)
+                           : Result<RunMetrics>(report.status()));
+        } else {
+          EXPECT_TRUE(report.ok()) << report.status();
+        }
+        auto* pr = dynamic_cast<PageRankKernel*>(kernels[j].get());
+        if (pr != nullptr) pr->EndIteration();
+      }
+    }
+  } else if (algo == "bfs") {
     BfsKernel k(n, source);
     fold(engine.Run(&k, source));
   } else if (algo == "sssp") {
@@ -333,10 +395,22 @@ TEST(SoloJobDigestTest, InlineSchedulesMatchPinnedDigests) {
       {"auto-ssd2/bfs", 7197850359760019305ull},
       {"auto-ssd2/sssp", 10595951174339871688ull},
       {"auto-ssd2/pagerank", 14629645533687829101ull},
+      // Recorded from the engine that ran every kernel inline on the
+      // driver, before each GPU had a worker.
+      {"lru2/bfs", 12592542798182680466ull},
+      {"lru2/sssp", 8858829327595572065ull},
+      {"lru2/pagerank", 10257971971958185037ull},
+      {"fifo2/bfs", 12592542798182680466ull},
+      {"fifo2/sssp", 8858829327595572065ull},
+      {"fifo2/pagerank", 10257971971958185037ull},
+      {"jobs2/bfs", 16983820842378490523ull},
+      {"jobs2/sssp", 6974262413945044394ull},
+      {"jobs2/pagerank", 7991523220662345437ull},
   };
   for (const DigestConfig& config : DigestConfigs()) {
     std::vector<std::string> algos = {"bfs", "sssp", "pagerank"};
-    if (config.gpus == 1) algos.push_back("bc");  // BC is single-GPU only
+    // BC is single-GPU and single-job only.
+    if (config.gpus == 1 && config.jobs == 1) algos.push_back("bc");
     for (const std::string& algo : algos) {
       const std::string key = std::string(config.name) + "/" + algo;
       const uint64_t digest = DigestSoloRun(g, config, algo);

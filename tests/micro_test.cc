@@ -1,10 +1,11 @@
 // Micro-level parallel processing (Section 6.2 / Appendix E): warp-cycle
 // and memory-transaction accounting per strategy, the page walk's
-// activity contract, and KernelContext's serial WA operations.
+// activity contract, and KernelContext's WA operations.
 #include "core/micro.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -99,16 +100,6 @@ struct CasResult {
 };
 
 template <typename T>
-CasResult<T> Cas(const KernelContext& ctx, T& word, T expected, T desired,
-                 bool weak) {
-  CasResult<T> r;
-  r.expected = expected;
-  r.ok = weak ? ctx.WaCasWeak(word, r.expected, desired)
-              : ctx.WaCas(word, r.expected, desired);
-  return r;
-}
-
-template <typename T>
 bool SameBits(const T& a, const T& b) {
   return std::memcmp(&a, &b, sizeof(T)) == 0;
 }
@@ -118,59 +109,72 @@ bool SameBits(const CasResult<T>& a, const CasResult<T>& b) {
   return a.ok == b.ok && SameBits(a.expected, b.expected);
 }
 
-/// Runs `op(ctx, word)` on a copy of `init` with the serial mark unset and
-/// set; the resulting words and return values must match bit for bit.
-template <typename T, typename Op>
-void ExpectSerialMatchesAtomic(T init, Op op) {
-  KernelContext atomic_ctx;
-  KernelContext serial_ctx;
-  serial_ctx.serial = true;
+/// Runs `wa_op(ctx, word)` and `atomic_op(word)` on copies of `init`; the
+/// KernelContext helper must leave the word and return the value the
+/// std::atomic_ref operation does, bit for bit.
+template <typename T, typename WaOp, typename AtomicOp>
+void ExpectMatchesAtomic(T init, WaOp wa_op, AtomicOp atomic_op) {
+  KernelContext ctx;
+  T wa_word = init;
   T atomic_word = init;
-  T serial_word = init;
-  const auto atomic_ret = op(atomic_ctx, atomic_word);
-  const auto serial_ret = op(serial_ctx, serial_word);
-  EXPECT_TRUE(SameBits(atomic_word, serial_word));
-  EXPECT_TRUE(SameBits(atomic_ret, serial_ret));
+  const auto wa_ret = wa_op(ctx, wa_word);
+  const auto atomic_ret = atomic_op(std::atomic_ref<T>(atomic_word));
+  EXPECT_TRUE(SameBits(wa_word, atomic_word));
+  EXPECT_TRUE(SameBits(wa_ret, atomic_ret));
 }
 
+/// Compare-exchange of `expected` -> `desired` through both paths.
+template <typename T>
+void ExpectCasMatchesAtomic(T init, T expected, T desired, bool weak) {
+  ExpectMatchesAtomic<T>(
+      init,
+      [&](const KernelContext& ctx, T& w) {
+        CasResult<T> r{false, expected};
+        r.ok = weak ? ctx.WaCasWeak(w, r.expected, desired)
+                    : ctx.WaCas(w, r.expected, desired);
+        return r;
+      },
+      [&](std::atomic_ref<T> a) {
+        CasResult<T> r{false, expected};
+        // The strong form: the WA helper never fails spuriously.
+        r.ok = a.compare_exchange_strong(r.expected, desired);
+        return r;
+      });
+}
+
+/// Kernels run each WA replica on one thread, so the Wa* read-modify-
+/// writes are plain host operations; they must keep the semantics of the
+/// atomics a CUDA kernel issues.
 TEST(KernelContextTest, SerialWaOperationsMatchAtomicOnes) {
   for (const bool weak : {false, true}) {
     SCOPED_TRACE(weak ? "weak" : "strong");
     // Success and failure on a 16-bit BFS level word.
-    ExpectSerialMatchesAtomic<uint16_t>(0xFFFF, [&](auto& ctx, auto& w) {
-      return Cas<uint16_t>(ctx, w, 0xFFFF, 3, weak);
-    });
-    ExpectSerialMatchesAtomic<uint16_t>(2, [&](auto& ctx, auto& w) {
-      return Cas<uint16_t>(ctx, w, 0xFFFF, 3, weak);
-    });
+    ExpectCasMatchesAtomic<uint16_t>(0xFFFF, 0xFFFF, 3, weak);
+    ExpectCasMatchesAtomic<uint16_t>(2, 0xFFFF, 3, weak);
     // Success and failure on a 64-bit packed entry (SSSP, BC, WCC).
-    ExpectSerialMatchesAtomic<uint64_t>(
-        0x0123456789ABCDEF, [&](auto& ctx, auto& w) {
-          return Cas<uint64_t>(ctx, w, 0x0123456789ABCDEF, 42, weak);
-        });
-    ExpectSerialMatchesAtomic<uint64_t>(7, [&](auto& ctx, auto& w) {
-      return Cas<uint64_t>(ctx, w, 8, 42, weak);
-    });
+    ExpectCasMatchesAtomic<uint64_t>(0x0123456789ABCDEF, 0x0123456789ABCDEF,
+                                     42, weak);
+    ExpectCasMatchesAtomic<uint64_t>(7, 8, 42, weak);
     // Floats compare object representations: -0.0 is not +0.0.
-    ExpectSerialMatchesAtomic<float>(-0.0f, [&](auto& ctx, auto& w) {
-      return Cas<float>(ctx, w, 0.0f, 1.0f, weak);
-    });
+    ExpectCasMatchesAtomic<float>(-0.0f, 0.0f, 1.0f, weak);
   }
-  ExpectSerialMatchesAtomic<uint32_t>(41, [](auto& ctx, auto& w) {
-    return ctx.WaFetchAdd(w, uint32_t{1});
-  });
-  ExpectSerialMatchesAtomic<uint32_t>(0xFFFFFFFF, [](auto& ctx, auto& w) {
-    return ctx.WaFetchAdd(w, uint32_t{2});  // wraps
-  });
-  ExpectSerialMatchesAtomic<float>(0.1f, [](auto& ctx, auto& w) {
-    return ctx.WaFetchAdd(w, 0.2f);
-  });
-  ExpectSerialMatchesAtomic<float>(1e8f, [](auto& ctx, auto& w) {
-    return ctx.WaFetchAdd(w, 3.0f);  // rounds
-  });
-  ExpectSerialMatchesAtomic<uint64_t>(0x00F0, [](auto& ctx, auto& w) {
-    return ctx.WaFetchOr(w, uint64_t{0x0F0F});
-  });
+  auto fetch_add = [](auto init, auto add) {
+    using T = decltype(init);
+    ExpectMatchesAtomic<T>(
+        init,
+        [&](const KernelContext& ctx, T& w) { return ctx.WaFetchAdd(w, add); },
+        [&](std::atomic_ref<T> a) { return a.fetch_add(add); });
+  };
+  fetch_add(uint32_t{41}, uint32_t{1});
+  fetch_add(uint32_t{0xFFFFFFFF}, uint32_t{2});  // wraps
+  fetch_add(0.1f, 0.2f);
+  fetch_add(1e8f, 3.0f);  // rounds
+  ExpectMatchesAtomic<uint64_t>(
+      0x00F0,
+      [](const KernelContext& ctx, uint64_t& w) {
+        return ctx.WaFetchOr(w, uint64_t{0x0F0F});
+      },
+      [](std::atomic_ref<uint64_t> a) { return a.fetch_or(0x0F0F); });
 }
 
 TEST(MicroTest, EdgeCentricCountsCoalescedTransactions) {
