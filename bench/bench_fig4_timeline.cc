@@ -10,6 +10,7 @@
 
 #include "algorithms/bfs.h"
 #include "algorithms/pagerank.h"
+#include "core/job/job_scheduler.h"
 #include "gpu/schedule.h"
 
 namespace gts {
@@ -49,26 +50,26 @@ int Main() {
 
   PageRankKernel kernel(prepared->csr.num_vertices());
   kernel.BeginIteration();
-  auto pr = engine.Run(&kernel);
+  auto pr = engine.scheduler().Submit(&kernel).Wait();
   if (!pr.ok()) {
     std::fprintf(stderr, "PR failed: %s\n", pr.status().ToString().c_str());
     return 1;
   }
   std::printf("\n(b) Streaming for PageRank\n");
-  std::printf("%s", gpu::RenderTimelineAscii(pr->timeline, 100).c_str());
+  std::printf("%s", gpu::RenderTimelineAscii(pr->metrics.timeline, 100).c_str());
 
   // The paper's visual contrast (PageRank lanes denser with kernel work
   // than BFS) quantified: kernel-busy to transfer-busy seconds.
   std::printf("\nBusy seconds   transfer    kernel\n");
   std::printf("BFS            %8.6f  %8.6f\n", bfs->report.metrics.transfer_busy,
               bfs->report.metrics.kernel_busy);
-  std::printf("PageRank(1it)  %8.6f  %8.6f\n", pr->transfer_busy,
-              pr->kernel_busy);
+  std::printf("PageRank(1it)  %8.6f  %8.6f\n", pr->metrics.transfer_busy,
+              pr->metrics.kernel_busy);
 
   obs::TraceExporter exporter;
   exporter.AddRun(bfs->report.metrics.timeline,
                   obs::TraceRunOptions{"BFS", /*pid_base=*/0});
-  exporter.AddRun(pr->timeline,
+  exporter.AddRun(pr->metrics.timeline,
                   obs::TraceRunOptions{"PageRank", /*pid_base=*/100});
   WriteObsArtifacts(exporter, engine.metrics_registry()->Snapshot());
   return 0;

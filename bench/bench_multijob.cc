@@ -81,16 +81,16 @@ SweepResult RunSequential(const PreparedGraph& g, PageStore* store,
     GtsEngine engine(&g.paged, store, MachineConfig::PaperScaled(1),
                      ServingOptions(1));
     BfsKernel kernel(g.csr.num_vertices(), s);
-    auto metrics = engine.Run(&kernel, s);
-    if (!metrics.ok()) {
+    auto report = engine.scheduler().Submit(&kernel, {.source = s}).Wait();
+    if (!report.ok()) {
       std::fprintf(stderr, "solo job failed: %s\n",
-                   metrics.status().ToString().c_str());
+                   report.status().ToString().c_str());
       out.ok = false;
       continue;
     }
-    out.pages += metrics->pages_streamed;
-    out.shared_hits += metrics->shared_page_hits;
-    out.makespan += metrics->sim_seconds;
+    out.pages += report->metrics.pages_streamed;
+    out.shared_hits += report->metrics.shared_page_hits;
+    out.makespan += report->metrics.sim_seconds;
   }
   return out;
 }

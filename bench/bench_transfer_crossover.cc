@@ -1,4 +1,4 @@
-// Transfer-backend crossover sweep: BFS under LRU cache churn with every
+// Transfer-mode crossover sweep: BFS under LRU cache churn with every
 // transfer.mode (page_stream / direct / auto) over RMAT and the Table 3
 // real-graph stand-ins. Frontier density swings from one vertex (level 0)
 // through the dense small-world core to a sparse straggler tail, so one
@@ -6,7 +6,7 @@
 // Three things must show (hard failures otherwise):
 //
 //  1. Results are invariant -- BFS levels are bit-identical across all
-//     modes (the backends move the same topology, only priced and sliced
+//     modes (every mode moves the same topology, only priced and sliced
 //     differently; kernels always run over full staged pages).
 //  2. `auto` is never more than ~5% slower than the best fixed mode: the
 //     per-level cost_model crossover must not mis-select its way into a
@@ -185,7 +185,7 @@ int Main() {
     // ------------------- sparsest-frontier probe: one level, one vertex
     //
     // Gate 3: on the sparsest level a traversal can present (a single
-    // low-degree activation), the direct backend must move fewer PCI-E
+    // low-degree activation), direct transfer must move fewer PCI-E
     // bytes and spend less copy-engine time than streaming the page
     // whole. Makespan must not regress either, though on a one-page pass
     // the WA staging legs usually dominate the critical path, so the

@@ -6,7 +6,7 @@
 //               shortest-path counts sigma, while the engine records which
 //               pages each level touched (RunMetrics::level_pages);
 //   backward -- per level, deepest first, a pass over exactly those pages
-//               (GtsEngine::RunPass) accumulating dependencies delta.
+//               (JobScheduler::RunPassJob) accumulating dependencies delta.
 //
 // The current implementation supports a single GPU (the configuration the
 // paper evaluates BC in); multi-GPU replica merging of sigma is rejected.

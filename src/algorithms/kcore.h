@@ -27,7 +27,7 @@ class KcoreKernel final : public GtsKernel {
 
   std::string name() const override { return "KCore"; }
   AccessPattern access_pattern() const override {
-    return AccessPattern::kFullScan;  // driven page lists via RunPass
+    return AccessPattern::kFullScan;  // driven page lists via RunPassJob
   }
   uint32_t wa_bytes_per_vertex() const override { return sizeof(uint32_t); }
   uint32_t ra_bytes_per_vertex() const override { return sizeof(uint8_t); }

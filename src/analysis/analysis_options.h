@@ -11,7 +11,7 @@
 //     the exported trace) is byte-identical with it on or off.
 //   - The ScheduleValidator is always compiled (it is pure post-processing
 //     over gpu::ScheduleResult and the pin/io event logs) and runs after
-//     every Run()/RunPass() unless `validate_schedule` is false.
+//     every engine epoch unless `validate_schedule` is false.
 //
 // Both are report-only by default: findings land in
 // RunMetrics::analysis (a RaceReport) and the `analysis.*` counters. The
@@ -42,12 +42,12 @@ struct AnalysisOptions {
   /// Replay every run's ScheduleResult + event logs through the
   /// ScheduleValidator.
   bool validate_schedule = true;
-  /// Turn detected races into a FailedPrecondition Run() error.
+  /// Turn detected races into a FailedPrecondition job error.
   bool fail_on_race = false;
-  /// Turn schedule violations into a FailedPrecondition Run() error.
+  /// Turn schedule violations into a FailedPrecondition job error.
   bool fail_on_violation = false;
   /// Turn lock-order violations (GTS_SYNC_CHECK builds; harvested from
-  /// the sync::LockRegistry at run finalization) into a Run() error.
+  /// the sync::LockRegistry at run finalization) into a job error.
   bool fail_on_lock_violation = false;
   /// Cap on per-run *stored* diagnostics (races and violations each);
   /// the detected-counts keep counting past the cap.

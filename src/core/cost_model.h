@@ -77,7 +77,7 @@ struct TransferLevelStats {
   uint32_t entry_bytes = 0;      ///< bytes per adjacency entry (p + q)
 };
 
-/// Bytes the direct backend moves for the level's SP pages: one aligned
+/// Bytes a direct transfer moves for the level's SP pages: one aligned
 /// line per active vertex (slot + record header + first entries) plus the
 /// remaining adjacency entries at line granularity.
 uint64_t DirectTransferBytes(const TransferLevelStats& s, const TimeModel& tm);

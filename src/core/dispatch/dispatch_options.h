@@ -37,24 +37,13 @@ std::string_view PageOrderKindName(PageOrderKind kind);
 /// The dispatch block inside GtsOptions.
 struct DispatchOptions {
   PageOrderKind order = PageOrderKind::kSpThenLp;
-  /// Admission threshold for traversal levels: frontier pages whose
-  /// degree-weighted activation count (active out-edges, see
-  /// PidSet::EnableCounting) falls below this are skipped for the level
-  /// and counted in `dispatch.skipped_pages` / RunMetrics::pages_skipped.
-  ///
-  /// 0 disables the filter. 1 is exact: a page whose activated vertices
-  /// have zero out-edges combined can produce no expansions, so skipping
-  /// it drops no WA updates. Values above 1 are a lossy approximation
-  /// (the paper's near-empty-page tail cut) and may change results.
-  /// kAutoMinActiveEdges derives the threshold per level from the
-  /// observed active-edge distribution (see
-  /// GtsEngine::EffectiveMinActiveEdges); explicit values stay exact.
-  uint32_t min_active_edges = 0;
-  /// Sentinel for min_active_edges: adapt the skip threshold per level
-  /// to the frontier's density (HyTGraph's hybrid transfer-management
-  /// idea) -- dense, uniform levels degrade to the exact threshold 1,
-  /// skewed levels shed their near-empty page tail.
-  static constexpr uint32_t kAutoMinActiveEdges = ~uint32_t{0};
+  /// Skip, on every traversal level, each frontier page whose activated
+  /// vertices have no out-edges between them (a degree-weighted count of
+  /// 0, see PidSet::EnableCounting): such a page can expand nothing, so
+  /// skipping it changes no result and no WA update. Skipped pages are
+  /// counted in `dispatch.skipped_pages` / RunMetrics::pages_skipped.
+  /// Off by default: the paper streams every frontier page.
+  bool skip_edgeless_pages = false;
   /// Inert: nothing in the engine reads this field. It selected the
   /// removed worker-claim ("pull") dispatch and stays declared only
   /// because the gtsbench workloads still assign it; it goes with the

@@ -153,16 +153,9 @@ GtsEngine::GtsEngine(const PagedGraph* graph, PageStore* store,
       graph_, store_, options_.io,
       [this](const gpu::TimelineOp& op) { return RecordOp(op); },
       registry_.get());
-  {
-    transfer::TransferBackend::Env tenv;
-    tenv.graph = graph_;
-    tenv.io = io_.get();
-    tenv.time_model = &machine_.time_model;
-    tenv.record = [this](const gpu::TimelineOp& op) { return RecordOp(op); };
-    tenv.registry = registry_.get();
-    transfer_ = transfer::MakeTransferBackend(options_.transfer,
-                                              std::move(tenv));
-  }
+  transfer_ = std::make_unique<transfer::PageTransfer>(
+      options_.transfer.mode, graph_, io_.get(), &machine_.time_model,
+      [this](const gpu::TimelineOp& op) { return RecordOp(op); }, *registry_);
   if (options_.ingest.enabled) {
     ingest::EdgeStream::Env env;
     env.graph = graph_;
@@ -172,18 +165,9 @@ GtsEngine::GtsEngine(const PagedGraph* graph, PageStore* store,
     env.device_of_page = [this](PageId pid) {
       return static_cast<int>(store_->DeviceOfPage(pid));
     };
-    // Delta records append past the base pages AND past the WA-snapshot
-    // spill region (DownloadWa checkpoints from DevicePageBytes(d) up),
-    // so the journal never overwrites a checkpoint. The reserve bounds
-    // the snapshot at 32 WA bytes/vertex for every GPU round-robined
-    // onto the device.
-    const uint64_t n_dev = store_->num_devices();
-    const uint64_t snapshot_reserve =
-        graph_->num_vertices() * uint64_t{32} *
-        ((static_cast<uint64_t>(machine_.num_gpus) + n_dev - 1) / n_dev);
-    env.delta_region_base = [this, snapshot_reserve](int d) {
-      return store_->DevicePageBytes(static_cast<size_t>(d)) +
-             snapshot_reserve;
+    // Delta records append past the device's striped base pages.
+    env.delta_region_base = [this](int d) {
+      return store_->DevicePageBytes(static_cast<size_t>(d));
     };
     env.write_delta = [this](int device, uint64_t offset,
                              const uint8_t* data, uint64_t length) {
@@ -212,7 +196,7 @@ GtsEngine::GtsEngine(const PagedGraph* graph, PageStore* store,
   if (options_.dispatch.order == PageOrderKind::kFrontierDensity) {
     registry_->GetCounter("dispatch.order.density_sorted");
   }
-  if (options_.dispatch.min_active_edges > 0) {
+  if (options_.dispatch.skip_edgeless_pages) {
     registry_->GetCounter("dispatch.skipped_pages");
   }
   // Counted only by the retired per-stream thread mode; the key stays
@@ -260,30 +244,8 @@ void GtsEngine::WaRange(int g, bool traversal, VertexId* begin,
 
 bool GtsEngine::CountFrontier() const {
   return options_.dispatch.order == PageOrderKind::kFrontierDensity ||
-         options_.dispatch.min_active_edges > 0 ||
+         options_.dispatch.skip_edgeless_pages ||
          options_.transfer.mode != transfer::TransferMode::kPageStream;
-}
-
-uint32_t GtsEngine::EffectiveMinActiveEdges(
-    const PidSet& frontier, const std::vector<PageId>& front_pages) {
-  const uint32_t min_edges = options_.dispatch.min_active_edges;
-  if (min_edges != DispatchOptions::kAutoMinActiveEdges) return min_edges;
-  if (!frontier.counting() || front_pages.empty()) return 1;
-  // Adaptive cut: skip only the near-empty tail of the level's
-  // active-edge distribution -- pages holding under 1/64 of the mean
-  // active edges per frontier page. A dense, uniform level (every page
-  // near the mean) degrades to the exact threshold 1; a skewed level
-  // sheds the long tail of barely-touched pages that would each cost a
-  // stream slot for a handful of expansions. Deterministic: depends
-  // only on the frontier counts, never on thread timing.
-  uint64_t total = 0;
-  for (PageId pid : front_pages) total += frontier.CountOf(pid);
-  const uint64_t mean = total / front_pages.size();
-  const uint32_t threshold =
-      static_cast<uint32_t>(std::max<uint64_t>(1, mean / 64));
-  registry_->GetDistribution("dispatch.auto_min_active_edges")
-      .Record(static_cast<double>(threshold));
-  return threshold;
 }
 
 void GtsEngine::BuildDegreeTable() {
@@ -291,7 +253,7 @@ void GtsEngine::BuildDegreeTable() {
   // Rebuilt only on first use and -- with ingestion enabled -- whenever
   // the publish epoch moved since the last build: streamed inserts and
   // deletes change degrees, and a stale table would mis-weight frontier
-  // counts (and the min_active_edges admission cut).
+  // counts (and so the edgeless-page skip).
   const uint64_t epoch = ingest_ != nullptr ? ingest_->epoch() : 0;
   if (!out_degrees_.empty() && epoch == degree_epoch_) return;
   out_degrees_.assign(graph_->num_vertices(), 0);
@@ -505,14 +467,10 @@ std::vector<PageId> GtsEngine::PlanPass(std::vector<PageId> sps,
       OrderPages(options_.dispatch.order, std::move(sps), std::move(lps), ctx,
                  registry_.get());
 
-  // No read merges across the pass barrier. The transfer backend then
-  // resolves the pass's transfer mode (page-stream vs direct; see
-  // src/transfer/).
+  // No read merges across the pass barrier. Then the pass's transfer
+  // mode: whole pages, or direct fetches of active adjacency lists.
   io_->BeginPass();
-  transfer::PassInfo pass_info;
-  pass_info.ordered = &ordered;
-  pass_info.frontier = frontier;
-  transfer_->BeginPass(pass_info);
+  transfer_->BeginPass(ordered, frontier);
   return ordered;
 }
 
@@ -535,25 +493,6 @@ GtsEngine::PageRoute GtsEngine::RoutePage(PageId pid) const {
   route.first_gpu = static_cast<int>(pid) % machine_.num_gpus;
   route.last_gpu = route.first_gpu;
   return route;
-}
-
-Result<RunMetrics> GtsEngine::Run(GtsKernel* kernel, VertexId source,
-                                  int max_levels_override) {
-  // Thin shim over the scheduler: the job runs as a batch epoch of one.
-  JobOptions options;
-  options.source = source;
-  options.max_levels_override = max_levels_override;
-  JobHandle handle = scheduler_->Submit(kernel, options);
-  GTS_ASSIGN_OR_RETURN(RunReport report, handle.Wait());
-  return report.metrics;
-}
-
-Result<RunMetrics> GtsEngine::RunPass(GtsKernel* kernel,
-                                      const std::vector<PageId>& pages,
-                                      uint32_t level) {
-  JobHandle handle = scheduler_->SubmitPass(kernel, pages, level);
-  GTS_ASSIGN_OR_RETURN(RunReport report, handle.Wait());
-  return report.metrics;
 }
 
 // ---------------------------------------------------------------------------
@@ -785,30 +724,6 @@ void GtsEngine::DownloadWaJob(JobExec* job) {
                     analysis::AccessClass::kPlainRead, gpu::kNoOp);
     }
   }
-  if (options_.io.wa_snapshot) {
-    // Spill each GPU's downloaded WA replica/chunk to storage through the
-    // io write path: the write is recorded on its device as kStorageWrite
-    // depending on the D2H that produced the bytes, so checkpoint traffic
-    // contends with reads in the simulated schedule instead of being
-    // invisible. Layout: past the striped page region, GPUs round-robined
-    // over devices, chunks packed in GPU order -- the same offsets every
-    // download (a snapshot, not a journal: jobs completing later in an
-    // epoch overwrite earlier snapshots).
-    const size_t n_dev = store_->num_devices();
-    std::vector<uint64_t> cursor(n_dev);
-    for (size_t d = 0; d < n_dev; ++d) cursor[d] = store_->DevicePageBytes(d);
-    for (int g = 0; g < n_gpus; ++g) {
-      JobGpuSlice& slice = job->gpus[static_cast<size_t>(g)];
-      const uint64_t bytes =
-          static_cast<uint64_t>(slice.wa_end - slice.wa_begin) * wa_b;
-      if (bytes == 0) continue;
-      const size_t d = static_cast<size_t>(g) % n_dev;
-      auto wrote = io_->Write(d, cursor[d], slice.wa_buf.data(), bytes,
-                              d2h_idx[static_cast<size_t>(g)]);
-      GTS_CHECK_OK(wrote.status());
-      cursor[d] += bytes;
-    }
-  }
   if (race_ != nullptr) race_->BarrierRelease();
 }
 
@@ -965,16 +880,14 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
   const size_t slot = gpu.worker.Reserve();
   const uint8_t* page_bytes = cached ? pin.data() : nullptr;
   if (!cached) {
-    transfer::StageRequest sreq;
-    sreq.pid = pid;
-    sreq.gpu = g;
-    sreq.stream_key = stream_key;
     // A transfer serving one job is that job's trace lane; a transfer
     // serving several is shared infrastructure (-1), so the J1 rule
     // never sees a cross-job edge from the co-served kernels. (demand_
     // groups a job's occurrences together, admission order.)
-    sreq.job = demanders.back() == first ? first->job_id : -1;
-    GTS_ASSIGN_OR_RETURN(transfer::StagedPage staged, transfer_->Stage(sreq));
+    const int32_t transfer_job =
+        demanders.back() == first ? first->job_id : -1;
+    GTS_ASSIGN_OR_RETURN(transfer::StagedPage staged,
+                         transfer_->Stage(pid, g, stream_key, transfer_job));
     // First-demander attribution: across the epoch, sum(pages_streamed)
     // over jobs equals the distinct H2D page transfers.
     ++first->metrics.pages_streamed;
@@ -1365,16 +1278,11 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
         ++traversal_jobs;
         pass_frontier = job->frontier.get();
         uint64_t skipped = 0;
-        const std::vector<PageId> front_pages = job->frontier->ToVector();
-        const uint32_t min_edges =
-            EffectiveMinActiveEdges(*job->frontier, front_pages);
-        for (PageId pid : front_pages) {
-          // Admission threshold: a page whose activated vertices hold
-          // fewer than min_active_edges out-edges is not worth a stream
-          // slot this level (at threshold 1 the cut is exact -- zero
-          // active edges means zero possible expansions).
-          if (min_edges > 0 && job->frontier->counting() &&
-              job->frontier->CountOf(pid) < min_edges) {
+        for (PageId pid : job->frontier->ToVector()) {
+          // A page whose activated vertices have no out-edges between
+          // them can expand nothing: skipping it drops no WA update.
+          if (options_.dispatch.skip_edgeless_pages &&
+              job->frontier->CountOf(pid) == 0) {
             ++skipped;
             continue;
           }

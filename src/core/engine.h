@@ -1,12 +1,13 @@
 // The GTS framework engine (Algorithm 1).
 //
-// Run() executes a kernel over a PagedGraph: it places WA in (simulated)
-// device memory, then streams topology pages and RA subvectors to the
-// GPU(s) over k asynchronous streams, calling K_SP / K_LP per page. For
-// BFS-like kernels it iterates level by level over the page-granular
-// frontier (nextPIDSet) with the device page cache enabled; for
-// PageRank-like kernels it makes one pass over every page (callers loop
-// for multi-iteration algorithms).
+// A job (JobScheduler::Submit / SubmitPass, reached through
+// GtsEngine::scheduler()) executes a kernel over a PagedGraph: the engine
+// places WA in (simulated) device memory, then streams topology pages and
+// RA subvectors to the GPU(s) over k asynchronous streams, calling K_SP /
+// K_LP per page. For BFS-like kernels it iterates level by level over the
+// page-granular frontier (nextPIDSet) with the device page cache enabled;
+// for PageRank-like kernels it makes one pass over every page (callers
+// loop for multi-iteration algorithms).
 //
 // Execution is real (results come from actually running the kernels);
 // elapsed time is computed by the deterministic discrete-event scheduler
@@ -41,7 +42,7 @@
 #include "obs/metrics.h"
 #include "storage/page_store.h"
 #include "storage/paged_graph.h"
-#include "transfer/transfer_backend.h"
+#include "transfer/page_transfer.h"
 #include "transfer/transfer_options.h"
 
 namespace gts {
@@ -92,26 +93,26 @@ struct GtsOptions {
   double cpu_assist_fraction = 0.0;
 
   /// How a pass is dispatched (src/core/dispatch/): the page order and
-  /// the traversal admission threshold. The strategy alone routes pages
-  /// to GPUs. The defaults reproduce the paper's schedule bit-for-bit;
-  /// the SP/LP-interleaving ablation is
+  /// the traversal levels' edgeless-page skip. The strategy alone routes
+  /// pages to GPUs. The defaults reproduce the paper's schedule
+  /// bit-for-bit; the SP/LP-interleaving ablation is
   /// `dispatch.order = PageOrderKind::kInterleaved`.
   DispatchOptions dispatch;
 
-  /// The storage read/write path (src/io/): sequential-read merging and
-  /// the WA snapshot spill, both off by default (the paper's pricing).
+  /// The storage read path (src/io/): sequential-read merging, off by
+  /// default (the paper's pricing).
   io::IoOptions io;
 
-  /// The H2D topology-transfer backend (src/transfer/): page_stream
-  /// (the paper's whole-page streaming; byte-identical to the
-  /// pre-backend engine), direct (EMOGI-style cache-line fetches of
-  /// active adjacency lists), or auto (per-level cost-model crossover).
+  /// How topology crosses PCI-E (src/transfer/): page_stream (the
+  /// paper's whole-page streaming), direct (EMOGI-style cache-line
+  /// fetches of active adjacency lists), or auto (per-level cost-model
+  /// crossover).
   transfer::TransferOptions transfer;
 
   /// gts::analysis knobs: the always-on schedule validator and, when the
   /// build carries -DGTS_RACE_CHECK=ON, the logical race detector. Both
   /// report into RunMetrics::analysis and the `analysis.*` counters;
-  /// fail_on_* escalates findings to a Run() error.
+  /// fail_on_* escalates findings to a job error.
   analysis::AnalysisOptions analysis;
 
   /// gts::ingest (src/ingest/): streaming edge insertions/deletions over
@@ -134,12 +135,12 @@ struct GtsOptions {
   /// refuses (aborts) on failure, so construct-time callers that need a
   /// recoverable error should Validate() first. Workload-dependent
   /// checks (memory capacity per kernel, hybrid strategy rules) stay at
-  /// Run() time where the kernel is known.
+  /// run time, where the kernel is known.
   Status Validate(const MachineConfig& machine) const;
 };
 
-/// The GTS engine. One engine serves one graph + store + machine; Run()
-/// may be called repeatedly (e.g. once per PageRank iteration).
+/// The GTS engine. One engine serves one graph + store + machine; its
+/// scheduler runs any number of jobs (e.g. one per PageRank iteration).
 class GtsEngine {
  public:
   GtsEngine(const PagedGraph* graph, PageStore* store, MachineConfig machine,
@@ -149,26 +150,12 @@ class GtsEngine {
   GtsEngine(const GtsEngine&) = delete;
   GtsEngine& operator=(const GtsEngine&) = delete;
 
-  /// Executes one pass (full scan) or one complete traversal (level loop).
-  /// `source` seeds the frontier for traversal kernels (host WA must
-  /// already mark it, e.g. LV[source] = 0). A non-negative
-  /// `max_levels_override` truncates a traversal after that many level
-  /// passes (k-hop neighborhood queries); -1 uses GtsOptions::max_levels.
-  Result<RunMetrics> Run(GtsKernel* kernel,
-                         VertexId source = kInvalidVertexId,
-                         int max_levels_override = -1);
-
-  /// Streams exactly `pages` (one pass, any kernel type) at traversal level
-  /// `level`. Used for algorithm phases that drive their own page sets,
-  /// e.g. the backward sweep of betweenness centrality.
-  Result<RunMetrics> RunPass(GtsKernel* kernel,
-                             const std::vector<PageId>& pages,
-                             uint32_t level = 0);
-
-  /// The engine's job scheduler: the serving API. Run()/RunPass() above
-  /// are thin shims over scheduler().Submit(...).Wait(); use the
-  /// scheduler directly to run jobs concurrently (max_concurrent_jobs),
-  /// cancel them, or poll with TryJoin().
+  /// The engine's job scheduler, the one way to run a kernel:
+  /// Submit(kernel, JobOptions) runs one full scan or one complete
+  /// traversal (JobOptions::source seeds the frontier), SubmitPass
+  /// streams an explicit page list, and RunJob/RunPassJob fold either
+  /// into a RunReport. Jobs run concurrently up to max_concurrent_jobs,
+  /// can be cancelled, or polled with TryJoin().
   JobScheduler& scheduler() { return *scheduler_; }
 
   const PagedGraph* graph() const { return graph_; }
@@ -177,7 +164,7 @@ class GtsEngine {
   const GtsOptions& options() const { return options_; }
 
   /// The engine's metrics registry: cumulative counters over the engine's
-  /// lifetime, refreshed at the end of every Run()/RunPass(). Shared so
+  /// lifetime, refreshed at the end of every job. Shared so
   /// sinks (storage devices, profiling) may outlive the engine.
   const std::shared_ptr<obs::MetricsRegistry>& metrics_registry() const {
     return registry_;
@@ -283,26 +270,19 @@ class GtsEngine {
   void PublishMetrics(const RunMetrics& metrics);
 
   /// Stage 0 of every pass: orders the pass's pages (OrderPages), starts
-  /// the io engine's pass (resetting the device heads) and lets the
-  /// transfer backend resolve the pass's mode. Pages are read from
-  /// storage later, when the dispatch loop demands them.
+  /// the io engine's pass (resetting the device heads) and lets the page
+  /// transfer pick the pass's mode. Pages are read from storage later,
+  /// when the dispatch loop demands them.
   /// `frontier` is the level's counted frontier for traversal passes,
   /// null otherwise.
   std::vector<PageId> PlanPass(std::vector<PageId> sps,
                                std::vector<PageId> lps,
                                const PidSet* frontier);
 
-  /// True when traversal frontiers should count activations (the
-  /// frontier-density order, the admission threshold, or a
-  /// non-page-stream transfer backend needs the per-page totals).
+  /// True when traversal frontiers should count active edges per page:
+  /// the frontier-density order, dispatch.skip_edgeless_pages and the
+  /// direct and auto transfer modes read them.
   bool CountFrontier() const;
-
-  /// The level's effective dispatch.min_active_edges: explicit values
-  /// pass through exactly; the kAuto sentinel derives the threshold
-  /// from the level's observed active-edge distribution over
-  /// `front_pages` (HyTGraph-style adaptive admission).
-  uint32_t EffectiveMinActiveEdges(const PidSet& frontier,
-                                   const std::vector<PageId>& front_pages);
 
   /// Fills out_degrees_ (per-vertex out-degree table) on first use; the
   /// weight source for active-edge frontier counting. With ingestion
@@ -337,9 +317,9 @@ class GtsEngine {
   /// alike, so Strategy-S stripes and keeps the CPU route.
   bool replicate_;
   std::unique_ptr<io::IoEngine> io_;
-  /// The H2D topology-transfer backend (GtsOptions::transfer.mode);
-  /// constructed after io_, whose lifetime it depends on.
-  std::unique_ptr<transfer::TransferBackend> transfer_;
+  /// The H2D topology transfer (GtsOptions::transfer.mode); constructed
+  /// after io_, whose lifetime it depends on.
+  std::unique_ptr<transfer::PageTransfer> transfer_;
   std::unique_ptr<JobScheduler> scheduler_;
   /// Streaming-ingestion subsystem; null unless GtsOptions::ingest.enabled.
   /// Constructed after io_ (its delta/rewrite persistence goes through

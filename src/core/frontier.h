@@ -106,8 +106,8 @@ class PidSet {
   /// also adds `w` to a per-page counter. Kernels pass the activated
   /// vertex's out-degree as the weight, so a traversal level knows how
   /// many active *edges* the frontier put in each page -- the
-  /// frontier-density order's sort key and the admission
-  /// threshold's (dispatch.min_active_edges) yardstick. Off by default --
+  /// frontier-density order's sort key, and zero for the pages
+  /// dispatch.skip_edgeless_pages skips. Off by default --
   /// Set() stays a single fetch_or on the hot path, and counts never
   /// affect membership.
   void EnableCounting() {
@@ -126,8 +126,8 @@ class PidSet {
                            : counts_[pid].load(std::memory_order_relaxed);
   }
   /// Vertex-activation events recorded for `pid` (one per counting Set,
-  /// degree-independent). The direct transfer backend prices its
-  /// cache-line fetches from this: each activated vertex costs one
+  /// degree-independent). Direct transfers price their cache-line
+  /// fetches from this: each activated vertex costs one
   /// adjacency-list lookup regardless of degree. Re-relaxations (SSSP)
   /// count again -- an upper bound, which only biases `auto` toward the
   /// safe page-stream side.

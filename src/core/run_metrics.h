@@ -1,4 +1,4 @@
-// Per-run counters of one GtsEngine::Run / RunPass.
+// Per-run counters of one engine job (JobScheduler::Submit / SubmitPass).
 //
 // RunMetrics is the thin per-run compatibility view over the engine's
 // observability layer: the same numbers are published cumulatively into
@@ -19,7 +19,7 @@
 
 namespace gts {
 
-/// Result of one Run().
+/// Result of one job.
 struct RunMetrics {
   SimTime sim_seconds = 0.0;  ///< simulated elapsed time of the run
   int levels = 0;             ///< traversal levels (1 for full scans)
@@ -47,8 +47,8 @@ struct RunMetrics {
   WorkStats work;
   PageStoreStats io;          ///< storage-level counters for this run
   io::IoStats io_queue;       ///< io-engine read/write counters
-  /// Frontier pages skipped by the dispatch.min_active_edges admission
-  /// threshold (they held fewer active edges than the cut).
+  /// Frontier pages skipped by dispatch.skip_edgeless_pages (their
+  /// activated vertices had no out-edges).
   uint64_t pages_skipped = 0;
 
   // Streaming-ingestion activity attributed to this run (gts::ingest;

@@ -31,7 +31,7 @@ namespace gpu {
 
 enum class OpKind : uint8_t {
   kStorageFetch,  // SSD/HDD -> MMBuf
-  kStorageWrite,  // host -> SSD/HDD (WA spill / snapshot)
+  kStorageWrite,  // host -> SSD/HDD (ingest delta record / page rewrite)
   kH2DChunk,      // host -> device at c1 (WA chunk copy)
   kH2DStream,     // host -> device at c2 (SP/RA streaming copy)
   kH2DDirect,     // host -> device fine-grained zero-copy: only the

@@ -37,7 +37,7 @@ namespace io {
 struct IoStats {
   uint64_t completed = 0;      ///< page reads serviced by a device
   uint64_t merged_bursts = 0;  ///< reads charged SequentialReadCost
-  /// WA spill / snapshot / delta-journal writes (page-less writes).
+  /// Page-less writes through Write(): ingest delta records.
   uint64_t spill_writes = 0;
   /// In-band base-page rewrites (ingest compaction installs).
   uint64_t page_rewrites = 0;
@@ -90,7 +90,7 @@ class IoEngine {
   /// Rewrites base page `pid` in place (ingest compaction install): the
   /// new image lands in the store immediately (dropping any MMBuf copy so
   /// later fetches read the new version) and is priced as a kStorageWrite
-  /// op that -- unlike a WA spill -- carries the page id, so traces and
+  /// op that -- unlike a delta record -- carries the page id, so traces and
   /// the lint rules can tie the install to the page's fetch lane. The
   /// store rejects a pid past the graph as InvalidArgument.
   Result<gpu::OpIndex> RewritePage(PageId pid, const uint8_t* data,

@@ -86,10 +86,11 @@ class PageStore {
   }
 
   /// Bytes of striped page data on device `d` -- the first offset free
-  /// for out-of-band writes (WA snapshots land past the page region).
+  /// for out-of-band writes (ingest delta records land past the page
+  /// region).
   uint64_t DevicePageBytes(size_t d) const;
 
-  /// Raw write-through to device `d` (WA spill / snapshot). MMBuf is not
+  /// Raw write-through to device `d` (ingest delta records). MMBuf is not
   /// involved; the io engine's write path does the pricing.
   Status WriteDevice(size_t d, uint64_t offset, const uint8_t* data,
                      uint64_t len);

@@ -49,7 +49,8 @@ struct DeviceTimingParams {
 
   /// Simulated seconds to write `bytes` in one request. Same shape as
   /// ReadCost (the paper's devices are symmetric enough at page grain);
-  /// used by the io engine's write path for WA spill / snapshot requests.
+  /// used by the io engine's write path (ingest delta records and page
+  /// rewrites). It does not depend on where the write lands.
   SimTime WriteCost(uint64_t bytes) const { return ReadCost(bytes); }
 
   /// ReadCost for a request that continues the previous one: the head is

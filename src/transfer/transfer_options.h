@@ -1,5 +1,5 @@
-// User-facing knobs of the gts::transfer subsystem (the pluggable H2D
-// topology-transfer backends; see transfer_backend.h and DESIGN.md §14).
+// The GtsOptions::transfer block: how topology crosses PCI-E to the GPUs
+// (transfer::PageTransfer, page_transfer.h; DESIGN.md §14).
 #ifndef GTS_TRANSFER_TRANSFER_OPTIONS_H_
 #define GTS_TRANSFER_TRANSFER_OPTIONS_H_
 
@@ -12,7 +12,6 @@ namespace transfer {
 /// How topology crosses PCI-E to the GPUs.
 enum class TransferMode : uint8_t {
   /// Stream whole slotted pages at the c2 bandwidth (the paper's GTS).
-  /// Reproduces the pre-backend engine's schedules byte-identically.
   kPageStream,
   /// EMOGI-style zero-copy: fetch only the active vertices' adjacency
   /// lists at cache-line granularity over the copy engine (kH2DDirect

@@ -1,53 +1,15 @@
-// Tests for the common substrate: thread pool, units, logging, RNG.
+// Tests for the common substrate: units, logging, RNG.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 
 #include "common/logging.h"
 #include "common/status.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "common/units.h"
 
 namespace gts {
 namespace {
-
-// ------------------------------------------------------------ ThreadPool
-
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(257);
-  pool.ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << i;
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForZeroIsNoop) {
-  ThreadPool pool(2);
-  pool.ParallelFor(0, [](size_t) { FAIL() << "must not be called"; });
-}
-
-TEST(ThreadPoolTest, ReusableAfterWait) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 2);
-}
 
 // ----------------------------------------------------------------- Units
 

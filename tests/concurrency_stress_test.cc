@@ -1,8 +1,7 @@
 // Concurrency stress harness for the hot-path shared state: the device
 // PageCache (N pinning readers vs an evicting writer -- the exact
 // interleaving that was a use-after-eviction before Lookup returned RAII
-// Pins), gpu::Stream enqueue/synchronize/destroy interleavings, and
-// ThreadPool::ParallelFor called concurrently from several threads.
+// Pins) and gpu::Stream enqueue/synchronize/destroy interleavings.
 //
 // Sized to finish in well under 30 s under TSan on one core; run it under
 // every GTS_SANITIZE mode via tools/check_sanitizers.sh.
@@ -18,7 +17,6 @@
 
 #include "algorithms/bfs.h"
 #include "algorithms/reference.h"
-#include "common/thread_pool.h"
 #include "common/units.h"
 #include "core/engine.h"
 #include "core/job/job_scheduler.h"
@@ -311,9 +309,9 @@ TEST(IoStressTest, DeepQueuesWithStreamThreadsMatchInlineRun) {
   }
 }
 
-// Admission threshold + degree-weighted counting under stream threads:
+// Edgeless-page skip + degree-weighted counting under stream threads:
 // kernel completions bump the weighted PidSet concurrently; the next
-// pass's admission cut reads it after the barrier. The cut must stay
+// pass's skip reads it after the barrier. The skip must stay
 // deterministic and exact across rounds.
 TEST(IoStressTest, AdmissionThresholdUnderStreamThreadsIsDeterministic) {
   RmatParams p;
@@ -322,8 +320,8 @@ TEST(IoStressTest, AdmissionThresholdUnderStreamThreadsIsDeterministic) {
   p.seed = 41;
   EdgeList edges = std::move(GenerateRmat(p)).ValueOrDie();
   // Pages of out-degree-0 sinks behind the RMAT pages guarantee the
-  // admission cut has something to skip (dense RMAT pages rarely carry
-  // zero active edges).
+  // skip has something to skip (dense RMAT pages rarely carry zero
+  // active edges).
   const VertexId first_sink = edges.num_vertices();
   edges.set_num_vertices(first_sink + 2048);
   for (VertexId i = 0; i < 2048; ++i) edges.Add(1, first_sink + i);
@@ -338,7 +336,7 @@ TEST(IoStressTest, AdmissionThresholdUnderStreamThreadsIsDeterministic) {
     GtsOptions opts;
     opts.num_streams = 4;
     opts.use_stream_threads = true;
-    opts.dispatch.min_active_edges = 1;
+    opts.dispatch.skip_edgeless_pages = true;
     opts.io.merge_sequential = true;
     GtsEngine engine(&paged, store.get(), machine, opts);
     auto result = RunBfsGts(engine, 1);
@@ -351,61 +349,6 @@ TEST(IoStressTest, AdmissionThresholdUnderStreamThreadsIsDeterministic) {
   for (int round = 0; round < 2; ++round) {
     EXPECT_EQ(run(), first) << "round " << round;
   }
-}
-
-// -------------------------------------------------------------- ThreadPool
-
-// Two threads drive ParallelFor over the same pool at once. Completion is
-// tracked per call: each caller must see exactly its own [0, n) fully
-// processed when its call returns (the old pool-wide Wait() let one caller
-// return on the other's completion).
-TEST(ThreadPoolStressTest, ConcurrentParallelForCallersSeeOwnCompletion) {
-  ThreadPool pool(4);
-  constexpr int kCallers = 2;
-  constexpr int kRounds = 25;
-  constexpr size_t kN = 400;
-
-  std::vector<std::thread> callers;
-  for (int c = 0; c < kCallers; ++c) {
-    callers.emplace_back([&pool] {
-      for (int round = 0; round < kRounds; ++round) {
-        std::vector<int> hits(kN, 0);
-        pool.ParallelFor(kN, [&hits](size_t i) { hits[i] += 1; });
-        // If ParallelFor returned before its own chunks finished, some
-        // index is still 0 here -- and the late task's write races this
-        // read (TSan) and the vector's destruction (ASan).
-        for (size_t i = 0; i < kN; ++i) {
-          ASSERT_EQ(hits[i], 1) << "round " << round << " index " << i;
-        }
-      }
-    });
-  }
-  for (auto& t : callers) t.join();
-}
-
-// ParallelFor interleaved with raw Submit traffic from another thread:
-// per-call completion must be unaffected by unrelated queued tasks, and
-// Wait() still drains everything.
-TEST(ThreadPoolStressTest, ParallelForInterleavedWithSubmits) {
-  ThreadPool pool(3);
-  std::atomic<int> submitted_ran{0};
-  constexpr int kSubmits = 300;
-
-  std::thread submitter([&] {
-    for (int i = 0; i < kSubmits; ++i) {
-      pool.Submit([&submitted_ran] { submitted_ran.fetch_add(1); });
-    }
-  });
-
-  for (int round = 0; round < 20; ++round) {
-    std::vector<int> hits(256, 0);
-    pool.ParallelFor(hits.size(), [&hits](size_t i) { hits[i] += 1; });
-    for (size_t i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i], 1);
-  }
-
-  submitter.join();
-  pool.Wait();
-  EXPECT_EQ(submitted_ran.load(), kSubmits);
 }
 
 // ----------------------------------------------------------- JobScheduler

@@ -310,11 +310,11 @@ EdgeList WithSinkFanout(const EdgeList& base, VertexId hub,
   return out;
 }
 
-/// min_active_edges = 1 admits only frontier pages holding at least one
+/// skip_edgeless_pages admits only frontier pages holding at least one
 /// active *edge*. A page whose activations were all sink vertices (weight
 /// 0 in the degree-weighted PidSet) expands nothing, so skipping it must
 /// change no result and no WA traffic -- the correctness guard for the
-/// admission cut.
+/// skip.
 TEST(DispatchAdmissionTest, ThresholdOneSkipsPagesWithoutChangingResults) {
   Fixture f;
   const VertexId source = f.Source();
@@ -326,17 +326,17 @@ TEST(DispatchAdmissionTest, ThresholdOneSkipsPagesWithoutChangingResults) {
       std::move(BuildPagedGraph(csr, PageConfig::Small22())).ValueOrDie();
   auto store = MakeInMemoryStore(&paged);
 
-  auto run_with = [&](uint32_t min_edges) {
+  auto run_with = [&](bool skip) {
     GtsOptions opts;
-    opts.dispatch.min_active_edges = min_edges;
+    opts.dispatch.skip_edgeless_pages = skip;
     GtsEngine engine(&paged, store.get(), f.Machine(), opts);
     auto bfs = RunBfsGts(engine, source);
     GTS_CHECK(bfs.ok()) << bfs.status().ToString();
     return std::make_pair(bfs->levels, bfs->report.metrics);
   };
 
-  const auto [base_levels, base_metrics] = run_with(0);
-  const auto [cut_levels, cut_metrics] = run_with(1);
+  const auto [base_levels, base_metrics] = run_with(false);
+  const auto [cut_levels, cut_metrics] = run_with(true);
 
   EXPECT_EQ(cut_levels, base_levels);
   // Skipped pages contribute no WA updates by construction: the totals
@@ -359,7 +359,7 @@ TEST(DispatchAdmissionTest, ThresholdOneSkipsPagesWithoutChangingResults) {
 TEST(DispatchAdmissionTest, SkippedPagesCounterPublishes) {
   Fixture f;
   GtsOptions opts;
-  opts.dispatch.min_active_edges = 1;
+  opts.dispatch.skip_edgeless_pages = true;
   GtsEngine engine(&f.paged, f.store.get(), f.Machine(), opts);
   auto bfs = RunBfsGts(engine, f.Source());
   ASSERT_TRUE(bfs.ok());
@@ -369,11 +369,11 @@ TEST(DispatchAdmissionTest, SkippedPagesCounterPublishes) {
             bfs->report.metrics.pages_skipped);
 }
 
-/// Full scans have no frontier, so the threshold must be a no-op there.
+/// Full scans have no frontier, so the skip must be a no-op there.
 TEST(DispatchAdmissionTest, ThresholdIgnoredOnFullScans) {
   Fixture f;
   GtsOptions opts;
-  opts.dispatch.min_active_edges = 1;
+  opts.dispatch.skip_edgeless_pages = true;
   GtsEngine engine(&f.paged, f.store.get(), f.Machine(), opts);
   auto pr = RunPageRankGts(engine, {.iterations = 1});
   ASSERT_TRUE(pr.ok());

@@ -6,6 +6,7 @@
 #include "algorithms/pagerank.h"
 #include "algorithms/wcc.h"
 #include "core/engine.h"
+#include "core/job/job_scheduler.h"
 #include "graph/csr_graph.h"
 #include "storage/page_builder.h"
 #include "storage/page_store.h"
@@ -178,20 +179,22 @@ TEST(EdgeCasesTest, TraversalReplicatesWaUnderStrategyS) {
             2 * bp->report.metrics.pages_streamed);
 }
 
-// ---------------------------------------------- RunPass page-list misuse
+// ------------------------------------------- SubmitPass page-list misuse
 
 TEST(EdgeCasesTest, RunPassRejectsOutOfRangePageIds) {
   EdgeList edges(16, {{0, 1}, {1, 2}});
   Built b = Build(edges);
   GtsEngine engine(&b.paged, b.store.get(), SmallMachine(), GtsOptions{});
   PageRankKernel kernel(b.paged.num_vertices());
-  auto result =
-      engine.RunPass(&kernel, {0, static_cast<PageId>(b.paged.num_pages())});
+  auto result = engine.scheduler()
+                    .SubmitPass(&kernel, {0, static_cast<PageId>(
+                                                 b.paged.num_pages())})
+                    .Wait();
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EdgeCasesTest, RunPassProcessesDuplicatePageIdsTwice) {
-  // RunPass takes the caller's list literally: a duplicate runs its
+  // SubmitPass takes the caller's list literally: a duplicate runs its
   // kernel again, on the copy staged for the first occurrence (backward
   // sweeps rely on exact caller-controlled page sets, so the engine must
   // not dedupe kernel work behind their back).
@@ -200,13 +203,15 @@ TEST(EdgeCasesTest, RunPassProcessesDuplicatePageIdsTwice) {
   GtsEngine engine(&b.paged, b.store.get(), SmallMachine(), GtsOptions{});
   PageRankKernel kernel(b.paged.num_vertices());
   kernel.BeginIteration();
-  auto once = engine.RunPass(&kernel, {0});
+  auto once = engine.scheduler().SubmitPass(&kernel, {0}).Wait();
   ASSERT_TRUE(once.ok());
   kernel.BeginIteration();
-  auto twice = engine.RunPass(&kernel, {0, 0});
+  auto twice = engine.scheduler().SubmitPass(&kernel, {0, 0}).Wait();
   ASSERT_TRUE(twice.ok());
-  EXPECT_EQ(once->sp_kernel_calls + once->lp_kernel_calls, 1u);
-  EXPECT_EQ(twice->sp_kernel_calls + twice->lp_kernel_calls, 2u);
+  EXPECT_EQ(once->metrics.sp_kernel_calls + once->metrics.lp_kernel_calls,
+            1u);
+  EXPECT_EQ(twice->metrics.sp_kernel_calls + twice->metrics.lp_kernel_calls,
+            2u);
 }
 
 }  // namespace

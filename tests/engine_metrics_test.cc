@@ -8,6 +8,7 @@
 #include "algorithms/pagerank.h"
 #include "algorithms/sssp.h"
 #include "core/engine.h"
+#include "core/job/job_scheduler.h"
 #include "graph/csr_graph.h"
 #include "graph/rmat_generator.h"
 #include "storage/page_builder.h"
@@ -109,17 +110,18 @@ TEST(EngineMetricsTest, TimelineOpsMatchCounters) {
   GtsEngine engine(&f.paged, f.store.get(), f.Machine(), opts);
   PageRankKernel kernel(f.csr.num_vertices());
   kernel.BeginIteration();
-  auto metrics = engine.Run(&kernel);
-  ASSERT_TRUE(metrics.ok());
+  auto report = engine.scheduler().Submit(&kernel).Wait();
+  ASSERT_TRUE(report.ok());
+  const RunMetrics& metrics = report->metrics;
   uint64_t kernel_ops = 0;
   uint64_t h2d_stream_ops = 0;
-  for (const auto& op : metrics->timeline.ops) {
+  for (const auto& op : metrics.timeline.ops) {
     if (op.kind == gpu::OpKind::kKernel) ++kernel_ops;
     if (op.kind == gpu::OpKind::kH2DStream) ++h2d_stream_ops;
   }
-  EXPECT_EQ(kernel_ops, metrics->sp_kernel_calls + metrics->lp_kernel_calls);
+  EXPECT_EQ(kernel_ops, metrics.sp_kernel_calls + metrics.lp_kernel_calls);
   // PageRank streams SP plus RA per page: two stream transfers per page.
-  EXPECT_EQ(h2d_stream_ops, 2 * metrics->pages_streamed);
+  EXPECT_EQ(h2d_stream_ops, 2 * metrics.pages_streamed);
 }
 
 TEST(EngineMetricsTest, SsdRunAccountsStorageBusy) {
@@ -153,13 +155,16 @@ TEST(EngineMetricsTest, RunPassProcessesExactlyGivenPages) {
   PageRankKernel kernel(f.csr.num_vertices());
   kernel.BeginIteration();
   std::vector<PageId> pages = {0, 2, 4};
-  auto metrics = engine.RunPass(&kernel, pages);
-  ASSERT_TRUE(metrics.ok());
-  EXPECT_EQ(metrics->pages_streamed, 3u);
-  EXPECT_EQ(metrics->sp_kernel_calls + metrics->lp_kernel_calls, 3u);
+  auto report = engine.scheduler().SubmitPass(&kernel, pages).Wait();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->metrics.pages_streamed, 3u);
+  EXPECT_EQ(report->metrics.sp_kernel_calls + report->metrics.lp_kernel_calls,
+            3u);
 
-  EXPECT_EQ(engine.RunPass(&kernel, {static_cast<PageId>(
-                                        f.paged.num_pages() + 1)})
+  EXPECT_EQ(engine.scheduler()
+                .SubmitPass(&kernel,
+                            {static_cast<PageId>(f.paged.num_pages() + 1)})
+                .Wait()
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);

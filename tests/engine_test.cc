@@ -13,6 +13,7 @@
 #include "algorithms/reference.h"
 #include "algorithms/sssp.h"
 #include "algorithms/wcc.h"
+#include "core/job/job_scheduler.h"
 #include "graph/csr_graph.h"
 #include "graph/rmat_generator.h"
 #include "storage/page_builder.h"
@@ -335,7 +336,10 @@ TEST(EngineWorkerTest, EveryWorkerBlockedOnceRunReturns) {
     EXPECT_TRUE(engine.WorkersBlocked()) << "after PageRank, round " << round;
   }
   BfsKernel kernel(g.csr.num_vertices(), 0);
-  EXPECT_FALSE(engine.Run(&kernel, g.csr.num_vertices()).ok());
+  EXPECT_FALSE(engine.scheduler()
+                   .Submit(&kernel, {.source = g.csr.num_vertices()})
+                   .Wait()
+                   .ok());
   EXPECT_TRUE(engine.WorkersBlocked()) << "after a rejected run";
 }
 
@@ -454,11 +458,11 @@ TEST(EngineTimingTest, TimelineCapturedOnRequest) {
   GtsEngine engine(&g.paged, g.store.get(), TestMachine(), opts);
   PageRankKernel kernel(g.csr.num_vertices());
   kernel.BeginIteration();
-  auto metrics = engine.Run(&kernel);
-  ASSERT_TRUE(metrics.ok());
-  EXPECT_FALSE(metrics->timeline.ops.empty());
+  auto report = engine.scheduler().Submit(&kernel).Wait();
+  ASSERT_TRUE(report.ok());
+  EXPECT_FALSE(report->metrics.timeline.ops.empty());
   // Every kernel op should have a patched non-zero duration.
-  for (const auto& op : metrics->timeline.ops) {
+  for (const auto& op : report->metrics.timeline.ops) {
     if (op.kind == gpu::OpKind::kKernel) {
       EXPECT_GT(op.duration, 0.0);
     }

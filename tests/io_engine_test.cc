@@ -3,7 +3,8 @@
 // io.merge_sequential discounts exactly the reads that continue their
 // device's head within a pass; writes never merge and move the head; and
 // -- at engine level -- sequential merging changes the simulated
-// schedule, never what the kernels compute.
+// schedule, never what the kernels compute, and ingest delta records are
+// priced storage writes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,11 +13,13 @@
 #include <vector>
 
 #include "algorithms/bfs.h"
+#include "algorithms/reference.h"
 #include "algorithms/wcc.h"
 #include "common/units.h"
 #include "core/engine.h"
 #include "graph/csr_graph.h"
 #include "graph/rmat_generator.h"
+#include "ingest/edge_stream.h"
 #include "io/io_engine.h"
 #include "storage/page_builder.h"
 
@@ -338,34 +341,62 @@ TEST(IoEngineInvarianceTest, IoCountersSurfaceInRunReport) {
   }
 }
 
-/// io.wa_snapshot spills each pass's downloaded WA through the device
-/// write path: pure persistence, so algorithm results are untouched, the
-/// writes are priced onto the storage devices in the replayed schedule,
-/// and the spilled bytes never collide with the striped page region.
-TEST(IoEngineInvarianceTest, WaSnapshotWritesThroughQueueWithoutChangingResults) {
+/// Ingest delta records are the engine's page-less storage writes: the
+/// epoch-start publish persists them through IoEngine::Write, the
+/// replayed schedule prices them on the SSDs, the validator accepts
+/// them beside the reads, and the BFS answers for the updated graph.
+TEST(IoEngineInvarianceTest, IngestDeltaWritesArePricedWithoutChangingResults) {
   EngineFixture f;
   const VertexId source = f.Source();
-  auto run_with = [&](bool snapshot) {
+  const VertexId n = f.csr.num_vertices();
+  // Degree-neutral rewiring, so no page overflows and every update
+  // applies: drop a vertex's first neighbor, add another.
+  ingest::UpdateBatch updates;
+  std::vector<Edge> updated_edges = f.edges.edges();
+  for (VertexId v = 0; v < n; v += 3) {
+    if (f.csr.out_degree(v) == 0) continue;
+    const Edge victim{v, f.csr.neighbors(v)[0]};
+    const Edge replacement{v, (v * 31 + 7) % n};
+    updates.push_back(ingest::EdgeUpdate::Remove(victim.src, victim.dst));
+    updates.push_back(
+        ingest::EdgeUpdate::Insert(replacement.src, replacement.dst));
+    updated_edges.erase(
+        std::find(updated_edges.begin(), updated_edges.end(), victim));
+    updated_edges.push_back(replacement);
+  }
+
+  auto run_with = [&](bool append) {
     GtsOptions opts;
-    opts.io.merge_sequential = true;
-    opts.io.wa_snapshot = snapshot;
+    opts.ingest.enabled = true;
+    opts.ingest.background_compaction = false;
     auto store = MakeSsdStore(&f.paged, 2, 256 * kKiB);
     GtsEngine engine(&f.paged, store.get(), f.Machine(), opts);
+    if (append) {
+      GTS_CHECK_OK(engine.edge_stream()->Append(updates));
+      engine.edge_stream()->FlushGutters();
+    }
     auto bfs = RunBfsGts(engine, source);
     GTS_CHECK(bfs.ok()) << bfs.status().ToString();
-    return std::make_pair(bfs->levels, bfs->report);
+    return std::move(bfs).ValueOrDie();
   };
-  const auto [base_levels, base_report] = run_with(false);
-  const auto [snap_levels, snap_report] = run_with(true);
-  EXPECT_EQ(snap_levels, base_levels);
-  EXPECT_EQ(base_report.metrics.io_queue.spill_writes, 0u);
-  EXPECT_GT(snap_report.metrics.io_queue.spill_writes, 0u);
-  // The spill occupies the storage devices in simulated time.
-  EXPECT_GT(snap_report.metrics.storage_busy,
-            base_report.metrics.storage_busy);
-  // Page-less writes on the storage lanes must not confuse the validator.
-  EXPECT_EQ(snap_report.metrics.analysis.violations_detected, 0u)
-      << snap_report.metrics.analysis.ToString();
+  const BfsGtsResult base = run_with(false);
+  const BfsGtsResult updated = run_with(true);
+  const RunMetrics& m = updated.report.metrics;
+  EXPECT_EQ(base.report.metrics.io_queue.spill_writes, 0u);
+  EXPECT_GT(m.io_queue.spill_writes, 0u);
+  // The writes occupy the storage devices in simulated time.
+  EXPECT_GT(m.storage_busy, base.report.metrics.storage_busy);
+  EXPECT_EQ(m.analysis.violations_detected, 0u) << m.analysis.ToString();
+
+  const CsrGraph updated_csr =
+      CsrGraph::FromEdgeList(EdgeList(n, std::move(updated_edges)));
+  const std::vector<uint32_t> expected = ReferenceBfs(updated_csr, source);
+  ASSERT_EQ(updated.levels.size(), expected.size());
+  for (VertexId v = 0; v < n; ++v) {
+    const uint32_t want =
+        expected[v] == kUnreachedLevel ? BfsKernel::kUnvisited : expected[v];
+    ASSERT_EQ(updated.levels[v], want) << "vertex " << v;
+  }
 }
 
 }  // namespace

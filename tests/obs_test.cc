@@ -8,6 +8,7 @@
 #include "algorithms/bfs.h"
 #include "algorithms/pagerank.h"
 #include "core/engine.h"
+#include "core/job/job_scheduler.h"
 #include "graph/csr_graph.h"
 #include "graph/rmat_generator.h"
 #include "obs/metrics.h"
@@ -189,14 +190,15 @@ TEST(TraceExportTest, MultiRunPidBasesDoNotCollide) {
   ASSERT_TRUE(bfs.ok());
   PageRankKernel kernel(f.csr.num_vertices());
   kernel.BeginIteration();
-  auto pr = engine.Run(&kernel);
+  auto pr = engine.scheduler().Submit(&kernel).Wait();
   ASSERT_TRUE(pr.ok());
 
   obs::TraceExporter exporter;
   exporter.AddRun(bfs->report.metrics.timeline,
                   obs::TraceRunOptions{"BFS", /*pid_base=*/0});
   const size_t bfs_events = exporter.num_events();
-  exporter.AddRun(pr->timeline, obs::TraceRunOptions{"PR", /*pid_base=*/100});
+  exporter.AddRun(pr->metrics.timeline,
+                  obs::TraceRunOptions{"PR", /*pid_base=*/100});
   EXPECT_GT(exporter.num_events(), bfs_events);
 
   const std::string json = exporter.ToJson();

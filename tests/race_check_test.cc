@@ -818,9 +818,9 @@ TEST(SeededRaceTest, PlainStoreRacingPeerCasIsFlaggedEndToEnd) {
   opts.num_streams = 4;
   GtsEngine engine(&f.paged, f.store.get(), f.Machine(), opts);
   SeededRaceKernel kernel(f.paged.num_vertices());
-  auto run = engine.Run(&kernel);
+  auto run = engine.scheduler().Submit(&kernel).Wait();
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  const RaceReport& report = run->analysis;
+  const RaceReport& report = run->metrics.analysis;
   EXPECT_TRUE(report.race_check_ran);
   EXPECT_GT(report.races_detected, 0u);
   ASSERT_FALSE(report.races.empty());
@@ -847,7 +847,7 @@ TEST(SeededRaceTest, FailOnRaceEscalatesToRunError) {
   opts.analysis.fail_on_race = true;
   GtsEngine engine(&f.paged, f.store.get(), f.Machine(), opts);
   SeededRaceKernel kernel(f.paged.num_vertices());
-  auto run = engine.Run(&kernel);
+  auto run = engine.scheduler().Submit(&kernel).Wait();
   ASSERT_FALSE(run.ok());
   EXPECT_NE(run.status().ToString().find("race"), std::string::npos);
 }
@@ -862,10 +862,10 @@ TEST(SeededRaceTest, DisablingTheDetectorSilencesIt) {
   opts.analysis.race_check = false;
   GtsEngine engine(&f.paged, f.store.get(), f.Machine(), opts);
   SeededRaceKernel kernel(f.paged.num_vertices());
-  auto run = engine.Run(&kernel);
+  auto run = engine.scheduler().Submit(&kernel).Wait();
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_FALSE(run->analysis.race_check_ran);
-  EXPECT_EQ(run->analysis.races_detected, 0u);
+  EXPECT_FALSE(run->metrics.analysis.race_check_ran);
+  EXPECT_EQ(run->metrics.analysis.races_detected, 0u);
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
-// The gts::transfer seam (DESIGN.md section 14): PageStreamBackend
-// reproduces the engine's classic schedules deterministically across the
-// dispatch-policy matrix (the fig4 golden-trace cmp covers the
-// byte-for-byte claim), DirectAccessBackend changes only the simulated
-// PCI-E leg (results stay bit-identical on integer kernels), the kAuto
+// gts::transfer (DESIGN.md section 14): page streaming keeps the
+// engine's schedules deterministic (the fig4 golden-trace cmp covers the
+// byte-for-byte claim), direct transfers change only the simulated PCI-E
+// leg (results stay bit-identical on integer kernels), the kAuto
 // crossover picks direct on sparse levels and streaming on dense ones,
-// and the adaptive dispatch.min_active_edges sentinel stays exact on
-// uniform levels.
+// and each mode registers its own transfer.* counters.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -24,7 +22,6 @@
 #include "graph/csr_graph.h"
 #include "graph/rmat_generator.h"
 #include "storage/page_builder.h"
-#include "transfer/transfer_backend.h"
 #include "transfer/transfer_options.h"
 
 namespace gts {
@@ -185,30 +182,12 @@ TEST(PidSetVertexCountTest, CountsActivationEventsBesideEdgeWeights) {
   EXPECT_EQ(set.VertexCountOf(3), 0u);
 }
 
-// ------------------------------------------------------- backend factory
-
-TEST(TransferBackendTest, FactoryBuildsModeMatchingBackends) {
-  using transfer::TransferMode;
-  for (auto mode : {TransferMode::kPageStream, TransferMode::kDirect,
-                    TransferMode::kAuto}) {
-    transfer::TransferOptions options;
-    options.mode = mode;
-    auto backend =
-        transfer::MakeTransferBackend(options, transfer::TransferBackend::Env{});
-    ASSERT_NE(backend, nullptr);
-    EXPECT_EQ(backend->mode(), mode);
-    EXPECT_EQ(backend->name(), transfer::TransferModeName(mode));
-    // Before any BeginPass the backend sits on the conservative default.
-    EXPECT_EQ(backend->pass_mode(), TransferMode::kPageStream);
-  }
-}
-
 // -------------------------------------- page-stream schedule reproduction
 
-/// The extracted PageStreamBackend must leave the schedule a pure
-/// function of the options on one and two GPUs -- same graph, same
-/// knobs, fresh engine: identical op list (the golden-trace test pins
-/// the same property against the checked-in fig4 bytes).
+/// Page streaming must leave the schedule a pure function of the
+/// options on one and two GPUs -- same graph, same knobs, fresh engine:
+/// identical op list (the golden-trace test pins the same property
+/// against the checked-in fig4 bytes).
 TEST(TransferBackendTest, PageStreamTimelineDeterministicAcrossEngines) {
   Fixture f;
   for (int gpus : {1, 2}) {
@@ -240,7 +219,9 @@ TEST(TransferBackendTest, PageStreamTimelineDeterministicAcrossEngines) {
 
 /// Scan passes carry no frontier, so kDirect and kAuto must degrade to
 /// the page-stream schedule byte for byte (and say so in the fallback
-/// counter).
+/// counter). Only those two modes register the direct and per-level
+/// counters: a page_stream snapshot carries just transfer.pages and
+/// transfer.bytes.
 TEST(TransferBackendTest, DirectFallsBackToPageStreamOnScans) {
   Fixture f;
   gpu::ScheduleResult reference;
@@ -256,23 +237,33 @@ TEST(TransferBackendTest, DirectFallsBackToPageStreamOnScans) {
     const std::string what(transfer::TransferModeName(mode));
     ASSERT_TRUE(pr.ok()) << what;
     const RunMetrics& m = pr->report.metrics;
+    const obs::MetricsSnapshot& snapshot = pr->report.snapshot;
     EXPECT_EQ(m.direct_pages, 0u) << what;
     EXPECT_EQ(m.direct_bytes, 0u) << what;
-    if (mode == transfer::TransferMode::kPageStream) {
+    EXPECT_EQ(snapshot.at("transfer.pages").count, m.pages_streamed) << what;
+    EXPECT_EQ(snapshot.at("transfer.bytes").count, m.transfer_bytes) << what;
+    const bool page_stream = mode == transfer::TransferMode::kPageStream;
+    for (const char* key :
+         {"transfer.direct_pages", "transfer.direct_bytes",
+          "transfer.direct_levels", "transfer.page_stream_levels",
+          "transfer.fallback_passes"}) {
+      EXPECT_EQ(snapshot.count(key), page_stream ? 0u : 1u)
+          << what << " " << key;
+    }
+    if (page_stream) {
       reference = m.timeline;
       reference_bytes = m.transfer_bytes;
     } else {
       ExpectSameTimeline(m.timeline, reference, what);
       EXPECT_EQ(m.transfer_bytes, reference_bytes) << what;
-      EXPECT_GT(pr->report.snapshot.at("transfer.fallback_passes").count, 0u)
-          << what;
+      EXPECT_GT(snapshot.at("transfer.fallback_passes").count, 0u) << what;
     }
   }
 }
 
 // -------------------------------------------------- result equivalence
 
-/// The direct backend swaps only the simulated PCI-E leg; kernels still
+/// Direct transfer swaps only the simulated PCI-E leg; kernels still
 /// execute against the whole staged page, so integer-kernel results are
 /// bit-identical across every transfer mode, inline and on stream
 /// threads.
@@ -327,7 +318,7 @@ TEST(TransferEquivalenceTest, WccLabelsIdenticalAcrossModes) {
 }
 
 /// Concurrent jobs share the merged topology stream whatever the
-/// backend: both jobs still compute the page-stream answer, and the
+/// mode: both jobs still compute the page-stream answer, and the
 /// batch path keeps first-demander attribution intact.
 TEST(TransferEquivalenceTest, MultiJobResultsIdenticalAcrossModes) {
   Fixture f(11, 8, 99);
@@ -368,7 +359,7 @@ TEST(TransferEquivalenceTest, MultiJobResultsIdenticalAcrossModes) {
 // --------------------------------------------------- direct-mode effects
 
 /// A one-level BFS from a single source demands one page holding a
-/// handful of activations: the direct backend must move far fewer PCI-E
+/// handful of activations: direct transfer must move far fewer PCI-E
 /// bytes than whole-page streaming, record kH2DDirect ops the validator
 /// accepts, and publish the transfer.direct_* counters.
 TEST(TransferEffectTest, DirectMovesFewerBytesOnSparseFrontier) {
@@ -443,85 +434,6 @@ TEST(TransferEffectTest, AutoPicksBothSidesOfCrossover) {
   EXPECT_GT(bfs->report.metrics.direct_pages, 0u);
   EXPECT_LT(bfs->report.metrics.direct_pages,
             bfs->report.metrics.pages_streamed);
-}
-
-// ------------------------------------- adaptive dispatch.min_active_edges
-
-/// A binary out-tree traverses in uniform levels (every frontier page
-/// near the mean, every interior vertex degree 2), so the adaptive cut
-/// never lands between a page's count and the mean: results and the
-/// skipped-page total match the exact threshold 1 run.
-TEST(AdaptiveMinActiveEdgesTest, ExactOnUniformLevels) {
-  EdgeList edges;
-  const VertexId n = 1023;  // depth-10 complete binary tree
-  edges.set_num_vertices(n);
-  for (VertexId v = 0; 2 * v + 2 < n; ++v) {
-    edges.Add(v, 2 * v + 1);
-    edges.Add(v, 2 * v + 2);
-  }
-  CsrGraph csr = CsrGraph::FromEdgeList(edges);
-  PagedGraph paged =
-      std::move(BuildPagedGraph(csr, PageConfig::Small22())).ValueOrDie();
-  auto store = MakeInMemoryStore(&paged);
-  MachineConfig machine = MachineConfig::PaperScaled(1);
-  machine.device_memory = 32 * kMiB;
-
-  auto run_with = [&](uint32_t min_edges) {
-    GtsOptions opts;
-    opts.dispatch.min_active_edges = min_edges;
-    GtsEngine engine(&paged, store.get(), machine, opts);
-    auto bfs = RunBfsGts(engine, 0);
-    GTS_CHECK(bfs.ok());
-    return std::move(bfs).ValueOrDie();
-  };
-
-  const BfsGtsResult unfiltered = run_with(0);
-  const BfsGtsResult exact = run_with(1);
-  const BfsGtsResult adaptive =
-      run_with(DispatchOptions::kAutoMinActiveEdges);
-  EXPECT_EQ(adaptive.levels, unfiltered.levels);
-  EXPECT_EQ(exact.levels, unfiltered.levels);
-  // Degrees are 2 or 0, so any cut in (0, 2] skips exactly the
-  // zero-expansion leaf pages the exact threshold skips.
-  EXPECT_EQ(adaptive.report.metrics.pages_skipped,
-            exact.report.metrics.pages_skipped);
-  const auto& snapshot = adaptive.report.snapshot;
-  ASSERT_TRUE(snapshot.count("dispatch.auto_min_active_edges"));
-  const auto& dist = snapshot.at("dispatch.auto_min_active_edges");
-  EXPECT_GT(dist.count, 0u);
-  EXPECT_LE(dist.max, 2.0) << "near-uniform levels must keep a tight cut";
-}
-
-/// RMAT levels are skewed: the adaptive cut rises above 1 on dense
-/// levels and sheds at least as many near-empty pages as the exact
-/// threshold, while explicit values keep their exact semantics.
-TEST(AdaptiveMinActiveEdgesTest, ShedsTailOnSkewedLevels) {
-  Fixture f(11, 8, 7);
-  const VertexId source = f.Source();
-
-  auto run_with = [&](uint32_t min_edges) {
-    GtsOptions opts;
-    opts.dispatch.min_active_edges = min_edges;
-    GtsEngine engine(&f.paged, f.store.get(), f.Machine(), opts);
-    auto bfs = RunBfsGts(engine, source);
-    GTS_CHECK(bfs.ok());
-    return std::move(bfs).ValueOrDie();
-  };
-
-  const BfsGtsResult exact0 = run_with(0);
-  const BfsGtsResult exact1 = run_with(1);
-  // Explicit threshold 1 is exact: it drops only zero-expansion pages.
-  EXPECT_EQ(exact1.levels, exact0.levels);
-
-  const BfsGtsResult adaptive =
-      run_with(DispatchOptions::kAutoMinActiveEdges);
-  EXPECT_GE(adaptive.report.metrics.pages_skipped,
-            exact1.report.metrics.pages_skipped);
-  const auto& snapshot = adaptive.report.snapshot;
-  ASSERT_TRUE(snapshot.count("dispatch.auto_min_active_edges"));
-  const auto& dist = snapshot.at("dispatch.auto_min_active_edges");
-  EXPECT_GT(dist.count, 0u);
-  EXPECT_GT(dist.max, 1.0) << "skewed RMAT levels should raise the cut";
 }
 
 }  // namespace

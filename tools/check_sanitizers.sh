@@ -51,7 +51,7 @@ run_config() {
 # job-scheduler, race-check and concurrency-stress suites -- the GPU
 # workers' handoff on one and two GPUs, concurrent Submit/Wait clients
 # and multi-job batch epochs),
-# transfer (the transfer backends reading concurrently updated PidSet
+# transfer (page transfers reading concurrently updated PidSet
 # counts) and ingest (producers and the background compactor racing
 # queries). Builds every concurrency suite in the tsan tree (shared with
 # run_config tsan and between areas, so running every area costs one

@@ -24,7 +24,7 @@
 //      copy span of that page has ended (a kernel must never read a page
 //      whose transfer is still in flight);
 //   8. fine-grained direct transfers (name=="h2d-direct", the
-//      transfer.mode=direct/auto backend) are well-placed copy ops: X
+//      transfer.mode=direct/auto) are well-placed copy ops: X
 //      spans on a copy lane (cat=="copy") carrying page and bytes args,
 //      starting only after the page's latest storage fetch in the same
 //      run group delivered it to the host staging buffer (runs are
@@ -33,7 +33,7 @@
 //      serial copy engine and the dependent kernel's ordering.
 //   9. compaction-lane ordering: a storage "write" span that names a page
 //      in args is a gts::ingest compaction installing a rebuilt page
-//      image (WA spill/snapshot writes carry no page arg). It must be an
+//      image (delta-record writes carry no page arg). It must be an
 //      X span on a storage lane (cat=="storage"), sit on the same
 //      (pid, tid) lane as that page's "fetch" spans within the run group
 //      (a page lives on exactly one storage device, so its reads and its
@@ -448,11 +448,11 @@ int LintTrace(const JsonValue& root) {
       }
     }
 
-    // Rule 8: h2d-direct spans (the transfer.mode=direct/auto backend's
+    // Rule 8: h2d-direct spans (transfer.mode=direct/auto's
     // fine-grained fetches) must look like every other copy-engine op --
     // an X span on a copy lane naming its page and bytes -- and must not
     // start before the page's latest storage fetch in the same run group
-    // ended (the backend fetches adjacency lists out of host staging
+    // ended (direct transfers fetch adjacency lists out of host staging
     // memory, so staging strictly precedes the PCI-E leg). A page with
     // no fetch span in this run was already host-resident (MMBuf hit
     // from an earlier run in the same trace): nothing to order against.
