@@ -59,6 +59,7 @@ void RaceDetector::BeginRun() {
   for (Lane& lane : lanes_) lane.clock = VectorClock();
   events_.clear();
   page_ready_.clear();
+  read_done_.clear();
   shadow_.clear();
   races_.clear();
   race_keys_.clear();
@@ -185,13 +186,20 @@ void RaceDetector::BarrierRelease() {
   lanes_[host].clock.Tick(static_cast<size_t>(host));
 }
 
-void RaceDetector::OnPageStaged(int device, PageId pid, gpu::OpIndex op) {
+void RaceDetector::OnPageStaged(int device, PageId pid, gpu::OpIndex op,
+                                PageId evicted,
+                                const std::vector<gpu::TimelineOp>& ops) {
   const int host = HostLane();
   const int lane = op == gpu::kNoOp ? host : StorageLane(device);
   if (lane != host) {
     // The host initiated the issue; the device write follows it.
     Join(lane, host);
     BeginOp(lane);
+    if (evicted != kInvalidPageId) {
+      WaitForReads(lane, op, ops);
+      // The refill overwrites the slot the evicted page was read from.
+      OnPageAccess(lane, kMmbufDomain, evicted, /*write=*/true, op);
+    }
   }
   OnPageAccess(lane, kMmbufDomain, pid, /*write=*/true, op);
   std::lock_guard<std::mutex> lock(mu_);
@@ -206,6 +214,37 @@ void RaceDetector::OnPageDelivered(PageId pid) {
   auto it = page_ready_.find(pid);
   if (it == page_ready_.end()) return;  // preloaded: no staging this run
   lanes_[host].clock.Join(events_[static_cast<size_t>(it->second)]);
+}
+
+void RaceDetector::WaitForReads(int lane, gpu::OpIndex op,
+                                const std::vector<gpu::TimelineOp>& ops) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<gpu::OpIndex> pending = {op};
+  while (!pending.empty()) {
+    const gpu::OpIndex waiter = pending.back();
+    pending.pop_back();
+    if (waiter >= ops.size()) continue;
+    for (gpu::OpIndex dep : {ops[waiter].dep0, ops[waiter].dep1}) {
+      if (dep >= ops.size()) continue;
+      if (ops[dep].kind == gpu::OpKind::kHostCompute) {
+        pending.push_back(dep);  // a join: wait for what it waits for
+        continue;
+      }
+      auto it = read_done_.find(dep);
+      if (it != read_done_.end()) {
+        lanes_[static_cast<size_t>(lane)].clock.Join(
+            events_[static_cast<size_t>(it->second)]);
+      }
+    }
+  }
+}
+
+void RaceDetector::OnMmbufRead(int lane, PageId pid, gpu::OpIndex op) {
+  OnPageAccess(lane, kMmbufDomain, pid, /*write=*/false, op);
+  std::lock_guard<std::mutex> lock(mu_);
+  events_.push_back(lanes_[lane].clock);
+  lanes_[lane].clock.Tick(static_cast<size_t>(lane));
+  read_done_[op] = static_cast<int>(events_.size()) - 1;
 }
 
 RaceAccess RaceDetector::MakeAccess(int lane, AccessClass cls,

@@ -20,7 +20,8 @@
 //     copy fusion   an H2D on a stream fuses the stream and copy-engine
 //                   clocks: the copy engine serializes transfers, and the
 //                   stream's next kernel waits for its transfer
-//     event        record/wait snapshots (page staged -> page delivered)
+//     event        record/wait snapshots (page staged -> page delivered;
+//                  an MMBuf read -> the refill of its slot)
 //     barrier      BSP level boundaries: BarrierAcquire joins every lane
 //                  into host, BarrierRelease fans host back out
 //
@@ -137,11 +138,22 @@ class RaceDetector {
 
   /// A storage device staged page `pid` into MMBuf under recorded op
   /// `op` (kNoOp for zero-cost devices: attributed to the host lane).
-  /// Registers the page's "ready" event for later deliveries.
-  void OnPageStaged(int device, PageId pid, gpu::OpIndex op);
+  /// Registers the page's "ready" event for later deliveries. When the
+  /// read refilled the slot of `evicted` (IoEngine::Fetched::evicted),
+  /// the storage lane first waits for the OnMmbufRead event of every op
+  /// the recorded read depends on in `ops` (through zero-cost host
+  /// joins), then writes `evicted`'s cell: a refill recorded without
+  /// those dependencies races with the old page's readers.
+  void OnPageStaged(int device, PageId pid, gpu::OpIndex op,
+                    PageId evicted = kInvalidPageId,
+                    const std::vector<gpu::TimelineOp>& ops = {});
   /// IoEngine::Acquire handed `pid`'s bytes to the host: the host joins
   /// the page's staging event (no-op for preloaded pages with no event).
   void OnPageDelivered(PageId pid);
+  /// `lane` reads `pid`'s MMBuf bytes under op `op` (an H2D or a
+  /// CPU-assist kernel), and records an event that a refill of the
+  /// page's slot depending on `op` waits for.
+  void OnMmbufRead(int lane, PageId pid, gpu::OpIndex op);
 
   // --------------------------------------------------------------- accesses
 
@@ -178,6 +190,10 @@ class RaceDetector {
   static constexpr int kJobWaStride = 1000;  ///< > any GPU index
 
   int LaneLocked(uint64_t key, std::string name, int stream_key);
+  /// `lane` inherits the OnMmbufRead event of every op that recorded op
+  /// `op` depends on in `ops`, looking through kHostCompute joins.
+  void WaitForReads(int lane, gpu::OpIndex op,
+                    const std::vector<gpu::TimelineOp>& ops);
   void AccessLocked(int lane, int domain, uint64_t index, uint32_t size,
                     AccessClass cls, gpu::OpIndex op, PageId page);
   RaceAccess MakeAccess(int lane, AccessClass cls, gpu::OpIndex op,
@@ -191,6 +207,8 @@ class RaceDetector {
 
   std::vector<VectorClock> events_;
   std::unordered_map<PageId, int> page_ready_;  ///< pid -> staging event
+  /// Op of an MMBuf read -> the reader lane's event after the read.
+  std::unordered_map<gpu::OpIndex, int> read_done_;
 
   // Shadow cells keyed by (domain, granule-or-page index).
   std::unordered_map<uint64_t, Cell> shadow_;

@@ -171,8 +171,8 @@ GtsEngine::GtsEngine(const PagedGraph* graph, PageStore* store,
     };
     env.write_delta = [this](int device, uint64_t offset,
                              const uint8_t* data, uint64_t length) {
-      auto wrote = io_->Write(static_cast<size_t>(device), offset, data,
-                              length, gpu::kNoOp);
+      auto wrote =
+          io_->Write(static_cast<size_t>(device), offset, data, length);
       GTS_CHECK_OK(wrote.status());
     };
     env.rewrite_page = [this](PageId pid, const uint8_t* data,
@@ -359,6 +359,7 @@ Status GtsEngine::ProcessPageOnCpu(JobExec* job, PageId pid) {
   kop.duration = 0.0;
   kop.job = job->job_id;
   const gpu::OpIndex kidx = RecordOp(kop);
+  io_->NoteReader(fetch, kidx);
 
   KernelContext ctx;
   ctx.rvt = &graph_->rvt();
@@ -380,15 +381,14 @@ Status GtsEngine::ProcessPageOnCpu(JobExec* job, PageId pid) {
   if (race_ != nullptr) {
     if (!fetch.buffer_hit) {
       race_->OnPageStaged(static_cast<int>(fetch.device_index), pid,
-                          fetch.fetch_op);
+                          fetch.fetch_op, fetch.evicted, recorder_.ops());
     }
     race_->OnPageDelivered(pid);
     const int cl = race_->CpuLane(lane, (1 << 20) + lane);
     race_->BeginOp(cl);
     race_->Join(cl, race_->HostLane());
     // The CPU lane reads the page straight out of MMBuf.
-    race_->OnPageAccess(cl, analysis::RaceDetector::kMmbufDomain, pid,
-                        /*write=*/false, kidx);
+    race_->OnMmbufRead(cl, pid, kidx);
     ctx.race_site = {race_.get(), cl, analysis::RaceDetector::kCpuWaDomain,
                      kidx, pid};
   }
@@ -900,7 +900,8 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
       // storage -> MMBuf event, then host consumes the bytes.
       if (!staged.buffer_hit) {
         race_->OnPageStaged(static_cast<int>(staged.device_index), pid,
-                            staged.fetch_op);
+                            staged.fetch_op, staged.evicted,
+                            recorder_.ops());
       }
       race_->OnPageDelivered(pid);
       // The copy engine reads the staged MMBuf bytes into the stream
@@ -909,8 +910,7 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
       const int copy = race_->CopyLane(g);
       race_->Join(copy, race_->HostLane());
       race_->BeginOp(copy);
-      race_->OnPageAccess(copy, analysis::RaceDetector::kMmbufDomain, pid,
-                          /*write=*/false, staged.transfer_op);
+      race_->OnMmbufRead(copy, pid, staged.transfer_op);
       race_->Fuse(copy, race_->StreamLane(g, s, stream_key));
     }
     // The page's one host copy, straight into the ring slot: the next

@@ -8,7 +8,10 @@
 // one kStorageWrite op. The discrete-event simulator replays each
 // device's ops serially in record order, overlapping them with copies and
 // kernels, so recording in demand order is all the scheduling storage
-// needs.
+// needs -- except where a read overwrites an MMBuf slot. The ops that
+// read a slot's page (its H2D copies, or its CPU-assist kernel) report
+// themselves through NoteReader, and a read that later lands in that
+// slot in the same pass depends on every one of them.
 //
 // Pricing: a read costs the device's ReadCost; with io.merge_sequential
 // a read that starts at its device's head (the end of the previous read
@@ -61,7 +64,8 @@ class IoEngine {
            RecordFn record, obs::MetricsRegistry* registry);
 
   /// Starts one pass: forgets every device's head, so no read merges
-  /// with an op recorded before the pass barrier.
+  /// with an op recorded before the pass barrier, and every slot's
+  /// readers, which the barrier already orders before the pass.
   void BeginPass();
 
   struct Fetched {
@@ -71,21 +75,33 @@ class IoEngine {
     /// The recorded kStorageFetch op to depend on (kNoOp on a buffer hit
     /// or a zero-cost in-memory device).
     gpu::OpIndex fetch_op = gpu::kNoOp;
+    uint32_t slot = 0;  ///< the MMBuf slot holding the page
+    /// On a miss, the page that was read from the slot earlier in the
+    /// pass and that the device read overwrote after waiting for its
+    /// readers; kInvalidPageId when no reader was waited for.
+    PageId evicted = kInvalidPageId;
   };
 
   /// Delivers page `pid`: an MMBuf hit, or a device read into MMBuf
-  /// recorded as one kStorageFetch op.
+  /// recorded as one kStorageFetch op that depends on every op that read
+  /// the slot's previous page in this pass. More than two such readers
+  /// (Strategy-S on three or more GPUs) are folded into zero-cost
+  /// kHostCompute joins.
   Result<Fetched> Acquire(PageId pid);
+
+  /// Records that op `op` reads the MMBuf bytes `page` delivered, so a
+  /// device read that later lands in the same slot in this pass waits
+  /// for it. A no-op (and lock-free) on a store that never evicts.
+  void NoteReader(const Fetched& page, gpu::OpIndex op);
 
   /// Writes `length` bytes at `offset` on storage device `device`: the
   /// bytes land immediately (host-side correctness never waits on the
-  /// simulated clock) and one kStorageWrite op depending on `dep` (e.g.
-  /// the D2H that produced the bytes) is recorded. Returns its index
-  /// (kNoOp on a zero-cost device). The store rejects a device past its
-  /// last, or a range overlapping the striped pages, as InvalidArgument.
+  /// simulated clock) and one kStorageWrite op is recorded. Returns its
+  /// index (kNoOp on a zero-cost device). The store rejects a device
+  /// past its last, or a range overlapping the striped pages, as
+  /// InvalidArgument.
   Result<gpu::OpIndex> Write(size_t device, uint64_t offset,
-                             const uint8_t* data, uint64_t length,
-                             gpu::OpIndex dep = gpu::kNoOp);
+                             const uint8_t* data, uint64_t length);
 
   /// Rewrites base page `pid` in place (ingest compaction install): the
   /// new image lands in the store immediately (dropping any MMBuf copy so
@@ -104,7 +120,9 @@ class IoEngine {
   /// costs anything and a recorder is bound).
   gpu::OpIndex RecordStorageOp(gpu::OpKind kind, size_t device,
                                uint64_t offset, uint64_t length, SimTime cost,
-                               PageId page, bool merged, gpu::OpIndex dep)
+                               PageId page, bool merged,
+                               gpu::OpIndex dep0 = gpu::kNoOp,
+                               gpu::OpIndex dep1 = gpu::kNoOp)
       GTS_REQUIRES(mu_);
 
   const PagedGraph* graph_;
@@ -119,6 +137,13 @@ class IoEngine {
   /// the first.
   static constexpr uint64_t kNoHead = ~uint64_t{0};
   std::vector<uint64_t> heads_ GTS_GUARDED_BY(mu_);
+  /// Per MMBuf slot (grown on demand, evicting stores only): the page
+  /// the slot held in this pass and the ops that read it.
+  struct SlotReaders {
+    PageId page = kInvalidPageId;
+    std::vector<gpu::OpIndex> ops;
+  };
+  std::vector<SlotReaders> readers_ GTS_GUARDED_BY(mu_);
 
   IoStats stats_;
   obs::Counter* completed_metric_ = nullptr;

@@ -84,6 +84,7 @@ Result<PageStore::FetchResult> PageStore::Fetch(PageId pid) {
     if (buffer_hits_metric_ != nullptr) buffer_hits_metric_->Add();
     result.data = SlotBytes(slot);
     result.buffer_hit = true;
+    result.slot = slot;
     return result;
   }
 
@@ -91,7 +92,8 @@ Result<PageStore::FetchResult> PageStore::Fetch(PageId pid) {
 
   const size_t d = DeviceOfPage(pid);
   const uint64_t page_size = graph_->config().page_size;
-  result.data = SlotBytes(slot_of_[pid]);
+  result.slot = slot_of_[pid];
+  result.data = SlotBytes(result.slot);
   result.buffer_hit = false;
   result.device_index = d;
   result.io_cost = devices_[d]->timing().ReadCost(page_size);

@@ -55,6 +55,7 @@ class PageStore {
     bool buffer_hit = false;
     size_t device_index = 0;   ///< meaningful when !buffer_hit
     SimTime io_cost = 0.0;     ///< simulated device time; 0 on buffer hit
+    uint32_t slot = 0;         ///< the MMBuf slot holding the page
   };
 
   /// Returns the page bytes, fetching from the device on a buffer miss.
@@ -68,6 +69,10 @@ class PageStore {
   bool Resident(PageId pid) const {
     return pid < slot_of_.size() && slot_of_[pid] != kNoSlot;
   }
+
+  /// True when MMBuf holds fewer pages than the graph has, so a device
+  /// read may land in a slot another page was read from.
+  bool Evicts() const { return max_resident_ < graph_->num_pages(); }
 
   /// Reads a non-resident page from its device into MMBuf as the
   /// most-recent entry (evicting LRU pages over capacity) and counts the

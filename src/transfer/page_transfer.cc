@@ -116,10 +116,12 @@ Result<StagedPage> PageTransfer::Stage(PageId pid, int gpu, int stream_key,
   staged.data = fetch.data;
   staged.fetch_op = fetch.fetch_op;
   staged.transfer_op = record_(h2d);
+  io_->NoteReader(fetch, staged.transfer_op);
   staged.bytes = h2d.bytes;
   staged.direct = direct;
   staged.buffer_hit = fetch.buffer_hit;
   staged.device_index = fetch.device_index;
+  staged.evicted = fetch.evicted;
   return staged;
 }
 

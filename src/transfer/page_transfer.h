@@ -40,6 +40,7 @@ struct StagedPage {
   /// io::IoEngine::Fetched passthrough for race instrumentation.
   bool buffer_hit = false;
   size_t device_index = 0;
+  PageId evicted = kInvalidPageId;
 };
 
 class PageTransfer {
@@ -62,7 +63,9 @@ class PageTransfer {
   /// Acquires page `pid` (a cache miss on `gpu`) and records its H2D op
   /// on stream `stream_key`, tagged `job` (TimelineOp::job semantics):
   /// kH2DDirect for an SP page in a direct pass, else kH2DStream of the
-  /// whole page at c2. Called on the driver thread only.
+  /// whole page at c2. The H2D reads the page's MMBuf slot, so it is
+  /// reported to the io engine as a reader. Called on the driver thread
+  /// only.
   Result<StagedPage> Stage(PageId pid, int gpu, int stream_key, int32_t job);
 
  private:

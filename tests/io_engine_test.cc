@@ -187,7 +187,7 @@ TEST(IoEngineTest, WritesNeverMergeAndMoveTheHead) {
   // the first; then page 6 no longer continues the head.
   const uint64_t spill = store->DevicePageBytes(0);
   const std::vector<uint8_t> bytes(page, 0xAB);
-  auto spill1 = engine.Write(0, spill, bytes.data(), page, page4->fetch_op);
+  auto spill1 = engine.Write(0, spill, bytes.data(), page);
   ASSERT_TRUE(spill1.ok());
   ASSERT_TRUE(engine.Write(0, spill + page, bytes.data(), page).ok());
   ASSERT_TRUE(engine.Acquire(6).ok());
@@ -208,7 +208,6 @@ TEST(IoEngineTest, WritesNeverMergeAndMoveTheHead) {
     EXPECT_FALSE(write.merged);
     EXPECT_DOUBLE_EQ(write.duration, hdd.WriteCost(page));
   }
-  EXPECT_EQ(log.ops[3].dep0, page4->fetch_op);
   EXPECT_EQ(*spill1, 3u);
   EXPECT_FALSE(log.ops[5].merged);
   EXPECT_DOUBLE_EQ(log.ops[5].duration, hdd.ReadCost(page));
@@ -262,6 +261,135 @@ TEST(IoEngineTest, ResidentPagesAreNeverPlanned) {
   }
   EXPECT_TRUE(log.ops.empty());
   EXPECT_EQ(engine.stats().completed, 0u);
+}
+
+/// The reader ops a recorded op waits for, through zero-cost joins.
+std::vector<gpu::OpIndex> Waits(const OpLog& log, gpu::OpIndex op) {
+  std::vector<gpu::OpIndex> out;
+  for (gpu::OpIndex dep : {log.ops[op].dep0, log.ops[op].dep1}) {
+    if (dep == gpu::kNoOp) continue;
+    if (log.ops[dep].kind == gpu::OpKind::kHostCompute) {
+      EXPECT_DOUBLE_EQ(log.ops[dep].duration, 0.0);
+      for (gpu::OpIndex inner : Waits(log, dep)) out.push_back(inner);
+    } else {
+      out.push_back(dep);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Records `n` stand-in reader ops of `pid` (an H2D per GPU under
+/// Strategy-S) and reports each to the io engine.
+std::vector<gpu::OpIndex> NoteReaders(IoEngine& engine, OpLog& log,
+                                      PageId pid,
+                                      const IoEngine::Fetched& fetched,
+                                      int n) {
+  std::vector<gpu::OpIndex> readers;
+  for (int i = 0; i < n; ++i) {
+    gpu::TimelineOp h2d;
+    h2d.kind = gpu::OpKind::kH2DStream;
+    h2d.resource = {gpu::ResourceId::Type::kCopyEngine, i};
+    h2d.page = pid;
+    readers.push_back(log.Fn()(h2d));
+    engine.NoteReader(fetched, readers.back());
+  }
+  return readers;
+}
+
+/// A device read that lands in an MMBuf slot overwrites the page an
+/// earlier op of the pass read from it, so it depends on every one of
+/// that page's readers: one, two (Strategy-S on two GPUs), or three,
+/// folded through a zero-cost join.
+TEST(IoEngineTest, RefillWaitsForEveryReaderOfItsSlot) {
+  IoFixture f;
+  auto store = MakeSsdStore(&f.paged, 2, /*buffer_capacity=*/4 * f.page_size());
+  ASSERT_TRUE(store->Evicts());
+  OpLog log;
+  IoEngine engine(&f.paged, store.get(), IoOptions{}, log.Fn(), nullptr);
+  engine.BeginPass();
+
+  struct Occupant {
+    PageId page = kInvalidPageId;
+    std::vector<gpu::OpIndex> readers;
+  };
+  std::vector<Occupant> slots;
+  int refills = 0;
+  for (PageId pid = 0; pid < 24; ++pid) {
+    auto fetched = engine.Acquire(pid);
+    ASSERT_TRUE(fetched.ok());
+    ASSERT_FALSE(fetched->buffer_hit) << "page " << pid;
+    if (fetched->slot >= slots.size()) slots.resize(fetched->slot + 1);
+    Occupant& previous = slots[fetched->slot];
+    EXPECT_EQ(fetched->evicted, previous.page) << "page " << pid;
+    EXPECT_EQ(Waits(log, fetched->fetch_op), previous.readers)
+        << "page " << pid;
+    refills += previous.page != kInvalidPageId ? 1 : 0;
+    previous.page = pid;
+    previous.readers =
+        NoteReaders(engine, log, pid, *fetched, 1 + static_cast<int>(pid % 3));
+  }
+  EXPECT_GE(refills, 12);
+}
+
+/// A store that never evicts records no reader dependency, not even for
+/// a page re-read into the slot its rewrite freed.
+TEST(IoEngineTest, NoReaderDependencyOnAStoreThatNeverEvicts) {
+  IoFixture f;
+  EXPECT_FALSE(MakeInMemoryStore(&f.paged)->Evicts());
+  auto store = MakeSsdStore(&f.paged, 2, /*buffer_capacity=*/~uint64_t{0});
+  ASSERT_FALSE(store->Evicts());
+  OpLog log;
+  IoEngine engine(&f.paged, store.get(), IoOptions{}, log.Fn(), nullptr);
+  engine.BeginPass();
+  auto first = engine.Acquire(0);
+  ASSERT_TRUE(first.ok());
+  NoteReaders(engine, log, 0, *first, 2);
+  const std::vector<uint8_t> image = f.paged.page_bytes(0);
+  ASSERT_TRUE(engine.RewritePage(0, image.data(), image.size()).ok());
+  auto again = engine.Acquire(0);
+  ASSERT_TRUE(again.ok());
+  ASSERT_FALSE(again->buffer_hit);
+  EXPECT_EQ(again->slot, first->slot);
+  EXPECT_EQ(again->evicted, kInvalidPageId);
+  EXPECT_EQ(log.ops[again->fetch_op].dep0, gpu::kNoOp);
+  EXPECT_EQ(log.ops[again->fetch_op].dep1, gpu::kNoOp);
+}
+
+/// The pass barrier orders every earlier reader before the next pass, so
+/// BeginPass forgets them: a refill in the new pass depends on nothing.
+TEST(IoEngineTest, BeginPassForgetsReaders) {
+  IoFixture f;
+  auto store = MakeSsdStore(&f.paged, 2, /*buffer_capacity=*/4 * f.page_size());
+  OpLog log;
+  IoEngine engine(&f.paged, store.get(), IoOptions{}, log.Fn(), nullptr);
+  engine.BeginPass();
+  std::vector<bool> read_in_pass1;
+  for (PageId pid = 0; pid < 6; ++pid) {
+    auto fetched = engine.Acquire(pid);
+    ASSERT_TRUE(fetched.ok());
+    NoteReaders(engine, log, pid, *fetched, 2);
+    if (fetched->slot >= read_in_pass1.size()) {
+      read_in_pass1.resize(fetched->slot + 1);
+    }
+    read_in_pass1[fetched->slot] = true;
+  }
+  engine.BeginPass();
+  int refills = 0;
+  for (PageId pid = 6; pid < 12; ++pid) {
+    auto fetched = engine.Acquire(pid);
+    ASSERT_TRUE(fetched.ok());
+    ASSERT_FALSE(fetched->buffer_hit);
+    const bool reused = fetched->slot < read_in_pass1.size() &&
+                        read_in_pass1[fetched->slot];
+    refills += reused ? 1 : 0;
+    if (reused) {
+      read_in_pass1[fetched->slot] = false;
+      EXPECT_EQ(fetched->evicted, kInvalidPageId) << "page " << pid;
+      EXPECT_TRUE(Waits(log, fetched->fetch_op).empty()) << "page " << pid;
+    }
+  }
+  EXPECT_GT(refills, 0);
 }
 
 // --------------------------------------------- engine-level invariants

@@ -401,11 +401,11 @@ TEST(SoloJobDigestTest, InlineSchedulesMatchPinnedDigests) {
       {"auto1/sssp", 13405348382210828270ull},
       {"auto1/pagerank", 2467714717532564373ull},
       {"auto1/bc", 14981348834423861108ull},
-      // Recorded at the parent of the change that deleted the WA
-      // snapshot spill, with only the config's spill line removed.
-      {"auto-ssd2/bfs", 10523830595864928374ull},
-      {"auto-ssd2/sssp", 4363123657681510675ull},
-      {"auto-ssd2/pagerank", 12479744745450027069ull},
+      // Recorded when device reads began to wait for the readers of the
+      // MMBuf slot they refill.
+      {"auto-ssd2/bfs", 5134855929028265855ull},
+      {"auto-ssd2/sssp", 173515557822742066ull},
+      {"auto-ssd2/pagerank", 11006589421401494201ull},
       // Recorded from the engine that ran every kernel inline on the
       // driver, before each GPU had a worker.
       {"lru2/bfs", 12592542798182680466ull},

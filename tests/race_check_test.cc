@@ -36,6 +36,7 @@
 #include "graph/csr_graph.h"
 #include "graph/rmat_generator.h"
 #include "storage/page_builder.h"
+#include "storage/page_store.h"
 
 namespace gts {
 namespace {
@@ -239,6 +240,47 @@ TEST(RaceDetectorTest, PageStagedThenDeliveredOrdersMmbufReads) {
   det.OnPageStaged(/*device=*/0, /*pid=*/6, /*op=*/7);
   det.OnPageAccess(det.HostLane(), RaceDetector::kMmbufDomain, 6,
                    /*write=*/false, 8);
+  EXPECT_EQ(det.races_detected(), 1u);
+}
+
+/// A device read that refills an MMBuf slot writes the evicted page's
+/// cell. It is ordered after the old page's copy-engine reads only
+/// through the recorded dependencies: directly, or through a zero-cost
+/// join of two GPUs' reads.
+TEST(RaceDetectorTest, RefillIsOrderedAfterReadsOnlyByItsDependencies) {
+  std::vector<gpu::TimelineOp> ops(9);
+  for (gpu::OpIndex fetch : {0u, 2u, 6u, 8u}) {
+    ops[fetch].kind = gpu::OpKind::kStorageFetch;
+  }
+  for (gpu::OpIndex h2d : {1u, 3u, 4u, 7u}) {
+    ops[h2d].kind = gpu::OpKind::kH2DStream;
+  }
+  ops[5].kind = gpu::OpKind::kHostCompute;  // join of page 6's two reads
+  ops[2].dep0 = 1;
+  ops[5].dep0 = 3;
+  ops[5].dep1 = 4;
+  ops[6].dep0 = 5;
+
+  RaceDetector det;
+  det.BeginRun();
+  auto read = [&det](int gpu, PageId pid, gpu::OpIndex op) {
+    det.OnPageDelivered(pid);
+    const int copy = det.CopyLane(gpu);
+    det.Join(copy, det.HostLane());
+    det.BeginOp(copy);
+    det.OnMmbufRead(copy, pid, op);
+  };
+  det.OnPageStaged(/*device=*/0, /*pid=*/5, /*op=*/0, kInvalidPageId, ops);
+  read(0, 5, 1);
+  det.OnPageStaged(/*device=*/1, /*pid=*/6, /*op=*/2, /*evicted=*/5, ops);
+  read(0, 6, 3);
+  read(1, 6, 4);
+  det.OnPageStaged(/*device=*/0, /*pid=*/7, /*op=*/6, /*evicted=*/6, ops);
+  EXPECT_EQ(det.races_detected(), 0u);
+
+  // Page 7's slot refilled by a read recorded with no dependency.
+  read(0, 7, 7);
+  det.OnPageStaged(/*device=*/1, /*pid=*/8, /*op=*/8, /*evicted=*/7, ops);
   EXPECT_EQ(det.races_detected(), 1u);
 }
 
@@ -631,6 +673,24 @@ TEST(RaceSweepTest, MultiGpuPartitionsClean) {
   s_opts.strategy = Strategy::kScalability;
   s_opts.num_streams = 4;
   RunAllAlgorithms(f, s_opts, "strategy-s", /*gpus=*/2);
+}
+
+/// Out of core with an MMBuf of a fifth of the topology: device reads
+/// refill slots that earlier copies and CPU-assist kernels of the same
+/// pass read from, and each refill must wait for them.
+TEST(RaceSweepTest, OutOfCoreRefillsClean) {
+  Fixture f(/*scale=*/11);
+  f.store = MakeSsdStore(&f.paged, 2, f.paged.TotalTopologyBytes() / 5);
+  ASSERT_TRUE(f.store->Evicts());
+  GtsOptions opts;
+  opts.num_streams = 4;
+  RunAllAlgorithms(f, opts, "ssd/strategy-p", /*gpus=*/2);
+  GtsOptions s_opts = opts;
+  s_opts.strategy = Strategy::kScalability;
+  RunAllAlgorithms(f, s_opts, "ssd/strategy-s", /*gpus=*/2);
+  GtsOptions h_opts = opts;
+  h_opts.cpu_assist_fraction = 0.25;
+  RunAllAlgorithms(f, h_opts, "ssd/hybrid");
 }
 
 /// Kernels on real stream threads: one GPU, two GPUs under Strategy-P
