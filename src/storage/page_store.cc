@@ -18,13 +18,12 @@ PageStore::PageStore(const PagedGraph* graph,
   const uint64_t page_size = graph_->config().page_size;
   max_resident_ = static_cast<uint32_t>(std::max<uint64_t>(
       1, std::min(num_pages, buffer_capacity_ / page_size)));
-  const uint32_t slots = max_resident_ + (max_resident_ < num_pages ? 1 : 0);
+  if (Evicts()) ring_ = std::max<uint32_t>(1, max_resident_ / 4);
+  const uint32_t slots = max_resident_ + (Evicts() ? 1 : 0);
   // Uninitialised: a slot is written in full before it is read.
   arena_.reset(new uint8_t[static_cast<uint64_t>(slots) * page_size]);
   slot_of_.assign(num_pages, kNoSlot);
   page_of_.assign(slots, kInvalidPageId);
-  newer_.assign(slots, kNoSlot);
-  older_.assign(slots, kNoSlot);
   free_slots_.reserve(slots);
   for (uint32_t slot = slots; slot-- > 0;) free_slots_.push_back(slot);
 }
@@ -78,8 +77,6 @@ Result<PageStore::FetchResult> PageStore::Fetch(PageId pid) {
   FetchResult result;
   const uint32_t slot = slot_of_[pid];
   if (slot != kNoSlot) {
-    Unlink(slot);
-    LinkFront(slot);
     ++stats_.buffer_hits;
     if (buffer_hits_metric_ != nullptr) buffer_hits_metric_->Add();
     result.data = SlotBytes(slot);
@@ -123,9 +120,17 @@ Status PageStore::StageFromDevice(PageId pid) {
   free_slots_.pop_back();
   slot_of_[pid] = slot;
   page_of_[slot] = pid;
-  LinkFront(slot);
-  // Never evict the page just read: the caller holds a pointer to it.
-  if (++resident_ > max_resident_) FreeSlot(lru_back_);
+  if (pinned_ < max_resident_ - ring_) {
+    ++pinned_;
+  } else {
+    fifo_.push_back(slot);
+    // The oldest ring page goes, never the page just read: the caller
+    // holds a pointer to it.
+    if (fifo_.size() > ring_) {
+      FreeSlot(fifo_.front());
+      fifo_.pop_front();
+    }
+  }
 
   ++stats_.device_reads;
   stats_.bytes_read += page_size;
@@ -177,40 +182,23 @@ Status PageStore::RewritePage(PageId pid, const uint8_t* data, uint64_t len) {
   }
   GTS_RETURN_IF_ERROR(devices_[DeviceOfPage(pid)]->Write(OffsetOfPage(pid),
                                                          data, len));
-  if (Resident(pid)) FreeSlot(slot_of_[pid]);
+  if (Resident(pid)) {
+    const uint32_t slot = slot_of_[pid];
+    const auto in_ring = std::find(fifo_.begin(), fifo_.end(), slot);
+    if (in_ring != fifo_.end()) {
+      fifo_.erase(in_ring);
+    } else {
+      --pinned_;
+    }
+    FreeSlot(slot);
+  }
   return Status::OK();
 }
 
-void PageStore::LinkFront(uint32_t slot) {
-  newer_[slot] = kNoSlot;
-  older_[slot] = lru_front_;
-  if (lru_front_ != kNoSlot) {
-    newer_[lru_front_] = slot;
-  } else {
-    lru_back_ = slot;
-  }
-  lru_front_ = slot;
-}
-
-void PageStore::Unlink(uint32_t slot) {
-  if (newer_[slot] != kNoSlot) {
-    older_[newer_[slot]] = older_[slot];
-  } else {
-    lru_front_ = older_[slot];
-  }
-  if (older_[slot] != kNoSlot) {
-    newer_[older_[slot]] = newer_[slot];
-  } else {
-    lru_back_ = newer_[slot];
-  }
-}
-
 void PageStore::FreeSlot(uint32_t slot) {
-  Unlink(slot);
   slot_of_[page_of_[slot]] = kNoSlot;
   page_of_[slot] = kInvalidPageId;
   free_slots_.push_back(slot);
-  --resident_;
 }
 
 namespace {

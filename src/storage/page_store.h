@@ -4,6 +4,7 @@
 #define GTS_STORAGE_PAGE_STORE_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -26,13 +27,19 @@ struct PageStoreStats {
 ///
 /// Page j lives on device g(j) = j mod num_devices (Section 4.1's striping).
 /// Fetch() consults the buffer first (bufferPIDMap); on a miss it reads from
-/// the owning device into MMBuf, evicting least-recently-used pages when the
-/// buffer is over capacity, and reports the simulated I/O cost.
+/// the owning device into MMBuf and reports the simulated I/O cost.
 ///
-/// MMBuf holds max(1, min(num_pages, buffer_capacity / page_size)) pages
-/// in one arena of page slots (plus one spare slot when pages can be
-/// evicted, so a failed device read leaves the buffer as it was). The
-/// arena is allocated uninitialised: slots never filled cost no memory.
+/// MMBuf holds max_resident = max(1, min(num_pages, buffer_capacity /
+/// page_size)) pages in one arena of page slots. It is scan-resistant:
+/// when the graph does not fit, the first max_resident - ring pages
+/// admitted stay resident, and only a ring of ring = max(1, max_resident
+/// / 4) slots turns over, oldest page first. A sweep larger than the
+/// buffer (every BFS level, every PageRank iteration) then keeps hitting
+/// the pinned pages, where LRU would evict each page just before its
+/// next use. A hit touches no state. The arena has one spare slot when
+/// pages can be evicted, so a failed device read leaves the buffer as it
+/// was; it is allocated uninitialised, so slots never filled cost no
+/// memory.
 class PageStore {
  public:
   /// `buffer_capacity` is MMBuf size in bytes. Devices must be non-empty.
@@ -64,8 +71,7 @@ class PageStore {
   /// op (discounting a sequential continuation when asked to).
   Result<FetchResult> Fetch(PageId pid);
 
-  /// True when `pid` currently sits in MMBuf. Touches no LRU state and no
-  /// counters.
+  /// True when `pid` currently sits in MMBuf. Touches no counters.
   bool Resident(PageId pid) const {
     return pid < slot_of_.size() && slot_of_[pid] != kNoSlot;
   }
@@ -74,10 +80,11 @@ class PageStore {
   /// read may land in a slot another page was read from.
   bool Evicts() const { return max_resident_ < graph_->num_pages(); }
 
-  /// Reads a non-resident page from its device into MMBuf as the
-  /// most-recent entry (evicting LRU pages over capacity) and counts the
-  /// device read. No simulated cost is computed: Fetch's miss path prices
-  /// it.
+  /// Reads a non-resident page from its device into a free MMBuf slot
+  /// and counts the device read. The page is pinned while fewer than
+  /// max_resident - ring pages are; otherwise it joins the ring, and a
+  /// full ring drops its oldest page. No simulated cost is computed:
+  /// Fetch's miss path prices it.
   Status StageFromDevice(PageId pid);
 
   /// g(j): which device holds page j.
@@ -102,8 +109,10 @@ class PageStore {
 
   /// In-band rewrite of one base page (ingest compaction install): writes
   /// `len` bytes over `pid`'s striped slot on its owning device and drops
-  /// any MMBuf copy, so the next fetch re-reads the new image. Only the
-  /// io engine's rewrite path may call this (it does the pricing).
+  /// any MMBuf copy, so the next fetch re-reads the new image. A dropped
+  /// pinned page leaves room for the next page admitted to be pinned.
+  /// Only the io engine's rewrite path may call this (it does the
+  /// pricing).
   Status RewritePage(PageId pid, const uint8_t* data, uint64_t len);
 
   size_t num_devices() const { return devices_.size(); }
@@ -127,8 +136,6 @@ class PageStore {
     return arena_.get() +
            static_cast<uint64_t>(slot) * graph_->config().page_size;
   }
-  void LinkFront(uint32_t slot);
-  void Unlink(uint32_t slot);
   /// Drops `slot`'s page from MMBuf; the slot becomes free.
   void FreeSlot(uint32_t slot);
 
@@ -137,18 +144,17 @@ class PageStore {
   uint64_t buffer_capacity_;
   bool initialized_ = false;
 
-  // MMBuf. bufferPIDMap is slot_of_ (page id -> slot); per slot, its page
-  // and its neighbours on the LRU list (front = most recent).
+  // MMBuf. bufferPIDMap is slot_of_ (page id -> slot); page_of_ is the
+  // reverse. The ring's slots sit in fifo_, oldest first; every other
+  // resident page is pinned.
   uint32_t max_resident_ = 0;
+  uint32_t ring_ = 0;  ///< 0 when every page fits
+  uint32_t pinned_ = 0;
   std::unique_ptr<uint8_t[]> arena_;
   std::vector<uint32_t> slot_of_;
   std::vector<PageId> page_of_;
-  std::vector<uint32_t> newer_;
-  std::vector<uint32_t> older_;
+  std::deque<uint32_t> fifo_;
   std::vector<uint32_t> free_slots_;
-  uint32_t lru_front_ = kNoSlot;
-  uint32_t lru_back_ = kNoSlot;
-  uint32_t resident_ = 0;
 
   PageStoreStats stats_;
 

@@ -79,6 +79,31 @@ TEST(FaultInjectionTest, PageStoreSurfacesReadError) {
   EXPECT_EQ(failed.status().code(), StatusCode::kIOError);
 }
 
+/// A read that fails on a full MMBuf leaves it as it was: the same pages
+/// stay resident and nothing is counted.
+TEST(FaultInjectionTest, FailedReadLeavesMmbufAsItWas) {
+  Fixture f;
+  ASSERT_GE(f.paged.num_pages(), 11u);
+  std::vector<std::unique_ptr<StorageDevice>> devices;
+  devices.push_back(std::make_unique<FlakyDevice>(
+      10, DeviceTimingParams::PcieSsd().Scaled(1024.0)));
+  // Eight pages: six pinned, a ring of two.
+  PageStore store(&f.paged, std::move(devices),
+                  8 * f.paged.config().page_size);
+  GTS_CHECK_OK(store.Init());
+  for (PageId pid = 0; pid < 10; ++pid) ASSERT_TRUE(store.Fetch(pid).ok());
+  std::vector<bool> resident;
+  for (PageId pid = 0; pid < f.paged.num_pages(); ++pid) {
+    resident.push_back(store.Resident(pid));
+  }
+  EXPECT_EQ(store.Fetch(10).status().code(), StatusCode::kIOError);
+  for (PageId pid = 0; pid < f.paged.num_pages(); ++pid) {
+    EXPECT_EQ(store.Resident(pid), resident[pid]) << "page " << pid;
+  }
+  EXPECT_EQ(store.stats().device_reads, 10u);
+  EXPECT_EQ(store.stats().buffer_hits, 0u);
+}
+
 TEST(FaultInjectionTest, EngineRunPropagatesIoErrorFromPageRank) {
   Fixture f;
   auto store = f.FlakyStore(5);

@@ -1,7 +1,9 @@
 // The gts::io contracts: every page read is recorded when demanded, in
 // demand order, at the device's full ReadCost with no queue wait;
 // io.merge_sequential discounts exactly the reads that continue their
-// device's head within a pass; writes never merge and move the head; and
+// device's head within a pass; a read that refills an MMBuf slot waits
+// for every op of the pass that read the slot's previous page; writes
+// never merge and move the head; and
 // -- at engine level -- sequential merging changes the simulated
 // schedule, never what the kernels compute, and ingest delta records are
 // priced storage writes.

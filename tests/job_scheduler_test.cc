@@ -401,11 +401,11 @@ TEST(SoloJobDigestTest, InlineSchedulesMatchPinnedDigests) {
       {"auto1/sssp", 13405348382210828270ull},
       {"auto1/pagerank", 2467714717532564373ull},
       {"auto1/bc", 14981348834423861108ull},
-      // Recorded when device reads began to wait for the readers of the
-      // MMBuf slot they refill.
-      {"auto-ssd2/bfs", 5134855929028265855ull},
-      {"auto-ssd2/sssp", 173515557822742066ull},
-      {"auto-ssd2/pagerank", 11006589421401494201ull},
+      // Recorded with the pinned-plus-FIFO-ring MMBuf, whose device
+      // reads wait for the readers of the slot they refill.
+      {"auto-ssd2/bfs", 10155530555112634218ull},
+      {"auto-ssd2/sssp", 1920654631600388521ull},
+      {"auto-ssd2/pagerank", 8105062307181994924ull},
       // Recorded from the engine that ran every kernel inline on the
       // driver, before each GPU had a worker.
       {"lru2/bfs", 12592542798182680466ull},

@@ -156,17 +156,82 @@ TEST(PageStoreTest, BufferHitsSkipIo) {
   EXPECT_EQ(store->stats().device_reads, 1u);
 }
 
+/// Fetches `pids` in order and returns how many were MMBuf hits.
+uint64_t HitsOver(PageStore& store, const std::vector<PageId>& pids) {
+  const uint64_t before = store.stats().buffer_hits;
+  for (PageId pid : pids) EXPECT_TRUE(store.Fetch(pid).ok()) << pid;
+  return store.stats().buffer_hits - before;
+}
+
+/// An MMBuf of eight 4 KiB pages: a ring of max(1, 8 / 4) = 2 slots
+/// turns over, and the first 8 - 2 = 6 pages admitted stay resident.
+constexpr uint64_t kEightPages = 8 * 4 * kKiB;
+
 TEST(PageStoreTest, EvictsLruWhenOverCapacity) {
   PagedGraph graph = SmallPagedGraph();
-  ASSERT_GE(graph.num_pages(), 4u);
-  // Room for two 1 KiB pages.
-  auto store = MakeSsdStore(&graph, 1, /*buffer_capacity=*/2 * kKiB);
-  ASSERT_TRUE(store->Fetch(0).ok());
-  ASSERT_TRUE(store->Fetch(1).ok());
-  ASSERT_TRUE(store->Fetch(2).ok());  // evicts page 0
-  auto again = store->Fetch(0);
+  ASSERT_EQ(graph.config().page_size, 4 * kKiB);
+  ASSERT_GE(graph.num_pages(), 10u);
+  auto store = MakeSsdStore(&graph, 1, kEightPages);
+  ASSERT_TRUE(store->Evicts());
+  for (PageId pid = 0; pid < 8; ++pid) ASSERT_TRUE(store->Fetch(pid).ok());
+  // A hit on the oldest ring page does not save it: the ring is FIFO.
+  auto hit = store->Fetch(6);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->buffer_hit);
+  ASSERT_TRUE(store->Fetch(8).ok());  // evicts page 6
+  EXPECT_FALSE(store->Resident(6));
+  EXPECT_TRUE(store->Resident(7));
+  EXPECT_TRUE(store->Resident(8));
+  ASSERT_TRUE(store->Fetch(9).ok());  // evicts page 7
+  EXPECT_FALSE(store->Resident(7));
+  auto again = store->Fetch(6);
   ASSERT_TRUE(again.ok());
   EXPECT_FALSE(again->buffer_hit);
+  // The pinned pages never left.
+  for (PageId pid = 0; pid < 6; ++pid) {
+    auto pinned = store->Fetch(pid);
+    ASSERT_TRUE(pinned.ok());
+    EXPECT_TRUE(pinned->buffer_hit) << "page " << pid;
+  }
+}
+
+/// A cyclic sweep over more pages than MMBuf holds (by at least the
+/// ring) hits exactly the pinned pages on every sweep after the first;
+/// LRU would evict each page just before its next use and hit nothing.
+TEST(PageStoreTest, CyclicSweepHitsThePinnedPages) {
+  PagedGraph graph = SmallPagedGraph();
+  ASSERT_GE(graph.num_pages(), 12u);
+  auto store = MakeSsdStore(&graph, 2, kEightPages);
+  std::vector<PageId> sweep(12);
+  for (PageId pid = 0; pid < sweep.size(); ++pid) sweep[pid] = pid;
+  EXPECT_EQ(HitsOver(*store, sweep), 0u);
+  EXPECT_EQ(HitsOver(*store, sweep), 6u);
+  EXPECT_EQ(HitsOver(*store, sweep), 6u);
+  EXPECT_EQ(store->stats().device_reads, 12u + 6u + 6u);
+}
+
+/// Rewriting a pinned page frees its slot, and the next page admitted is
+/// pinned in its place: it outlives any number of ring turnovers.
+TEST(PageStoreTest, RewriteOfAPinnedPageFreesItsPin) {
+  PagedGraph graph = SmallPagedGraph();
+  ASSERT_GE(graph.num_pages(), 12u);
+  auto store = MakeSsdStore(&graph, 1, kEightPages);
+  for (PageId pid = 0; pid < 8; ++pid) ASSERT_TRUE(store->Fetch(pid).ok());
+  const uint64_t page_size = graph.config().page_size;
+  ASSERT_TRUE(store->RewritePage(2, graph.page_bytes(2).data(), page_size).ok());
+  EXPECT_FALSE(store->Resident(2));
+  ASSERT_TRUE(store->Fetch(8).ok());  // takes page 2's pin; nothing evicted
+  for (PageId pid = 0; pid < 8; ++pid) {
+    EXPECT_EQ(store->Resident(pid), pid != 2) << "page " << pid;
+  }
+  // Four more misses turn the two-slot ring over twice.
+  for (PageId pid : {9u, 10u, 11u, 2u}) ASSERT_TRUE(store->Fetch(pid).ok());
+  EXPECT_TRUE(store->Resident(8));
+  for (PageId pid : {0u, 1u, 3u, 4u, 5u}) EXPECT_TRUE(store->Resident(pid));
+  EXPECT_FALSE(store->Resident(9));
+  auto hit = store->Fetch(8);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->buffer_hit);
 }
 
 TEST(PageStoreTest, PreloadAllRequiresCapacity) {

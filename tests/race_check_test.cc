@@ -677,7 +677,9 @@ TEST(RaceSweepTest, MultiGpuPartitionsClean) {
 
 /// Out of core with an MMBuf of a fifth of the topology: device reads
 /// refill slots that earlier copies and CPU-assist kernels of the same
-/// pass read from, and each refill must wait for them.
+/// pass read from, and each refill must wait for them. Strategy-S on
+/// three GPUs gives a slot three readers, which reach the refill
+/// through a zero-cost join.
 TEST(RaceSweepTest, OutOfCoreRefillsClean) {
   Fixture f(/*scale=*/11);
   f.store = MakeSsdStore(&f.paged, 2, f.paged.TotalTopologyBytes() / 5);
@@ -688,6 +690,7 @@ TEST(RaceSweepTest, OutOfCoreRefillsClean) {
   GtsOptions s_opts = opts;
   s_opts.strategy = Strategy::kScalability;
   RunAllAlgorithms(f, s_opts, "ssd/strategy-s", /*gpus=*/2);
+  RunAllAlgorithms(f, s_opts, "ssd/strategy-s-3gpu", /*gpus=*/3);
   GtsOptions h_opts = opts;
   h_opts.cpu_assist_fraction = 0.25;
   RunAllAlgorithms(f, h_opts, "ssd/hybrid");
