@@ -8,12 +8,15 @@
 // attribution -- the per-job sum IS the distinct H2D transfer count),
 // cross-job shared-page hits, epoch makespan, and aggregate throughput.
 //
-// Hard gate: 2 concurrent shared-graph jobs must stream strictly fewer
-// total pages than 2 sequential solos; the binary exits non-zero if the
-// sharing machinery ever regresses to per-job re-streaming.
+// Hard gates: every concurrent job's BFS levels must equal those of its
+// sequential solo run (a concurrent epoch runs its jobs' kernels on
+// several host workers per GPU, one owner per job), and 2 concurrent
+// shared-graph jobs must stream strictly fewer total pages than 2
+// sequential solos; the binary exits non-zero if either breaks.
 #include "bench_common.h"
 
 #include <memory>
+#include <vector>
 
 #include "algorithms/bfs.h"
 #include "core/job/job_scheduler.h"
@@ -27,14 +30,12 @@ struct SweepResult {
   uint64_t shared_hits = 0;  // pages consumed via another job's transfer
   double makespan = 0.0;     // simulated seconds until the last job is done
   bool ok = true;
+  std::vector<std::vector<uint16_t>> levels;  // per job, in `sources` order
 };
 
 GtsOptions ServingOptions(int jobs) {
   GtsOptions opts;
   opts.max_concurrent_jobs = jobs;
-  // Stream threads off: kernels run inline, so the sweep is deterministic
-  // run to run.
-  opts.use_stream_threads = false;
   return opts;
 }
 
@@ -69,6 +70,7 @@ SweepResult RunConcurrent(const PreparedGraph& g, PageStore* store,
     // follow-up batches (deferred jobs) extend it.
     out.makespan = std::max(out.makespan, report->metrics.sim_seconds);
   }
+  for (const auto& kernel : kernels) out.levels.push_back(kernel->levels());
   return out;
 }
 
@@ -91,6 +93,7 @@ SweepResult RunSequential(const PreparedGraph& g, PageStore* store,
     out.pages += report->metrics.pages_streamed;
     out.shared_hits += report->metrics.shared_page_hits;
     out.makespan += report->metrics.sim_seconds;
+    out.levels.push_back(kernel.levels());
   }
   return out;
 }
@@ -131,6 +134,13 @@ int Main() {
       const SweepResult con = RunConcurrent(*prepared, store.get(), sources);
       const SweepResult seq = RunSequential(*prepared, store.get(), sources);
       all_ok = all_ok && con.ok && seq.ok;
+      if (con.levels != seq.levels) {
+        std::fprintf(stderr,
+                     "FAIL: %d concurrent BFS jobs (%s sources) computed "
+                     "levels that differ from their sequential solo runs\n",
+                     jobs, same_source ? "same" : "distinct");
+        all_ok = false;
+      }
       if (jobs == 2 && same_source) {
         gate_concurrent = con.pages;
         gate_sequential = seq.pages;
@@ -164,8 +174,9 @@ int Main() {
                  static_cast<unsigned long long>(gate_sequential));
     return 1;
   }
-  std::printf("\nGate OK: 2 concurrent shared-graph jobs streamed %llu "
-              "pages vs %llu sequentially.\n",
+  std::printf("\nGate OK: every concurrent job's BFS levels match its solo "
+              "run; 2 concurrent shared-graph jobs streamed %llu pages vs "
+              "%llu sequentially.\n",
               static_cast<unsigned long long>(gate_concurrent),
               static_cast<unsigned long long>(gate_sequential));
   return 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "common/logging.h"
@@ -71,7 +72,7 @@ Status GtsOptions::Validate(const MachineConfig& machine) const {
 }
 
 namespace {
-/// Host bytes of staged pages each GPU's worker ring can hold.
+/// Host bytes of staged pages each GPU worker's ring can hold.
 constexpr uint64_t kRingBytes = uint64_t{512} << 10;
 
 /// Encodes (gpu, stream) into a ScheduleSimulator stream key.
@@ -95,18 +96,29 @@ void AbsorbSliceWa(GtsKernel* kernel, const JobGpuSlice& slice) {
 /// Per-GPU state shared by every job of an epoch. Each job's WA slice,
 /// frontier contribution and per-stream work live in its JobGpuSlice.
 struct GtsEngine::GpuState {
-  GpuState(size_t ring_depth, uint64_t page_size)
-      : worker(ring_depth, page_size) {}
+  /// One host worker: runs the launches of the jobs it owns in the pass
+  /// (JobExec::worker) in dispatch order. A staged page waits in its ring
+  /// slot's buffer; a launch copies its RA into `ra` (the worker runs one
+  /// launch at a time).
+  struct Worker {
+    Worker(size_t ring_depth, uint64_t page_size)
+        : stream(ring_depth, page_size) {}
+    gpu::Stream stream;
+    std::vector<uint8_t> ra;  // largest admitted RA record of a page
+  };
+
+  GpuState(int num_workers, size_t ring_depth, uint64_t page_size) {
+    for (int w = 0; w < num_workers; ++w) {
+      workers.push_back(std::make_unique<Worker>(ring_depth, page_size));
+    }
+  }
 
   std::unique_ptr<gpu::Device> device;
-  /// Runs this GPU's kernel launches in dispatch order. A staged page
-  /// waits in its ring slot's buffer; a launch copies its RA into its
-  /// stream's RABuf (the worker runs one launch at a time).
-  gpu::Stream worker;
-  /// Device memory of the SPBuf and LPBuf of every stream, accounted
-  /// without host bytes: the worker's ring holds the staged pages.
+  std::vector<std::unique_ptr<Worker>> workers;
+  /// Device memory of the SPBuf, LPBuf and RABuf of every stream,
+  /// accounted without host bytes: the workers' rings and RA buffers
+  /// hold what the kernels read.
   uint64_t stream_buf_bytes = 0;
-  std::vector<gpu::DeviceBuffer> ra_buf;  // one per stream
   std::vector<int> stream_last_kind;  // -1 until a kernel ran on the stream
   /// Kept across epochs, so its page buffers are too.
   std::unique_ptr<PageCache> page_cache;
@@ -123,8 +135,9 @@ struct GtsEngine::CpuState {
 };
 
 /// One job's kernel launch against a staged or cached page: recorded by
-/// the driver, run by the GPU's worker, which reads nothing else of the
-/// job. One cache line each keeps the driver's and worker's writes apart.
+/// the driver, run by the job's worker on the GPU, which reads nothing
+/// else of the job. One cache line each keeps the driver's and the
+/// workers' writes apart.
 struct alignas(64) GtsEngine::JobLaunch {
   GtsKernel* kernel = nullptr;
   JobGpuSlice* slice = nullptr;
@@ -202,14 +215,21 @@ GtsEngine::GtsEngine(const PagedGraph* graph, PageStore* store,
   // Counted only by the retired per-stream thread mode; the key stays
   // so metrics snapshots keep their shape.
   registry_->GetCounter("gpu.stream_ops");
-  // The ring holds at least one page per stream, and enough pages that
+  // A multi-job epoch runs each GPU's kernels on up to one worker per
+  // job, as many as fit beside the driver on the host's cores; a one-job
+  // engine keeps one worker per GPU.
+  const int cores = static_cast<int>(std::thread::hardware_concurrency());
+  workers_per_gpu_ = std::min(options_.max_concurrent_jobs,
+                              std::max(1, (cores - 1) / machine_.num_gpus));
+  // Each ring holds at least one page per stream, and enough pages that
   // the driver can run ahead of the worker through a stretch of cheap
   // (cached) pages.
   const uint64_t page_size = graph_->config().page_size;
   const size_t ring_depth = std::max<size_t>(
       static_cast<size_t>(options_.num_streams), kRingBytes / page_size);
   for (int g = 0; g < machine_.num_gpus; ++g) {
-    auto state = std::make_unique<GpuState>(ring_depth, page_size);
+    auto state =
+        std::make_unique<GpuState>(workers_per_gpu_, ring_depth, page_size);
     state->device = std::make_unique<gpu::Device>(g, machine_.device_memory);
     gpus_.push_back(std::move(state));
   }
@@ -308,7 +328,6 @@ void GtsEngine::ReleaseBuffers() {
   for (auto& gpu : gpus_) {
     gpu->device->Release(gpu->stream_buf_bytes);
     gpu->stream_buf_bytes = 0;
-    gpu->ra_buf.clear();
     if (gpu->cache != nullptr) gpu->cache->Close();
     gpu->cache = nullptr;
   }
@@ -429,7 +448,9 @@ void GtsEngine::DrainWorkers() {
   {
     // How much kernel time the staging of the pass left exposed.
     GTS_PROF_SCOPE("engine.drain");
-    for (auto& gpu : gpus_) gpu->worker.Synchronize();
+    for (auto& gpu : gpus_) {
+      for (auto& worker : gpu->workers) worker->stream.Synchronize();
+    }
   }
   // Added to any switch overhead recorded at issue time.
   for (const JobLaunch& jl : launches_) {
@@ -439,7 +460,9 @@ void GtsEngine::DrainWorkers() {
 
 bool GtsEngine::WorkersBlocked() const {
   for (const auto& gpu : gpus_) {
-    if (!gpu->worker.blocked()) return false;
+    for (const auto& worker : gpu->workers) {
+      if (!worker->stream.blocked()) return false;
+    }
   }
   return true;
 }
@@ -539,6 +562,10 @@ Status GtsEngine::AdmitJobSlices(JobExec* job, int slot) {
 
 Status GtsEngine::SetupSharedStreamBuffers(uint32_t max_ra_b) {
   const uint64_t page_size = graph_->config().page_size;
+  // Sized for the largest admitted RA record: one RABuf set serves every
+  // job of the epoch.
+  const uint64_t ra_bytes =
+      static_cast<uint64_t>(max_slots_per_page_) * max_ra_b;
   for (int g = 0; g < machine_.num_gpus; ++g) {
     GpuState& gpu = *gpus_[g];
     for (int s = 0; s < options_.num_streams; ++s) {
@@ -547,17 +574,13 @@ Status GtsEngine::SetupSharedStreamBuffers(uint32_t max_ra_b) {
             page_size, buf + std::to_string(s) + "]"));
         gpu.stream_buf_bytes += page_size;
       }
-      if (max_ra_b > 0) {
-        // Sized for the largest admitted RA record: one shared RABuf set
-        // serves every job of the epoch.
-        GTS_ASSIGN_OR_RETURN(
-            gpu::DeviceBuffer ra,
-            gpu.device->Allocate(
-                static_cast<uint64_t>(max_slots_per_page_) * max_ra_b,
-                "RABuf[" + std::to_string(s) + "]"));
-        gpu.ra_buf.push_back(std::move(ra));
+      if (ra_bytes > 0) {
+        GTS_RETURN_IF_ERROR(
+            gpu.device->Reserve(ra_bytes, "RABuf[" + std::to_string(s) + "]"));
+        gpu.stream_buf_bytes += ra_bytes;
       }
     }
+    for (auto& worker : gpu.workers) worker->ra.resize(ra_bytes);
     gpu.stream_last_kind.assign(static_cast<size_t>(options_.num_streams), -1);
     gpu.rr = 0;
   }
@@ -875,10 +898,9 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
   }
   const bool cached = pin.valid();
 
-  // The worker's next ring slot: its page buffer is the driver's to fill
-  // until the slot's launches are enqueued.
-  const size_t slot = gpu.worker.Reserve();
-  const uint8_t* page_bytes = cached ? pin.data() : nullptr;
+  // A miss's MMBuf bytes, which the next page's Acquire may evict before
+  // the workers run the kernels: copied into ring slots below.
+  const uint8_t* staged_bytes = nullptr;
   if (!cached) {
     // A transfer serving one job is that job's trace lane; a transfer
     // serving several is shared infrastructure (-1), so the J1 rule
@@ -913,23 +935,18 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
       race_->OnMmbufRead(copy, pid, staged.transfer_op);
       race_->Fuse(copy, race_->StreamLane(g, s, stream_key));
     }
-    // The page's one host copy, straight into the ring slot: the next
-    // page's Acquire may evict the MMBuf bytes `staged.data` points at
-    // before the worker runs the kernels.
-    uint8_t* dst = gpu.worker.buffer(slot);
-    std::memcpy(dst, staged.data, page_size);
-    // Streaming ingestion: overlay once per staging (the MMBuf copy stays
-    // the installed base image); every co-served job reads the same
-    // patched epoch-consistent copy.
-    if (ingest_ != nullptr) (void)ingest_->Overlay(pid, dst);
-    page_bytes = dst;
+    staged_bytes = staged.data;
   }
   if (demanders.back() != first) {
-    obs::Counter& shared = registry_->GetCounter("cache.shared_page_hits");
+    // Registered at the first shared page: snapshots carry the key only
+    // once a page was shared.
+    if (shared_page_hits_ == nullptr) {
+      shared_page_hits_ = &registry_->GetCounter("cache.shared_page_hits");
+    }
     for (size_t i = 1; i < demanders.size(); ++i) {
       if (demanders[i] == demanders[i - 1]) continue;  // the job's repeat
       ++demanders[i]->metrics.shared_page_hits;
-      shared.Add();
+      shared_page_hits_->Add();
     }
   }
 
@@ -1006,62 +1023,99 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
   }
   const size_t n_launches = demanders.size();
 
-  if (insert_into_cache) {
-    // Device-internal copy; deliberately not a timeline op (it does not
-    // cross PCI-E). An evicting insert may reuse the buffer of a page a
-    // queued kernel reads, so the worker drains first (with every pin
-    // released, as inline). Failure leaves the page on the streaming path.
-    if (gpu.cache->InsertEvicts(pid)) gpu.worker.Synchronize();
-    (void)gpu.cache->Insert(pid, page_bytes,
-                            ingest_ != nullptr ? ingest_->PageVersion(pid)
-                                               : 0);
-  }
-
-  uint8_t* const ra_dst = gpu.ra_buf.empty() ? nullptr : gpu.ra_buf[s].data();
-  gpu.worker.Enqueue([this, page_bytes, ra_dst, launch_begin, n_launches,
-                      kind, g, s, race_lane, pid] {
-    const TimeModel& tm = machine_.time_model;
-    const PageView view(page_bytes, graph_->config());
-    for (JobLaunch* jl = launch_begin; jl != launch_begin + n_launches; ++jl) {
-      JobGpuSlice& slice = *jl->slice;
-      if (jl->ra_src != nullptr) std::memcpy(ra_dst, jl->ra_src, jl->ra_bytes);
-      KernelContext ctx;
-      ctx.rvt = &graph_->rvt();
-      ctx.wa = slice.wa_buf.data();
-      ctx.wa_begin = slice.wa_begin;
-      ctx.wa_end = slice.wa_end;
-      ctx.ra = jl->ra_src != nullptr ? ra_dst : nullptr;
-      ctx.ra_start_vid = jl->ra_start_vid;
-      ctx.cur_level = jl->level;
-      ctx.next_pid_set = slice.local_next.get();
-      if (slice.local_next != nullptr && slice.local_next->counting()) {
-        ctx.out_degrees = out_degrees_.data();
+  // Hand each launch to its job's worker. demand_ lists the page's jobs
+  // in `running` order, so a worker's launches form one contiguous run.
+  // A hit is read in place by every worker. A miss is copied into a ring
+  // slot of each worker with a run: the first copy from MMBuf, with the
+  // ingest deltas overlaid once (the MMBuf copy stays the installed base
+  // image), the later ones from the first, so every co-served job reads
+  // the same patched epoch-consistent bytes.
+  const uint8_t* first_copy = nullptr;
+  for (size_t begin = 0; begin < n_launches;) {
+    const int w = demanders[begin]->worker;
+    size_t end = begin + 1;
+    while (end < n_launches && demanders[end]->worker == w) ++end;
+    GpuState::Worker& worker = *gpu.workers[static_cast<size_t>(w)];
+    const uint8_t* page_bytes = cached ? pin.data() : nullptr;
+    if (!cached) {
+      // The slot's buffer is the driver's to fill until the run is
+      // enqueued.
+      uint8_t* dst = worker.stream.buffer(worker.stream.Reserve());
+      if (first_copy == nullptr) {
+        std::memcpy(dst, staged_bytes, page_size);
+        if (ingest_ != nullptr) (void)ingest_->Overlay(pid, dst);
+        first_copy = dst;
+        if (insert_into_cache) {
+          // Device-internal copy; deliberately not a timeline op (it does
+          // not cross PCI-E). An evicting insert may reuse the buffer of a
+          // page a queued kernel of any worker reads, so they all drain
+          // first (with every pin released, as inline). Failure leaves the
+          // page on the streaming path.
+          if (gpu.cache->InsertEvicts(pid)) {
+            for (auto& other : gpu.workers) other->stream.Synchronize();
+          }
+          (void)gpu.cache->Insert(pid, dst,
+                                  ingest_ != nullptr ? ingest_->PageVersion(pid)
+                                                     : 0);
+        }
+      } else {
+        std::memcpy(dst, first_copy, page_size);
       }
-      ctx.micro = options_.micro;
-      if (race_ != nullptr) {
-        ctx.race_site = {race_.get(), race_lane,
-                         analysis::RaceDetector::WaDomain(g, jl->job_id),
-                         jl->kidx, pid};
-      }
-      GtsKernel* kernel = jl->kernel;
-      const WorkStats work = kind == PageKind::kSmall
-                                 ? kernel->RunSp(view, ctx)
-                                 : kernel->RunLp(view, ctx);
-      slice.stream_work[static_cast<size_t>(s)] += work;
-      jl->duration =
-          tm.kernel_launch_overhead +
-          static_cast<double>(work.warp_cycles) * tm.warp_cycle_seconds +
-          static_cast<double>(work.mem_transactions) *
-              kernel->seconds_per_mem_transaction(tm);
+      page_bytes = dst;
     }
-  });
+    JobLaunch* const run_begin = launch_begin + begin;
+    const size_t run_size = end - begin;
+    uint8_t* const ra_dst = worker.ra.data();
+    worker.stream.Enqueue([this, page_bytes, ra_dst, run_begin, run_size,
+                           kind, g, s, race_lane, pid] {
+      const TimeModel& tm = machine_.time_model;
+      const PageView view(page_bytes, graph_->config());
+      for (JobLaunch* jl = run_begin; jl != run_begin + run_size; ++jl) {
+        JobGpuSlice& slice = *jl->slice;
+        if (jl->ra_src != nullptr) {
+          std::memcpy(ra_dst, jl->ra_src, jl->ra_bytes);
+        }
+        KernelContext ctx;
+        ctx.rvt = &graph_->rvt();
+        ctx.wa = slice.wa_buf.data();
+        ctx.wa_begin = slice.wa_begin;
+        ctx.wa_end = slice.wa_end;
+        ctx.ra = jl->ra_src != nullptr ? ra_dst : nullptr;
+        ctx.ra_start_vid = jl->ra_start_vid;
+        ctx.cur_level = jl->level;
+        ctx.next_pid_set = slice.local_next.get();
+        if (slice.local_next != nullptr && slice.local_next->counting()) {
+          ctx.out_degrees = out_degrees_.data();
+        }
+        ctx.micro = options_.micro;
+        if (race_ != nullptr) {
+          ctx.race_site = {race_.get(), race_lane,
+                           analysis::RaceDetector::WaDomain(g, jl->job_id),
+                           jl->kidx, pid};
+        }
+        GtsKernel* kernel = jl->kernel;
+        const WorkStats work = kind == PageKind::kSmall
+                                   ? kernel->RunSp(view, ctx)
+                                   : kernel->RunLp(view, ctx);
+        slice.stream_work[static_cast<size_t>(s)] += work;
+        jl->duration =
+            tm.kernel_launch_overhead +
+            static_cast<double>(work.warp_cycles) * tm.warp_cycle_seconds +
+            static_cast<double>(work.mem_transactions) *
+                kernel->seconds_per_mem_transaction(tm);
+      }
+    });
+    begin = end;
+  }
   // The bytes of a hit stay put without the lease: nothing evicts or
-  // invalidates a cached page before the worker drains. Releasing here
+  // invalidates a cached page before the workers drain. Releasing here
   // logs the pin events in inline order.
   pin.Release();
   // The race detector stamps WA accesses with the lane's clock, which the
   // next launch advances: run each page's kernels before the next issue.
-  if (race_ != nullptr) gpu.worker.Synchronize();
+  if (race_ != nullptr) {
+    for (auto& worker : gpu.workers) worker->stream.Synchronize();
+  }
   return Status::OK();
 }
 
@@ -1251,6 +1305,14 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
     }
     running = std::move(survivors);
     if (running.empty()) break;
+    // Ownership for the pass: job i of R belongs to worker i * W / R on
+    // every GPU, so each job's WA slices, local nextPIDSets and stream
+    // work keep one writer. The drain at the end of the pass hands the
+    // jobs over.
+    for (size_t i = 0; i < running.size(); ++i) {
+      running[i]->worker = static_cast<int>(
+          i * static_cast<size_t>(workers_per_gpu_) / running.size());
+    }
 
     // Mid-epoch safe point, taken only when another pass follows: fold
     // newly appended ingest updates in unless a job pinned the epoch's
@@ -1420,7 +1482,9 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
   }
 
   // No worker spins between runs.
-  for (auto& gpu : gpus_) gpu->worker.Park();
+  for (auto& gpu : gpus_) {
+    for (auto& worker : gpu->workers) worker->stream.Park();
+  }
   FinalizeBatchEpoch(jobs);
   return Status::OK();
 }

@@ -68,9 +68,10 @@ struct GtsOptions {
   /// Device bytes reserved for the page cache; kAutoCacheBytes = all free
   /// device memory after WABuf and the stream buffers.
   uint64_t cache_bytes = kAutoCacheBytes;
-  /// Inert: every engine runs each GPU's kernels on one host worker
-  /// (gpu::Stream) with bit-identical results. Kept only because the
-  /// benchmark's workload setup assigns it.
+  /// Inert: every engine runs each GPU's kernels on host workers
+  /// (gpu::Stream; one per GPU, up to one per job in a multi-job epoch)
+  /// with bit-identical results. Kept only because the benchmark's
+  /// workload setup assigns it.
   bool use_stream_threads = false;
   /// Retain the full per-op timeline in RunMetrics (Figure 4).
   bool keep_timeline = false;
@@ -181,6 +182,11 @@ class GtsEngine {
   /// whenever no run is in progress: no engine thread spins between runs.
   bool WorkersBlocked() const;
 
+  /// Host workers per GPU, fixed at construction: min(max_concurrent_jobs,
+  /// max(1, (host cores - 1) / num_gpus)). A multi-job epoch gives each
+  /// running job one of them per pass; a one-job engine has one.
+  int workers_per_gpu() const { return workers_per_gpu_; }
+
  private:
   friend class JobScheduler;
 
@@ -238,9 +244,10 @@ class GtsEngine {
   /// stream of that GPU's round-robin cursor. Pages the hybrid extension
   /// routes to the host run on the CPU lanes.
   Status ProcessPagesBatch(const std::vector<PageId>& ordered);
-  /// Streams page `pid` to stream `s` of GPU `g` -- staged once into a
-  /// ring slot of the GPU's worker, or read in place from the cache --
-  /// and enqueues one kernel launch per demanding job on that worker.
+  /// Streams page `pid` to stream `s` of GPU `g` -- staged once and
+  /// copied into a ring slot of each GPU worker that owns a demanding
+  /// job, or read in place from the cache -- and enqueues one kernel
+  /// launch per demanding job on its job's worker.
   Status StreamPageToGpuBatch(PageId pid, int g, int s);
   /// Epoch wrap-up: simulate once, run the analysis layer (race-report
   /// harvest, schedule validator including the job-isolation rule, lock
@@ -303,8 +310,9 @@ class GtsEngine {
   /// JobScheduler::QuiesceIngest.
   Status QuiesceIngestExclusive();
 
-  /// The pass barrier on the host: waits until every GPU worker ran its
-  /// queued launches, then adds their kernel times to the recorded ops.
+  /// The pass barrier on the host: waits until every worker of every GPU
+  /// ran its queued launches, then adds their kernel times to the
+  /// recorded ops.
   void DrainWorkers();
 
   const PagedGraph* graph_;
@@ -332,6 +340,7 @@ class GtsEngine {
   uint64_t degree_epoch_ = 0;
 
   std::vector<std::unique_ptr<GpuState>> gpus_;
+  int workers_per_gpu_ = 1;
   std::unique_ptr<CpuState> cpu_;  // present while a hybrid epoch is active
   uint32_t max_slots_per_page_ = 0;
 
@@ -348,6 +357,8 @@ class GtsEngine {
   /// demanding job). Reserved before the pass for its worst case, so
   /// the element ranges handed to the workers never move.
   std::vector<JobLaunch> launches_;
+  /// `cache.shared_page_hits`, resolved at the first shared page.
+  obs::Counter* shared_page_hits_ = nullptr;
 
   // Schedule recording. Only the driver records; workers report kernel
   // durations through launches_, which DrainWorkers folds in.

@@ -69,6 +69,9 @@ struct JobExec {
   Status status;
   RunMetrics metrics;
   std::vector<JobGpuSlice> gpus;  ///< one per GPU once admitted
+  /// The host worker that runs this job's kernel launches on every GPU
+  /// in the current pass; the only writer of its slices while it runs.
+  int worker = 0;
 
   /// Set by JobHandle::Cancel from any thread; the engine checks it at
   /// pass boundaries and retires the job with Status::Cancelled.

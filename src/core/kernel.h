@@ -262,7 +262,7 @@ class GtsKernel {
   /// state touched here (counters, scratch) safe for concurrent calls.
   ///
   /// Page-bytes contract: on a cache hit `page` views the device page
-  /// cache directly -- the engine drains the GPU's worker before anything
+  /// cache directly -- the engine drains the GPU's workers before anything
   /// evicts or invalidates a cached page, so the bytes stay stable for
   /// the call. Kernels must treat page memory as strictly read-only
   /// (topology is immutable; writes go to WA) and must not retain the

@@ -1,9 +1,11 @@
-// One simulated GPU's host worker (the execution half of Section 3.2's
-// streams).
+// One host worker of a simulated GPU (the execution half of Section
+// 3.2's streams).
 //
-// A Stream runs the kernel launches of one GPU on a host thread of its
-// own, in the order they were submitted, while the producer -- the
-// engine's driver thread -- stages the next pages. The handoff is a
+// A Stream runs the kernel launches submitted to it on a host thread of
+// its own, in the order they were submitted, while the producer -- the
+// engine's driver thread -- stages the next pages. The engine gives each
+// GPU one Stream, or in a multi-job epoch up to one per job, and sends
+// all of a job's launches in a pass to the same one. The handoff is a
 // bounded ring with exactly one producer and one consumer:
 //
 //   - Reserve() waits until the next ring slot is free, i.e. the task
@@ -40,7 +42,7 @@
 namespace gts {
 namespace gpu {
 
-/// One GPU's worker thread and its single-producer task ring.
+/// One GPU worker thread and its single-producer task ring.
 class Stream {
  public:
   /// A ring of `depth` (>= 1) slots, each with a buffer of `buffer_bytes`

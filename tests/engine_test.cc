@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "algorithms/bc.h"
 #include "algorithms/bfs.h"
@@ -323,7 +324,8 @@ TEST(SsspEngineTest, MatchesDijkstraWithLargePagesAndThreads) {
 
 /// No engine thread runs between runs: once a run returns, every GPU
 /// worker is blocked on its condition variable, not spinning -- after a
-/// traversal with the page cache, a PageRank scan, and a run that failed.
+/// traversal with the page cache, a PageRank scan, a run that failed,
+/// and epochs of four jobs whose kernels run on several workers per GPU.
 TEST(EngineWorkerTest, EveryWorkerBlockedOnceRunReturns) {
   TestGraph g = MakeTestGraph(10, 8);
   GtsEngine engine(&g.paged, g.store.get(), TestMachine(2), GtsOptions{});
@@ -341,6 +343,32 @@ TEST(EngineWorkerTest, EveryWorkerBlockedOnceRunReturns) {
                    .Wait()
                    .ok());
   EXPECT_TRUE(engine.WorkersBlocked()) << "after a rejected run";
+
+  GtsOptions jobs4;
+  jobs4.max_concurrent_jobs = 4;
+  GtsEngine multi(&g.paged, g.store.get(), TestMachine(), jobs4);
+  EXPECT_TRUE(multi.WorkersBlocked());  // no run yet
+  const VertexId n = g.csr.num_vertices();
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::unique_ptr<GtsKernel>> kernels;
+    std::vector<JobHandle> handles;
+    for (int j = 0; j < 4; ++j) {
+      if (round == 1 && j % 2 == 1) {
+        auto pr = std::make_unique<PageRankKernel>(n);
+        pr->BeginIteration();
+        handles.push_back(multi.scheduler().Submit(pr.get()));
+        kernels.push_back(std::move(pr));
+        continue;
+      }
+      const VertexId s = (source + static_cast<VertexId>(j)) % n;
+      kernels.push_back(std::make_unique<BfsKernel>(n, s));
+      handles.push_back(multi.scheduler().Submit(kernels.back().get(),
+                                                 {.source = s}));
+    }
+    for (JobHandle& handle : handles) ASSERT_TRUE(handle.Wait().ok());
+    EXPECT_TRUE(multi.WorkersBlocked()) << "after a 4-job epoch, round "
+                                        << round;
+  }
 }
 
 // ------------------------------------------------------------------ WCC

@@ -255,6 +255,13 @@ std::vector<DigestConfig> DigestConfigs() {
     opts.max_concurrent_jobs = 2;
     configs.push_back({"jobs2", 1, opts, false, false, 2});
   }
+  {
+    // Four jobs in one epoch: on a host with at least three cores their
+    // kernels run on several workers, each with its own RA buffer.
+    GtsOptions opts = base();
+    opts.max_concurrent_jobs = 4;
+    configs.push_back({"jobs4", 1, opts, false, false, 4});
+  }
   return configs;
 }
 
@@ -417,6 +424,11 @@ TEST(SoloJobDigestTest, InlineSchedulesMatchPinnedDigests) {
       {"jobs2/bfs", 16983820842378490523ull},
       {"jobs2/sssp", 6974262413945044394ull},
       {"jobs2/pagerank", 7991523220662345437ull},
+      // Recorded from the engine that ran every job's kernels on one
+      // worker per GPU.
+      {"jobs4/bfs", 12176753744494138303ull},
+      {"jobs4/sssp", 12919817816588200655ull},
+      {"jobs4/pagerank", 10220060552876067121ull},
   };
   for (const DigestConfig& config : DigestConfigs()) {
     std::vector<std::string> algos = {"bfs", "sssp", "pagerank"};
@@ -553,6 +565,70 @@ TEST(JobSchedulerTest, ConcurrentMixedJobsMatchSequential) {
   const auto snapshot = engine.metrics_registry()->Snapshot();
   ASSERT_TRUE(snapshot.count("jobs.completed"));
   EXPECT_EQ(snapshot.at("jobs.completed").count, 3u);
+}
+
+/// Four jobs in one epoch -- two PageRank scans and two BFS traversals --
+/// run on several workers per GPU wherever the host has the cores, one
+/// owner per job. Each job's answer is bit-identical to its own solo
+/// run: the scans take every page in their first turn (priority), so
+/// they stream in their solo order, and a traversal's level claims do
+/// not depend on order.
+TEST(JobSchedulerTest, FourJobEpochOnSeveralWorkersMatchesSolo) {
+  TestGraph g = MakeTestGraph(11, 8);
+  const VertexId n = g.csr.num_vertices();
+  const VertexId src_a = BusySource(g.csr);
+  const VertexId src_b = SecondSource(g.csr, src_a);
+  const int scan_priority = static_cast<int>(g.paged.num_pages());
+
+  auto solo_levels = [&](VertexId source) {
+    GtsEngine solo(&g.paged, g.store.get(), TestMachine(), MultiJobOptions(1));
+    EXPECT_EQ(solo.workers_per_gpu(), 1);
+    BfsKernel k(n, source);
+    EXPECT_TRUE(solo.scheduler().Submit(&k, {.source = source}).Wait().ok());
+    return k.levels();
+  };
+  const std::vector<uint16_t> want_a = solo_levels(src_a);
+  const std::vector<uint16_t> want_b = solo_levels(src_b);
+  std::vector<float> want_ranks;
+  {
+    GtsEngine solo(&g.paged, g.store.get(), TestMachine(), MultiJobOptions(1));
+    PageRankKernel k(n);
+    k.BeginIteration();
+    ASSERT_TRUE(solo.scheduler().Submit(&k).Wait().ok());
+    k.EndIteration();
+    want_ranks = k.ranks();
+  }
+
+  GtsEngine engine(&g.paged, g.store.get(), TestMachine(), MultiJobOptions(4));
+  if (std::thread::hardware_concurrency() >= 3) {
+    EXPECT_GT(engine.workers_per_gpu(), 1);
+  }
+  EXPECT_LE(engine.workers_per_gpu(), 4);
+  BfsKernel bfs_a(n, src_a);
+  BfsKernel bfs_b(n, src_b);
+  PageRankKernel pr_1(n);
+  PageRankKernel pr_2(n);
+  pr_1.BeginIteration();
+  pr_2.BeginIteration();
+  JobOptions scan;
+  scan.priority = scan_priority;
+  std::vector<JobHandle> handles;
+  handles.push_back(engine.scheduler().Submit(&bfs_a, {.source = src_a}));
+  handles.push_back(engine.scheduler().Submit(&pr_1, scan));
+  handles.push_back(engine.scheduler().Submit(&bfs_b, {.source = src_b}));
+  handles.push_back(engine.scheduler().Submit(&pr_2, scan));
+  for (JobHandle& handle : handles) {
+    Result<RunReport> report = handle.Wait();
+    ASSERT_TRUE(report.ok()) << report.status();
+  }
+  pr_1.EndIteration();
+  pr_2.EndIteration();
+
+  EXPECT_EQ(bfs_a.levels(), want_a);
+  EXPECT_EQ(bfs_b.levels(), want_b);
+  EXPECT_EQ(pr_1.ranks(), want_ranks);
+  EXPECT_EQ(pr_2.ranks(), want_ranks);
+  EXPECT_TRUE(engine.WorkersBlocked());
 }
 
 /// Two BFS jobs over the same graph share the topology stream: each

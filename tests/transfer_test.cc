@@ -6,6 +6,7 @@
 // and each mode registers its own transfer.* counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -215,6 +216,43 @@ TEST(TransferBackendTest, PageStreamTimelineDeterministicAcrossEngines) {
       }
     }
   }
+}
+
+/// Strategy-S streams every page to every GPU. Out of core, the first
+/// GPU's leg reads the page from its SSD and the later legs hit MMBuf;
+/// every leg's H2D must still wait for the pass's read of the page, or
+/// a copy engine would read MMBuf bytes that have not arrived.
+TEST(TransferBackendTest, StrategySLegsWaitForThePassRead) {
+  Fixture f(12);
+  const uint64_t topology =
+      static_cast<uint64_t>(f.paged.num_pages()) * f.paged.config().page_size;
+  auto ssd = MakeSsdStore(&f.paged, 2, topology / 5);
+  GtsOptions opts;
+  opts.keep_timeline = true;
+  opts.strategy = Strategy::kScalability;
+  GtsEngine engine(&f.paged, ssd.get(), f.Machine(2), opts);
+  auto bfs = RunBfsGts(engine, f.Source());
+  ASSERT_TRUE(bfs.ok()) << bfs.status();
+
+  const std::vector<gpu::TimelineOp>& ops = bfs->report.metrics.timeline.ops;
+  std::vector<gpu::OpIndex> pass_read(f.paged.num_pages(), gpu::kNoOp);
+  uint64_t later_legs = 0;
+  for (gpu::OpIndex i = 0; i < ops.size(); ++i) {
+    const gpu::TimelineOp& op = ops[i];
+    if (op.kind == gpu::OpKind::kBarrier) {
+      std::fill(pass_read.begin(), pass_read.end(), gpu::kNoOp);
+    } else if (op.kind == gpu::OpKind::kStorageFetch) {
+      pass_read[op.page] = i;
+    } else if (op.kind == gpu::OpKind::kH2DStream &&
+               op.page != kInvalidPageId &&
+               pass_read[op.page] != gpu::kNoOp) {
+      EXPECT_EQ(op.dep0, pass_read[op.page])
+          << "H2D " << i << " of page " << op.page << " on GPU "
+          << op.resource.index;
+      later_legs += op.resource.index > 0 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(later_legs, 0u);
 }
 
 /// Scan passes carry no frontier, so kDirect and kAuto must degrade to
