@@ -132,12 +132,12 @@ struct KernelContext {
 
   // Instrumented WA access API. All WA reads and writes must go through
   // these helpers. At host level they are plain operations: every WA
-  // replica has one writer thread at a time (its GPU's worker during a
-  // pass, the driver between passes and for the CPU-assist replica). Each
-  // helper carries a *logical* classification -- WaRead/WaStore are
-  // plain-classified, the rest atomic-classified, as the CUDA kernel
-  // would issue them -- that the -DGTS_RACE_CHECK=ON build reports to the
-  // happens-before detector. Under the simulated schedule, a
+  // replica has one writer thread at a time (its job's worker on its GPU
+  // during a pass, the driver between passes and for the CPU-assist
+  // replica). Each helper carries a *logical* classification --
+  // WaRead/WaStore are plain-classified, the rest atomic-classified, as
+  // the CUDA kernel would issue them -- that the -DGTS_RACE_CHECK=ON build
+  // reports to the happens-before detector. Under the simulated schedule, a
   // plain-classified access that is concurrent with any conflicting
   // access is a logical data race even though the host execution never
   // faults.
