@@ -123,8 +123,8 @@ WorkStats KernelPass(GtsKernel& kernel, const PagedGraph& g,
   for (PageId pid = 0; pid < g.num_pages(); ++pid) {
     const PageView view = g.view(pid);
     if (ra_b > 0) {
-      ctx.ra_start_vid = g.rvt().entry(pid).start_vid;
-      ctx.ra = kernel.host_ra() + ctx.ra_start_vid * ra_b;
+      ctx.ra = kernel.host_ra() +
+               static_cast<uint64_t>(g.rvt().entry(pid).start_vid) * ra_b;
     }
     total += view.kind() == PageKind::kSmall ? kernel.RunSp(view, ctx)
                                              : kernel.RunLp(view, ctx);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -82,42 +83,36 @@ int StreamKey(int gpu, int stream) {
 
 // A Strategy-S GPU whose chunk starts past the last vertex owns an empty
 // WA slice with no buffer behind it; the kernel hooks skip it.
-void InitSliceWa(const GtsKernel* kernel, JobGpuSlice& slice) {
-  if (slice.wa_begin == slice.wa_end) return;
-  kernel->InitDeviceWa(slice.wa_buf.data(), slice.wa_begin, slice.wa_end);
+void InitReplicaWa(const GtsKernel* kernel, JobReplica& replica) {
+  if (replica.wa_begin == replica.wa_end) return;
+  kernel->InitDeviceWa(replica.wa_buf.data(), replica.wa_begin,
+                       replica.wa_end);
 }
 
-void AbsorbSliceWa(GtsKernel* kernel, const JobGpuSlice& slice) {
-  if (slice.wa_begin == slice.wa_end) return;
-  kernel->AbsorbDeviceWa(slice.wa_buf.data(), slice.wa_begin, slice.wa_end);
+void AbsorbReplicaWa(GtsKernel* kernel, const JobReplica& replica) {
+  if (replica.wa_begin == replica.wa_end) return;
+  kernel->AbsorbDeviceWa(replica.wa_buf.data(), replica.wa_begin,
+                         replica.wa_end);
 }
 }  // namespace
 
-/// Per-GPU state shared by every job of an epoch. Each job's WA slice,
-/// frontier contribution and per-stream work live in its JobGpuSlice.
+/// Per-GPU state shared by every job of an epoch. Each job's WA replica,
+/// frontier contribution and per-stream work live in its JobReplica.
 struct GtsEngine::GpuState {
-  /// One host worker: runs the launches of the jobs it owns in the pass
-  /// (JobExec::worker) in dispatch order. A staged page waits in its ring
-  /// slot's buffer; a launch copies its RA into `ra` (the worker runs one
-  /// launch at a time).
-  struct Worker {
-    Worker(size_t ring_depth, uint64_t page_size)
-        : stream(ring_depth, page_size) {}
-    gpu::Stream stream;
-    std::vector<uint8_t> ra;  // largest admitted RA record of a page
-  };
-
   GpuState(int num_workers, size_t ring_depth, uint64_t page_size) {
     for (int w = 0; w < num_workers; ++w) {
-      workers.push_back(std::make_unique<Worker>(ring_depth, page_size));
+      workers.push_back(std::make_unique<gpu::Stream>(ring_depth, page_size));
     }
   }
 
   std::unique_ptr<gpu::Device> device;
-  std::vector<std::unique_ptr<Worker>> workers;
+  /// The host workers: each runs the launches of the jobs it owns in the
+  /// pass (JobExec::worker) in dispatch order. A staged page waits in its
+  /// ring slot's buffer.
+  std::vector<std::unique_ptr<gpu::Stream>> workers;
   /// Device memory of the SPBuf, LPBuf and RABuf of every stream,
-  /// accounted without host bytes: the workers' rings and RA buffers
-  /// hold what the kernels read.
+  /// accounted without host bytes: the workers' rings and the kernels'
+  /// host RA arrays hold what the kernels read.
   uint64_t stream_buf_bytes = 0;
   std::vector<int> stream_last_kind;  // -1 until a kernel ran on the stream
   /// Kept across epochs, so its page buffers are too.
@@ -126,28 +121,19 @@ struct GtsEngine::GpuState {
   int rr = 0;  // round-robin stream cursor
 };
 
-/// Host-CPU co-processing state (Section 9 future-work extension).
-struct GtsEngine::CpuState {
-  std::vector<uint8_t> wa;             // full host-side WA replica
-  std::unique_ptr<PidSet> local_next;  // traversal frontier contribution
-  std::vector<WorkStats> lane_work;    // per CPU worker lane
-  int rr = 0;
-};
-
 /// One job's kernel launch against a staged or cached page: recorded by
-/// the driver, run by the job's worker on the GPU, which reads nothing
-/// else of the job. One cache line each keeps the driver's and the
-/// workers' writes apart.
+/// the driver and run by the job's worker on a GPU, which reads nothing
+/// else of the job, or inline on a host lane. One cache line each keeps
+/// the driver's and the workers' writes apart.
 struct alignas(64) GtsEngine::JobLaunch {
   GtsKernel* kernel = nullptr;
-  JobGpuSlice* slice = nullptr;
-  const uint8_t* ra_src = nullptr;  // host RA subvector
-  uint64_t ra_bytes = 0;
+  JobReplica* replica = nullptr;
+  const uint8_t* ra = nullptr;  // the page's host RA subvector, read in place
   gpu::OpIndex kidx = gpu::kNoOp;
-  VertexId ra_start_vid = 0;
   uint32_t level = 0;
   int32_t job_id = -1;
-  SimTime duration = 0.0;  // kernel time, written by the worker
+  int32_t gpu = 0;  // the replica's GPU, or num_gpus for the host replica
+  SimTime duration = 0.0;  // kernel time, written by RunLaunch
 };
 
 GtsEngine::GtsEngine(const PagedGraph* graph, PageStore* store,
@@ -331,85 +317,72 @@ void GtsEngine::ReleaseBuffers() {
     if (gpu->cache != nullptr) gpu->cache->Close();
     gpu->cache = nullptr;
   }
-  cpu_.reset();
 }
 
 gpu::OpIndex GtsEngine::RecordOp(gpu::TimelineOp op) {
   return recorder_.Add(op);
 }
 
-void GtsEngine::NoteWaReplica(const JobExec& job, int g, int lane,
+void GtsEngine::NoteWaReplica(const JobExec& job, int r, int lane,
                               analysis::AccessClass cls, gpu::OpIndex op) {
   if (race_ == nullptr) return;
-  if (g == kHostReplica) {
-    race_->OnWaAccess(lane, analysis::RaceDetector::kCpuWaDomain, 0,
-                      static_cast<uint32_t>(cpu_->wa.size()), cls, op,
-                      kInvalidPageId);
-    return;
-  }
-  const JobGpuSlice& slice = job.gpus[static_cast<size_t>(g)];
-  const uint64_t bytes = static_cast<uint64_t>(slice.wa_end - slice.wa_begin) *
-                         job.kernel->wa_bytes_per_vertex();
-  race_->OnWaAccess(lane, analysis::RaceDetector::WaDomain(g, job.job_id), 0,
-                    static_cast<uint32_t>(bytes), cls, op, kInvalidPageId);
+  const JobReplica& replica = job.replicas[static_cast<size_t>(r)];
+  const uint64_t bytes =
+      static_cast<uint64_t>(replica.wa_end - replica.wa_begin) *
+      job.kernel->wa_bytes_per_vertex();
+  const int domain = r == machine_.num_gpus
+                         ? analysis::RaceDetector::kCpuWaDomain
+                         : analysis::RaceDetector::WaDomain(r, job.job_id);
+  race_->OnWaAccess(lane, domain, 0, static_cast<uint32_t>(bytes), cls, op,
+                    kInvalidPageId);
+}
+
+gpu::OpIndex GtsEngine::RecordCopy(gpu::OpKind kind, int gpu, uint64_t bytes,
+                                   double bandwidth, int32_t job,
+                                   int stream_key, PageId page) {
+  gpu::TimelineOp op;
+  op.kind = kind;
+  op.stream_key = stream_key;
+  op.resource = {gpu::ResourceId::Type::kCopyEngine, gpu};
+  op.duration = static_cast<double>(bytes) / bandwidth;
+  op.bytes = bytes;
+  op.page = page;
+  op.job = job;
+  return RecordOp(op);
 }
 
 Status GtsEngine::ProcessPageOnCpu(JobExec* job, PageId pid) {
-  GtsKernel* kernel = job->kernel;
-  const PageKind kind = graph_->kind(pid);
-  const TimeModel& tm = machine_.time_model;
-  const uint32_t ra_b = kernel->ra_bytes_per_vertex();
-  const uint8_t* host_ra = kernel->host_ra();
-
   GTS_ASSIGN_OR_RETURN(io::IoEngine::Fetched fetch, io_->Acquire(pid));
-  const gpu::OpIndex fetch_dep = fetch.fetch_op;
 
-  const int lane = cpu_->rr;
-  cpu_->rr = (cpu_->rr + 1) % tm.cpu_worker_threads;
+  const int lane = cpu_rr_;
+  cpu_rr_ = (cpu_rr_ + 1) % machine_.time_model.cpu_worker_threads;
 
   // Recorded before execution (duration patched in afterwards, like the
   // GPU path) so the op index exists for race-site attribution.
+  JobLaunch jl = MakeLaunch(job, pid, machine_.num_gpus);
   gpu::TimelineOp kop;
   kop.kind = gpu::OpKind::kKernel;
   kop.stream_key = (1 << 20) + lane;  // dedicated CPU lanes
   kop.resource = {gpu::ResourceId::Type::kHostCpuPool, 0};
-  kop.dep0 = fetch_dep;
+  kop.dep0 = fetch.fetch_op;
   kop.page = pid;
   kop.duration = 0.0;
   kop.job = job->job_id;
-  const gpu::OpIndex kidx = RecordOp(kop);
-  io_->NoteReader(fetch, kidx);
+  jl.kidx = RecordOp(kop);
+  io_->NoteReader(fetch, jl.kidx);
 
-  KernelContext ctx;
-  ctx.rvt = &graph_->rvt();
-  ctx.wa = cpu_->wa.data();
-  ctx.wa_begin = 0;
-  ctx.wa_end = graph_->num_vertices();
-  const VertexId start_vid = graph_->rvt().entry(pid).start_vid;
-  ctx.ra = ra_b > 0 && host_ra != nullptr
-               ? host_ra + static_cast<uint64_t>(start_vid) * ra_b
-               : nullptr;
-  ctx.ra_start_vid = start_vid;
-  ctx.cur_level = job->cur_level();
-  ctx.next_pid_set = cpu_->local_next.get();
-  if (cpu_->local_next != nullptr && cpu_->local_next->counting()) {
-    ctx.out_degrees = out_degrees_.data();
-  }
-  ctx.micro = options_.micro;
-
+  int race_lane = 0;
   if (race_ != nullptr) {
     if (!fetch.buffer_hit) {
       race_->OnPageStaged(static_cast<int>(fetch.device_index), pid,
                           fetch.fetch_op, fetch.evicted, recorder_.ops());
     }
     race_->OnPageDelivered(pid);
-    const int cl = race_->CpuLane(lane, (1 << 20) + lane);
-    race_->BeginOp(cl);
-    race_->Join(cl, race_->HostLane());
+    race_lane = race_->CpuLane(lane, (1 << 20) + lane);
+    race_->BeginOp(race_lane);
+    race_->Join(race_lane, race_->HostLane());
     // The CPU lane reads the page straight out of MMBuf.
-    race_->OnMmbufRead(cl, pid, kidx);
-    ctx.race_site = {race_.get(), cl, analysis::RaceDetector::kCpuWaDomain,
-                     kidx, pid};
+    race_->OnMmbufRead(race_lane, pid, jl.kidx);
   }
 
   // Streaming ingestion: the MMBuf bytes are the installed base image;
@@ -423,25 +396,72 @@ Status GtsEngine::ProcessPageOnCpu(JobExec* job, PageId pid) {
     page_data = patched.data();
   }
 
-  PageView view(page_data, graph_->config());
-  const WorkStats work = kind == PageKind::kSmall ? kernel->RunSp(view, ctx)
-                                                  : kernel->RunLp(view, ctx);
-  cpu_->lane_work[lane] += work;
-
-  // One worker core: no warp parallelism, no coalescing, but no PCI-E.
-  recorder_.op(kidx).duration +=
-      static_cast<double>(work.warp_cycles) * tm.warp_cycle_seconds *
-          tm.cpu_cycle_multiplier +
-      static_cast<double>(work.mem_transactions) *
-          kernel->seconds_per_mem_transaction(tm) * tm.cpu_mem_multiplier;
-
+  RunLaunch(PageView(page_data, graph_->config()), pid, lane, race_lane, &jl);
+  recorder_.op(jl.kidx).duration += jl.duration;
   ++job->metrics.cpu_pages;
-  if (kind == PageKind::kSmall) {
+  return Status::OK();
+}
+
+GtsEngine::JobLaunch GtsEngine::MakeLaunch(JobExec* job, PageId pid, int r) {
+  JobLaunch jl;
+  jl.kernel = job->kernel;
+  jl.replica = &job->replicas[static_cast<size_t>(r)];
+  jl.level = job->cur_level();
+  jl.job_id = job->job_id;
+  jl.gpu = r;
+  const uint32_t ra_b = job->kernel->ra_bytes_per_vertex();
+  const uint8_t* host_ra = job->kernel->host_ra();
+  if (ra_b > 0 && host_ra != nullptr) {
+    jl.ra = host_ra +
+            static_cast<uint64_t>(graph_->rvt().entry(pid).start_vid) * ra_b;
+  }
+  if (graph_->kind(pid) == PageKind::kSmall) {
     ++job->metrics.sp_kernel_calls;
   } else {
     ++job->metrics.lp_kernel_calls;
   }
-  return Status::OK();
+  return jl;
+}
+
+void GtsEngine::RunLaunch(const PageView& view, PageId pid, int lane,
+                          int race_lane, JobLaunch* jl) const {
+  const TimeModel& tm = machine_.time_model;
+  const bool host = jl->gpu == machine_.num_gpus;
+  JobReplica& replica = *jl->replica;
+  KernelContext ctx;
+  ctx.rvt = &graph_->rvt();
+  ctx.wa = replica.wa_buf.data();
+  ctx.wa_begin = replica.wa_begin;
+  ctx.wa_end = replica.wa_end;
+  ctx.ra = jl->ra;
+  ctx.cur_level = jl->level;
+  ctx.next_pid_set = replica.local_next.get();
+  if (replica.local_next != nullptr && replica.local_next->counting()) {
+    ctx.out_degrees = out_degrees_.data();
+  }
+  ctx.micro = options_.micro;
+  if (race_ != nullptr) {
+    ctx.race_site = {race_.get(), race_lane,
+                     host ? analysis::RaceDetector::kCpuWaDomain
+                          : analysis::RaceDetector::WaDomain(jl->gpu,
+                                                             jl->job_id),
+                     jl->kidx, pid};
+  }
+  GtsKernel* kernel = jl->kernel;
+  const WorkStats work = graph_->kind(pid) == PageKind::kSmall
+                             ? kernel->RunSp(view, ctx)
+                             : kernel->RunLp(view, ctx);
+  replica.stream_work[static_cast<size_t>(lane)] += work;
+  // A host lane is one worker core: no launch overhead and no PCI-E, but
+  // no warp parallelism or coalescing either.
+  const double cycle_scale = host ? tm.cpu_cycle_multiplier : 1.0;
+  const double mem_scale = host ? tm.cpu_mem_multiplier : 1.0;
+  jl->duration =
+      (host ? 0.0 : tm.kernel_launch_overhead) +
+      static_cast<double>(work.warp_cycles) * tm.warp_cycle_seconds *
+          cycle_scale +
+      static_cast<double>(work.mem_transactions) *
+          kernel->seconds_per_mem_transaction(tm) * mem_scale;
 }
 
 void GtsEngine::DrainWorkers() {
@@ -449,7 +469,7 @@ void GtsEngine::DrainWorkers() {
     // How much kernel time the staging of the pass left exposed.
     GTS_PROF_SCOPE("engine.drain");
     for (auto& gpu : gpus_) {
-      for (auto& worker : gpu->workers) worker->stream.Synchronize();
+      for (auto& worker : gpu->workers) worker->Synchronize();
     }
   }
   // Added to any switch overhead recorded at issue time.
@@ -461,15 +481,128 @@ void GtsEngine::DrainWorkers() {
 bool GtsEngine::WorkersBlocked() const {
   for (const auto& gpu : gpus_) {
     for (const auto& worker : gpu->workers) {
-      if (!worker->stream.blocked()) return false;
+      if (!worker->blocked()) return false;
     }
   }
   return true;
 }
 
-std::vector<PageId> GtsEngine::PlanPass(std::vector<PageId> sps,
-                                        std::vector<PageId> lps,
-                                        const PidSet* frontier) {
+std::vector<PageId> GtsEngine::PlanPass(const std::vector<JobExec*>& running) {
+  // Per-job page lists for this pass.
+  struct JobPages {
+    JobExec* job = nullptr;
+    std::vector<PageId> sps;
+    std::vector<PageId> lps;
+  };
+  std::vector<JobPages> plan;
+  plan.reserve(running.size());
+  const PidSet* pass_frontier = nullptr;
+  int traversal_jobs = 0;
+  for (JobExec* job : running) {
+    JobPages jp;
+    jp.job = job;
+    if (job->traversal()) {
+      ++traversal_jobs;
+      pass_frontier = job->frontier.get();
+      uint64_t skipped = 0;
+      for (PageId pid : job->frontier->ToVector()) {
+        // A page whose activated vertices have no out-edges between
+        // them can expand nothing: skipping it drops no WA update.
+        if (options_.dispatch.skip_edgeless_pages &&
+            job->frontier->CountOf(pid) == 0) {
+          ++skipped;
+          continue;
+        }
+        if (graph_->kind(pid) == PageKind::kSmall) {
+          jp.sps.push_back(pid);
+        } else {
+          // Record IDs address an LP vertex through its first chunk;
+          // the RVT's LP_RANGE says how many continuation pages follow,
+          // and a traversal must stream the whole run (Figure 1 /
+          // Appendix A).
+          const uint32_t more = graph_->rvt().entry(pid).lp_more;
+          for (uint32_t k = 0; k <= more; ++k) jp.lps.push_back(pid + k);
+        }
+      }
+      if (skipped > 0) {
+        job->metrics.pages_skipped += skipped;
+        registry_->GetCounter("dispatch.skipped_pages").Add(skipped);
+      }
+      if (job->kernel->collect_level_pages()) {
+        std::vector<PageId> combined = jp.sps;
+        combined.insert(combined.end(), jp.lps.begin(), jp.lps.end());
+        job->metrics.level_pages.push_back(std::move(combined));
+      }
+      for (auto& replica : job->replicas) replica.local_next->Clear();
+    } else if (job->is_pass) {
+      for (PageId pid : job->pages) {
+        (graph_->kind(pid) == PageKind::kSmall ? jp.sps : jp.lps)
+            .push_back(pid);
+      }
+    } else {
+      // Full scan: one pass over all SPs, then all LPs (Section 3.2),
+      // reordered per dispatch.order.
+      jp.sps = graph_->small_page_ids();
+      jp.lps = graph_->large_page_ids();
+    }
+    job->participated = true;
+    plan.push_back(std::move(jp));
+  }
+
+  // Demand union + weighted-round-robin merge (JobOptions::priority =
+  // pages taken per turn): each distinct page enters the merged order
+  // once, at the turn of the first job that claims it, and demand_
+  // lists every job demanding it in admission order -- once per
+  // occurrence, so a page a job lists twice runs that job's kernel
+  // twice on the one staged copy.
+  for (const JobPages& jp : plan) {
+    for (PageId pid : jp.sps) demand_[pid].push_back(jp.job);
+    for (PageId pid : jp.lps) demand_[pid].push_back(jp.job);
+  }
+  if (++merge_epoch_ == 0) {
+    std::fill(merge_stamp_.begin(), merge_stamp_.end(), 0);
+    merge_epoch_ = 1;
+  }
+  auto merge_wrr = [this, &plan](bool large) {
+    std::vector<PageId> merged;
+    std::vector<size_t> cursor(plan.size(), 0);
+    for (;;) {
+      bool advanced = false;
+      for (size_t j = 0; j < plan.size(); ++j) {
+        const std::vector<PageId>& list =
+            large ? plan[j].lps : plan[j].sps;
+        int take = std::max(1, plan[j].job->options.priority);
+        while (take-- > 0 && cursor[j] < list.size()) {
+          const PageId pid = list[cursor[j]++];
+          if (merge_stamp_[pid] != merge_epoch_) {
+            merge_stamp_[pid] = merge_epoch_;
+            merged.push_back(pid);
+          }
+          advanced = true;
+        }
+      }
+      if (!advanced) break;
+    }
+    return merged;
+  };
+  std::vector<PageId> merged_sps = merge_wrr(/*large=*/false);
+  std::vector<PageId> merged_lps = merge_wrr(/*large=*/true);
+
+  // The ordering/admission context for frontier-aware dispatch
+  // policies sees the union of every running traversal job's
+  // activations (a lone traversal job's frontier as is).
+  if (traversal_jobs > 1) {
+    if (merged_frontier_ == nullptr) {
+      merged_frontier_ = std::make_unique<PidSet>(graph_->num_pages());
+      if (CountFrontier()) merged_frontier_->EnableCounting();
+    }
+    merged_frontier_->Clear();
+    for (JobExec* job : running) {
+      if (job->traversal()) merged_frontier_->Union(*job->frontier);
+    }
+    pass_frontier = merged_frontier_.get();
+  }
+
   PageOrderContext ctx;
   // Contains() touches no cache statistics.
   bool any_cache = false;
@@ -481,19 +614,19 @@ std::vector<PageId> GtsEngine::PlanPass(std::vector<PageId> sps,
       return cache != nullptr && cache->Contains(pid);
     };
   }
-  if (frontier != nullptr && frontier->counting()) {
-    ctx.frontier_count = [frontier](PageId pid) {
-      return frontier->CountOf(pid);
+  if (pass_frontier != nullptr && pass_frontier->counting()) {
+    ctx.frontier_count = [pass_frontier](PageId pid) {
+      return pass_frontier->CountOf(pid);
     };
   }
   std::vector<PageId> ordered =
-      OrderPages(options_.dispatch.order, std::move(sps), std::move(lps), ctx,
-                 registry_.get());
+      OrderPages(options_.dispatch.order, std::move(merged_sps),
+                 std::move(merged_lps), ctx, registry_.get());
 
   // No read merges across the pass barrier. Then the pass's transfer
   // mode: whole pages, or direct fetches of active adjacency lists.
   io_->BeginPass();
-  transfer_->BeginPass(ordered, frontier);
+  transfer_->BeginPass(ordered, pass_frontier);
   return ordered;
 }
 
@@ -507,8 +640,8 @@ GtsEngine::PageRoute GtsEngine::RoutePage(PageId pid) const {
   // The hybrid extension's share, by a deterministic multiplicative hash
   // of the page id.
   const uint32_t h = static_cast<uint32_t>(pid) * 2654435761u;
-  if (cpu_ != nullptr && static_cast<double>(h >> 8 & 0xFFFFFF) / 16777216.0 <
-                             options_.cpu_assist_fraction) {
+  if (static_cast<double>(h >> 8 & 0xFFFFFF) / 16777216.0 <
+      options_.cpu_assist_fraction) {
     route.cpu = true;
     return route;  // last_gpu stays below first_gpu: no GPU leg
   }
@@ -534,28 +667,40 @@ Status GtsEngine::AdmitJobSlices(JobExec* job, int slot) {
   const uint32_t wa_b = job->kernel->wa_bytes_per_vertex();
   const bool tkernel =
       job->kernel->access_pattern() == AccessPattern::kTraversal;
-  job->gpus.clear();
-  job->gpus.resize(static_cast<size_t>(machine_.num_gpus));
-  for (int g = 0; g < machine_.num_gpus; ++g) {
-    JobGpuSlice& slice = job->gpus[static_cast<size_t>(g)];
-    WaRange(g, tkernel, &slice.wa_begin, &slice.wa_end);
-    const uint64_t wa_bytes =
-        static_cast<uint64_t>(slice.wa_end - slice.wa_begin) * wa_b;
-    auto buf = gpus_[g]->device->Allocate(
-        wa_bytes, "WABuf[job" + std::to_string(slot) + "]");
-    if (!buf.ok()) {
-      // Admission-control signal: release the partial allocation so the
-      // next candidate (or the next epoch) sees the memory back.
-      job->gpus.clear();
-      return buf.status();
+  const int n_gpus = machine_.num_gpus;
+  job->replicas.clear();
+  job->replicas.resize(static_cast<size_t>(n_gpus) +
+                       (options_.cpu_assist_fraction > 0.0 ? 1 : 0));
+  for (size_t r = 0; r < job->replicas.size(); ++r) {
+    JobReplica& replica = job->replicas[r];
+    const int g = static_cast<int>(r);
+    size_t lanes = static_cast<size_t>(options_.num_streams);
+    if (g == n_gpus) {
+      // The host CPUs' replica: the whole graph's WA in host memory, one
+      // work record per CPU worker lane.
+      replica.wa_end = graph_->num_vertices();
+      replica.wa_buf = gpu::DeviceBuffer::Host(
+          static_cast<uint64_t>(replica.wa_end) * wa_b);
+      lanes = static_cast<size_t>(machine_.time_model.cpu_worker_threads);
+    } else {
+      WaRange(g, tkernel, &replica.wa_begin, &replica.wa_end);
+      const uint64_t wa_bytes =
+          static_cast<uint64_t>(replica.wa_end - replica.wa_begin) * wa_b;
+      auto buf = gpus_[g]->device->Allocate(
+          wa_bytes, "WABuf[job" + std::to_string(slot) + "]");
+      if (!buf.ok()) {
+        // Admission-control signal: release the partial allocation so the
+        // next candidate (or the next epoch) sees the memory back.
+        job->replicas.clear();
+        return buf.status();
+      }
+      replica.wa_buf = std::move(buf).value();
     }
-    slice.wa_buf = std::move(buf).value();
     if (tkernel) {
-      slice.local_next = std::make_unique<PidSet>(graph_->num_pages());
-      if (CountFrontier()) slice.local_next->EnableCounting();
+      replica.local_next = std::make_unique<PidSet>(graph_->num_pages());
+      if (CountFrontier()) replica.local_next->EnableCounting();
     }
-    slice.stream_work.assign(static_cast<size_t>(options_.num_streams),
-                             WorkStats{});
+    replica.stream_work.assign(lanes, WorkStats{});
   }
   return Status::OK();
 }
@@ -580,7 +725,6 @@ Status GtsEngine::SetupSharedStreamBuffers(uint32_t max_ra_b) {
         gpu.stream_buf_bytes += ra_bytes;
       }
     }
-    for (auto& worker : gpu.workers) worker->ra.resize(ra_bytes);
     gpu.stream_last_kind.assign(static_cast<size_t>(options_.num_streams), -1);
     gpu.rr = 0;
   }
@@ -588,25 +732,15 @@ Status GtsEngine::SetupSharedStreamBuffers(uint32_t max_ra_b) {
 }
 
 Status GtsEngine::SetupCpuAssist(const GtsKernel* kernel) {
-  const bool traversal = kernel->access_pattern() == AccessPattern::kTraversal;
   if (options_.strategy == Strategy::kScalability && machine_.num_gpus > 1 &&
-      !traversal) {
+      kernel->access_pattern() != AccessPattern::kTraversal) {
     return Status::FailedPrecondition(
         "CPU co-processing needs Strategy-P (Strategy-S replicates the "
         "whole stream to every processor already)");
   }
-  cpu_ = std::make_unique<CpuState>();
-  cpu_->wa.resize(static_cast<uint64_t>(graph_->num_vertices()) *
-                  kernel->wa_bytes_per_vertex());
-  if (traversal) {
-    cpu_->local_next = std::make_unique<PidSet>(graph_->num_pages());
-    if (CountFrontier()) cpu_->local_next->EnableCounting();
-  }
   // The lane cursor starts every epoch at 0 (like the GPU stream cursor),
   // so two identical runs produce identical per-lane WorkStats.
-  cpu_->lane_work.assign(
-      static_cast<size_t>(machine_.time_model.cpu_worker_threads),
-      WorkStats{});
+  cpu_rr_ = 0;
   return Status::OK();
 }
 
@@ -631,7 +765,7 @@ void GtsEngine::SetupCaches() {
 }
 
 void GtsEngine::ReleaseBatchBuffers(const std::vector<JobExec*>& jobs) {
-  for (JobExec* job : jobs) job->gpus.clear();
+  for (JobExec* job : jobs) job->replicas.clear();
   ReleaseBuffers();
 }
 
@@ -639,26 +773,24 @@ void GtsEngine::UploadWaJob(JobExec* job) {
   const TimeModel& tm = machine_.time_model;
   GtsKernel* kernel = job->kernel;
   const uint32_t wa_b = kernel->wa_bytes_per_vertex();
-  if (cpu_ != nullptr) {
-    kernel->InitDeviceWa(cpu_->wa.data(), 0, graph_->num_vertices());
-    if (race_ != nullptr) {
-      NoteWaReplica(*job, kHostReplica, race_->HostLane(),
-                    analysis::AccessClass::kPlainWrite, gpu::kNoOp);
+  for (size_t r = 0; r < job->replicas.size(); ++r) {
+    JobReplica& replica = job->replicas[r];
+    const int g = static_cast<int>(r);
+    if (g == machine_.num_gpus) {
+      // The host replica crosses no PCI-E link, so no timeline op.
+      InitReplicaWa(kernel, replica);
+      if (race_ != nullptr) {
+        NoteWaReplica(*job, g, race_->HostLane(),
+                      analysis::AccessClass::kPlainWrite, gpu::kNoOp);
+      }
+      continue;
     }
-  }
-  for (int g = 0; g < machine_.num_gpus; ++g) {
-    JobGpuSlice& slice = job->gpus[static_cast<size_t>(g)];
     const uint64_t bytes =
-        static_cast<uint64_t>(slice.wa_end - slice.wa_begin) * wa_b;
-    gpu::TimelineOp op;
-    op.kind = gpu::OpKind::kH2DChunk;
-    op.stream_key = StreamKey(g, 0);
-    op.resource = {gpu::ResourceId::Type::kCopyEngine, g};
-    op.duration = static_cast<double>(bytes) / tm.c1;
-    op.bytes = bytes;
-    op.job = job->job_id;
-    const gpu::OpIndex op_idx = RecordOp(op);
-    InitSliceWa(kernel, slice);
+        static_cast<uint64_t>(replica.wa_end - replica.wa_begin) * wa_b;
+    const gpu::OpIndex op_idx =
+        RecordCopy(gpu::OpKind::kH2DChunk, g, bytes, tm.c1, job->job_id,
+                   StreamKey(g, 0));
+    InitReplicaWa(kernel, replica);
     if (race_ != nullptr) {
       // The WA upload is the copy engine writing WABuf. Every level-0
       // kernel has its page H2D serialized after this chunk on the same
@@ -691,60 +823,35 @@ void GtsEngine::DownloadWaJob(JobExec* job) {
   // host-side absorb.
   if (race_ != nullptr) race_->BarrierAcquire();
 
-  std::vector<gpu::OpIndex> d2h_idx(static_cast<size_t>(n_gpus), gpu::kNoOp);
+  // The host replica's entry stays kNoOp: it is host-internal.
+  std::vector<gpu::OpIndex> d2h_idx(job->replicas.size(), gpu::kNoOp);
   if (options_.strategy == Strategy::kPerformance && n_gpus > 1) {
     // Peer-to-peer merge into the master GPU, then one D2H (Section 4.1).
     const uint64_t bytes =
         static_cast<uint64_t>(graph_->num_vertices()) * wa_b;
     for (int g = 1; g < n_gpus; ++g) {
-      gpu::TimelineOp p2p;
-      p2p.kind = gpu::OpKind::kP2P;
       // Lands on the master GPU's copy engine.
-      p2p.resource = {gpu::ResourceId::Type::kCopyEngine, 0};
-      p2p.duration = static_cast<double>(bytes) / tm.p2p_bandwidth;
-      p2p.bytes = bytes;
-      p2p.job = job->job_id;
-      RecordOp(p2p);
+      RecordCopy(gpu::OpKind::kP2P, 0, bytes, tm.p2p_bandwidth, job->job_id);
     }
-    gpu::TimelineOp d2h;
-    d2h.kind = gpu::OpKind::kD2H;
-    d2h.resource = {gpu::ResourceId::Type::kCopyEngine, 0};
-    d2h.duration = static_cast<double>(bytes) / tm.c1;
-    d2h.bytes = bytes;
-    d2h.job = job->job_id;
-    const gpu::OpIndex idx = RecordOp(d2h);
-    for (int g = 0; g < n_gpus; ++g) d2h_idx[static_cast<size_t>(g)] = idx;
+    const gpu::OpIndex idx =
+        RecordCopy(gpu::OpKind::kD2H, 0, bytes, tm.c1, job->job_id);
+    std::fill(d2h_idx.begin(), d2h_idx.begin() + n_gpus, idx);
   } else {
     for (int g = 0; g < n_gpus; ++g) {
-      JobGpuSlice& slice = job->gpus[static_cast<size_t>(g)];
+      const JobReplica& replica = job->replicas[static_cast<size_t>(g)];
       const uint64_t bytes =
-          static_cast<uint64_t>(slice.wa_end - slice.wa_begin) * wa_b;
-      gpu::TimelineOp d2h;
-      d2h.kind = gpu::OpKind::kD2H;
-      d2h.resource = {gpu::ResourceId::Type::kCopyEngine, g};
-      d2h.duration = static_cast<double>(bytes) / tm.c1;
-      d2h.bytes = bytes;
-      d2h.job = job->job_id;
-      d2h_idx[static_cast<size_t>(g)] = RecordOp(d2h);
+          static_cast<uint64_t>(replica.wa_end - replica.wa_begin) * wa_b;
+      d2h_idx[static_cast<size_t>(g)] =
+          RecordCopy(gpu::OpKind::kD2H, g, bytes, tm.c1, job->job_id);
     }
   }
 
-  // Execution: fold every device replica/chunk into the host arrays.
-  for (int g = 0; g < n_gpus; ++g) {
-    JobGpuSlice& slice = job->gpus[static_cast<size_t>(g)];
-    AbsorbSliceWa(kernel, slice);
+  // Execution: fold every replica into the host arrays.
+  for (size_t r = 0; r < job->replicas.size(); ++r) {
+    AbsorbReplicaWa(kernel, job->replicas[r]);
     if (race_ != nullptr) {
-      NoteWaReplica(*job, g, race_->HostLane(),
-                    analysis::AccessClass::kPlainRead,
-                    d2h_idx[static_cast<size_t>(g)]);
-    }
-  }
-  if (cpu_ != nullptr) {
-    // Host-internal; crosses no PCI-E link, so no timeline op.
-    kernel->AbsorbDeviceWa(cpu_->wa.data(), 0, graph_->num_vertices());
-    if (race_ != nullptr) {
-      NoteWaReplica(*job, kHostReplica, race_->HostLane(),
-                    analysis::AccessClass::kPlainRead, gpu::kNoOp);
+      NoteWaReplica(*job, static_cast<int>(r), race_->HostLane(),
+                    analysis::AccessClass::kPlainRead, d2h_idx[r]);
     }
   }
   if (race_ != nullptr) race_->BarrierRelease();
@@ -754,80 +861,54 @@ void GtsEngine::SyncJobLevel(JobExec* job) {
   const TimeModel& tm = machine_.time_model;
   const int n_gpus = machine_.num_gpus;
   GtsKernel* kernel = job->kernel;
-  // Local nextPIDSets to the host.
+  std::vector<JobReplica>& replicas = job->replicas;
+  // Local nextPIDSets to the host (the host replica's is there already).
   job->frontier->Clear();
-  for (int g = 0; g < n_gpus; ++g) {
-    JobGpuSlice& slice = job->gpus[static_cast<size_t>(g)];
-    gpu::TimelineOp d2h;
-    d2h.kind = gpu::OpKind::kD2H;
-    d2h.resource = {gpu::ResourceId::Type::kCopyEngine, g};
-    d2h.duration = static_cast<double>(slice.local_next->ByteSize()) / tm.c1;
-    d2h.bytes = slice.local_next->ByteSize();
-    d2h.job = job->job_id;
-    RecordOp(d2h);
-    job->frontier->Union(*slice.local_next);
+  for (size_t r = 0; r < replicas.size(); ++r) {
+    const PidSet& local_next = *replicas[r].local_next;
+    if (static_cast<int>(r) < n_gpus) {
+      RecordCopy(gpu::OpKind::kD2H, static_cast<int>(r),
+                 local_next.ByteSize(), tm.c1, job->job_id);
+    }
+    job->frontier->Union(local_next);
   }
-  if (cpu_ != nullptr) job->frontier->Union(*cpu_->local_next);
-  if (n_gpus + (cpu_ != nullptr ? 1 : 0) <= 1) return;
+  if (replicas.size() <= 1) return;
 
   // Replicated traversal WA must propagate across replicas between
   // levels. Only this level's updated entries travel: (vid, value) pairs
   // each way, not the whole vector (the paper notes the WA synchronized
   // per level "is usually negligible", Section 5.2).
   uint64_t total_updates = 0;
-  for (const JobGpuSlice& slice : job->gpus) {
-    for (const WorkStats& w : slice.stream_work) total_updates += w.wa_updates;
-  }
-  if (cpu_ != nullptr) {
-    for (const WorkStats& w : cpu_->lane_work) total_updates += w.wa_updates;
+  for (const JobReplica& replica : replicas) {
+    for (const WorkStats& w : replica.stream_work) {
+      total_updates += w.wa_updates;
+    }
   }
   const uint64_t level_updates = total_updates - job->prev_updates;
   job->prev_updates = total_updates;
   const uint64_t delta_bytes =
       level_updates * (kernel->wa_bytes_per_vertex() + 8);
-  std::vector<gpu::OpIndex> delta_d2h;
-  std::vector<gpu::OpIndex> delta_h2d;
+  std::vector<gpu::OpIndex> delta_d2h(replicas.size(), gpu::kNoOp);
+  std::vector<gpu::OpIndex> delta_h2d(replicas.size(), gpu::kNoOp);
   for (int g = 0; g < n_gpus; ++g) {
-    gpu::TimelineOp d2h;
-    d2h.kind = gpu::OpKind::kD2H;
-    d2h.resource = {gpu::ResourceId::Type::kCopyEngine, g};
-    d2h.duration = static_cast<double>(delta_bytes / n_gpus) / tm.c1;
-    d2h.bytes = delta_bytes / n_gpus;
-    d2h.job = job->job_id;
-    delta_d2h.push_back(RecordOp(d2h));
-    gpu::TimelineOp h2d;
-    h2d.kind = gpu::OpKind::kH2DChunk;
-    h2d.resource = {gpu::ResourceId::Type::kCopyEngine, g};
-    h2d.duration = static_cast<double>(delta_bytes) / tm.c1;
-    h2d.bytes = delta_bytes;
-    h2d.job = job->job_id;
-    delta_h2d.push_back(RecordOp(h2d));
+    delta_d2h[static_cast<size_t>(g)] = RecordCopy(
+        gpu::OpKind::kD2H, g, delta_bytes / n_gpus, tm.c1, job->job_id);
+    delta_h2d[static_cast<size_t>(g)] = RecordCopy(
+        gpu::OpKind::kH2DChunk, g, delta_bytes, tm.c1, job->job_id);
   }
   // Execution: fold every replica into the host arrays, then refresh
   // every replica from the merged state (equivalent to applying the
   // update lists).
   const int host = race_ != nullptr ? race_->HostLane() : 0;
-  for (int g = 0; g < n_gpus; ++g) {
-    JobGpuSlice& slice = job->gpus[static_cast<size_t>(g)];
-    AbsorbSliceWa(kernel, slice);
-    NoteWaReplica(*job, g, host, analysis::AccessClass::kPlainRead,
-                  delta_d2h[static_cast<size_t>(g)]);
+  for (size_t r = 0; r < replicas.size(); ++r) {
+    AbsorbReplicaWa(kernel, replicas[r]);
+    NoteWaReplica(*job, static_cast<int>(r), host,
+                  analysis::AccessClass::kPlainRead, delta_d2h[r]);
   }
-  if (cpu_ != nullptr) {
-    kernel->AbsorbDeviceWa(cpu_->wa.data(), 0, graph_->num_vertices());
-    NoteWaReplica(*job, kHostReplica, host, analysis::AccessClass::kPlainRead,
-                  gpu::kNoOp);
-  }
-  for (int g = 0; g < n_gpus; ++g) {
-    JobGpuSlice& slice = job->gpus[static_cast<size_t>(g)];
-    InitSliceWa(kernel, slice);
-    NoteWaReplica(*job, g, host, analysis::AccessClass::kPlainWrite,
-                  delta_h2d[static_cast<size_t>(g)]);
-  }
-  if (cpu_ != nullptr) {
-    kernel->InitDeviceWa(cpu_->wa.data(), 0, graph_->num_vertices());
-    NoteWaReplica(*job, kHostReplica, host, analysis::AccessClass::kPlainWrite,
-                  gpu::kNoOp);
+  for (size_t r = 0; r < replicas.size(); ++r) {
+    InitReplicaWa(kernel, replicas[r]);
+    NoteWaReplica(*job, static_cast<int>(r), host,
+                  analysis::AccessClass::kPlainWrite, delta_h2d[r]);
   }
 }
 
@@ -841,12 +922,11 @@ void GtsEngine::FinishJobInEpoch(JobExec* job) {
                            machine_.num_gpus);
       job->metrics.levels = 1;
     }
-    for (const JobGpuSlice& slice : job->gpus) {
-      for (const WorkStats& w : slice.stream_work) job->metrics.work += w;
+    for (const JobReplica& replica : job->replicas) {
+      for (const WorkStats& w : replica.stream_work) job->metrics.work += w;
     }
-    if (cpu_ != nullptr) {
-      for (const WorkStats& w : cpu_->lane_work) job->metrics.work += w;
-      job->metrics.cpu_lane_work = cpu_->lane_work;
+    if (job->replicas.size() > static_cast<size_t>(machine_.num_gpus)) {
+      job->metrics.cpu_lane_work = job->replicas.back().stream_work;
     }
     // Storage/io counters are epoch-cumulative up to this job's
     // completion (reads are shared; per-job attribution of a merged read
@@ -855,7 +935,7 @@ void GtsEngine::FinishJobInEpoch(JobExec* job) {
     job->metrics.io_queue = io_->stats();
   }
   job->finished = true;
-  job->gpus.clear();
+  job->replicas.clear();
 }
 
 Status GtsEngine::ProcessPagesBatch(const std::vector<PageId>& ordered) {
@@ -867,17 +947,21 @@ Status GtsEngine::ProcessPagesBatch(const std::vector<PageId>& ordered) {
       GTS_RETURN_IF_ERROR(ProcessPageOnCpu(demand_[pid].front(), pid));
       continue;
     }
+    // The pass's one storage read of the page, taken by the first GPU
+    // leg that misses its cache; a Strategy-S page's later legs reuse it.
+    std::optional<io::IoEngine::Fetched> fetch;
     for (int g = route.first_gpu; g <= route.last_gpu; ++g) {
       GpuState& gpu = *gpus_[g];
       const int s = gpu.rr;
       gpu.rr = (gpu.rr + 1) % n_streams;
-      GTS_RETURN_IF_ERROR(StreamPageToGpuBatch(pid, g, s));
+      GTS_RETURN_IF_ERROR(StreamPageToGpuBatch(pid, g, s, &fetch));
     }
   }
   return Status::OK();
 }
 
-Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
+Status GtsEngine::StreamPageToGpuBatch(
+    PageId pid, int g, int s, std::optional<io::IoEngine::Fetched>* fetch) {
   const TimeModel& tm = machine_.time_model;
   const uint64_t page_size = graph_->config().page_size;
   const PageKind kind = graph_->kind(pid);
@@ -908,8 +992,13 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
     // groups a job's occurrences together, admission order.)
     const int32_t transfer_job =
         demanders.back() == first ? first->job_id : -1;
-    GTS_ASSIGN_OR_RETURN(transfer::StagedPage staged,
-                         transfer_->Stage(pid, g, stream_key, transfer_job));
+    const bool read_here = !fetch->has_value();
+    if (read_here) {
+      GTS_ASSIGN_OR_RETURN(*fetch, io_->Acquire(pid));
+    }
+    const io::IoEngine::Fetched& read = **fetch;
+    const transfer::StagedPage staged =
+        transfer_->Stage(pid, read, g, stream_key, transfer_job);
     // First-demander attribution: across the epoch, sum(pages_streamed)
     // over jobs equals the distinct H2D page transfers.
     ++first->metrics.pages_streamed;
@@ -920,10 +1009,9 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
     }
     if (race_ != nullptr) {
       // storage -> MMBuf event, then host consumes the bytes.
-      if (!staged.buffer_hit) {
-        race_->OnPageStaged(static_cast<int>(staged.device_index), pid,
-                            staged.fetch_op, staged.evicted,
-                            recorder_.ops());
+      if (read_here && !read.buffer_hit) {
+        race_->OnPageStaged(static_cast<int>(read.device_index), pid,
+                            read.fetch_op, read.evicted, recorder_.ops());
       }
       race_->OnPageDelivered(pid);
       // The copy engine reads the staged MMBuf bytes into the stream
@@ -935,7 +1023,7 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
       race_->OnMmbufRead(copy, pid, staged.transfer_op);
       race_->Fuse(copy, race_->StreamLane(g, s, stream_key));
     }
-    staged_bytes = staged.data;
+    staged_bytes = read.data;
   }
   if (demanders.back() != first) {
     // Registered at the first shared page: snapshots carry the key only
@@ -963,29 +1051,14 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
       << "launch arena under-reserved";
   JobLaunch* const launch_begin = launches_.data() + launches_.size();
   for (JobExec* job : demanders) {
-    JobLaunch jl;
-    jl.kernel = job->kernel;
-    jl.slice = &job->gpus[static_cast<size_t>(g)];
-    jl.level = job->cur_level();
-    jl.job_id = job->job_id;
-    const uint32_t ra_b = job->kernel->ra_bytes_per_vertex();
-    const uint8_t* host_ra = job->kernel->host_ra();
-    if (ra_b > 0 && host_ra != nullptr) {
-      jl.ra_start_vid = graph_->rvt().entry(pid).start_vid;
+    JobLaunch jl = MakeLaunch(job, pid, g);
+    if (jl.ra != nullptr) {
       const uint32_t covered =
           kind == PageKind::kSmall ? graph_->view(pid).num_slots() : 1;
-      jl.ra_bytes = static_cast<uint64_t>(covered) * ra_b;
-      jl.ra_src = host_ra + static_cast<uint64_t>(jl.ra_start_vid) * ra_b;
-
-      gpu::TimelineOp ra_op;
-      ra_op.kind = gpu::OpKind::kH2DStream;
-      ra_op.stream_key = stream_key;
-      ra_op.resource = {gpu::ResourceId::Type::kCopyEngine, g};
-      ra_op.duration = static_cast<double>(jl.ra_bytes) / tm.c2;
-      ra_op.bytes = jl.ra_bytes;
-      ra_op.page = pid;
-      ra_op.job = job->job_id;
-      RecordOp(ra_op);
+      RecordCopy(gpu::OpKind::kH2DStream, g,
+                 static_cast<uint64_t>(covered) *
+                     job->kernel->ra_bytes_per_vertex(),
+                 tm.c2, job->job_id, stream_key, pid);
     }
 
     gpu::TimelineOp kop;
@@ -1003,11 +1076,6 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
     kop.page = pid;
     kop.job = job->job_id;
     jl.kidx = RecordOp(kop);
-    if (kind == PageKind::kSmall) {
-      ++job->metrics.sp_kernel_calls;
-    } else {
-      ++job->metrics.lp_kernel_calls;
-    }
     if (race_ != nullptr) {
       // Issue edge: the kernel launch is a host action, so everything
       // that happened-before the launch happens-before the kernel.
@@ -1035,12 +1103,12 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
     const int w = demanders[begin]->worker;
     size_t end = begin + 1;
     while (end < n_launches && demanders[end]->worker == w) ++end;
-    GpuState::Worker& worker = *gpu.workers[static_cast<size_t>(w)];
+    gpu::Stream& worker = *gpu.workers[static_cast<size_t>(w)];
     const uint8_t* page_bytes = cached ? pin.data() : nullptr;
     if (!cached) {
       // The slot's buffer is the driver's to fill until the run is
       // enqueued.
-      uint8_t* dst = worker.stream.buffer(worker.stream.Reserve());
+      uint8_t* dst = worker.buffer(worker.Reserve());
       if (first_copy == nullptr) {
         std::memcpy(dst, staged_bytes, page_size);
         if (ingest_ != nullptr) (void)ingest_->Overlay(pid, dst);
@@ -1052,7 +1120,7 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
           // first (with every pin released, as inline). Failure leaves the
           // page on the streaming path.
           if (gpu.cache->InsertEvicts(pid)) {
-            for (auto& other : gpu.workers) other->stream.Synchronize();
+            for (auto& other : gpu.workers) other->Synchronize();
           }
           (void)gpu.cache->Insert(pid, dst,
                                   ingest_ != nullptr ? ingest_->PageVersion(pid)
@@ -1065,44 +1133,11 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
     }
     JobLaunch* const run_begin = launch_begin + begin;
     const size_t run_size = end - begin;
-    uint8_t* const ra_dst = worker.ra.data();
-    worker.stream.Enqueue([this, page_bytes, ra_dst, run_begin, run_size,
-                           kind, g, s, race_lane, pid] {
-      const TimeModel& tm = machine_.time_model;
+    worker.Enqueue([this, page_bytes, run_begin, run_size, s, race_lane,
+                    pid] {
       const PageView view(page_bytes, graph_->config());
       for (JobLaunch* jl = run_begin; jl != run_begin + run_size; ++jl) {
-        JobGpuSlice& slice = *jl->slice;
-        if (jl->ra_src != nullptr) {
-          std::memcpy(ra_dst, jl->ra_src, jl->ra_bytes);
-        }
-        KernelContext ctx;
-        ctx.rvt = &graph_->rvt();
-        ctx.wa = slice.wa_buf.data();
-        ctx.wa_begin = slice.wa_begin;
-        ctx.wa_end = slice.wa_end;
-        ctx.ra = jl->ra_src != nullptr ? ra_dst : nullptr;
-        ctx.ra_start_vid = jl->ra_start_vid;
-        ctx.cur_level = jl->level;
-        ctx.next_pid_set = slice.local_next.get();
-        if (slice.local_next != nullptr && slice.local_next->counting()) {
-          ctx.out_degrees = out_degrees_.data();
-        }
-        ctx.micro = options_.micro;
-        if (race_ != nullptr) {
-          ctx.race_site = {race_.get(), race_lane,
-                           analysis::RaceDetector::WaDomain(g, jl->job_id),
-                           jl->kidx, pid};
-        }
-        GtsKernel* kernel = jl->kernel;
-        const WorkStats work = kind == PageKind::kSmall
-                                   ? kernel->RunSp(view, ctx)
-                                   : kernel->RunLp(view, ctx);
-        slice.stream_work[static_cast<size_t>(s)] += work;
-        jl->duration =
-            tm.kernel_launch_overhead +
-            static_cast<double>(work.warp_cycles) * tm.warp_cycle_seconds +
-            static_cast<double>(work.mem_transactions) *
-                kernel->seconds_per_mem_transaction(tm);
+        RunLaunch(view, pid, s, race_lane, jl);
       }
     });
     begin = end;
@@ -1114,7 +1149,7 @@ Status GtsEngine::StreamPageToGpuBatch(PageId pid, int g, int s) {
   // The race detector stamps WA accesses with the lane's clock, which the
   // next launch advances: run each page's kernels before the next issue.
   if (race_ != nullptr) {
-    for (auto& worker : gpu.workers) worker->stream.Synchronize();
+    for (auto& worker : gpu.workers) worker->Synchronize();
   }
   return Status::OK();
 }
@@ -1135,7 +1170,7 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
     job->prev_updates = 0;
     job->job_id = -1;
     job->frontier.reset();
-    job->gpus.clear();
+    job->replicas.clear();
     if (job->cancel.load(std::memory_order_relaxed)) {
       job->status = Status::Cancelled("job cancelled at level boundary");
       job->finished = true;
@@ -1198,7 +1233,7 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
     ReleaseBuffers();
     JobExec* last = admitted.back();
     last->admitted = false;
-    last->gpus.clear();
+    last->replicas.clear();
     if (admitted.size() == 1) {
       last->status = st;
       last->finished = true;
@@ -1208,7 +1243,8 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
   }
 
   // Host co-processing: Validate() keeps cpu_assist_fraction > 0 to
-  // one-job epochs, so the engine-level CpuState belongs to that job.
+  // one-job epochs (the dispatch loop runs a host page for its first
+  // demander only), whose job carries the host replica.
   if (options_.cpu_assist_fraction > 0.0) {
     const Status st = SetupCpuAssist(admitted.front()->kernel);
     if (!st.ok()) {
@@ -1271,7 +1307,6 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
   // The pass loop (Algorithm 1): each iteration retires finished jobs at
   // the boundary, then streams the union of the survivors' page demand.
   std::vector<JobExec*> running = admitted;
-  std::unique_ptr<PidSet> merged_frontier;
   bool first_pass = true;
   for (;;) {
     // Level boundaries are the cancellation points. A completed job
@@ -1306,7 +1341,7 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
     running = std::move(survivors);
     if (running.empty()) break;
     // Ownership for the pass: job i of R belongs to worker i * W / R on
-    // every GPU, so each job's WA slices, local nextPIDSets and stream
+    // every GPU, so each job's WA replicas, local nextPIDSets and stream
     // work keep one writer. The drain at the end of the pass hands the
     // jobs over.
     for (size_t i = 0; i < running.size(); ++i) {
@@ -1323,124 +1358,7 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
     }
     first_pass = false;
 
-    // Per-job page lists for this pass.
-    struct JobPages {
-      JobExec* job = nullptr;
-      std::vector<PageId> sps;
-      std::vector<PageId> lps;
-    };
-    std::vector<JobPages> plan;
-    plan.reserve(running.size());
-    const PidSet* pass_frontier = nullptr;
-    int traversal_jobs = 0;
-    for (JobExec* job : running) {
-      JobPages jp;
-      jp.job = job;
-      if (job->traversal()) {
-        ++traversal_jobs;
-        pass_frontier = job->frontier.get();
-        uint64_t skipped = 0;
-        for (PageId pid : job->frontier->ToVector()) {
-          // A page whose activated vertices have no out-edges between
-          // them can expand nothing: skipping it drops no WA update.
-          if (options_.dispatch.skip_edgeless_pages &&
-              job->frontier->CountOf(pid) == 0) {
-            ++skipped;
-            continue;
-          }
-          if (graph_->kind(pid) == PageKind::kSmall) {
-            jp.sps.push_back(pid);
-          } else {
-            // Record IDs address an LP vertex through its first chunk;
-            // the RVT's LP_RANGE says how many continuation pages follow,
-            // and a traversal must stream the whole run (Figure 1 /
-            // Appendix A).
-            const uint32_t more = graph_->rvt().entry(pid).lp_more;
-            for (uint32_t k = 0; k <= more; ++k) jp.lps.push_back(pid + k);
-          }
-        }
-        if (skipped > 0) {
-          job->metrics.pages_skipped += skipped;
-          registry_->GetCounter("dispatch.skipped_pages").Add(skipped);
-        }
-        if (job->kernel->collect_level_pages()) {
-          std::vector<PageId> combined = jp.sps;
-          combined.insert(combined.end(), jp.lps.begin(), jp.lps.end());
-          job->metrics.level_pages.push_back(std::move(combined));
-        }
-        for (auto& slice : job->gpus) slice.local_next->Clear();
-        if (cpu_ != nullptr) cpu_->local_next->Clear();
-      } else if (job->is_pass) {
-        for (PageId pid : job->pages) {
-          (graph_->kind(pid) == PageKind::kSmall ? jp.sps : jp.lps)
-              .push_back(pid);
-        }
-      } else {
-        // Full scan: one pass over all SPs, then all LPs (Section 3.2),
-        // reordered per dispatch.order.
-        jp.sps = graph_->small_page_ids();
-        jp.lps = graph_->large_page_ids();
-      }
-      job->participated = true;
-      plan.push_back(std::move(jp));
-    }
-
-    // Demand union + weighted-round-robin merge (JobOptions::priority =
-    // pages taken per turn): each distinct page enters the merged order
-    // once, at the turn of the first job that claims it, and demand_
-    // lists every job demanding it in admission order -- once per
-    // occurrence, so a page a job lists twice runs that job's kernel
-    // twice on the one staged copy.
-    for (const JobPages& jp : plan) {
-      for (PageId pid : jp.sps) demand_[pid].push_back(jp.job);
-      for (PageId pid : jp.lps) demand_[pid].push_back(jp.job);
-    }
-    if (++merge_epoch_ == 0) {
-      std::fill(merge_stamp_.begin(), merge_stamp_.end(), 0);
-      merge_epoch_ = 1;
-    }
-    auto merge_wrr = [this, &plan](bool large) {
-      std::vector<PageId> merged;
-      std::vector<size_t> cursor(plan.size(), 0);
-      for (;;) {
-        bool advanced = false;
-        for (size_t j = 0; j < plan.size(); ++j) {
-          const std::vector<PageId>& list =
-              large ? plan[j].lps : plan[j].sps;
-          int take = std::max(1, plan[j].job->options.priority);
-          while (take-- > 0 && cursor[j] < list.size()) {
-            const PageId pid = list[cursor[j]++];
-            if (merge_stamp_[pid] != merge_epoch_) {
-              merge_stamp_[pid] = merge_epoch_;
-              merged.push_back(pid);
-            }
-            advanced = true;
-          }
-        }
-        if (!advanced) break;
-      }
-      return merged;
-    };
-    std::vector<PageId> merged_sps = merge_wrr(/*large=*/false);
-    std::vector<PageId> merged_lps = merge_wrr(/*large=*/true);
-
-    // The ordering/admission context for frontier-aware dispatch
-    // policies sees the union of every running traversal job's
-    // activations (a lone traversal job's frontier as is).
-    if (traversal_jobs > 1) {
-      if (merged_frontier == nullptr) {
-        merged_frontier = std::make_unique<PidSet>(graph_->num_pages());
-        if (CountFrontier()) merged_frontier->EnableCounting();
-      }
-      merged_frontier->Clear();
-      for (JobExec* job : running) {
-        if (job->traversal()) merged_frontier->Union(*job->frontier);
-      }
-      pass_frontier = merged_frontier.get();
-    }
-
-    const std::vector<PageId> ordered =
-        PlanPass(std::move(merged_sps), std::move(merged_lps), pass_frontier);
+    const std::vector<PageId> ordered = PlanPass(running);
     size_t max_launches = 0;
     for (PageId pid : ordered) max_launches += demand_[pid].size();
     launches_.clear();
@@ -1453,11 +1371,14 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
       for (JobExec* job : running) {
         job->status = pass_status;
         job->finished = true;
-        job->gpus.clear();
+        job->replicas.clear();
       }
       break;
     }
-    if (traversal_jobs == 0) continue;
+    if (std::none_of(running.begin(), running.end(),
+                     [](const JobExec* job) { return job->traversal(); })) {
+      continue;
+    }
 
     // Per-level sync, job by job in admission order, then one host merge
     // + barrier for the pass. The level boundary is a BSP barrier for the
@@ -1483,7 +1404,7 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
 
   // No worker spins between runs.
   for (auto& gpu : gpus_) {
-    for (auto& worker : gpu->workers) worker->stream.Park();
+    for (auto& worker : gpu->workers) worker->Park();
   }
   FinalizeBatchEpoch(jobs);
   return Status::OK();

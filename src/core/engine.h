@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "analysis/analysis_options.h"
@@ -191,7 +192,6 @@ class GtsEngine {
   friend class JobScheduler;
 
   struct GpuState;
-  struct CpuState;
   struct JobLaunch;
 
   /// The engine's run body (Algorithm 1), reached for every scheduler
@@ -205,24 +205,26 @@ class GtsEngine {
   Status RunJobBatch(const std::vector<JobExec*>& jobs);
 
   // --- RunJobBatch helpers ---
-  /// Allocates job `slot`'s per-GPU WA partition (+ local nextPIDSets
-  /// for traversal kernels); on failure every partial slice is released
-  /// and the allocation error returned (the admission-control signal).
+  /// Allocates job `slot`'s WA replicas (+ local nextPIDSets for
+  /// traversal kernels): one partition per GPU, then under CPU assist
+  /// the host CPUs' whole-graph replica in host memory. On failure every
+  /// partial replica is released and the allocation error returned (the
+  /// admission-control signal).
   Status AdmitJobSlices(JobExec* job, int slot);
   /// Takes the device memory of the per-stream SP/LP/RA buffers (RA sized
   /// for the largest admitted ra_bytes_per_vertex) and resets stream
   /// state.
   Status SetupSharedStreamBuffers(uint32_t max_ra_b);
-  /// Host co-processing state for `kernel` (cpu_assist_fraction > 0;
-  /// Validate() keeps such epochs to one job). FailedPrecondition for
-  /// Strategy-S scans on several GPUs.
+  /// Starts host co-processing for `kernel` (cpu_assist_fraction > 0;
+  /// Validate() keeps such epochs to one job): resets the lane cursor.
+  /// FailedPrecondition for Strategy-S scans on several GPUs.
   Status SetupCpuAssist(const GtsKernel* kernel);
   /// Per-GPU shared page cache over the memory left after admission.
   void SetupCaches();
   void ReleaseBatchBuffers(const std::vector<JobExec*>& jobs);
   void ReleaseBuffers();
-  /// WA upload/download for one job's slices (and the host replica under
-  /// CPU assist); ops carry the job's tag.
+  /// WA upload/download for every replica of one job; only the GPU
+  /// replicas record copy ops, which carry the job's tag.
   void UploadWaJob(JobExec* job);
   void DownloadWaJob(JobExec* job);
   /// Per-level sync of one traversal job: its local nextPIDSets to the
@@ -231,13 +233,16 @@ class GtsEngine {
   /// Completes one job inside a running epoch: WA download (ok jobs),
   /// per-job work/io stat harvest, slice release, finished flag.
   void FinishJobInEpoch(JobExec* job);
-  /// NoteWaReplica's `g` for the CPU-assist host replica.
-  static constexpr int kHostReplica = -1;
-  /// Race-detector report of one whole-replica WA access by `job`: GPU
-  /// `g`'s slice, or the host replica for kHostReplica. No-op without a
-  /// detector.
-  void NoteWaReplica(const JobExec& job, int g, int lane,
+  /// Race-detector report of one whole-replica WA access by `job` to
+  /// its replica `r` (a GPU's, or the host's when r == num_gpus). No-op
+  /// without a detector.
+  void NoteWaReplica(const JobExec& job, int r, int lane,
                      analysis::AccessClass cls, gpu::OpIndex op);
+  /// Records one copy-engine op of `bytes` at `bandwidth` on GPU `gpu`,
+  /// tagged `job` (TimelineOp::job semantics).
+  gpu::OpIndex RecordCopy(gpu::OpKind kind, int gpu, uint64_t bytes,
+                          double bandwidth, int32_t job, int stream_key = -1,
+                          PageId page = kInvalidPageId);
   /// The dispatch loop (Algorithm 1's push over k streams): every page
   /// carries the list of jobs demanding it (demand_), and one
   /// stream/cache access services them all. Each GPU leg takes the next
@@ -247,8 +252,11 @@ class GtsEngine {
   /// Streams page `pid` to stream `s` of GPU `g` -- staged once and
   /// copied into a ring slot of each GPU worker that owns a demanding
   /// job, or read in place from the cache -- and enqueues one kernel
-  /// launch per demanding job on its job's worker.
-  Status StreamPageToGpuBatch(PageId pid, int g, int s);
+  /// launch per demanding job on its job's worker. A cache miss stages
+  /// from `*fetch`, the pass's storage read of the page, acquiring it
+  /// first if no earlier leg of the page did.
+  Status StreamPageToGpuBatch(PageId pid, int g, int s,
+                              std::optional<io::IoEngine::Fetched>* fetch);
   /// Epoch wrap-up: simulate once, run the analysis layer (race-report
   /// harvest, schedule validator including the job-isolation rule, lock
   /// registry drain) over the merged timeline, stamp every finished job
@@ -261,8 +269,9 @@ class GtsEngine {
   void WaRange(int g, bool traversal, VertexId* begin, VertexId* end) const;
 
   /// One page's CPU/GPU routing under the active strategy: every GPU
-  /// when replicate_, else the CPU-assist hash, else GPU pid % num_gpus.
-  /// The single source of routing truth for the dispatch loop.
+  /// when replicate_, else the CPU-assist hash (never true at a
+  /// cpu_assist_fraction of 0), else GPU pid % num_gpus. The single
+  /// source of routing truth for the dispatch loop.
   struct PageRoute {
     bool cpu = false;   ///< hybrid extension routes it to the host CPUs
     int first_gpu = 0;  ///< inclusive
@@ -270,21 +279,31 @@ class GtsEngine {
   };
   PageRoute RoutePage(PageId pid) const;
 
-  /// Processes one page of `job` on the host CPUs (no PCI-E traffic).
+  /// Processes one page of `job` on the next host CPU lane (no PCI-E
+  /// traffic), against the job's host replica.
   Status ProcessPageOnCpu(JobExec* job, PageId pid);
+
+  /// A launch of `job`'s kernel against page `pid` on its replica `r`,
+  /// counted as one of the job's SP or LP kernel calls.
+  JobLaunch MakeLaunch(JobExec* job, PageId pid, int r);
+  /// Runs one launch against the page bytes `view`: K_SP or K_LP over the
+  /// launch's replica, its work added to the replica's `lane` (a GPU
+  /// stream or a host lane) and its kernel time priced into
+  /// jl->duration. `race_lane` is the race detector's lane of the launch.
+  void RunLaunch(const PageView& view, PageId pid, int lane, int race_lane,
+                 JobLaunch* jl) const;
 
   /// Publishes one run's counters cumulatively into registry_.
   void PublishMetrics(const RunMetrics& metrics);
 
-  /// Stage 0 of every pass: orders the pass's pages (OrderPages), starts
-  /// the io engine's pass (resetting the device heads) and lets the page
-  /// transfer pick the pass's mode. Pages are read from storage later,
-  /// when the dispatch loop demands them.
-  /// `frontier` is the level's counted frontier for traversal passes,
-  /// null otherwise.
-  std::vector<PageId> PlanPass(std::vector<PageId> sps,
-                               std::vector<PageId> lps,
-                               const PidSet* frontier);
+  /// Stage 0 of every pass: builds each running job's page list (the
+  /// level's frontier pages, an explicit pass's pages or every page),
+  /// merges them into demand_ by weighted round robin, orders the merged
+  /// pages (OrderPages), starts the io engine's pass (resetting the
+  /// device heads) and lets the page transfer pick the pass's mode.
+  /// Pages are read from storage later, when the dispatch loop demands
+  /// them.
+  std::vector<PageId> PlanPass(const std::vector<JobExec*>& running);
 
   /// True when traversal frontiers should count active edges per page:
   /// the frontier-density order, dispatch.skip_edgeless_pages and the
@@ -341,7 +360,7 @@ class GtsEngine {
 
   std::vector<std::unique_ptr<GpuState>> gpus_;
   int workers_per_gpu_ = 1;
-  std::unique_ptr<CpuState> cpu_;  // present while a hybrid epoch is active
+  int cpu_rr_ = 0;  // round-robin host lane cursor under CPU assist
   uint32_t max_slots_per_page_ = 0;
 
   // Per-pass dispatch scratch, dense and reused across passes so a pass
@@ -357,6 +376,9 @@ class GtsEngine {
   /// demanding job). Reserved before the pass for its worst case, so
   /// the element ranges handed to the workers never move.
   std::vector<JobLaunch> launches_;
+  /// The union of the running traversal jobs' frontiers, the pass's
+  /// frontier when more than one traversal job runs; built on first use.
+  std::unique_ptr<PidSet> merged_frontier_;
   /// `cache.shared_page_hits`, resolved at the first shared page.
   obs::Counter* shared_page_hits_ = nullptr;
 

@@ -3,9 +3,9 @@
 // A JobExec is the engine-facing half of a submitted job: what to run
 // (kernel + options + optional explicit page set), the private state the
 // job owns while concurrent jobs share the engine's streaming machinery
-// (its WA partition per GPU, its frontier and per-GPU local nextPIDSets,
-// its RunMetrics scope), and the lifecycle flags the scheduler reads at
-// pass boundaries (admitted / finished / cancel).
+// (its WA replica per processor, its frontier and per-replica local
+// nextPIDSets, its RunMetrics scope), and the lifecycle flags the
+// scheduler reads at pass boundaries (admitted / finished / cancel).
 //
 // Every submission runs through GtsEngine::RunJobBatch, a single one as
 // an epoch of one: its ops stay untagged (job_id -1) and its schedule is
@@ -28,15 +28,18 @@
 
 namespace gts {
 
-/// One job's slice of a GPU while its batch epoch is active: the private
-/// WA partition and traversal frontier contribution. Stream buffers, the
-/// page cache, and the copy engines stay shared across the epoch's jobs.
-struct JobGpuSlice {
+/// One of a job's WA replicas while its batch epoch is active: a GPU's
+/// private WA partition, or the host CPUs' whole-graph WA under CPU
+/// assist, with the replica's traversal frontier contribution. Stream
+/// buffers, the page cache, and the copy engines stay shared across the
+/// epoch's jobs.
+struct JobReplica {
   gpu::DeviceBuffer wa_buf;
   std::unique_ptr<PidSet> local_next;  ///< traversal jobs only
   VertexId wa_begin = 0;
   VertexId wa_end = 0;
-  std::vector<WorkStats> stream_work;  ///< accumulated per stream
+  /// Accumulated per GPU stream, or per CPU worker lane on the host.
+  std::vector<WorkStats> stream_work;
 };
 
 /// The engine-facing state of one submitted job. Owned by the scheduler's
@@ -68,9 +71,12 @@ struct JobExec {
   bool finished = false;
   Status status;
   RunMetrics metrics;
-  std::vector<JobGpuSlice> gpus;  ///< one per GPU once admitted
+  /// One per GPU once admitted, in GPU order, then the host CPUs' when
+  /// cpu_assist_fraction > 0: replicas absorb in this order.
+  std::vector<JobReplica> replicas;
   /// The host worker that runs this job's kernel launches on every GPU
-  /// in the current pass; the only writer of its slices while it runs.
+  /// in the current pass; the only writer of its GPU replicas while it
+  /// runs.
   int worker = 0;
 
   /// Set by JobHandle::Cancel from any thread; the engine checks it at

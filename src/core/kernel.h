@@ -71,9 +71,9 @@ struct KernelContext {
   VertexId wa_end = 0;
 
   /// Streamed RA subvector for this page (nullptr if the kernel has none);
-  /// covers vertex ids starting at ra_start_vid.
+  /// covers vertex ids starting at the page's first vertex (the RVT
+  /// entry's start_vid).
   const uint8_t* ra = nullptr;
-  VertexId ra_start_vid = 0;
 
   /// Current traversal level (BFS-like kernels).
   uint32_t cur_level = 0;

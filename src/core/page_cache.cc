@@ -95,14 +95,6 @@ PageCache::Pin PageCache::Lookup(PageId pid) {
   return pin;
 }
 
-bool PageCache::LookupInto(PageId pid, uint8_t* dst) {
-  analysis::sync::Lock lock(mu_);
-  const Entry* entry = FindLocked(pid);
-  if (entry == nullptr) return false;
-  std::memcpy(dst, entry->data, page_size_);
-  return true;
-}
-
 PageCache::Entry* PageCache::FindLocked(PageId pid) {
   ++lookups_;
   if (lookups_metric_ != nullptr) lookups_metric_->Add();

@@ -2,8 +2,8 @@
 //
 // When WABuf and the streaming buffers leave device memory free (BFS-like
 // algorithms have tiny WA), GTS caches topology pages there so repeatedly
-// visited pages skip the PCI-E copy. LRU by default; FIFO is provided for
-// the ablation called out in DESIGN.md.
+// visited pages skip the PCI-E copy. kPinned by default; LRU and FIFO are
+// provided for the Figure 11 ablation called out in DESIGN.md.
 #ifndef GTS_CORE_PAGE_CACHE_H_
 #define GTS_CORE_PAGE_CACHE_H_
 
@@ -41,7 +41,7 @@ std::string_view CachePolicyName(CachePolicy policy);
 ///
 /// Thread-safety: every public method is safe to call concurrently. Page
 /// bytes escape the cache lock only through a Pin, which holds a refcount
-/// that eviction respects -- see Lookup vs LookupInto below.
+/// that eviction respects.
 class PageCache {
  public:
   /// RAII read lease on one cached page.
@@ -130,12 +130,6 @@ class PageCache {
   /// device memory): the Pin blocks eviction instead of escaping a raw
   /// pointer that a concurrent Insert could free mid-read.
   [[nodiscard]] Pin Lookup(PageId pid);
-
-  /// Like Lookup, but copies the page into `dst` (page_size bytes) under
-  /// the cache lock. Prefer this copy-based fast path when the caller
-  /// needs its own snapshot anyway (host-side staging): it takes no lease,
-  /// so it can never contribute to cache-full backpressure.
-  [[nodiscard]] bool LookupInto(PageId pid, uint8_t* dst);
 
   /// True if present (and not stale), without touching stats or recency
   /// (Algorithm 1 consults the *host copy* of cachedPIDMap when routing).

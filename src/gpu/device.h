@@ -33,6 +33,12 @@ class DeviceBuffer {
   DeviceBuffer& operator=(const DeviceBuffer&) = delete;
   ~DeviceBuffer();
 
+  /// A buffer of `size` host bytes that no device accounts (the host
+  /// CPUs' WA replica under CPU assist).
+  static DeviceBuffer Host(uint64_t size) {
+    return DeviceBuffer(nullptr, size);
+  }
+
   uint8_t* data() { return bytes_.data(); }
   const uint8_t* data() const { return bytes_.data(); }
   uint64_t size() const { return bytes_.size(); }

@@ -13,9 +13,7 @@ IoEngine::IoEngine(const PagedGraph* graph, PageStore* store,
       store_(store),
       options_(options),
       record_(std::move(record)),
-      heads_(store->num_devices(), kNoHead),
-      delivered_pass_(graph->num_pages(), 0),
-      delivered_op_(graph->num_pages(), gpu::kNoOp) {
+      heads_(store->num_devices(), kNoHead) {
   if (registry != nullptr) {
     completed_metric_ = &registry->GetCounter("io.completed");
     merged_metric_ = &registry->GetCounter("io.merged_bursts");
@@ -30,10 +28,6 @@ void IoEngine::BeginPass() {
   for (SlotReaders& slot : readers_) {
     slot.page = kInvalidPageId;
     slot.ops.clear();
-  }
-  if (++pass_ == 0) {
-    std::fill(delivered_pass_.begin(), delivered_pass_.end(), 0);
-    pass_ = 1;
   }
 }
 
@@ -70,8 +64,6 @@ Result<IoEngine::Fetched> IoEngine::Acquire(PageId pid) {
   }
   if (fetch.buffer_hit) {
     if (readers != nullptr) readers->page = pid;
-    // The bytes are there once the pass's read of the page has ended.
-    if (delivered_pass_[pid] == pass_) out.fetch_op = delivered_op_[pid];
     return out;
   }
 
@@ -106,8 +98,6 @@ Result<IoEngine::Fetched> IoEngine::Acquire(PageId pid) {
   out.device_index = d;
   out.fetch_op = RecordStorageOp(gpu::OpKind::kStorageFetch, d, offset, length,
                                  cost, pid, merged, deps[0], deps[1]);
-  delivered_pass_[pid] = pass_;
-  delivered_op_[pid] = out.fetch_op;
   ++stats_.completed;
   if (completed_metric_ != nullptr) completed_metric_->Add();
   if (merged) {

@@ -8,13 +8,12 @@
 // one kStorageWrite op. The discrete-event simulator replays each
 // device's ops serially in record order, overlapping them with copies and
 // kernels, so recording in demand order is all the scheduling storage
-// needs -- except where a read overwrites an MMBuf slot, or where a
-// page read in a pass is acquired again in that pass. The ops that read
-// a slot's page (its H2D copies, or its CPU-assist kernel) report
+// needs -- except where a read overwrites an MMBuf slot. The ops that
+// read a slot's page (its H2D copies, or its CPU-assist kernel) report
 // themselves through NoteReader, and a read that later lands in that
-// slot in the same pass depends on every one of them. A hit on a page
-// a device read delivered earlier in the pass (a Strategy-S page's
-// later GPU legs) depends on that read.
+// slot in the same pass depends on every one of them. The engine
+// acquires each page at most once per pass: a Strategy-S page's later
+// GPU legs reuse the first leg's read.
 //
 // Pricing: a read costs the device's ReadCost; with io.merge_sequential
 // a read that starts at its device's head (the end of the previous read
@@ -68,19 +67,15 @@ class IoEngine {
 
   /// Starts one pass: forgets every device's head, so no read merges
   /// with an op recorded before the pass barrier, and every slot's
-  /// readers and every page's delivering read, which the barrier already
-  /// orders before the pass.
+  /// readers, which the barrier already orders before the pass.
   void BeginPass();
 
   struct Fetched {
     const uint8_t* data = nullptr;  ///< page bytes, valid until next eviction
     bool buffer_hit = false;
     size_t device_index = 0;        ///< meaningful when !buffer_hit
-    /// The recorded kStorageFetch op that delivered the page in this
-    /// pass, to depend on: this call's read on a miss, or on a buffer hit
-    /// the read of an earlier Acquire of the pass. kNoOp on a hit on a
-    /// page no read of the pass delivered, or on a zero-cost in-memory
-    /// device.
+    /// The recorded kStorageFetch op of a miss, to depend on; kNoOp on a
+    /// hit or on a zero-cost in-memory device.
     gpu::OpIndex fetch_op = gpu::kNoOp;
     uint32_t slot = 0;  ///< the MMBuf slot holding the page
     /// On a miss, the page that was read from the slot earlier in the
@@ -93,8 +88,7 @@ class IoEngine {
   /// recorded as one kStorageFetch op that depends on every op that read
   /// the slot's previous page in this pass. More than two such readers
   /// (Strategy-S on three or more GPUs) are folded into zero-cost
-  /// kHostCompute joins. A hit on a page read earlier in the pass
-  /// returns that read as its fetch_op.
+  /// kHostCompute joins.
   Result<Fetched> Acquire(PageId pid);
 
   /// Records that op `op` reads the MMBuf bytes `page` delivered, so a
@@ -152,11 +146,6 @@ class IoEngine {
     std::vector<gpu::OpIndex> ops;
   };
   std::vector<SlotReaders> readers_ GTS_GUARDED_BY(mu_);
-  /// Per page: the read that delivered it, valid while the page's stamp
-  /// equals the current pass's.
-  std::vector<uint32_t> delivered_pass_ GTS_GUARDED_BY(mu_);
-  std::vector<gpu::OpIndex> delivered_op_ GTS_GUARDED_BY(mu_);
-  uint32_t pass_ GTS_GUARDED_BY(mu_) = 1;
 
   IoStats stats_;
   obs::Counter* completed_metric_ = nullptr;

@@ -76,11 +76,10 @@ void PageTransfer::BeginPass(const std::vector<PageId>& ordered,
   (direct_pass_ ? direct_levels_ : page_stream_levels_)->Add();
 }
 
-Result<StagedPage> PageTransfer::Stage(PageId pid, int gpu, int stream_key,
-                                       int32_t job) {
+StagedPage PageTransfer::Stage(PageId pid, const io::IoEngine::Fetched& fetch,
+                               int gpu, int stream_key, int32_t job) {
   const TimeModel& tm = *time_model_;
   const PageConfig& config = graph_->config();
-  GTS_ASSIGN_OR_RETURN(io::IoEngine::Fetched fetch, io_->Acquire(pid));
 
   gpu::TimelineOp h2d;
   h2d.kind = gpu::OpKind::kH2DStream;
@@ -113,15 +112,10 @@ Result<StagedPage> PageTransfer::Stage(PageId pid, int gpu, int stream_key,
   bytes_->Add(h2d.bytes);
 
   StagedPage staged;
-  staged.data = fetch.data;
-  staged.fetch_op = fetch.fetch_op;
   staged.transfer_op = record_(h2d);
   io_->NoteReader(fetch, staged.transfer_op);
   staged.bytes = h2d.bytes;
   staged.direct = direct;
-  staged.buffer_hit = fetch.buffer_hit;
-  staged.device_index = fetch.device_index;
-  staged.evicted = fetch.evicted;
   return staged;
 }
 

@@ -2,10 +2,10 @@
 //
 // BeginPass decides once per pass whether SP pages cross PCI-E whole (the
 // paper's page streaming) or as EMOGI-style cache-line fetches of their
-// active adjacency lists; Stage acquires one demanded page from storage
-// and records the copy-engine op that carries it. Cache lookup and
-// insert (a hit never reaches Stage), RA ops and kernels stay in the
-// engine. Every page stages whole into MMBuf and kernels run against the
+// active adjacency lists; Stage records the copy-engine op that carries
+// one demanded page out of the storage read the engine acquired. Cache
+// lookup and insert (a hit never reaches Stage), the storage read, RA
+// ops and kernels stay in the engine. Every page stages whole into MMBuf and kernels run against the
 // full host bytes, so results never depend on the mode; only the
 // simulated PCI-E traffic does.
 #ifndef GTS_TRANSFER_PAGE_TRANSFER_H_
@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/status.h"
 #include "core/frontier.h"
 #include "gpu/schedule.h"
 #include "gpu/time_model.h"
@@ -27,20 +26,11 @@
 namespace gts {
 namespace transfer {
 
-/// What Stage() delivered.
+/// What Stage() recorded.
 struct StagedPage {
-  /// The page's host (MMBuf) bytes. Valid only until the next Acquire,
-  /// which may evict them; the engine copies them before staging the
-  /// next page.
-  const uint8_t* data = nullptr;
-  gpu::OpIndex fetch_op = gpu::kNoOp;     ///< storage dependency (or kNoOp)
   gpu::OpIndex transfer_op = gpu::kNoOp;  ///< the recorded H2D op
   uint64_t bytes = 0;    ///< PCI-E bytes the transfer op charged
   bool direct = false;   ///< true when a kH2DDirect op was recorded
-  /// io::IoEngine::Fetched passthrough for race instrumentation.
-  bool buffer_hit = false;
-  size_t device_index = 0;
-  PageId evicted = kInvalidPageId;
 };
 
 class PageTransfer {
@@ -60,13 +50,15 @@ class PageTransfer {
   /// about the level's demanded SP pages.
   void BeginPass(const std::vector<PageId>& ordered, const PidSet* frontier);
 
-  /// Acquires page `pid` (a cache miss on `gpu`) and records its H2D op
-  /// on stream `stream_key`, tagged `job` (TimelineOp::job semantics):
-  /// kH2DDirect for an SP page in a direct pass, else kH2DStream of the
-  /// whole page at c2. The H2D reads the page's MMBuf slot, so it is
-  /// reported to the io engine as a reader. Called on the driver thread
-  /// only.
-  Result<StagedPage> Stage(PageId pid, int gpu, int stream_key, int32_t job);
+  /// Records the H2D op of page `pid` (a cache miss on `gpu`) out of
+  /// `fetch`, the pass's storage read of the page, on stream
+  /// `stream_key`, tagged `job` (TimelineOp::job semantics): kH2DDirect
+  /// for an SP page in a direct pass, else kH2DStream of the whole page
+  /// at c2. The H2D depends on the read and reads the page's MMBuf slot,
+  /// so it is reported to the io engine as a reader. Called on the
+  /// driver thread only.
+  StagedPage Stage(PageId pid, const io::IoEngine::Fetched& fetch, int gpu,
+                   int stream_key, int32_t job);
 
  private:
   const TransferMode mode_;

@@ -111,52 +111,6 @@ TEST(PageCacheStressTest, PinningReadersVsEvictingWriter) {
   EXPECT_LE(cache.size(), cache.capacity_pages());
 }
 
-// The copy-based fast path must hand out an atomic snapshot: the memcpy
-// happens under the cache lock, so a page filled with one byte value can
-// never be observed torn.
-TEST(PageCacheStressTest, LookupIntoSnapshotsAreNeverTorn) {
-  gpu::Device device(0, 64 * kKiB);
-  PageCache cache(&device, 4 * kPageSize, kPageSize, CachePolicy::kFifo);
-  constexpr PageId kUniverse = 16;
-  constexpr int kReaders = 2;
-  constexpr int kIters = 2500;
-
-  for (PageId pid = 0; pid < 4; ++pid) {
-    const std::vector<uint8_t> warm = MakePage(pid);
-    ASSERT_TRUE(cache.Insert(pid, warm.data()).ok());
-  }
-
-  std::vector<std::thread> workers;
-  std::atomic<uint64_t> torn{0};
-  for (int r = 0; r < kReaders; ++r) {
-    workers.emplace_back([&, r] {
-      std::vector<uint8_t> snapshot(kPageSize);
-      for (int i = 0; i < kIters; ++i) {
-        const PageId pid = static_cast<PageId>((i * 5 + r) % kUniverse);
-        if (!cache.LookupInto(pid, snapshot.data())) continue;
-        for (uint64_t b = 0; b < kPageSize; ++b) {
-          if (snapshot[b] != snapshot[0]) {
-            torn.fetch_add(1);
-            break;
-          }
-        }
-      }
-    });
-  }
-  workers.emplace_back([&] {
-    for (int i = 0; i < kIters; ++i) {
-      const PageId pid = static_cast<PageId>(i % kUniverse);
-      const std::vector<uint8_t> page = MakePage(pid);
-      const Status status = cache.Insert(pid, page.data());
-      ASSERT_TRUE(status.ok() || status.IsCapacityExceeded() ||
-                  status.IsOutOfDeviceMemory())
-          << status.ToString();
-    }
-  });
-  for (auto& t : workers) t.join();
-  EXPECT_EQ(torn.load(), 0u);
-}
-
 // ------------------------------------------------------------- gpu::Stream
 
 // Destroying a stream with a backlog must drain it (no dropped ops, no

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "algorithms/bc.h"
@@ -642,49 +643,61 @@ INSTANTIATE_TEST_SUITE_P(DispatchMatrix, IngestDispatchMatrixTest,
 
 // --------------------------------------- queries before/without quiesce
 
+/// Run with and without the hybrid extension: the host lanes overlay
+/// their own copy of each staged page, apart from the GPU workers.
 TEST(IngestOverlayTest, QueriesSeeUpdatesWithoutQuiesce) {
-  TestGraph g = MakeTestGraph(9, 6);
-  GtsEngine engine(&g.paged, g.store.get(), TestMachine(), IngestOpts());
-  ingest::EdgeStream* stream = engine.edge_stream();
+  for (const double cpu_share : {0.0, 0.5}) {
+    SCOPED_TRACE("cpu_assist_fraction " + std::to_string(cpu_share));
+    TestGraph g = MakeTestGraph(9, 6);
+    GtsOptions opts = IngestOpts();
+    opts.cpu_assist_fraction = cpu_share;
+    GtsEngine engine(&g.paged, g.store.get(), TestMachine(), opts);
+    ingest::EdgeStream* stream = engine.edge_stream();
 
-  // Degree-neutral rewiring (remove one neighbor, insert an arbitrary
-  // replacement) so no page can overflow and every update applies; the
-  // result is checked against a reference run, not byte layouts. The
-  // replacement is *not* sort-preserving -- overlay must cope with
-  // out-of-order appends.
-  std::vector<EdgeUpdate> updates;
-  Rng rng(41);
-  const VertexId n = g.csr.num_vertices();
-  for (VertexId v = 0; v < n; v += 2) {
-    if (g.csr.out_degree(v) == 0) continue;
-    const VertexId victim = g.csr.neighbors(v)[0];
-    const VertexId replacement = rng.Next() % n;
-    updates.push_back(EdgeUpdate::Remove(v, victim));
-    updates.push_back(EdgeUpdate::Insert(v, replacement));
+    // Degree-neutral rewiring (remove one neighbor, insert an arbitrary
+    // replacement) so no page can overflow and every update applies; the
+    // result is checked against a reference run, not byte layouts. The
+    // replacement is *not* sort-preserving -- overlay must cope with
+    // out-of-order appends.
+    std::vector<EdgeUpdate> updates;
+    Rng rng(41);
+    const VertexId n = g.csr.num_vertices();
+    for (VertexId v = 0; v < n; v += 2) {
+      if (g.csr.out_degree(v) == 0) continue;
+      const VertexId victim = g.csr.neighbors(v)[0];
+      const VertexId replacement = rng.Next() % n;
+      updates.push_back(EdgeUpdate::Remove(v, victim));
+      updates.push_back(EdgeUpdate::Insert(v, replacement));
+    }
+    ASSERT_TRUE(stream->Append(updates).ok());
+    stream->FlushGutters();
+    // No quiesce: the run-start publish resolves the chains and the
+    // streamed pages are patched by Overlay().
+
+    const EdgeList updated = ApplyToEdgeList(g.edges, updates);
+    const CsrGraph updated_csr = CsrGraph::FromEdgeList(updated);
+    const VertexId source = BusySource(updated_csr);
+
+    auto bfs = RunBfsGts(engine, source);
+    ASSERT_TRUE(bfs.ok()) << bfs.status();
+    const IngestStats stats = stream->SnapshotStats();
+    const auto expected = ReferenceBfs(updated_csr, source);
+    for (VertexId v = 0; v < updated_csr.num_vertices(); ++v) {
+      const uint32_t want = expected[v] == kUnreachedLevel
+                                ? BfsKernel::kUnvisited
+                                : expected[v];
+      ASSERT_EQ(bfs->levels[v], want)
+          << "vertex " << v << " applied=" << stats.updates_applied
+          << " rejected=" << stats.updates_rejected
+          << " dropped=" << stats.deletes_dropped;
+    }
+    EXPECT_GT(stats.updates_applied, 0u);
+    if (cpu_share > 0.0) {
+      EXPECT_GT(bfs->report.metrics.cpu_pages, 0u);
+    } else {
+      EXPECT_EQ(bfs->report.metrics.cpu_pages, 0u);
+    }
   }
-  ASSERT_TRUE(stream->Append(updates).ok());
-  stream->FlushGutters();
-  // No quiesce: the run-start publish resolves the chains and the
-  // streamed pages are patched by Overlay().
-
-  const EdgeList updated = ApplyToEdgeList(g.edges, updates);
-  const CsrGraph updated_csr = CsrGraph::FromEdgeList(updated);
-  const VertexId source = BusySource(updated_csr);
-
-  auto bfs = RunBfsGts(engine, source);
-  ASSERT_TRUE(bfs.ok()) << bfs.status();
-  const IngestStats stats = stream->SnapshotStats();
-  const auto expected = ReferenceBfs(updated_csr, source);
-  for (VertexId v = 0; v < updated_csr.num_vertices(); ++v) {
-    const uint32_t want = expected[v] == kUnreachedLevel
-                              ? BfsKernel::kUnvisited
-                              : expected[v];
-    ASSERT_EQ(bfs->levels[v], want)
-        << "vertex " << v << " applied=" << stats.updates_applied
-        << " rejected=" << stats.updates_rejected
-        << " dropped=" << stats.deletes_dropped;
-  }
-  EXPECT_GT(stats.updates_applied, 0u);
 }
 
 // -------------------------------------------- compaction under pins

@@ -395,44 +395,6 @@ TEST(IoEngineTest, BeginPassForgetsReaders) {
   EXPECT_GT(refills, 0);
 }
 
-/// Under Strategy-S every GPU acquires each page of a pass: the first
-/// leg reads it from its device, the later legs hit MMBuf. Those hits
-/// return the read as their fetch op, so the later legs' H2Ds wait for
-/// the bytes to arrive -- on an evicting store and on one that never
-/// evicts. After the pass barrier a hit depends on nothing.
-TEST(IoEngineTest, HitOnAPageReadInThePassWaitsForThatRead) {
-  IoFixture f;
-  for (const uint64_t capacity : {4 * f.page_size(), ~uint64_t{0}}) {
-    auto store = MakeSsdStore(&f.paged, 2, capacity);
-    OpLog log;
-    IoEngine engine(&f.paged, store.get(), IoOptions{}, log.Fn(), nullptr);
-    engine.BeginPass();
-    for (PageId pid = 0; pid < 6; ++pid) {
-      auto first = engine.Acquire(pid);
-      ASSERT_TRUE(first.ok());
-      ASSERT_FALSE(first->buffer_hit) << "page " << pid;
-      ASSERT_NE(first->fetch_op, gpu::kNoOp);
-      NoteReaders(engine, log, pid, *first, 1);
-      auto second = engine.Acquire(pid);
-      ASSERT_TRUE(second.ok());
-      ASSERT_TRUE(second->buffer_hit) << "page " << pid;
-      EXPECT_EQ(second->fetch_op, first->fetch_op) << "page " << pid;
-      NoteReaders(engine, log, pid, *second, 1);
-    }
-    engine.BeginPass();
-    int hits = 0;
-    for (PageId pid = 0; pid < 6; ++pid) {
-      if (!store->Resident(pid)) continue;
-      auto again = engine.Acquire(pid);
-      ASSERT_TRUE(again.ok());
-      ASSERT_TRUE(again->buffer_hit) << "page " << pid;
-      EXPECT_EQ(again->fetch_op, gpu::kNoOp) << "page " << pid;
-      ++hits;
-    }
-    EXPECT_GT(hits, 0);
-  }
-}
-
 // --------------------------------------------- engine-level invariants
 
 struct EngineFixture : IoFixture {

@@ -300,21 +300,6 @@ TEST(PageCacheTest, HitRateAccounting) {
   EXPECT_DOUBLE_EQ(cache.hit_rate(), 0.5);
 }
 
-TEST(PageCacheTest, LookupIntoCountsLookupsAndHits) {
-  gpu::Device device(0, 10 * kKiB);
-  PageCache cache(&device, 4 * kKiB, 1 * kKiB, CachePolicy::kLru);
-  std::vector<uint8_t> page(1 * kKiB, 0x77);
-  std::vector<uint8_t> dst(1 * kKiB);
-  EXPECT_FALSE(cache.LookupInto(4, dst.data()));  // miss counts a lookup
-  ASSERT_TRUE(cache.Insert(4, page.data()).ok());
-  EXPECT_TRUE(cache.LookupInto(4, dst.data()));
-  EXPECT_EQ(dst, page);
-  EXPECT_EQ(cache.lookups(), 2u);
-  EXPECT_EQ(cache.hits(), 1u);
-  // The copy path takes no lease: nothing is pinned afterwards.
-  EXPECT_EQ(cache.pinned(), 0u);
-}
-
 TEST(PageCacheTest, CachedBytesMatchInserted) {
   gpu::Device device(0, 10 * kKiB);
   PageCache cache(&device, 4 * kKiB, 1 * kKiB, CachePolicy::kLru);

@@ -255,6 +255,25 @@ TEST(TransferBackendTest, StrategySLegsWaitForThePassRead) {
   EXPECT_GT(later_legs, 0u);
 }
 
+/// A Strategy-S page's GPU legs share the pass's one read of the page:
+/// the later legs stage from the first leg's read instead of acquiring
+/// the page again, so out of core a scan pass counts one device read
+/// per page that MMBuf does not hold and no MMBuf hit for the legs.
+TEST(TransferBackendTest, StrategySReadsEachPageOncePerPass) {
+  Fixture f(12);
+  const uint64_t topology =
+      static_cast<uint64_t>(f.paged.num_pages()) * f.paged.config().page_size;
+  auto ssd = MakeSsdStore(&f.paged, 2, topology / 5);
+  GtsOptions opts;
+  opts.strategy = Strategy::kScalability;
+  GtsEngine engine(&f.paged, ssd.get(), f.Machine(2), opts);
+  auto pr = RunPageRankGts(engine, {.iterations = 1});
+  ASSERT_TRUE(pr.ok()) << pr.status();
+  const PageStoreStats& io = pr->report.metrics.io;
+  EXPECT_EQ(io.device_reads, 52u);
+  EXPECT_EQ(io.buffer_hits, 0u);
+}
+
 /// Scan passes carry no frontier, so kDirect and kAuto must degrade to
 /// the page-stream schedule byte for byte (and say so in the fallback
 /// counter). Only those two modes register the direct and per-level
