@@ -1,14 +1,12 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <cstring>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "common/logging.h"
-#include "core/dispatch/page_order.h"
+#include "core/engine_internal.h"
 #include "core/job/job_exec.h"
 #include "core/job/job_scheduler.h"
 #include "obs/prof.h"
@@ -75,66 +73,7 @@ Status GtsOptions::Validate(const MachineConfig& machine) const {
 namespace {
 /// Host bytes of staged pages each GPU worker's ring can hold.
 constexpr uint64_t kRingBytes = uint64_t{512} << 10;
-
-/// Encodes (gpu, stream) into a ScheduleSimulator stream key.
-int StreamKey(int gpu, int stream) {
-  return gpu * GtsOptions::kMaxStreamsPerGpu + stream;
-}
-
-// A Strategy-S GPU whose chunk starts past the last vertex owns an empty
-// WA slice with no buffer behind it; the kernel hooks skip it.
-void InitReplicaWa(const GtsKernel* kernel, JobReplica& replica) {
-  if (replica.wa_begin == replica.wa_end) return;
-  kernel->InitDeviceWa(replica.wa_buf.data(), replica.wa_begin,
-                       replica.wa_end);
-}
-
-void AbsorbReplicaWa(GtsKernel* kernel, const JobReplica& replica) {
-  if (replica.wa_begin == replica.wa_end) return;
-  kernel->AbsorbDeviceWa(replica.wa_buf.data(), replica.wa_begin,
-                         replica.wa_end);
-}
 }  // namespace
-
-/// Per-GPU state shared by every job of an epoch. Each job's WA replica,
-/// frontier contribution and per-stream work live in its JobReplica.
-struct GtsEngine::GpuState {
-  GpuState(int num_workers, size_t ring_depth, uint64_t page_size) {
-    for (int w = 0; w < num_workers; ++w) {
-      workers.push_back(std::make_unique<gpu::Stream>(ring_depth, page_size));
-    }
-  }
-
-  std::unique_ptr<gpu::Device> device;
-  /// The host workers: each runs the launches of the jobs it owns in the
-  /// pass (JobExec::worker) in dispatch order. A staged page waits in its
-  /// ring slot's buffer.
-  std::vector<std::unique_ptr<gpu::Stream>> workers;
-  /// Device memory of the SPBuf, LPBuf and RABuf of every stream,
-  /// accounted without host bytes: the workers' rings and the kernels'
-  /// host RA arrays hold what the kernels read.
-  uint64_t stream_buf_bytes = 0;
-  std::vector<int> stream_last_kind;  // -1 until a kernel ran on the stream
-  /// Kept across epochs, so its page buffers are too.
-  std::unique_ptr<PageCache> page_cache;
-  PageCache* cache = nullptr;  // page_cache while an epoch caches, else null
-  int rr = 0;  // round-robin stream cursor
-};
-
-/// One job's kernel launch against a staged or cached page: recorded by
-/// the driver and run by the job's worker on a GPU, which reads nothing
-/// else of the job, or inline on a host lane. One cache line each keeps
-/// the driver's and the workers' writes apart.
-struct alignas(64) GtsEngine::JobLaunch {
-  GtsKernel* kernel = nullptr;
-  JobReplica* replica = nullptr;
-  const uint8_t* ra = nullptr;  // the page's host RA subvector, read in place
-  gpu::OpIndex kidx = gpu::kNoOp;
-  uint32_t level = 0;
-  int32_t job_id = -1;
-  int32_t gpu = 0;  // the replica's GPU, or num_gpus for the host replica
-  SimTime duration = 0.0;  // kernel time, written by RunLaunch
-};
 
 GtsEngine::GtsEngine(const PagedGraph* graph, PageStore* store,
                      MachineConfig machine, GtsOptions options)
@@ -323,334 +262,6 @@ gpu::OpIndex GtsEngine::RecordOp(gpu::TimelineOp op) {
   return recorder_.Add(op);
 }
 
-void GtsEngine::NoteWaReplica(const JobExec& job, int r, int lane,
-                              analysis::AccessClass cls, gpu::OpIndex op) {
-  if (race_ == nullptr) return;
-  const JobReplica& replica = job.replicas[static_cast<size_t>(r)];
-  const uint64_t bytes =
-      static_cast<uint64_t>(replica.wa_end - replica.wa_begin) *
-      job.kernel->wa_bytes_per_vertex();
-  const int domain = r == machine_.num_gpus
-                         ? analysis::RaceDetector::kCpuWaDomain
-                         : analysis::RaceDetector::WaDomain(r, job.job_id);
-  race_->OnWaAccess(lane, domain, 0, static_cast<uint32_t>(bytes), cls, op,
-                    kInvalidPageId);
-}
-
-gpu::OpIndex GtsEngine::RecordCopy(gpu::OpKind kind, int gpu, uint64_t bytes,
-                                   double bandwidth, int32_t job,
-                                   int stream_key, PageId page) {
-  gpu::TimelineOp op;
-  op.kind = kind;
-  op.stream_key = stream_key;
-  op.resource = {gpu::ResourceId::Type::kCopyEngine, gpu};
-  op.duration = static_cast<double>(bytes) / bandwidth;
-  op.bytes = bytes;
-  op.page = page;
-  op.job = job;
-  return RecordOp(op);
-}
-
-Status GtsEngine::ProcessPageOnCpu(JobExec* job, PageId pid) {
-  GTS_ASSIGN_OR_RETURN(io::IoEngine::Fetched fetch, io_->Acquire(pid));
-
-  const int lane = cpu_rr_;
-  cpu_rr_ = (cpu_rr_ + 1) % machine_.time_model.cpu_worker_threads;
-
-  // Recorded before execution (duration patched in afterwards, like the
-  // GPU path) so the op index exists for race-site attribution.
-  JobLaunch jl = MakeLaunch(job, pid, machine_.num_gpus);
-  gpu::TimelineOp kop;
-  kop.kind = gpu::OpKind::kKernel;
-  kop.stream_key = (1 << 20) + lane;  // dedicated CPU lanes
-  kop.resource = {gpu::ResourceId::Type::kHostCpuPool, 0};
-  kop.dep0 = fetch.fetch_op;
-  kop.page = pid;
-  kop.duration = 0.0;
-  kop.job = job->job_id;
-  jl.kidx = RecordOp(kop);
-  io_->NoteReader(fetch, jl.kidx);
-
-  int race_lane = 0;
-  if (race_ != nullptr) {
-    if (!fetch.buffer_hit) {
-      race_->OnPageStaged(static_cast<int>(fetch.device_index), pid,
-                          fetch.fetch_op, fetch.evicted, recorder_.ops());
-    }
-    race_->OnPageDelivered(pid);
-    race_lane = race_->CpuLane(lane, (1 << 20) + lane);
-    race_->BeginOp(race_lane);
-    race_->Join(race_lane, race_->HostLane());
-    // The CPU lane reads the page straight out of MMBuf.
-    race_->OnMmbufRead(race_lane, pid, jl.kidx);
-  }
-
-  // Streaming ingestion: the MMBuf bytes are the installed base image;
-  // pending deltas are overlaid onto a host-local copy (the shared MMBuf
-  // copy stays untouched -- every consumer overlays its own staging).
-  const uint8_t* page_data = fetch.data;
-  std::vector<uint8_t> patched;
-  if (ingest_ != nullptr && ingest_->HasDeltas(pid)) {
-    patched.assign(fetch.data, fetch.data + graph_->config().page_size);
-    (void)ingest_->Overlay(pid, patched.data());
-    page_data = patched.data();
-  }
-
-  RunLaunch(PageView(page_data, graph_->config()), pid, lane, race_lane, &jl);
-  recorder_.op(jl.kidx).duration += jl.duration;
-  ++job->metrics.cpu_pages;
-  return Status::OK();
-}
-
-GtsEngine::JobLaunch GtsEngine::MakeLaunch(JobExec* job, PageId pid, int r) {
-  JobLaunch jl;
-  jl.kernel = job->kernel;
-  jl.replica = &job->replicas[static_cast<size_t>(r)];
-  jl.level = job->cur_level();
-  jl.job_id = job->job_id;
-  jl.gpu = r;
-  const uint32_t ra_b = job->kernel->ra_bytes_per_vertex();
-  const uint8_t* host_ra = job->kernel->host_ra();
-  if (ra_b > 0 && host_ra != nullptr) {
-    jl.ra = host_ra +
-            static_cast<uint64_t>(graph_->rvt().entry(pid).start_vid) * ra_b;
-  }
-  if (graph_->kind(pid) == PageKind::kSmall) {
-    ++job->metrics.sp_kernel_calls;
-  } else {
-    ++job->metrics.lp_kernel_calls;
-  }
-  return jl;
-}
-
-void GtsEngine::RunLaunch(const PageView& view, PageId pid, int lane,
-                          int race_lane, JobLaunch* jl) const {
-  const TimeModel& tm = machine_.time_model;
-  const bool host = jl->gpu == machine_.num_gpus;
-  JobReplica& replica = *jl->replica;
-  KernelContext ctx;
-  ctx.rvt = &graph_->rvt();
-  ctx.wa = replica.wa_buf.data();
-  ctx.wa_begin = replica.wa_begin;
-  ctx.wa_end = replica.wa_end;
-  ctx.ra = jl->ra;
-  ctx.cur_level = jl->level;
-  ctx.next_pid_set = replica.local_next.get();
-  if (replica.local_next != nullptr && replica.local_next->counting()) {
-    ctx.out_degrees = out_degrees_.data();
-  }
-  ctx.micro = options_.micro;
-  if (race_ != nullptr) {
-    ctx.race_site = {race_.get(), race_lane,
-                     host ? analysis::RaceDetector::kCpuWaDomain
-                          : analysis::RaceDetector::WaDomain(jl->gpu,
-                                                             jl->job_id),
-                     jl->kidx, pid};
-  }
-  GtsKernel* kernel = jl->kernel;
-  const WorkStats work = graph_->kind(pid) == PageKind::kSmall
-                             ? kernel->RunSp(view, ctx)
-                             : kernel->RunLp(view, ctx);
-  replica.stream_work[static_cast<size_t>(lane)] += work;
-  // A host lane is one worker core: no launch overhead and no PCI-E, but
-  // no warp parallelism or coalescing either.
-  const double cycle_scale = host ? tm.cpu_cycle_multiplier : 1.0;
-  const double mem_scale = host ? tm.cpu_mem_multiplier : 1.0;
-  jl->duration =
-      (host ? 0.0 : tm.kernel_launch_overhead) +
-      static_cast<double>(work.warp_cycles) * tm.warp_cycle_seconds *
-          cycle_scale +
-      static_cast<double>(work.mem_transactions) *
-          kernel->seconds_per_mem_transaction(tm) * mem_scale;
-}
-
-void GtsEngine::DrainWorkers() {
-  {
-    // How much kernel time the staging of the pass left exposed.
-    GTS_PROF_SCOPE("engine.drain");
-    for (auto& gpu : gpus_) {
-      for (auto& worker : gpu->workers) worker->Synchronize();
-    }
-  }
-  // Added to any switch overhead recorded at issue time.
-  for (const JobLaunch& jl : launches_) {
-    recorder_.op(jl.kidx).duration += jl.duration;
-  }
-}
-
-bool GtsEngine::WorkersBlocked() const {
-  for (const auto& gpu : gpus_) {
-    for (const auto& worker : gpu->workers) {
-      if (!worker->blocked()) return false;
-    }
-  }
-  return true;
-}
-
-std::vector<PageId> GtsEngine::PlanPass(const std::vector<JobExec*>& running) {
-  // Per-job page lists for this pass.
-  struct JobPages {
-    JobExec* job = nullptr;
-    std::vector<PageId> sps;
-    std::vector<PageId> lps;
-  };
-  std::vector<JobPages> plan;
-  plan.reserve(running.size());
-  const PidSet* pass_frontier = nullptr;
-  int traversal_jobs = 0;
-  for (JobExec* job : running) {
-    JobPages jp;
-    jp.job = job;
-    if (job->traversal()) {
-      ++traversal_jobs;
-      pass_frontier = job->frontier.get();
-      uint64_t skipped = 0;
-      for (PageId pid : job->frontier->ToVector()) {
-        // A page whose activated vertices have no out-edges between
-        // them can expand nothing: skipping it drops no WA update.
-        if (options_.dispatch.skip_edgeless_pages &&
-            job->frontier->CountOf(pid) == 0) {
-          ++skipped;
-          continue;
-        }
-        if (graph_->kind(pid) == PageKind::kSmall) {
-          jp.sps.push_back(pid);
-        } else {
-          // Record IDs address an LP vertex through its first chunk;
-          // the RVT's LP_RANGE says how many continuation pages follow,
-          // and a traversal must stream the whole run (Figure 1 /
-          // Appendix A).
-          const uint32_t more = graph_->rvt().entry(pid).lp_more;
-          for (uint32_t k = 0; k <= more; ++k) jp.lps.push_back(pid + k);
-        }
-      }
-      if (skipped > 0) {
-        job->metrics.pages_skipped += skipped;
-        registry_->GetCounter("dispatch.skipped_pages").Add(skipped);
-      }
-      if (job->kernel->collect_level_pages()) {
-        std::vector<PageId> combined = jp.sps;
-        combined.insert(combined.end(), jp.lps.begin(), jp.lps.end());
-        job->metrics.level_pages.push_back(std::move(combined));
-      }
-      for (auto& replica : job->replicas) replica.local_next->Clear();
-    } else if (job->is_pass) {
-      for (PageId pid : job->pages) {
-        (graph_->kind(pid) == PageKind::kSmall ? jp.sps : jp.lps)
-            .push_back(pid);
-      }
-    } else {
-      // Full scan: one pass over all SPs, then all LPs (Section 3.2),
-      // reordered per dispatch.order.
-      jp.sps = graph_->small_page_ids();
-      jp.lps = graph_->large_page_ids();
-    }
-    job->participated = true;
-    plan.push_back(std::move(jp));
-  }
-
-  // Demand union + weighted-round-robin merge (JobOptions::priority =
-  // pages taken per turn): each distinct page enters the merged order
-  // once, at the turn of the first job that claims it, and demand_
-  // lists every job demanding it in admission order -- once per
-  // occurrence, so a page a job lists twice runs that job's kernel
-  // twice on the one staged copy.
-  for (const JobPages& jp : plan) {
-    for (PageId pid : jp.sps) demand_[pid].push_back(jp.job);
-    for (PageId pid : jp.lps) demand_[pid].push_back(jp.job);
-  }
-  if (++merge_epoch_ == 0) {
-    std::fill(merge_stamp_.begin(), merge_stamp_.end(), 0);
-    merge_epoch_ = 1;
-  }
-  auto merge_wrr = [this, &plan](bool large) {
-    std::vector<PageId> merged;
-    std::vector<size_t> cursor(plan.size(), 0);
-    for (;;) {
-      bool advanced = false;
-      for (size_t j = 0; j < plan.size(); ++j) {
-        const std::vector<PageId>& list =
-            large ? plan[j].lps : plan[j].sps;
-        int take = std::max(1, plan[j].job->options.priority);
-        while (take-- > 0 && cursor[j] < list.size()) {
-          const PageId pid = list[cursor[j]++];
-          if (merge_stamp_[pid] != merge_epoch_) {
-            merge_stamp_[pid] = merge_epoch_;
-            merged.push_back(pid);
-          }
-          advanced = true;
-        }
-      }
-      if (!advanced) break;
-    }
-    return merged;
-  };
-  std::vector<PageId> merged_sps = merge_wrr(/*large=*/false);
-  std::vector<PageId> merged_lps = merge_wrr(/*large=*/true);
-
-  // The ordering/admission context for frontier-aware dispatch
-  // policies sees the union of every running traversal job's
-  // activations (a lone traversal job's frontier as is).
-  if (traversal_jobs > 1) {
-    if (merged_frontier_ == nullptr) {
-      merged_frontier_ = std::make_unique<PidSet>(graph_->num_pages());
-      if (CountFrontier()) merged_frontier_->EnableCounting();
-    }
-    merged_frontier_->Clear();
-    for (JobExec* job : running) {
-      if (job->traversal()) merged_frontier_->Union(*job->frontier);
-    }
-    pass_frontier = merged_frontier_.get();
-  }
-
-  PageOrderContext ctx;
-  // Contains() touches no cache statistics.
-  bool any_cache = false;
-  for (const auto& gpu : gpus_) any_cache |= gpu->cache != nullptr;
-  if (any_cache) {
-    ctx.is_cached = [this](PageId pid) {
-      const int g = replicate_ ? 0 : static_cast<int>(pid) % machine_.num_gpus;
-      const auto& cache = gpus_[g]->cache;
-      return cache != nullptr && cache->Contains(pid);
-    };
-  }
-  if (pass_frontier != nullptr && pass_frontier->counting()) {
-    ctx.frontier_count = [pass_frontier](PageId pid) {
-      return pass_frontier->CountOf(pid);
-    };
-  }
-  std::vector<PageId> ordered =
-      OrderPages(options_.dispatch.order, std::move(merged_sps),
-                 std::move(merged_lps), ctx, registry_.get());
-
-  // No read merges across the pass barrier. Then the pass's transfer
-  // mode: whole pages, or direct fetches of active adjacency lists.
-  io_->BeginPass();
-  transfer_->BeginPass(ordered, pass_frontier);
-  return ordered;
-}
-
-GtsEngine::PageRoute GtsEngine::RoutePage(PageId pid) const {
-  PageRoute route;
-  if (replicate_) {
-    // Strategy-S (Section 4.2): every page to every GPU.
-    route.last_gpu = machine_.num_gpus - 1;
-    return route;
-  }
-  // The hybrid extension's share, by a deterministic multiplicative hash
-  // of the page id.
-  const uint32_t h = static_cast<uint32_t>(pid) * 2654435761u;
-  if (static_cast<double>(h >> 8 & 0xFFFFFF) / 16777216.0 <
-      options_.cpu_assist_fraction) {
-    route.cpu = true;
-    return route;  // last_gpu stays below first_gpu: no GPU leg
-  }
-  // Strategy-P's striping (Section 4.1): page j goes to GPU j mod n.
-  route.first_gpu = static_cast<int>(pid) % machine_.num_gpus;
-  route.last_gpu = route.first_gpu;
-  return route;
-}
-
 // ---------------------------------------------------------------------------
 // Batch epochs: the engine's one run path. Every JobScheduler batch --
 // a single submission is a batch of one -- runs as an epoch in which the
@@ -767,391 +378,6 @@ void GtsEngine::SetupCaches() {
 void GtsEngine::ReleaseBatchBuffers(const std::vector<JobExec*>& jobs) {
   for (JobExec* job : jobs) job->replicas.clear();
   ReleaseBuffers();
-}
-
-void GtsEngine::UploadWaJob(JobExec* job) {
-  const TimeModel& tm = machine_.time_model;
-  GtsKernel* kernel = job->kernel;
-  const uint32_t wa_b = kernel->wa_bytes_per_vertex();
-  for (size_t r = 0; r < job->replicas.size(); ++r) {
-    JobReplica& replica = job->replicas[r];
-    const int g = static_cast<int>(r);
-    if (g == machine_.num_gpus) {
-      // The host replica crosses no PCI-E link, so no timeline op.
-      InitReplicaWa(kernel, replica);
-      if (race_ != nullptr) {
-        NoteWaReplica(*job, g, race_->HostLane(),
-                      analysis::AccessClass::kPlainWrite, gpu::kNoOp);
-      }
-      continue;
-    }
-    const uint64_t bytes =
-        static_cast<uint64_t>(replica.wa_end - replica.wa_begin) * wa_b;
-    const gpu::OpIndex op_idx =
-        RecordCopy(gpu::OpKind::kH2DChunk, g, bytes, tm.c1, job->job_id,
-                   StreamKey(g, 0));
-    InitReplicaWa(kernel, replica);
-    if (race_ != nullptr) {
-      // The WA upload is the copy engine writing WABuf. Every level-0
-      // kernel has its page H2D serialized after this chunk on the same
-      // copy engine, so fusing the copy lane with stream 0 here and with
-      // each page's stream at its H2DStream (StreamPageToGpuBatch)
-      // carries the upload->kernel happens-before edge without a global
-      // barrier.
-      const int copy = race_->CopyLane(g);
-      race_->Join(copy, race_->HostLane());
-      race_->BeginOp(copy);
-      NoteWaReplica(*job, g, copy, analysis::AccessClass::kPlainWrite,
-                    op_idx);
-      race_->Fuse(copy, race_->StreamLane(g, 0, StreamKey(g, 0)));
-    }
-  }
-}
-
-void GtsEngine::DownloadWaJob(JobExec* job) {
-  const TimeModel& tm = machine_.time_model;
-  GtsKernel* kernel = job->kernel;
-  const uint32_t wa_b = kernel->wa_bytes_per_vertex();
-  const int n_gpus = machine_.num_gpus;
-
-  // WA sync happens after the whole pass completes (Step 3/4, Figure 5):
-  // the job's final WA state exists only after every in-flight kernel of
-  // the pass retired.
-  recorder_.AddBarrier(0.0);
-  // The download is barrier-ordered: its ops are recorded after the
-  // AddBarrier above, so every kernel of the pass happens-before the
-  // host-side absorb.
-  if (race_ != nullptr) race_->BarrierAcquire();
-
-  // The host replica's entry stays kNoOp: it is host-internal.
-  std::vector<gpu::OpIndex> d2h_idx(job->replicas.size(), gpu::kNoOp);
-  if (options_.strategy == Strategy::kPerformance && n_gpus > 1) {
-    // Peer-to-peer merge into the master GPU, then one D2H (Section 4.1).
-    const uint64_t bytes =
-        static_cast<uint64_t>(graph_->num_vertices()) * wa_b;
-    for (int g = 1; g < n_gpus; ++g) {
-      // Lands on the master GPU's copy engine.
-      RecordCopy(gpu::OpKind::kP2P, 0, bytes, tm.p2p_bandwidth, job->job_id);
-    }
-    const gpu::OpIndex idx =
-        RecordCopy(gpu::OpKind::kD2H, 0, bytes, tm.c1, job->job_id);
-    std::fill(d2h_idx.begin(), d2h_idx.begin() + n_gpus, idx);
-  } else {
-    for (int g = 0; g < n_gpus; ++g) {
-      const JobReplica& replica = job->replicas[static_cast<size_t>(g)];
-      const uint64_t bytes =
-          static_cast<uint64_t>(replica.wa_end - replica.wa_begin) * wa_b;
-      d2h_idx[static_cast<size_t>(g)] =
-          RecordCopy(gpu::OpKind::kD2H, g, bytes, tm.c1, job->job_id);
-    }
-  }
-
-  // Execution: fold every replica into the host arrays.
-  for (size_t r = 0; r < job->replicas.size(); ++r) {
-    AbsorbReplicaWa(kernel, job->replicas[r]);
-    if (race_ != nullptr) {
-      NoteWaReplica(*job, static_cast<int>(r), race_->HostLane(),
-                    analysis::AccessClass::kPlainRead, d2h_idx[r]);
-    }
-  }
-  if (race_ != nullptr) race_->BarrierRelease();
-}
-
-void GtsEngine::SyncJobLevel(JobExec* job) {
-  const TimeModel& tm = machine_.time_model;
-  const int n_gpus = machine_.num_gpus;
-  GtsKernel* kernel = job->kernel;
-  std::vector<JobReplica>& replicas = job->replicas;
-  // Local nextPIDSets to the host (the host replica's is there already).
-  job->frontier->Clear();
-  for (size_t r = 0; r < replicas.size(); ++r) {
-    const PidSet& local_next = *replicas[r].local_next;
-    if (static_cast<int>(r) < n_gpus) {
-      RecordCopy(gpu::OpKind::kD2H, static_cast<int>(r),
-                 local_next.ByteSize(), tm.c1, job->job_id);
-    }
-    job->frontier->Union(local_next);
-  }
-  if (replicas.size() <= 1) return;
-
-  // Replicated traversal WA must propagate across replicas between
-  // levels. Only this level's updated entries travel: (vid, value) pairs
-  // each way, not the whole vector (the paper notes the WA synchronized
-  // per level "is usually negligible", Section 5.2).
-  uint64_t total_updates = 0;
-  for (const JobReplica& replica : replicas) {
-    for (const WorkStats& w : replica.stream_work) {
-      total_updates += w.wa_updates;
-    }
-  }
-  const uint64_t level_updates = total_updates - job->prev_updates;
-  job->prev_updates = total_updates;
-  const uint64_t delta_bytes =
-      level_updates * (kernel->wa_bytes_per_vertex() + 8);
-  std::vector<gpu::OpIndex> delta_d2h(replicas.size(), gpu::kNoOp);
-  std::vector<gpu::OpIndex> delta_h2d(replicas.size(), gpu::kNoOp);
-  for (int g = 0; g < n_gpus; ++g) {
-    delta_d2h[static_cast<size_t>(g)] = RecordCopy(
-        gpu::OpKind::kD2H, g, delta_bytes / n_gpus, tm.c1, job->job_id);
-    delta_h2d[static_cast<size_t>(g)] = RecordCopy(
-        gpu::OpKind::kH2DChunk, g, delta_bytes, tm.c1, job->job_id);
-  }
-  // Execution: fold every replica into the host arrays, then refresh
-  // every replica from the merged state (equivalent to applying the
-  // update lists).
-  const int host = race_ != nullptr ? race_->HostLane() : 0;
-  for (size_t r = 0; r < replicas.size(); ++r) {
-    AbsorbReplicaWa(kernel, replicas[r]);
-    NoteWaReplica(*job, static_cast<int>(r), host,
-                  analysis::AccessClass::kPlainRead, delta_d2h[r]);
-  }
-  for (size_t r = 0; r < replicas.size(); ++r) {
-    InitReplicaWa(kernel, replicas[r]);
-    NoteWaReplica(*job, static_cast<int>(r), host,
-                  analysis::AccessClass::kPlainWrite, delta_h2d[r]);
-  }
-}
-
-void GtsEngine::FinishJobInEpoch(JobExec* job) {
-  if (job->status.ok()) {
-    DownloadWaJob(job);
-    if (job->traversal()) {
-      job->metrics.levels = job->level;
-    } else {
-      recorder_.AddBarrier(machine_.time_model.sync_overhead *
-                           machine_.num_gpus);
-      job->metrics.levels = 1;
-    }
-    for (const JobReplica& replica : job->replicas) {
-      for (const WorkStats& w : replica.stream_work) job->metrics.work += w;
-    }
-    if (job->replicas.size() > static_cast<size_t>(machine_.num_gpus)) {
-      job->metrics.cpu_lane_work = job->replicas.back().stream_work;
-    }
-    // Storage/io counters are epoch-cumulative up to this job's
-    // completion (reads are shared; per-job attribution of a merged read
-    // would be arbitrary).
-    job->metrics.io = store_->stats();
-    job->metrics.io_queue = io_->stats();
-  }
-  job->finished = true;
-  job->replicas.clear();
-}
-
-Status GtsEngine::ProcessPagesBatch(const std::vector<PageId>& ordered) {
-  GTS_PROF_SCOPE("engine.process_pages");
-  const int n_streams = options_.num_streams;
-  for (PageId pid : ordered) {
-    const PageRoute route = RoutePage(pid);
-    if (route.cpu) {
-      GTS_RETURN_IF_ERROR(ProcessPageOnCpu(demand_[pid].front(), pid));
-      continue;
-    }
-    // The pass's one storage read of the page, taken by the first GPU
-    // leg that misses its cache; a Strategy-S page's later legs reuse it.
-    std::optional<io::IoEngine::Fetched> fetch;
-    for (int g = route.first_gpu; g <= route.last_gpu; ++g) {
-      GpuState& gpu = *gpus_[g];
-      const int s = gpu.rr;
-      gpu.rr = (gpu.rr + 1) % n_streams;
-      GTS_RETURN_IF_ERROR(StreamPageToGpuBatch(pid, g, s, &fetch));
-    }
-  }
-  return Status::OK();
-}
-
-Status GtsEngine::StreamPageToGpuBatch(
-    PageId pid, int g, int s, std::optional<io::IoEngine::Fetched>* fetch) {
-  const TimeModel& tm = machine_.time_model;
-  const uint64_t page_size = graph_->config().page_size;
-  const PageKind kind = graph_->kind(pid);
-  GpuState& gpu = *gpus_[g];
-  const int stream_key = StreamKey(g, s);
-  const std::vector<JobExec*>& demanders = demand_[pid];
-  JobExec* first = demanders.front();
-
-  // Host-side routing against cachedPIDMap (Algorithm 1 line 16). A
-  // hit returns an RAII Pin over the cached device page, which the
-  // kernels then read in place. Lookups and hits are credited to the
-  // first demander, like pages_streamed.
-  PageCache::Pin pin;
-  if (gpu.cache != nullptr) {
-    pin = gpu.cache->Lookup(pid);
-    ++first->metrics.cache_lookups;
-    if (pin.valid()) ++first->metrics.cache_hits;
-  }
-  const bool cached = pin.valid();
-
-  // A miss's MMBuf bytes, which the next page's Acquire may evict before
-  // the workers run the kernels: copied into ring slots below.
-  const uint8_t* staged_bytes = nullptr;
-  if (!cached) {
-    // A transfer serving one job is that job's trace lane; a transfer
-    // serving several is shared infrastructure (-1), so the J1 rule
-    // never sees a cross-job edge from the co-served kernels. (demand_
-    // groups a job's occurrences together, admission order.)
-    const int32_t transfer_job =
-        demanders.back() == first ? first->job_id : -1;
-    const bool read_here = !fetch->has_value();
-    if (read_here) {
-      GTS_ASSIGN_OR_RETURN(*fetch, io_->Acquire(pid));
-    }
-    const io::IoEngine::Fetched& read = **fetch;
-    const transfer::StagedPage staged =
-        transfer_->Stage(pid, read, g, stream_key, transfer_job);
-    // First-demander attribution: across the epoch, sum(pages_streamed)
-    // over jobs equals the distinct H2D page transfers.
-    ++first->metrics.pages_streamed;
-    first->metrics.transfer_bytes += staged.bytes;
-    if (staged.direct) {
-      ++first->metrics.direct_pages;
-      first->metrics.direct_bytes += staged.bytes;
-    }
-    if (race_ != nullptr) {
-      // storage -> MMBuf event, then host consumes the bytes.
-      if (read_here && !read.buffer_hit) {
-        race_->OnPageStaged(static_cast<int>(read.device_index), pid,
-                            read.fetch_op, read.evicted, recorder_.ops());
-      }
-      race_->OnPageDelivered(pid);
-      // The copy engine reads the staged MMBuf bytes into the stream
-      // buffer; fusing with the stream carries the transfer->kernel
-      // happens-before edge (CUDA in-stream ordering).
-      const int copy = race_->CopyLane(g);
-      race_->Join(copy, race_->HostLane());
-      race_->BeginOp(copy);
-      race_->OnMmbufRead(copy, pid, staged.transfer_op);
-      race_->Fuse(copy, race_->StreamLane(g, s, stream_key));
-    }
-    staged_bytes = read.data;
-  }
-  if (demanders.back() != first) {
-    // Registered at the first shared page: snapshots carry the key only
-    // once a page was shared.
-    if (shared_page_hits_ == nullptr) {
-      shared_page_hits_ = &registry_->GetCounter("cache.shared_page_hits");
-    }
-    for (size_t i = 1; i < demanders.size(); ++i) {
-      if (demanders[i] == demanders[i - 1]) continue;  // the job's repeat
-      ++demanders[i]->metrics.shared_page_hits;
-      shared_page_hits_->Add();
-    }
-  }
-
-  // One kernel launch per demanding job against the one staged/cached
-  // copy of the page (Algorithm 1 line 17 on a hit). RA subvectors stay
-  // per job (each kernel's host RA array); a one-job epoch never has a
-  // cache next to RA (RunJobBatch enables the cache only for RA-free
-  // traversal kernels), but a shared cache hit still streams RA for the
-  // jobs of a multi-job epoch that carry it.
-  const bool insert_into_cache = gpu.cache != nullptr && !cached;
-  const int race_lane =
-      race_ != nullptr ? race_->StreamLane(g, s, stream_key) : 0;
-  GTS_CHECK(launches_.size() + demanders.size() <= launches_.capacity())
-      << "launch arena under-reserved";
-  JobLaunch* const launch_begin = launches_.data() + launches_.size();
-  for (JobExec* job : demanders) {
-    JobLaunch jl = MakeLaunch(job, pid, g);
-    if (jl.ra != nullptr) {
-      const uint32_t covered =
-          kind == PageKind::kSmall ? graph_->view(pid).num_slots() : 1;
-      RecordCopy(gpu::OpKind::kH2DStream, g,
-                 static_cast<uint64_t>(covered) *
-                     job->kernel->ra_bytes_per_vertex(),
-                 tm.c2, job->job_id, stream_key, pid);
-    }
-
-    gpu::TimelineOp kop;
-    kop.kind = gpu::OpKind::kKernel;
-    kop.stream_key = stream_key;
-    kop.resource = {gpu::ResourceId::Type::kKernelPool, g};
-    // Switching between the SP and LP kernels on a stream costs extra
-    // (Section 3.2); the work-dependent time is added after execution.
-    kop.duration = 0.0;
-    if (gpu.stream_last_kind[s] >= 0 &&
-        gpu.stream_last_kind[s] != static_cast<int>(kind)) {
-      kop.duration = tm.kernel_switch_overhead;
-    }
-    gpu.stream_last_kind[s] = static_cast<int>(kind);
-    kop.page = pid;
-    kop.job = job->job_id;
-    jl.kidx = RecordOp(kop);
-    if (race_ != nullptr) {
-      // Issue edge: the kernel launch is a host action, so everything
-      // that happened-before the launch happens-before the kernel.
-      // Later host actions are NOT ordered before it (Join ticks host).
-      race_->BeginOp(race_lane);
-      race_->Join(race_lane, race_->HostLane());
-      if (job == first && (cached || insert_into_cache)) {
-        race_->OnPageAccess(race_lane, analysis::RaceDetector::CacheDomain(g),
-                            pid, /*write=*/!cached, jl.kidx);
-      }
-    }
-    launches_.push_back(jl);
-  }
-  const size_t n_launches = demanders.size();
-
-  // Hand each launch to its job's worker. demand_ lists the page's jobs
-  // in `running` order, so a worker's launches form one contiguous run.
-  // A hit is read in place by every worker. A miss is copied into a ring
-  // slot of each worker with a run: the first copy from MMBuf, with the
-  // ingest deltas overlaid once (the MMBuf copy stays the installed base
-  // image), the later ones from the first, so every co-served job reads
-  // the same patched epoch-consistent bytes.
-  const uint8_t* first_copy = nullptr;
-  for (size_t begin = 0; begin < n_launches;) {
-    const int w = demanders[begin]->worker;
-    size_t end = begin + 1;
-    while (end < n_launches && demanders[end]->worker == w) ++end;
-    gpu::Stream& worker = *gpu.workers[static_cast<size_t>(w)];
-    const uint8_t* page_bytes = cached ? pin.data() : nullptr;
-    if (!cached) {
-      // The slot's buffer is the driver's to fill until the run is
-      // enqueued.
-      uint8_t* dst = worker.buffer(worker.Reserve());
-      if (first_copy == nullptr) {
-        std::memcpy(dst, staged_bytes, page_size);
-        if (ingest_ != nullptr) (void)ingest_->Overlay(pid, dst);
-        first_copy = dst;
-        if (insert_into_cache) {
-          // Device-internal copy; deliberately not a timeline op (it does
-          // not cross PCI-E). An evicting insert may reuse the buffer of a
-          // page a queued kernel of any worker reads, so they all drain
-          // first (with every pin released, as inline). Failure leaves the
-          // page on the streaming path.
-          if (gpu.cache->InsertEvicts(pid)) {
-            for (auto& other : gpu.workers) other->Synchronize();
-          }
-          (void)gpu.cache->Insert(pid, dst,
-                                  ingest_ != nullptr ? ingest_->PageVersion(pid)
-                                                     : 0);
-        }
-      } else {
-        std::memcpy(dst, first_copy, page_size);
-      }
-      page_bytes = dst;
-    }
-    JobLaunch* const run_begin = launch_begin + begin;
-    const size_t run_size = end - begin;
-    worker.Enqueue([this, page_bytes, run_begin, run_size, s, race_lane,
-                    pid] {
-      const PageView view(page_bytes, graph_->config());
-      for (JobLaunch* jl = run_begin; jl != run_begin + run_size; ++jl) {
-        RunLaunch(view, pid, s, race_lane, jl);
-      }
-    });
-    begin = end;
-  }
-  // The bytes of a hit stay put without the lease: nothing evicts or
-  // invalidates a cached page before the workers drain. Releasing here
-  // logs the pin events in inline order.
-  pin.Release();
-  // The race detector stamps WA accesses with the lane's clock, which the
-  // next launch advances: run each page's kernels before the next issue.
-  if (race_ != nullptr) {
-    for (auto& worker : gpu.workers) worker->Synchronize();
-  }
-  return Status::OK();
 }
 
 Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
