@@ -231,7 +231,7 @@ class GtsEngine {
   /// host and, with several WA replicas, the level's WA delta exchange.
   void SyncJobLevel(JobExec* job);
   /// Completes one job inside a running epoch: WA download (ok jobs),
-  /// per-job work/io stat harvest, slice release, finished flag.
+  /// per-job work/io stat harvest, replica release, finished flag.
   void FinishJobInEpoch(JobExec* job);
   /// Race-detector report of one whole-replica WA access by `job` to
   /// its replica `r` (a GPU's, or the host's when r == num_gpus). No-op

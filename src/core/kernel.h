@@ -256,10 +256,11 @@ class GtsKernel {
   virtual void AbsorbDeviceWa(const uint8_t* device_wa, VertexId begin,
                               VertexId end) = 0;
 
-  /// K_SP: processes one small page (Appendix B). The GPUs' workers call
-  /// one kernel object concurrently, each with its own WA replica: access
-  /// WA only through the KernelContext::Wa* helpers, and keep any other
-  /// state touched here (counters, scratch) safe for concurrent calls.
+  /// K_SP: processes one small page (Appendix B). The GPUs' workers and
+  /// the driver's CPU-assist lanes call one kernel object concurrently,
+  /// each with its own WA replica: access WA only through the
+  /// KernelContext::Wa* helpers, and keep any other state touched here
+  /// (counters, scratch) safe for concurrent calls.
   ///
   /// Page-bytes contract: on a cache hit `page` views the device page
   /// cache directly -- the engine drains the GPU's workers before anything

@@ -48,9 +48,9 @@ run_config() {
 # Targeted ThreadSanitizer sweep of the suites labelled
 # "concurrency_<area>" (tests/CMakeLists.txt); with no area, of all of
 # them (`ctest -L concurrency`). Areas: jobs (gpu, engine, dispatch,
-# job-scheduler, race-check and concurrency-stress suites -- the GPU
-# workers' handoff on one and two GPUs, concurrent Submit/Wait clients
-# and multi-job batch epochs),
+# hybrid, job-scheduler, race-check and concurrency-stress suites -- the
+# GPU workers' handoff on one and two GPUs, host lanes beside them,
+# concurrent Submit/Wait clients and multi-job batch epochs),
 # transfer (page transfers reading concurrently updated PidSet
 # counts) and ingest (producers and the background compactor racing
 # queries). Builds every concurrency suite in the tsan tree (shared with
