@@ -9,7 +9,7 @@
 //     pending-delta chain exceed its worst-case single-pass burst (two
 //     updates per contained vertex) plus 8x ingest.compact_threshold of
 //     backlog, and after QuiesceIngest() every chain must be empty --
-//     compaction has to keep up with ingestion, not just eventually win.
+//     each publish must compact the chains it grew past the threshold.
 //  3. Ingestion/query overlap (GATE): a BFS running concurrently with the
 //     producer fleet must finish within 1.5x the simulated makespan of
 //     the same BFS on the same engine without churn. Streaming updates
@@ -84,7 +84,8 @@ int Main() {
   // Worst-case single-pass burst per page: every vertex in a page gets
   // one remove+insert pair, and each update is one PageDelta chain entry.
   // The chain gate allows that inherent burst plus a bounded compaction
-  // backlog on top -- anything beyond means the compactor fell behind.
+  // backlog on top -- anything beyond means a publish left a chain it
+  // should have compacted.
   size_t max_vertices_per_page = 0;
   {
     std::vector<size_t> per_page(prepared->paged.num_pages(), 0);
@@ -102,7 +103,6 @@ int Main() {
     auto store = MakeInMemoryStore(&prepared->paged);
     GtsOptions opts;
     opts.ingest.enabled = true;
-    opts.ingest.background_compaction = true;
     GtsEngine engine(&prepared->paged, store.get(), MachineConfig::PaperScaled(1),
                      opts);
     ingest::EdgeStream* stream = engine.edge_stream();
@@ -128,7 +128,8 @@ int Main() {
       }
       // Publisher: the safe-point cadence a serving engine would provide.
       // Sampling MaxChainLength right after each publish observes the
-      // chains at their longest (freshly resolved, not yet compacted).
+      // chains at their longest: only a publish grows a chain, and it
+      // leaves uncompacted only those below the threshold.
       std::thread publisher([&] {
         while (producing.load(std::memory_order_relaxed)) {
           stream->FlushGutters();
@@ -207,7 +208,6 @@ int Main() {
     auto store = MakeInMemoryStore(&prepared->paged);
     GtsOptions opts;
     opts.ingest.enabled = true;
-    opts.ingest.background_compaction = true;
     GtsEngine engine(&prepared->paged, store.get(), MachineConfig::PaperScaled(1),
                      opts);
     ingest::EdgeStream* stream = engine.edge_stream();

@@ -73,7 +73,7 @@ inline constexpr bool kSyncCheckCompiled = GTS_SYNC_CHECK_ENABLED != 0;
 // ---- Declared lock levels ----------------------------------------------
 // One constant per registered site; strictly increasing along every legal
 // acquisition chain (scheduler < ingest-publish < ingest-harvest <
-// gutters < delta < compactor < cache < io < stream). Sites that never
+// gutters < delta < cache < io < stream). Sites that never
 // nest with each other may share a level only if they are never held
 // together (the registry checks >=, not >).
 namespace level {
@@ -86,7 +86,6 @@ inline constexpr int kIngestHarvest = 24;      ///< ingest.harvest (outer:
 inline constexpr int kIngestGutterShard = 32;  ///< ingest.gutter_shard
 inline constexpr int kIngestGutterPending = 34;  ///< ingest.gutter_pending
 inline constexpr int kIngestDelta = 36;        ///< ingest.delta
-inline constexpr int kIngestCompactor = 38;    ///< ingest.compactor
 inline constexpr int kCache = 40;              ///< cache.page_cache (per GPU)
 inline constexpr int kIo = 50;                 ///< io.engine
 inline constexpr int kStream = 60;             ///< gpu.stream (leaf)

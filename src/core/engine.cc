@@ -686,7 +686,7 @@ void GtsEngine::FinalizeBatchEpoch(const std::vector<JobExec*>& jobs) {
   // Ingest stats are epoch-cumulative like the shared io counters:
   // per-job attribution of a merged publish would be arbitrary, so
   // every finished job carries the epoch's harvest (the publishes this
-  // epoch triggered, plus background compactions that landed since the
+  // epoch triggered, plus any publish or quiesce that ran since the
   // previous harvest). Cache backpressure is epoch-wide the same way.
   ingest::IngestStats epoch_ingest;
   if (ingest_ != nullptr) epoch_ingest = ingest_->TakeRunStats();

@@ -317,8 +317,8 @@ class GtsEngine {
   void BuildDegreeTable();
 
   /// Safe-point ingest publish: drains buffered updates into delta
-  /// chains + installs finished compactions, then invalidates cached
-  /// copies of every changed page on every GPU (in-flight pins keep
+  /// chains + compacts the chains at the threshold, then invalidates
+  /// cached copies of every changed page on every GPU (in-flight pins keep
   /// their stale bytes until released). No-op when ingestion is
   /// disabled. Must only run at pass/level boundaries, after
   /// DrainWorkers: a queued kernel may read a cached page in place.

@@ -53,9 +53,9 @@ struct RunMetrics {
 
   // Streaming-ingestion activity attributed to this run (gts::ingest;
   // zero unless GtsOptions::ingest.enabled). Harvested as the delta
-  // since the previous run's harvest, so background-compactor work that
-  // landed between runs counts toward the next run. In a JobScheduler
-  // batch these are epoch-cumulative, like the shared io counters.
+  // since the previous run's harvest, so a publish or quiesce that ran
+  // between runs counts toward the next run. In a JobScheduler batch
+  // these are epoch-cumulative, like the shared io counters.
   uint64_t ingest_updates_applied = 0;  ///< updates resolved into chains
   uint64_t ingest_deltas_flushed = 0;   ///< delta records persisted
   uint64_t ingest_compactions = 0;      ///< page rebuilds installed

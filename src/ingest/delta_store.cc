@@ -215,42 +215,18 @@ std::vector<PageId> DeltaStore::CompactionCandidates(
   return pids;
 }
 
-std::optional<DeltaStore::Compaction> DeltaStore::Build(PageId pid) const {
-  const PageConfig& config = graph_->config();
-  Compaction compaction;
-  std::vector<PageDelta> chain;
-  {
-    analysis::sync::Lock lock(mu_);
-    auto it = states_.find(pid);
-    if (it == states_.end() || it->second.chain.empty()) return std::nullopt;
-    const uint8_t* bytes = InstalledBytes(pid);
-    compaction.image.assign(bytes, bytes + config.page_size);
-    chain = it->second.chain;
-    compaction.installs_at_snapshot = it->second.installs;
-  }
-
-  // The fold itself runs outside the lock: producers and overlays proceed
-  // while we apply `chain` to the snapshot.
-  ApplyChain(compaction.image.data(), config, chain);
-  compaction.pid = pid;
-  compaction.consumed = chain.size();
-  return compaction;
-}
-
-const uint8_t* DeltaStore::Install(Compaction&& compaction) {
+const uint8_t* DeltaStore::Compact(PageId pid) {
   analysis::sync::Lock lock(mu_);
-  auto it = states_.find(compaction.pid);
-  if (it == states_.end()) return nullptr;
+  auto it = states_.find(pid);
+  if (it == states_.end() || it->second.chain.empty()) return nullptr;
   PageState& state = it->second;
-  if (state.installs != compaction.installs_at_snapshot) {
-    return nullptr;  // a newer install landed since the rebuild's snapshot
+  const PageConfig& config = graph_->config();
+  if (state.image.empty()) {
+    const uint8_t* base = graph_->page_bytes(pid).data();
+    state.image.assign(base, base + config.page_size);
   }
-  GTS_DCHECK(compaction.consumed <= state.chain.size());
-  state.image = std::move(compaction.image);
-  state.chain.erase(state.chain.begin(),
-                    state.chain.begin() +
-                        static_cast<ptrdiff_t>(compaction.consumed));
-  ++state.installs;
+  ApplyChain(state.image.data(), config, state.chain);
+  state.chain.clear();
   ++state.version;
   ++stats_.compactions;
   return state.image.data();

@@ -7,9 +7,9 @@
 // (run start, pass/level boundaries, quiesce), so queries never observe a
 // chain growing mid-pass.
 //
-// Readers overlay chains onto staged pages (Overlay), the compactor folds
-// long chains into rebuilt page images off-lock (CompactionCandidates,
-// Build) which the engine installs at the next safe point (Install).
+// Readers overlay chains onto staged pages (Overlay); a publish folds
+// long chains into the pages' installed images (CompactionCandidates,
+// then Compact), also at a safe point only.
 // Every delta is applied to page bytes in place: an insert or delete
 // shifts the records behind it within the page. Slot assignments and
 // the vid order within a page never change -- inserts append entries and
@@ -19,7 +19,6 @@
 #define GTS_INGEST_DELTA_STORE_H_
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -53,16 +52,6 @@ struct PageDelta {
 
 class DeltaStore {
  public:
-  /// A rebuilt page produced off-lock by the compactor. `consumed` chain
-  /// entries were folded into `image`; `installs_at_snapshot` guards
-  /// against installing a rebuild that raced a newer install.
-  struct Compaction {
-    PageId pid = kInvalidPageId;
-    std::vector<uint8_t> image;
-    size_t consumed = 0;
-    uint64_t installs_at_snapshot = 0;
-  };
-
   explicit DeltaStore(const PagedGraph* graph);
 
   /// Resolves a batch of drained gutter flushes into per-page chains.
@@ -81,25 +70,21 @@ class DeltaStore {
   bool HasDeltas(PageId pid) const;
 
   /// Monotonic per-page version: bumped when the page's chain grows and
-  /// when a compaction installs. Pages never touched by ingestion stay
+  /// when the page is compacted. Pages never touched by ingestion stay
   /// at version 0.
   uint64_t PageVersion(PageId pid) const;
 
   /// Pages whose pending chain holds at least `threshold` (>= 1) deltas,
-  /// in install order: longest chain first, ties in the iteration order
+  /// in compaction order: longest chain first, ties in the iteration order
   /// of the store's hash table. One pass over the pages.
   std::vector<PageId> CompactionCandidates(uint32_t threshold) const;
 
-  /// Rebuilds `pid`'s image with its whole pending chain folded in; the
-  /// fold runs outside the store lock. Returns nullopt when the page has
-  /// no pending chain.
-  std::optional<Compaction> Build(PageId pid) const;
-
-  /// Installs a rebuilt image at a safe point and returns the installed
-  /// bytes, valid until the page's next Install. Returns nullptr (and
-  /// drops the rebuild) when a newer install landed since the snapshot;
-  /// the caller must then not rewrite the device page.
-  const uint8_t* Install(Compaction&& compaction);
+  /// Folds `pid`'s whole pending chain into its installed image (a copy
+  /// of the base page on the first compaction), clears the chain and
+  /// bumps the page version. Returns the installed bytes, valid until the
+  /// page's next Compact, or nullptr when the chain is empty. Safe-point
+  /// only.
+  const uint8_t* Compact(PageId pid);
 
   /// Longest pending chain across all pages (0 when fully compacted).
   size_t MaxChainLength() const;
@@ -127,7 +112,6 @@ class DeltaStore {
     std::vector<PageDelta> chain;  // pending, not yet compacted
     std::vector<uint8_t> image;    // installed rebuild; empty = base page
     uint64_t version = 0;
-    uint64_t installs = 0;
   };
 
   /// Current installed bytes of `pid` (rebuilt image or frozen base).

@@ -30,15 +30,6 @@ EdgeStream::EdgeStream(Env env)
       delta_cursors_[d] = env_.delta_region_base(static_cast<int>(d));
     }
   }
-  if (env_.options.background_compaction) {
-    compactor_ = std::make_unique<Compactor>(&delta_,
-                                             env_.options.compact_threshold);
-    compactor_->Start();
-  }
-}
-
-EdgeStream::~EdgeStream() {
-  if (compactor_ != nullptr) compactor_->Stop();
 }
 
 Status EdgeStream::Append(const UpdateBatch& batch) {
@@ -87,29 +78,25 @@ void EdgeStream::PublishLocked(std::vector<PageId>* changed) {
     PersistFlushes(flushes);
     delta_.ResolveFlushes(flushes, changed);
   }
-  if (compactor_ != nullptr) {
-    for (auto& compaction : compactor_->TakeCompleted()) {
-      InstallAndRewrite(std::move(compaction), changed);
-    }
-    if (!flushes.empty()) compactor_->Nudge();
-  } else if (!flushes.empty()) {
-    // Deterministic mode: compact inline whenever a chain crosses the
-    // threshold. Only resolving flushes grows a chain, and the previous
-    // publish left none at the threshold, so a publish without flushes
-    // has nothing to compact.
+  if (!flushes.empty()) {
+    // Compact every chain that crossed the threshold. Only resolving
+    // flushes grows a chain, and the previous publish left none at the
+    // threshold, so a publish without flushes has nothing to compact.
     CompactInline(env_.options.compact_threshold, changed);
   }
 }
 
 void EdgeStream::CompactInline(uint32_t threshold,
                                std::vector<PageId>* changed) {
-  // An install changes only its own page's chain, so one ordered pass
-  // installs what picking the longest chain after every install would.
+  // A compaction changes only its own page's chain, so one ordered pass
+  // compacts what picking the longest chain after every compaction would.
   for (PageId pid : delta_.CompactionCandidates(threshold)) {
-    auto compaction = delta_.Build(pid);
-    if (compaction.has_value()) {
-      InstallAndRewrite(std::move(*compaction), changed);
+    const uint8_t* image = delta_.Compact(pid);
+    if (image == nullptr) continue;
+    if (env_.rewrite_page) {
+      env_.rewrite_page(pid, image, env_.graph->config().page_size);
     }
+    changed->push_back(pid);
   }
 }
 
@@ -136,17 +123,6 @@ void EdgeStream::PersistFlushes(
     deltas_flushed_.fetch_add(1, std::memory_order_relaxed);
     delta_bytes_.fetch_add(record.size(), std::memory_order_relaxed);
   }
-}
-
-void EdgeStream::InstallAndRewrite(DeltaStore::Compaction&& compaction,
-                                   std::vector<PageId>* changed) {
-  const PageId pid = compaction.pid;
-  const uint8_t* image = delta_.Install(std::move(compaction));
-  if (image == nullptr) return;  // stale rebuild
-  if (env_.rewrite_page) {
-    env_.rewrite_page(pid, image, env_.graph->config().page_size);
-  }
-  changed->push_back(pid);
 }
 
 std::vector<PageId> EdgeStream::FinishChanged(std::vector<PageId> changed) {

@@ -7,8 +7,9 @@
 //     --Publish() at a safe point--> persisted delta records (priced
 //       kStorageWrite to the page's device, beside the base pages) +
 //       resolved per-page delta chains (DeltaStore)
-//     --compactor--> rebuilt page images, installed + rewritten in-band
-//       at the next safe point.
+//     --same Publish(), once a chain reaches compact_threshold-->
+//       the chain folded into the page's installed image, rewritten
+//       in-band.
 //
 // Between safe points queries run against the previous published state;
 // streamed pages are patched via Overlay(). Quiesce() drains everything
@@ -20,13 +21,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "analysis/sync/sync.h"
 #include "common/status.h"
 #include "graph/types.h"
-#include "ingest/compactor.h"
 #include "ingest/delta_store.h"
 #include "ingest/gutter_bank.h"
 #include "ingest/ingest_options.h"
@@ -62,7 +61,6 @@ class EdgeStream {
   };
 
   explicit EdgeStream(Env env);
-  ~EdgeStream();
 
   EdgeStream(const EdgeStream&) = delete;
   EdgeStream& operator=(const EdgeStream&) = delete;
@@ -80,7 +78,8 @@ class EdgeStream {
   // ---- Safe-point side (engine thread / quiesce only) -----------------
 
   /// Drains pending flushes, persists them as delta records, resolves
-  /// them into per-page chains, and installs finished compactions.
+  /// them into per-page chains, and compacts every chain that reached
+  /// ingest.compact_threshold.
   /// Returns the sorted, deduplicated pages whose visible content
   /// changed; the caller must invalidate cached copies of those pages
   /// before the next pass reads them.
@@ -131,14 +130,12 @@ class EdgeStream {
   void PublishLocked(std::vector<PageId>* changed)
       GTS_REQUIRES(publish_mu_);
   void PersistFlushes(const std::vector<GutterBank::Flush>& flushes);
-  /// Builds and installs every chain of at least `threshold` deltas, in
-  /// DeltaStore::CompactionCandidates order; caller holds publish_mu_.
+  /// Compacts every chain of at least `threshold` deltas, in
+  /// DeltaStore::CompactionCandidates order, rewrites each device page
+  /// from its installed bytes and records the pid in `changed`; caller
+  /// holds publish_mu_.
   void CompactInline(uint32_t threshold, std::vector<PageId>* changed)
       GTS_REQUIRES(publish_mu_);
-  /// Installs `compaction` and rewrites the device page from the
-  /// installed bytes; records the pid in `changed` on success.
-  void InstallAndRewrite(DeltaStore::Compaction&& compaction,
-                         std::vector<PageId>* changed);
   /// Sorts/dedups `changed`, bumps the epoch if non-empty, and syncs the
   /// ingest.* registry counters.
   std::vector<PageId> FinishChanged(std::vector<PageId> changed);
@@ -148,12 +145,12 @@ class EdgeStream {
   Env env_;
   GutterBank gutters_;
   DeltaStore delta_;
-  std::unique_ptr<Compactor> compactor_;  // null unless background mode
 
-  // Serializes Publish/Quiesce. Both run on the scheduler's driver thread
-  // with the scheduler lock released, so this is the outermost lock a
-  // publish takes; the gutter, delta, compactor and io locks nest inside
-  // it, hence the level just above job.scheduler.
+  // Serializes Publish/Quiesce, the only callers that resolve flushes or
+  // compact. Both run on the scheduler's driver thread with the scheduler
+  // lock released, so this is the outermost lock a publish takes; the
+  // gutter, delta and io locks nest inside it, hence the level just above
+  // job.scheduler.
   analysis::sync::Mutex publish_mu_{"ingest.publish",
                                     analysis::sync::level::kIngestPublish};
   std::vector<uint64_t> delta_cursors_ GTS_GUARDED_BY(

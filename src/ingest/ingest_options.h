@@ -10,7 +10,7 @@ namespace gts {
 namespace ingest {
 
 /// GtsOptions::ingest.* -- see DESIGN.md section 15 for the lifecycle these
-/// knobs govern (gutter fill -> delta flush -> background compaction).
+/// knobs govern (gutter fill -> delta flush -> compaction at a publish).
 struct IngestOptions {
   /// Master switch. Off (the default) keeps the engine's frozen-graph
   /// behavior byte-identical: no EdgeStream is constructed, no publish
@@ -24,15 +24,15 @@ struct IngestOptions {
   uint32_t gutter_capacity = 64;
 
   /// Delta-chain length (pending PageDelta count) at which a page becomes
-  /// a compaction candidate. The compactor merges the chain into a
-  /// rebuilt page image; installs happen at safe points only.
+  /// a compaction candidate. The publish that grows a chain to this
+  /// length folds it into the page's installed image.
   uint32_t compact_threshold = 16;
 
-  /// Run the compactor on a background thread (rebuilds overlap query
-  /// execution; installs still wait for a safe point). Off = compact
-  /// inline at Publish() whenever a chain crosses compact_threshold --
-  /// deterministic, used by the bit-identity tests.
-  bool background_compaction = true;
+  /// Inert: nothing in the engine reads this field. It selected the
+  /// removed background compactor thread and stays declared only because
+  /// the gtsbench workloads still assign it; it goes with the next change
+  /// to the benchmark.
+  bool background_compaction = false;
 
   Status Validate() const {
     if (gutter_capacity == 0) {

@@ -391,8 +391,8 @@ TEST(JobSchedulerStressTest, ConcurrentSubmittersShareOneEngine) {
 
 // Producer threads stream edge updates into the gutter banks while client
 // threads keep BFS jobs flowing through the scheduler (one pinning its
-// graph version against mid-run publishes) and the background compactor
-// rebuilds pages. Producers own disjoint vertex ranges and rewire
+// graph version against mid-run publishes), whose safe-point publishes
+// compact pages. Producers own disjoint vertex ranges and rewire
 // degree-neutrally, so the final edge set is deterministic no matter how
 // the interleaving lands; after QuiesceIngest a final BFS must match the
 // reference on the updated graph. Run under every GTS_SANITIZE mode
@@ -414,7 +414,6 @@ TEST(IngestStressTest, ProducersVersusConcurrentJobs) {
   opts.max_concurrent_jobs = 2;
   opts.use_stream_threads = true;
   opts.ingest.enabled = true;
-  opts.ingest.background_compaction = true;
   GtsEngine engine(&paged, store.get(), machine, opts);
   ingest::EdgeStream* stream = engine.edge_stream();
   ASSERT_NE(stream, nullptr);

@@ -78,9 +78,6 @@ VertexId BusySource(const CsrGraph& csr) {
 GtsOptions IngestOpts() {
   GtsOptions opts;
   opts.ingest.enabled = true;
-  // Inline compaction: the bit-identity assertions need a deterministic
-  // compaction schedule.
-  opts.ingest.background_compaction = false;
   return opts;
 }
 
@@ -251,6 +248,36 @@ TEST(EdgeStreamTest, PageCapacityOverflowRejectsInserts) {
   // Whatever was applied must still answer queries coherently.
   auto bfs = RunBfsGts(engine, v);
   ASSERT_TRUE(bfs.ok()) << bfs.status();
+}
+
+/// Compaction has one path: the publish that grows a chain to
+/// ingest.compact_threshold folds it into the page before returning, so
+/// no chain at the threshold outlives the publish that made it.
+TEST(EdgeStreamTest, OnePublishCompactsEveryChainAtTheThreshold) {
+  EdgeList path;
+  path.set_num_vertices(64);
+  for (VertexId v = 0; v + 1 < 64; ++v) path.Add(v, v + 1);
+  const CsrGraph csr = CsrGraph::FromEdgeList(path);
+  const PagedGraph paged =
+      std::move(BuildPagedGraph(csr, PageConfig::Small22())).ValueOrDie();
+  ASSERT_EQ(paged.PageOfVertex(0), paged.PageOfVertex(5));
+
+  ingest::EdgeStream::Env env;
+  env.graph = &paged;
+  env.options.enabled = true;
+  ingest::EdgeStream stream(std::move(env));
+  UpdateBatch batch;
+  for (VertexId k = 0; k < 18; ++k) {
+    batch.push_back(EdgeUpdate::Insert(k / 3, 10 + k));
+  }
+  ASSERT_GE(batch.size(), ingest::IngestOptions{}.compact_threshold);
+  ASSERT_TRUE(stream.Append(batch).ok());
+  stream.FlushGutters();
+  (void)stream.Publish();
+
+  EXPECT_EQ(stream.MaxChainLength(), 0u);
+  EXPECT_EQ(stream.SnapshotStats().compactions, 1u);
+  EXPECT_EQ(stream.SnapshotStats().updates_applied, 18u);
 }
 
 // ----------------------------------- quiesce bit-identity (the tentpole)
@@ -488,7 +515,6 @@ TEST(IngestCompactionOrderTest, InstallOrderMatchesPinnedDigests) {
   ingest::EdgeStream::Env env;
   env.graph = &g.paged;
   env.options.enabled = true;
-  env.options.background_compaction = false;
   env.options.compact_threshold = 2;
   env.rewrite_page = [&installed](PageId pid, const uint8_t*, uint64_t) {
     installed.push_back(pid);

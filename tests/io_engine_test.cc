@@ -499,7 +499,6 @@ TEST(IoEngineInvarianceTest, IngestDeltaWritesArePricedWithoutChangingResults) {
   auto run_with = [&](bool append) {
     GtsOptions opts;
     opts.ingest.enabled = true;
-    opts.ingest.background_compaction = false;
     auto store = MakeSsdStore(&f.paged, 2, 256 * kKiB);
     GtsEngine engine(&f.paged, store.get(), f.Machine(), opts);
     if (append) {

@@ -79,9 +79,10 @@ void ExpectBfsMatchesReference(const TestGraph& g,
   }
 }
 
-/// Deterministic multi-job configuration: with stream threads off (the
-/// default) batch passes run every kernel inline on the driver, so batch
-/// schedules and kernel execution order are reproducible run to run.
+/// Deterministic multi-job configuration: batch passes run each job's
+/// kernels on the GPU workers, one owner worker per job, and DrainWorkers
+/// patches the kernel durations in record order, so batch schedules are
+/// reproducible run to run.
 GtsOptions MultiJobOptions(int jobs) {
   GtsOptions opts;
   opts.max_concurrent_jobs = jobs;
@@ -228,7 +229,6 @@ std::vector<DigestConfig> DigestConfigs() {
   {
     GtsOptions opts = base();
     opts.ingest.enabled = true;
-    opts.ingest.background_compaction = false;
     opts.ingest.gutter_capacity = 4;
     opts.ingest.compact_threshold = 2;
     configs.push_back({"ingest1", 1, opts, false, true});

@@ -369,7 +369,6 @@ TEST(ExplorerMachineTest, IngestPublishVersusQueryOverlay) {
   auto body = [&](Explorer& e) {
     ingest::EdgeStream::Env env;
     env.graph = &paged;
-    env.options.background_compaction = false;  // deterministic install
     env.options.gutter_capacity = 2;
     ingest::EdgeStream stream(env);
     e.Run({[&] {  // producer

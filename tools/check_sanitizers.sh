@@ -52,8 +52,9 @@ run_config() {
 # GPU workers' handoff on one and two GPUs, host lanes beside them,
 # concurrent Submit/Wait clients and multi-job batch epochs),
 # transfer (page transfers reading concurrently updated PidSet
-# counts) and ingest (producers and the background compactor racing
-# queries). Builds every concurrency suite in the tsan tree (shared with
+# counts) and ingest (queries on the GPU workers reading pages that
+# publishes overlay, compact and rewrite between passes). Builds every
+# concurrency suite in the tsan tree (shared with
 # run_config tsan and between areas, so running every area costs one
 # build) and runs the area's tests through ctest. Focused enough to sit
 # in tier 1 (see tools/CMakeLists.txt check_tsan_<area>); the full
