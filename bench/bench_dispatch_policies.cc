@@ -1,13 +1,14 @@
-// Page-order sweep: BFS under LRU cache pressure (the Figure 11 churn
-// regime, where eviction order actually matters) with every page order.
-// Two things must show, and the bench fails when either does not:
+// Page-order sweep: BFS with a 1 MiB page cache, far below the working
+// set, under every page order. Results must be invariant -- BFS levels
+// bit-identical across all orders (an order only reorders work, never
+// changes it) -- and the bench fails when they are not.
 //
-//  1. Results are invariant -- BFS levels are bit-identical across all
-//     orders (an order only reorders work, never changes it).
-//  2. cache-affinity earns its place: on every dataset row its simulated
-//     time is below sp-then-lp's, because fronting cache-resident pages
-//     turns would-be LRU misses into hits (RMAT26 2.63 -> 2.48 paper-s,
-//     RMAT27 5.22 -> 5.06).
+// A `cache-affinity` order (cache-resident pages first within each
+// class) was removed with the LRU and FIFO cache policies. It existed to
+// reach cached pages before eviction did: in quick mode on RMAT26* it
+// took 2.48 paper-s against sp-then-lp's 2.63 under a 1 MiB LRU cache
+// (6% against 0% hits), but with the same cache pinned both orders took
+// 2.33 paper-s at 12% hits.
 //
 // Pages go to GPUs by the multi-GPU strategy alone, and the stream is the
 // per-GPU round-robin cursor. The engine used to carry a `partition`
@@ -15,7 +16,8 @@
 // `degree-balanced` (greedy least-loaded placement by page weight), was
 // swept over BFS and 2-iteration PageRank on the RMAT26/27/28 and Twitter
 // stand-ins, 1 and 2 GPUs, in memory and from 2 SSDs (MMBuf 20% of the
-// topology), pinned and 1 MiB LRU caches, under every page order:
+// topology), pinned and 1 MiB LRU caches, under every page order then
+// offered:
 //
 //  - BFS was 30% (Twitter) to 74% (RMAT28 from 2 SSDs) slower on every
 //    2-GPU pinned-cache row. Kernel busy time was identical, but the
@@ -40,8 +42,6 @@
 // Chrome-trace process, tagged with its order name via trace metadata.
 #include "bench_common.h"
 
-#include <map>
-
 #include "algorithms/bfs.h"
 #include "core/dispatch/dispatch_options.h"
 
@@ -53,7 +53,7 @@ int Main() {
   const int max_scale = QuickMode() ? 26 : 27;
   const std::vector<PageOrderKind> orders = {
       PageOrderKind::kSpThenLp, PageOrderKind::kInterleaved,
-      PageOrderKind::kCacheAffinity, PageOrderKind::kFrontierDensity};
+      PageOrderKind::kFrontierDensity};
 
   obs::TraceExporter exporter;
   int pid_base = 0;
@@ -65,14 +65,11 @@ int Main() {
     auto store = MakeInMemoryStore(&prepared->paged);
     const VertexId source = BusySource(prepared->csr);
 
-    // Cache far below the working set: the LRU churn regime where the
-    // page-visit order decides the hit rate.
+    // Cache far below the working set, so most pages stream every level.
     const uint64_t cache = 1 * kMiB;
     std::vector<uint16_t> reference_levels;
-    std::map<PageOrderKind, SimTime> sim_seconds;
     for (PageOrderKind order : orders) {
       GtsOptions opts;
-      opts.cache_policy = CachePolicy::kLru;
       opts.cache_bytes = cache;
       opts.num_streams = 16;
       opts.keep_timeline = !Args().trace_out.empty();
@@ -99,18 +96,11 @@ int Main() {
         return 1;
       }
 
-      const auto snapshot = engine.metrics_registry()->Snapshot();
-      auto counter = [&](const char* name) -> uint64_t {
-        auto it = snapshot.find(name);
-        return it == snapshot.end() ? 0 : it->second.count;
-      };
-      sim_seconds[order] = bfs->report.metrics.sim_seconds;
       char buf[16];
       std::snprintf(buf, sizeof(buf), "%.0f%%",
                     100.0 * bfs->report.metrics.cache_hit_rate());
       row.push_back(Cell(PaperSeconds(bfs->report.metrics.sim_seconds)));
       row.push_back(buf);
-      row.push_back(std::to_string(counter("dispatch.order.cached_first")));
       rows.push_back(std::move(row));
 
       if (!Args().trace_out.empty()) {
@@ -122,31 +112,13 @@ int Main() {
     }
     std::printf("results identical across all %zu page orders\n",
                 orders.size());
-
-    // cache-affinity is kept because it wins under LRU churn; a row where
-    // it does not is a regression.
-    if (sim_seconds.count(PageOrderKind::kSpThenLp) &&
-        sim_seconds.count(PageOrderKind::kCacheAffinity)) {
-      const double base = PaperSeconds(sim_seconds[PageOrderKind::kSpThenLp]);
-      const double affinity =
-          PaperSeconds(sim_seconds[PageOrderKind::kCacheAffinity]);
-      std::printf("%s* cache-affinity vs sp-then-lp: %.2f -> %.2f paper-s\n",
-                  spec.name.c_str(), base, affinity);
-      if (!(affinity < base)) {
-        std::fprintf(stderr,
-                     "FAIL: %s* cache-affinity (%.4f paper-s) is not "
-                     "faster than sp-then-lp (%.4f paper-s)\n",
-                     spec.name.c_str(), affinity, base);
-        return 1;
-      }
-    }
     std::fflush(stdout);
   }
 
   PrintTable(
-      "Page-order sweep: BFS under LRU churn (identical results, "
+      "Page-order sweep: BFS with a 1 MiB cache (identical results, "
       "different schedules)",
-      {"data", "order", "paper-s", "hit rate", "cached-first"}, rows);
+      {"data", "order", "paper-s", "hit rate"}, rows);
   if (!Args().trace_out.empty()) {
     WriteObsArtifacts(exporter, {});
   }

@@ -1,8 +1,8 @@
 // Regenerates Figure 11: effectiveness of the device page cache for BFS --
 // (a) elapsed time and (b) hit rate while sweeping the cache size. The
 // paper sweeps 32 MB..5120 MB on a 12 GB GPU; at 1/1024 scale the sweep is
-// 32 KiB..5 MiB on a 12 MiB GPU. Includes the LRU-vs-FIFO ablation from
-// DESIGN.md.
+// 32 KiB..5 MiB on a 12 MiB GPU. The cache never evicts (DESIGN.md §6.2;
+// EXPERIMENTS.md records the LRU/FIFO hit rates it replaced).
 #include "bench_common.h"
 
 #include "algorithms/bfs.h"
@@ -18,7 +18,6 @@ int Main() {
 
   std::vector<std::vector<std::string>> time_rows;
   std::vector<std::vector<std::string>> hit_rows;
-  std::vector<std::vector<std::string>> fifo_rows;
   for (int scale = 26; scale <= max_scale; ++scale) {
     DatasetSpec spec = RmatSpec(scale);
     auto prepared = Prepare(spec);
@@ -28,45 +27,27 @@ int Main() {
 
     std::vector<std::string> time_row{spec.name + "*"};
     std::vector<std::string> hit_row{spec.name + "*"};
-    std::vector<std::string> lru_row{spec.name + "* LRU"};
-    std::vector<std::string> fifo_row{spec.name + "* FIFO"};
     for (uint64_t cache : cache_sizes) {
-      for (CachePolicy policy : {CachePolicy::kPinned, CachePolicy::kLru,
-                                 CachePolicy::kFifo}) {
-        GtsOptions opts;
-        opts.cache_bytes = cache;
-        opts.cache_policy = policy;
-        MachineConfig machine = MachineConfig::PaperScaled(2);
-        GtsEngine engine(&prepared->paged, store.get(), machine, opts);
-        auto bfs = RunBfsGts(engine, source);
-        std::string pct = "-";
-        if (bfs.ok()) {
-          char buf[16];
-          std::snprintf(buf, sizeof(buf), "%.0f%%",
-                        100.0 * bfs->report.metrics.cache_hit_rate());
-          pct = buf;
-        }
-        switch (policy) {
-          case CachePolicy::kPinned:
-            time_row.push_back(
-                bfs.ok() ? Cell(PaperSeconds(bfs->report.metrics.sim_seconds))
-                         : StatusCell(bfs.status()));
-            hit_row.push_back(pct);
-            break;
-          case CachePolicy::kLru:
-            lru_row.push_back(pct);
-            break;
-          case CachePolicy::kFifo:
-            fifo_row.push_back(pct);
-            break;
-        }
+      GtsOptions opts;
+      opts.cache_bytes = cache;
+      MachineConfig machine = MachineConfig::PaperScaled(2);
+      GtsEngine engine(&prepared->paged, store.get(), machine, opts);
+      auto bfs = RunBfsGts(engine, source);
+      std::string pct = "-";
+      if (bfs.ok()) {
+        char buf[16];
+        std::snprintf(buf, sizeof(buf), "%.0f%%",
+                      100.0 * bfs->report.metrics.cache_hit_rate());
+        pct = buf;
       }
+      time_row.push_back(
+          bfs.ok() ? Cell(PaperSeconds(bfs->report.metrics.sim_seconds))
+                   : StatusCell(bfs.status()));
+      hit_row.push_back(pct);
       std::fflush(stdout);
     }
     time_rows.push_back(std::move(time_row));
     hit_rows.push_back(std::move(hit_row));
-    fifo_rows.push_back(std::move(lru_row));
-    fifo_rows.push_back(std::move(fifo_row));
   }
 
   std::vector<std::string> headers{"data"};
@@ -80,10 +61,6 @@ int Main() {
       "Figure 11(b): cache hit rate vs cache size (pinned resident set; "
       "linear ~B/(S+L) like the paper)",
       headers, hit_rows);
-  PrintTable(
-      "Ablation: classic LRU/FIFO eviction under the cyclic BFS sweep "
-      "(hit rate collapses until the whole graph fits)",
-      headers, fifo_rows);
   return 0;
 }
 

@@ -32,7 +32,7 @@ int Main() {
 
   const std::vector<PageOrderKind> orders = {
       PageOrderKind::kSpThenLp, PageOrderKind::kInterleaved,
-      PageOrderKind::kCacheAffinity, PageOrderKind::kFrontierDensity};
+      PageOrderKind::kFrontierDensity};
 
   obs::TraceExporter exporter;
   obs::MetricsSnapshot last_snapshot;

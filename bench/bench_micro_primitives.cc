@@ -191,7 +191,7 @@ BENCHMARK(BM_KernelPassPageRank);
 
 void BM_PageCacheLookup(benchmark::State& state) {
   gpu::Device device(0, 64 * kMiB);
-  PageCache cache(&device, 32 * kMiB, 4 * kKiB, CachePolicy::kLru);
+  PageCache cache(&device, 32 * kMiB, 4 * kKiB);
   std::vector<uint8_t> page(4 * kKiB, 0xAA);
   for (PageId pid = 0; pid < 1000; ++pid) {
     (void)cache.Insert(pid, page.data());

@@ -1,4 +1,4 @@
-// Transfer-mode crossover sweep: BFS under LRU cache churn with every
+// Transfer-mode crossover sweep: BFS with a 1 MiB page cache under every
 // transfer.mode (page_stream / direct / auto) over RMAT and the Table 3
 // real-graph stand-ins. Frontier density swings from one vertex (level 0)
 // through the dense small-world core to a sparse straggler tail, so one
@@ -79,17 +79,16 @@ int Main() {
     auto store = MakeInMemoryStore(&prepared->paged);
     const VertexId source = BusySource(prepared->csr);
 
-    // Cache below the working set (the Figure 11 churn regime): with the
-    // default pinned auto-cache the whole graph goes resident during the
-    // dense core and the sparse tail never stages a page, so the
-    // crossover would have nothing left to decide.
+    // Cache below the working set: with the default auto-sized cache the
+    // whole graph goes resident during the dense core and the sparse tail
+    // never stages a page, so the crossover would have nothing left to
+    // decide.
     const uint64_t cache = 1 * kMiB;
 
     std::vector<uint16_t> reference_levels;
     double stream_seconds = 0.0, direct_seconds = 0.0, auto_seconds = 0.0;
     for (transfer::TransferMode mode : modes) {
       GtsOptions opts;
-      opts.cache_policy = CachePolicy::kLru;
       opts.cache_bytes = cache;
       opts.num_streams = 16;
       opts.keep_timeline = !Args().trace_out.empty();
@@ -232,7 +231,7 @@ int Main() {
   }
 
   PrintTable(
-      "Transfer-mode crossover: BFS under LRU churn (identical results; "
+      "Transfer-mode crossover: BFS with a 1 MiB cache (identical results; "
       "auto within 5% of the best fixed mode)",
       {"data", "transfer.mode", "paper-s", "xfer MiB", "direct pages",
        "lvls d/s"},

@@ -8,8 +8,6 @@ std::string_view PageOrderKindName(PageOrderKind kind) {
       return "sp-then-lp";
     case PageOrderKind::kInterleaved:
       return "interleaved";
-    case PageOrderKind::kCacheAffinity:
-      return "cache-affinity";
     case PageOrderKind::kFrontierDensity:
       return "frontier-density";
   }

@@ -4,8 +4,8 @@
 // GPU j mod n under Strategy-P, every page to every GPU under
 // Strategy-S), then takes the next stream of that GPU's round-robin
 // cursor. The defaults reproduce the paper's schedule bit-for-bit; the
-// alternative orders are the ablation and the workload-aware orderings
-// the ROADMAP calls for.
+// alternative orders are the SP/LP-interleaving ablation and the
+// frontier-density order.
 #ifndef GTS_CORE_DISPATCH_DISPATCH_OPTIONS_H_
 #define GTS_CORE_DISPATCH_DISPATCH_OPTIONS_H_
 
@@ -22,10 +22,6 @@ enum class PageOrderKind : uint8_t {
   /// Ablation: one pid-sorted pass mixing SPs and LPs, paying the kernel
   /// switch overhead the separation exists to avoid.
   kInterleaved,
-  /// Cached-resident PIDs first within each class, so every page still in
-  /// cachedPIDMap hits before this pass's inserts can evict it (matters
-  /// under LRU/FIFO churn; a no-op for the never-evicting kPinned).
-  kCacheAffinity,
   /// Traversal levels sorted by active-slot count (descending), densest
   /// frontier pages first -- HyTGraph-style priority by active degree.
   /// Falls back to kSpThenLp for full scans (no frontier to count).

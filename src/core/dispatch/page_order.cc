@@ -23,25 +23,6 @@ std::vector<PageId> OrderPages(PageOrderKind kind, std::vector<PageId> sps,
       sps.insert(sps.end(), lps.begin(), lps.end());
       std::sort(sps.begin(), sps.end());
       return sps;
-    case PageOrderKind::kCacheAffinity:
-      // Cached-resident pids first within each class. Under LRU/FIFO
-      // churn the default ascending order lets this pass's inserts evict
-      // residents before they are visited; hoisting them converts those
-      // would-be misses to hits. Stable within each group, so the order
-      // stays deterministic.
-      if (ctx.is_cached != nullptr) {
-        uint64_t hoisted = 0;
-        for (auto* group : {&sps, &lps}) {
-          auto mid = std::stable_partition(
-              group->begin(), group->end(),
-              [&ctx](PageId pid) { return ctx.is_cached(pid); });
-          hoisted += static_cast<uint64_t>(mid - group->begin());
-        }
-        if (registry != nullptr) {
-          registry->GetCounter("dispatch.order.cached_first").Add(hoisted);
-        }
-      }
-      break;
     case PageOrderKind::kFrontierDensity:
       // Densest frontier pages first: within each class, stable-sort by
       // the number of slots the frontier activated (descending; ties keep

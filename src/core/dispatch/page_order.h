@@ -15,13 +15,9 @@
 namespace gts {
 
 /// Pass-scoped inputs an order may consult. A null callback means the
-/// information does not exist for this pass (no cache is active, or the
-/// pass is not a counted traversal level); the order then degrades to the
-/// paper default.
+/// information does not exist for this pass (it is not a counted
+/// traversal level); the order then degrades to the paper default.
 struct PageOrderContext {
-  /// True if `pid` is resident in the cache of the GPU the page is routed
-  /// to (Algorithm 1's host-side cachedPIDMap consult).
-  std::function<bool(PageId)> is_cached;
   /// Slots the current frontier activated in `pid` (PidSet counting).
   std::function<uint32_t(PageId)> frontier_count;
 };
@@ -30,8 +26,8 @@ struct PageOrderContext {
 /// ascending pid order, LP continuation chunks directly after their
 /// base) and returns a permutation of sps + lps. `registry` may be null;
 /// with one, the pass is counted in `dispatch.passes` and
-/// `dispatch.pages_ordered`, and the cache-affinity and frontier-density
-/// orders publish their decisions as `dispatch.order.*` counters.
+/// `dispatch.pages_ordered`, and the frontier-density order publishes its
+/// decisions as `dispatch.order.density_sorted`.
 std::vector<PageId> OrderPages(PageOrderKind kind, std::vector<PageId> sps,
                                std::vector<PageId> lps,
                                const PageOrderContext& ctx,

@@ -128,9 +128,6 @@ GtsEngine::GtsEngine(const PagedGraph* graph, PageStore* store,
   // on whether a run actually planned a pass or skipped anything.
   registry_->GetCounter("dispatch.passes");
   registry_->GetCounter("dispatch.pages_ordered");
-  if (options_.dispatch.order == PageOrderKind::kCacheAffinity) {
-    registry_->GetCounter("dispatch.order.cached_first");
-  }
   if (options_.dispatch.order == PageOrderKind::kFrontierDensity) {
     registry_->GetCounter("dispatch.order.density_sorted");
   }
@@ -366,8 +363,8 @@ void GtsEngine::SetupCaches() {
             : std::min(options_.cache_bytes, avail);
     if (gpu.page_cache == nullptr) {
       gpu.page_cache = std::make_unique<PageCache>(
-          gpu.device.get(), 0, page_size, options_.cache_policy,
-          registry_.get(), "cache.gpu" + std::to_string(g));
+          gpu.device.get(), 0, page_size, registry_.get(),
+          "cache.gpu" + std::to_string(g));
       gpu.page_cache->BindPinLog(&pin_events_);
     }
     gpu.page_cache->Open(cache_bytes);
@@ -481,17 +478,17 @@ Status GtsEngine::RunJobBatch(const std::vector<JobExec*>& jobs) {
     }
   }
 
-  // Shared page cache: exists when any admitted job qualifies (traversal
-  // kernel, cache enabled, RA-free). Full scans touch every page once,
-  // so a cache cannot help them and the paper disables it (Section 3.3);
-  // cached topology bytes are job-agnostic and serve every demander.
+  // Shared page cache: exists when cache_bytes is not 0 and any admitted
+  // job qualifies (RA-free traversal kernel). Full scans touch every page
+  // once, so a cache cannot help them and the paper disables it (Section
+  // 3.3); cached topology bytes are job-agnostic and serve every
+  // demander.
   bool any_cache = false;
   for (JobExec* job : admitted) {
-    any_cache |=
-        job->kernel->access_pattern() == AccessPattern::kTraversal &&
-        options_.enable_cache && job->kernel->ra_bytes_per_vertex() == 0;
+    any_cache |= job->kernel->access_pattern() == AccessPattern::kTraversal &&
+                 job->kernel->ra_bytes_per_vertex() == 0;
   }
-  if (any_cache) SetupCaches();
+  if (any_cache && options_.cache_bytes != 0) SetupCaches();
 
   // Epoch-start clears (one epoch = one schedule).
   recorder_.Clear();
@@ -687,15 +684,9 @@ void GtsEngine::FinalizeBatchEpoch(const std::vector<JobExec*>& jobs) {
   // per-job attribution of a merged publish would be arbitrary, so
   // every finished job carries the epoch's harvest (the publishes this
   // epoch triggered, plus any publish or quiesce that ran since the
-  // previous harvest). Cache backpressure is epoch-wide the same way.
+  // previous harvest).
   ingest::IngestStats epoch_ingest;
   if (ingest_ != nullptr) epoch_ingest = ingest_->TakeRunStats();
-  uint64_t cache_backpressure = 0;
-  for (const auto& gpu : gpus_) {
-    if (gpu->cache != nullptr) {
-      cache_backpressure += gpu->cache->insert_backpressure();
-    }
-  }
 
   std::string escalation;
   if (options_.analysis.fail_on_violation && report.violations_detected > 0) {
@@ -717,7 +708,6 @@ void GtsEngine::FinalizeBatchEpoch(const std::vector<JobExec*>& jobs) {
     m.kernel_busy = schedule.BusySeconds(gpu::ResourceId::Type::kKernelPool);
     m.storage_busy =
         schedule.BusySeconds(gpu::ResourceId::Type::kStorageDevice);
-    m.cache_backpressure = cache_backpressure;
     m.ingest_updates_applied = epoch_ingest.updates_applied;
     m.ingest_deltas_flushed = epoch_ingest.deltas_flushed;
     m.ingest_compactions = epoch_ingest.compactions;

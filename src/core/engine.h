@@ -64,10 +64,9 @@ struct GtsOptions {
   Strategy strategy = Strategy::kPerformance;
   int num_streams = 16;  ///< GPU streams per device (Figure 10 sweeps this)
   MicroStrategy micro = MicroStrategy::kEdgeCentric;
-  bool enable_cache = true;
-  CachePolicy cache_policy = CachePolicy::kPinned;
-  /// Device bytes reserved for the page cache; kAutoCacheBytes = all free
-  /// device memory after WABuf and the stream buffers.
+  /// Device bytes reserved for the page cache (which fills once and never
+  /// evicts); kAutoCacheBytes = all free device memory after WABuf and
+  /// the stream buffers, 0 = no cache.
   uint64_t cache_bytes = kAutoCacheBytes;
   /// Inert: every engine runs each GPU's kernels on host workers
   /// (gpu::Stream; one per GPU, up to one per job in a multi-job epoch)

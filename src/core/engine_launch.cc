@@ -185,13 +185,9 @@ Status GtsEngine::StreamPageToGpuBatch(
         first_copy = dst;
         if (insert_into_cache) {
           // Device-internal copy; deliberately not a timeline op (it does
-          // not cross PCI-E). An evicting insert may reuse the buffer of a
-          // page a queued kernel of any worker reads, so they all drain
-          // first (with every pin released, as inline). Failure leaves the
-          // page on the streaming path.
-          if (gpu.cache->InsertEvicts(pid)) {
-            for (auto& other : gpu.workers) other->Synchronize();
-          }
+          // not cross PCI-E). The insert never touches a resident page,
+          // so queued kernels need not drain. Failure leaves the page on
+          // the streaming path.
           (void)gpu.cache->Insert(pid, dst,
                                   ingest_ != nullptr ? ingest_->PageVersion(pid)
                                                      : 0);
@@ -212,9 +208,9 @@ Status GtsEngine::StreamPageToGpuBatch(
     });
     begin = end;
   }
-  // The bytes of a hit stay put without the lease: nothing evicts or
-  // invalidates a cached page before the workers drain. Releasing here
-  // logs the pin events in inline order.
+  // The bytes of a hit stay put without the lease: the cache never
+  // evicts, and invalidation waits for a safe point after the workers
+  // drain. Releasing here logs the pin events in inline order.
   pin.Release();
   // The race detector stamps WA accesses with the lane's clock, which the
   // next launch advances: run each page's kernels before the next issue.

@@ -125,16 +125,6 @@ std::vector<PageId> GtsEngine::PlanPass(const std::vector<JobExec*>& running) {
   }
 
   PageOrderContext ctx;
-  // Contains() touches no cache statistics.
-  bool any_cache = false;
-  for (const auto& gpu : gpus_) any_cache |= gpu->cache != nullptr;
-  if (any_cache) {
-    ctx.is_cached = [this](PageId pid) {
-      const int g = replicate_ ? 0 : static_cast<int>(pid) % machine_.num_gpus;
-      const auto& cache = gpus_[g]->cache;
-      return cache != nullptr && cache->Contains(pid);
-    };
-  }
   if (pass_frontier != nullptr && pass_frontier->counting()) {
     ctx.frontier_count = [pass_frontier](PageId pid) {
       return pass_frontier->CountOf(pid);

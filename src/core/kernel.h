@@ -263,11 +263,11 @@ class GtsKernel {
   /// (counters, scratch) safe for concurrent calls.
   ///
   /// Page-bytes contract: on a cache hit `page` views the device page
-  /// cache directly -- the engine drains the GPU's workers before anything
-  /// evicts or invalidates a cached page, so the bytes stay stable for
-  /// the call. Kernels must treat page memory as strictly read-only
-  /// (topology is immutable; writes go to WA) and must not retain the
-  /// view past the call.
+  /// cache directly -- the cache never evicts, and a cached page is
+  /// invalidated only at a safe point after the GPU's workers drain, so
+  /// the bytes stay stable for the call. Kernels must treat page memory
+  /// as strictly read-only (topology is immutable; writes go to WA) and
+  /// must not retain the view past the call.
   virtual WorkStats RunSp(const PageView& page, KernelContext& ctx) = 0;
 
   /// K_LP: processes one large-page chunk of a single vertex. Same

@@ -12,16 +12,14 @@
 namespace gts {
 
 PageCache::PageCache(gpu::Device* device, uint64_t capacity_bytes,
-                     uint64_t page_size, CachePolicy policy,
-                     obs::MetricsRegistry* registry,
+                     uint64_t page_size, obs::MetricsRegistry* registry,
                      std::string_view metric_prefix)
-    : device_(device), page_size_(page_size), policy_(policy) {
+    : device_(device), page_size_(page_size) {
   if (registry != nullptr) {
     const std::string prefix(metric_prefix);
     lookups_metric_ = &registry->GetCounter(prefix + ".lookups");
     hits_metric_ = &registry->GetCounter(prefix + ".hits");
     inserts_metric_ = &registry->GetCounter(prefix + ".inserts");
-    backpressure_metric_ = &registry->GetCounter(prefix + ".backpressure");
   }
   Open(capacity_bytes);
 }
@@ -34,7 +32,6 @@ void PageCache::Open(uint64_t capacity_bytes) {
   capacity_pages_ = page_size_ == 0 ? 0 : capacity_bytes / page_size_;
   lookups_ = 0;
   hits_ = 0;
-  insert_backpressure_ = 0;
 }
 
 void PageCache::Close() {
@@ -42,15 +39,12 @@ void PageCache::Close() {
   GTS_CHECK(total_pins_ == 0)
       << "PageCache closed with " << total_pins_
       << " outstanding Pin(s); every Pin must be released first";
-  for (PageId pid = order_.older; pid != kSentinel;) {
-    const PageId older = entries_[pid].older;
-    free_buffers_.push_back(entries_[pid].data);
-    entries_[pid] = Entry{};
-    pid = older;
+  for (Entry& entry : entries_) {
+    if (entry.data != nullptr) free_buffers_.push_back(entry.data);
+    entry = Entry{};
   }
   device_->Release(size_ * page_size_);
   size_ = 0;
-  order_ = Entry{};
 }
 
 PageCache::Pin& PageCache::Pin::operator=(Pin&& other) noexcept {
@@ -103,22 +97,10 @@ PageCache::Entry* PageCache::FindLocked(PageId pid) {
   if (!ResidentLocked(pid) || entries_[pid].stale) return nullptr;
   ++hits_;
   if (hits_metric_ != nullptr) hits_metric_->Add();
-  if (policy_ == CachePolicy::kLru) {
-    UnlinkLocked(pid);
-    LinkFrontLocked(pid);
-  }
   return &entries_[pid];
 }
 
-void PageCache::LinkFrontLocked(PageId pid) {
-  entries_[pid].newer = kSentinel;
-  entries_[pid].older = order_.older;
-  Node(order_.older).newer = pid;
-  order_.older = pid;
-}
-
 void PageCache::EraseLocked(PageId pid) {
-  UnlinkLocked(pid);
   free_buffers_.push_back(entries_[pid].data);
   entries_[pid] = Entry{};
   --size_;
@@ -127,8 +109,8 @@ void PageCache::EraseLocked(PageId pid) {
 
 void PageCache::Unpin(PageId pid) {
   analysis::sync::Lock lock(mu_);
-  // Eviction skips pinned pages, so a pinned entry can never disappear.
-  GTS_CHECK(ResidentLocked(pid)) << "Unpin of evicted page " << pid;
+  // Only the last unpin erases a pinned entry, so it is still here.
+  GTS_CHECK(ResidentLocked(pid)) << "Unpin of erased page " << pid;
   Entry& entry = entries_[pid];
   GTS_CHECK(entry.pins > 0) << "Unpin without a pin on page " << pid;
   --entry.pins;
@@ -167,77 +149,30 @@ bool PageCache::Invalidate(PageId pid) {
   return true;
 }
 
-std::string_view CachePolicyName(CachePolicy policy) {
-  switch (policy) {
-    case CachePolicy::kPinned:
-      return "pinned";
-    case CachePolicy::kLru:
-      return "LRU";
-    case CachePolicy::kFifo:
-      return "FIFO";
-  }
-  return "?";
-}
-
 Status PageCache::Insert(PageId pid, const uint8_t* bytes,
                          uint64_t version) {
   analysis::sync::Lock lock(mu_);
-  if (capacity_pages_ == 0) return Status::OK();
-  // Already present -- including a stale-but-pinned copy, whose device
-  // buffer cannot be replaced until its readers drain.
-  if (ResidentLocked(pid)) return Status::OK();
-  if (policy_ == CachePolicy::kPinned && size_ >= capacity_pages_) {
-    return Status::OK();  // full: scan-resistant, keep the resident set
+  // Full: keep the resident set (scan resistance). Already present --
+  // including a stale-but-pinned copy, whose device buffer cannot be
+  // replaced until its readers drain.
+  if (size_ >= capacity_pages_ || ResidentLocked(pid)) return Status::OK();
+  const Status reserved = device_->Reserve(page_size_, "cache");
+  if (!reserved.ok()) {
+    return Status::OutOfDeviceMemory("cache[" + std::to_string(pid) +
+                                     "]: " + reserved.message());
   }
-  // The victim's buffer, reused for the new page: the device keeps the
-  // same bytes reserved, and nothing is allocated.
-  uint8_t* buffer = nullptr;
-  // Capacity is fixed while pages are resident, so one eviction makes
-  // room.
-  if (size_ >= capacity_pages_) {
-    // Oldest-first victim scan that skips pages leased out via Pin; a
-    // pinned page may be mid-read by a kernel, so reusing its buffer here
-    // would overwrite bytes under the reader.
-    PageId victim = order_.newer;
-    while (victim != kSentinel && entries_[victim].pins > 0) {
-      victim = entries_[victim].newer;
-    }
-    if (victim == kSentinel) {
-      ++insert_backpressure_;
-      if (backpressure_metric_ != nullptr) backpressure_metric_->Add();
-      return Status::CapacityExceeded(
-          "page cache full: all " + std::to_string(size_) +
-          " resident pages are pinned (page " + std::to_string(pid) +
-          " stays on the streaming path)");
-    }
-    if (pin_log_ != nullptr) {
-      pin_log_->Append(analysis::PinEvent::Kind::kEvicted, victim);
-    }
-    buffer = entries_[victim].data;
-    UnlinkLocked(victim);
-    entries_[victim] = Entry{};
-    --size_;
+  if (free_buffers_.empty()) {
+    // Uninitialised: the copy below fills every byte.
+    buffers_.emplace_back(new uint8_t[page_size_]);
+    free_buffers_.push_back(buffers_.back().get());
   }
-  if (buffer == nullptr) {
-    const Status reserved = device_->Reserve(page_size_, "cache");
-    if (!reserved.ok()) {
-      return Status::OutOfDeviceMemory("cache[" + std::to_string(pid) +
-                                       "]: " + reserved.message());
-    }
-    if (free_buffers_.empty()) {
-      // Uninitialised: the copy below fills every byte.
-      buffers_.emplace_back(new uint8_t[page_size_]);
-      free_buffers_.push_back(buffers_.back().get());
-    }
-    buffer = free_buffers_.back();
-    free_buffers_.pop_back();
-  }
+  uint8_t* buffer = free_buffers_.back();
+  free_buffers_.pop_back();
   std::memcpy(buffer, bytes, page_size_);
   if (pid >= entries_.size()) entries_.resize(static_cast<size_t>(pid) + 1);
   Entry& entry = entries_[pid];
   entry.data = buffer;
   entry.version = version;
-  LinkFrontLocked(pid);
   ++size_;
   if (inserts_metric_ != nullptr) inserts_metric_->Add();
   if (pin_log_ != nullptr) {

@@ -2,8 +2,11 @@
 //
 // When WABuf and the streaming buffers leave device memory free (BFS-like
 // algorithms have tiny WA), GTS caches topology pages there so repeatedly
-// visited pages skip the PCI-E copy. kPinned by default; LRU and FIFO are
-// provided for the Figure 11 ablation called out in DESIGN.md.
+// visited pages skip the PCI-E copy. The cache fills once and never
+// evicts (DESIGN.md §6.2): a traversal sweeps its frontier's pages
+// cyclically, which leaves a recency-evicting LRU or FIFO cache holding
+// exactly what the next level no longer needs, while a resident set that
+// stays put gives the linear hit rate ~B/(S+L) of Figure 11.
 #ifndef GTS_CORE_PAGE_CACHE_H_
 #define GTS_CORE_PAGE_CACHE_H_
 
@@ -21,33 +24,25 @@
 
 namespace gts {
 
-/// Replacement policy.
-///
-/// BFS-like algorithms sweep the frontier's pages cyclically, which is the
-/// pathological case for classic LRU/FIFO (the cache evicts exactly what
-/// the next level needs, hit rate stays ~0 until everything fits). kPinned
-/// fills once and never evicts, giving the linear hit rate ~B/(S+L) the
-/// paper reports in Figure 11 -- so it is the engine default, with LRU and
-/// FIFO kept for the ablation benchmark.
-enum class CachePolicy : uint8_t { kPinned, kLru, kFifo };
-
-std::string_view CachePolicyName(CachePolicy policy);
-
 /// Device-memory page cache for one GPU.
 ///
 /// Holds real page copies in device memory (so kernels can run against
-/// them) and tracks hit statistics for Figure 11. The page buffers outlive
-/// Close(), so a cache reopened for the next run allocates nothing.
+/// them) and tracks hit statistics for Figure 11. Inserts stop when the
+/// cache is full; a page leaves only through Invalidate() or Close(). The
+/// page buffers outlive Close(), so a cache reopened for the next run
+/// allocates nothing.
 ///
 /// Thread-safety: every public method is safe to call concurrently. Page
 /// bytes escape the cache lock only through a Pin, which holds a refcount
-/// that eviction respects.
+/// that invalidation respects.
 class PageCache {
  public:
   /// RAII read lease on one cached page.
   ///
-  /// While a Pin is alive the page cannot be evicted, so data() stays valid
-  /// without holding the cache mutex (kernels run against it directly).
+  /// While a Pin is alive the page's bytes cannot be freed (an
+  /// invalidation defers until the last pin releases), so data() stays
+  /// valid without holding the cache mutex (kernels run against it
+  /// directly).
   /// Move-only; releasing (destruction, assignment, or Release()) unpins.
   /// Lifetime rule: every Pin must be released before its PageCache is
   /// closed or destroyed -- the cache aborts on outstanding pins rather
@@ -70,7 +65,7 @@ class PageCache {
     const uint8_t* data() const { return data_; }
     PageId page_id() const { return pid_; }
 
-    /// Drops the lease early (idempotent); the page becomes evictable.
+    /// Drops the lease early (idempotent).
     void Release();
 
    private:
@@ -90,11 +85,11 @@ class PageCache {
 
   /// Reserves space for up to `capacity_bytes` of pages of `page_size`
   /// bytes each on `device`. A zero capacity disables the cache. With a
-  /// `registry`, lookups/hits/inserts/backpressure are also published as
+  /// `registry`, lookups/hits/inserts are also published as
   /// `<metric_prefix>.*` counters (cumulative across Open/Close cycles);
   /// the registry must outlive the cache.
   PageCache(gpu::Device* device, uint64_t capacity_bytes, uint64_t page_size,
-            CachePolicy policy, obs::MetricsRegistry* registry = nullptr,
+            obs::MetricsRegistry* registry = nullptr,
             std::string_view metric_prefix = "cache");
 
   /// Aborts if any Pin is still outstanding (a live Pin would otherwise
@@ -124,36 +119,26 @@ class PageCache {
   }
 
   /// Looks up a page; on a hit returns a Pin leasing its device bytes (an
-  /// invalid Pin on miss). Counts a lookup and (on success) a hit;
-  /// refreshes recency under LRU. Use this when the caller reads the page
-  /// in place for an extended time (e.g. running a kernel against cached
-  /// device memory): the Pin blocks eviction instead of escaping a raw
-  /// pointer that a concurrent Insert could free mid-read.
+  /// invalid Pin on miss). Counts a lookup and (on success) a hit. Use
+  /// this when the caller reads the page in place for an extended time
+  /// (e.g. running a kernel against cached device memory): the Pin defers
+  /// invalidation instead of escaping a raw pointer that a concurrent
+  /// Invalidate could free mid-read.
   [[nodiscard]] Pin Lookup(PageId pid);
 
-  /// True if present (and not stale), without touching stats or recency
-  /// (Algorithm 1 consults the *host copy* of cachedPIDMap when routing).
+  /// True if present (and not stale), without touching stats.
   bool Contains(PageId pid) const {
     analysis::sync::Lock lock(mu_);
     return ResidentLocked(pid) && !entries_[pid].stale;
   }
 
-  /// True when Insert(pid, ...) would evict a resident page to make room
-  /// (never under kPinned, which stops inserting when full).
-  bool InsertEvicts(PageId pid) const {
-    analysis::sync::Lock lock(mu_);
-    return policy_ != CachePolicy::kPinned && capacity_pages_ > 0 &&
-           size_ >= capacity_pages_ && !ResidentLocked(pid);
-  }
-
-  /// Inserts a copy of `bytes` for `pid`, evicting per policy when full.
-  /// Eviction skips pinned pages; when every resident page is pinned the
-  /// insert fails with CapacityExceeded (counted in insert_backpressure())
-  /// and the engine keeps the page on the streaming SPBuf/LPBuf path.
-  /// No-op when the cache is disabled or the page is already present
-  /// (including a stale-but-pinned copy, which must drain first).
-  /// `version` tags the entry with the page's ingest version (0 for a
-  /// frozen graph).
+  /// Inserts a copy of `bytes` for `pid`. No-op when the cache is full or
+  /// disabled, or the page is already present (including a stale-but-
+  /// pinned copy, which must drain first): the resident set never
+  /// changes to make room. Fails only when the device cannot reserve the
+  /// page, which leaves it on the streaming SPBuf/LPBuf path. `version`
+  /// tags the entry with the page's ingest version (0 for a frozen
+  /// graph).
   [[nodiscard]] Status Insert(PageId pid, const uint8_t* bytes,
                               uint64_t version = 0);
 
@@ -171,7 +156,7 @@ class PageCache {
   /// validator's I1 rule.
   [[nodiscard]] bool Invalidate(PageId pid);
 
-  /// Streams pin/insert/evict events into `log` (pass null to detach) for
+  /// Streams pin/insert/erase events into `log` (pass null to detach) for
   /// the gts::analysis pin-lifetime validator. The log must outlive the
   /// cache or be detached first.
   void BindPinLog(analysis::PinEventLog* log) {
@@ -187,11 +172,6 @@ class PageCache {
     analysis::sync::Lock lock(mu_);
     return hits_;
   }
-  /// Inserts rejected because every evictable page was pinned.
-  uint64_t insert_backpressure() const {
-    analysis::sync::Lock lock(mu_);
-    return insert_backpressure_;
-  }
   double hit_rate() const {
     analysis::sync::Lock lock(mu_);
     return lookups_ == 0 ? 0.0
@@ -200,15 +180,10 @@ class PageCache {
   }
 
  private:
-  static constexpr PageId kSentinel = kInvalidPageId;
   /// One page id's slot in the flat index (`data` null: not resident).
-  /// Resident entries form a circular list through `newer`/`older`,
-  /// closed by the sentinel `order_`.
   struct Entry {
     uint8_t* data = nullptr;
     uint32_t pins = 0;
-    PageId newer = kSentinel;
-    PageId older = kSentinel;
     uint64_t version = 0;  ///< ingest page version at insert time
     /// Invalidated while pinned: lookups miss, erased at last Unpin.
     bool stale = false;
@@ -217,16 +192,8 @@ class PageCache {
   bool ResidentLocked(PageId pid) const GTS_REQUIRES(mu_) {
     return pid < entries_.size() && entries_[pid].data != nullptr;
   }
-  Entry& Node(PageId id) GTS_REQUIRES(mu_) {
-    return id == kSentinel ? order_ : entries_[id];
-  }
-  /// Stats/recency-updating find; requires mu_ held.
+  /// Stats-updating find; requires mu_ held.
   Entry* FindLocked(PageId pid) GTS_REQUIRES(mu_);
-  void LinkFrontLocked(PageId pid) GTS_REQUIRES(mu_);
-  void UnlinkLocked(PageId pid) GTS_REQUIRES(mu_) {
-    Node(entries_[pid].newer).older = entries_[pid].older;
-    Node(entries_[pid].older).newer = entries_[pid].newer;
-  }
   /// Makes `pid` non-resident; its buffer goes to the free list and its
   /// device memory back to the device.
   void EraseLocked(PageId pid) GTS_REQUIRES(mu_);
@@ -237,13 +204,11 @@ class PageCache {
                                     analysis::sync::level::kCache};
   gpu::Device* device_;
   uint64_t page_size_;
-  CachePolicy policy_;
 
   // Registry handles (nullptr when no registry was given).
   obs::Counter* lookups_metric_ = nullptr;
   obs::Counter* hits_metric_ = nullptr;
   obs::Counter* inserts_metric_ = nullptr;
-  obs::Counter* backpressure_metric_ = nullptr;
 
   analysis::PinEventLog* pin_log_ = nullptr;
 
@@ -251,10 +216,6 @@ class PageCache {
   /// Indexed by page id; grows to the largest id inserted.
   std::vector<Entry> entries_ GTS_GUARDED_BY(mu_);
   size_t size_ GTS_GUARDED_BY(mu_) = 0;  ///< resident entries
-  // order_.older is the front: for LRU the most recent, for FIFO the
-  // newest insert. Eviction takes from the back (order_.newer) in both
-  // policies, skipping pinned pages.
-  Entry order_ GTS_GUARDED_BY(mu_);
   /// Every page buffer the cache ever allocated, and those not holding a
   /// resident page.
   std::vector<std::unique_ptr<uint8_t[]>> buffers_ GTS_GUARDED_BY(mu_);
@@ -263,7 +224,6 @@ class PageCache {
   size_t total_pins_ GTS_GUARDED_BY(mu_) = 0;
   uint64_t lookups_ GTS_GUARDED_BY(mu_) = 0;
   uint64_t hits_ GTS_GUARDED_BY(mu_) = 0;
-  uint64_t insert_backpressure_ GTS_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace gts

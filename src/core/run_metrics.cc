@@ -14,7 +14,6 @@ void RunMetrics::Accumulate(const RunMetrics& increment) {
   lp_kernel_calls += increment.lp_kernel_calls;
   cache_lookups += increment.cache_lookups;
   cache_hits += increment.cache_hits;
-  cache_backpressure += increment.cache_backpressure;
   shared_page_hits += increment.shared_page_hits;
   work += increment.work;
   io.buffer_hits += increment.io.buffer_hits;

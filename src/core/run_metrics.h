@@ -36,9 +36,6 @@ struct RunMetrics {
   uint64_t lp_kernel_calls = 0;
   uint64_t cache_lookups = 0;
   uint64_t cache_hits = 0;
-  /// Cache inserts rejected because every evictable page was pinned by an
-  /// in-flight kernel (the page stayed on the streaming SPBuf/LPBuf path).
-  uint64_t cache_backpressure = 0;
   /// JobScheduler batch epochs only: pages this job consumed that another
   /// concurrent job had already streamed (or cached) in the same pass.
   /// pages_streamed counts only first-demander transfers, so across a
@@ -88,8 +85,7 @@ struct RunMetrics {
   /// every multi-pass driver (PageRank iterations, radius hops, k-core
   /// rounds, BC's backward sweep):
   ///   - every additive counter (times, pages, kernel calls, cache and
-  ///     storage counters -- including cache_backpressure -- and work)
-  ///     is summed; `levels` sums too;
+  ///     storage counters, and work) is summed; `levels` sums too;
   ///   - `level_pages` appends, so a single accumulated run keeps its
   ///     frontier history;
   ///   - `timeline` keeps the increment's ops when it has any (the

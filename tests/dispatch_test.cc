@@ -67,23 +67,6 @@ TEST(PageOrderPolicyTest, InterleavedSortsByPid) {
   EXPECT_EQ(out, (std::vector<PageId>{0, 1, 2, 3, 4, 5}));
 }
 
-TEST(PageOrderPolicyTest, CacheAffinityFrontsCachedPagesPerGroup) {
-  PageOrderContext ctx;
-  ctx.is_cached = [](PageId pid) { return pid == 2 || pid == 4; };
-  // Cached pages move to the front of their own group; relative order
-  // inside the cached and uncached partitions is preserved (stable), and
-  // SPs still stream before LPs.
-  auto out = OrderPages(PageOrderKind::kCacheAffinity, {0, 1, 2}, {3, 4, 5},
-                        ctx, nullptr);
-  EXPECT_EQ(out, (std::vector<PageId>{2, 0, 1, 4, 3, 5}));
-}
-
-TEST(PageOrderPolicyTest, CacheAffinityDegradesWithoutCacheInfo) {
-  auto out = OrderPages(PageOrderKind::kCacheAffinity, {0, 1}, {2, 3},
-                        PageOrderContext{}, nullptr);
-  EXPECT_EQ(out, (std::vector<PageId>{0, 1, 2, 3}));
-}
-
 TEST(PageOrderPolicyTest, FrontierDensitySortsDescendingWithPidTiebreak) {
   PageOrderContext ctx;
   ctx.frontier_count = [](PageId pid) -> uint32_t {
@@ -184,9 +167,8 @@ TEST(DispatchEquivalenceTest, BfsLevelsIdenticalAcrossAllPolicies) {
   std::vector<uint16_t> reference;
   for (auto order :
        {PageOrderKind::kSpThenLp, PageOrderKind::kInterleaved,
-        PageOrderKind::kCacheAffinity, PageOrderKind::kFrontierDensity}) {
+        PageOrderKind::kFrontierDensity}) {
     GtsOptions opts;
-    opts.cache_policy = CachePolicy::kLru;
     opts.dispatch.order = order;
     GtsEngine engine(&f.paged, f.store.get(), f.Machine(), opts);
     auto bfs = RunBfsGts(engine, source);
@@ -203,7 +185,7 @@ TEST(DispatchEquivalenceTest, WccLabelsIdenticalAcrossOrderPolicies) {
   Fixture f;
   std::vector<uint64_t> reference;
   for (auto order : {PageOrderKind::kSpThenLp, PageOrderKind::kInterleaved,
-                     PageOrderKind::kCacheAffinity}) {
+                     PageOrderKind::kFrontierDensity}) {
     GtsOptions opts;
     opts.dispatch.order = order;
     GtsEngine engine(&f.paged, f.store.get(), f.Machine(), opts);
@@ -248,29 +230,6 @@ TEST(DispatchEquivalenceTest, StreamThreadsBitIdenticalToInline) {
 }
 
 // ------------------------------------------------ policy effectiveness
-
-/// Under LRU churn (cache far smaller than the traversal working set),
-/// fronting cached-resident pages converts them to hits before the pass's
-/// own inserts evict them; the paper-default order loses some of those.
-TEST(DispatchEffectTest, CacheAffinityRaisesLruHits) {
-  Fixture f(11, 8, 7);
-  const VertexId source = f.Source();
-
-  auto hits_with = [&](PageOrderKind order) {
-    GtsOptions opts;
-    opts.cache_policy = CachePolicy::kLru;
-    opts.cache_bytes = 64 * kKiB;  // a handful of pages: heavy churn
-    opts.dispatch.order = order;
-    GtsEngine engine(&f.paged, f.store.get(), f.Machine(), opts);
-    auto bfs = RunBfsGts(engine, source);
-    GTS_CHECK(bfs.ok());
-    return bfs->report.metrics.cache_hits;
-  };
-
-  const uint64_t default_hits = hits_with(PageOrderKind::kSpThenLp);
-  const uint64_t affinity_hits = hits_with(PageOrderKind::kCacheAffinity);
-  EXPECT_GT(affinity_hits, default_hits);
-}
 
 TEST(DispatchEffectTest, SequentialMergeCutsScanIoTime) {
   Fixture f;

@@ -164,9 +164,8 @@ TEST(BfsEngineTest, InvalidSourceRejected) {
 TEST(BfsEngineTest, CacheProducesHitsAndFewerTransfers) {
   TestGraph g = MakeTestGraph(11, 8);
   GtsOptions with_cache;
-  with_cache.enable_cache = true;
   GtsOptions no_cache;
-  no_cache.enable_cache = false;
+  no_cache.cache_bytes = 0;
   GtsEngine e1(&g.paged, g.store.get(), TestMachine(), with_cache);
   GtsEngine e2(&g.paged, g.store.get(), TestMachine(), no_cache);
   const VertexId source = BusySource(g.csr);

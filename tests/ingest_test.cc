@@ -731,7 +731,7 @@ TEST(IngestOverlayTest, QueriesSeeUpdatesWithoutQuiesce) {
 TEST(IngestCachePinTest, InvalidateDefersEvictionUntilLastUnpin) {
   gpu::Device device(0, 64 * kKiB);
   constexpr uint64_t kPageSize = 1 * kKiB;
-  PageCache cache(&device, 8 * kPageSize, kPageSize, CachePolicy::kLru);
+  PageCache cache(&device, 8 * kPageSize, kPageSize);
   std::vector<uint8_t> bytes(kPageSize, 0x5A);
   ASSERT_TRUE(cache.Insert(9, bytes.data(), /*version=*/1).ok());
   EXPECT_EQ(cache.VersionOf(9), 1u);

@@ -263,34 +263,9 @@ TEST(PageStoreTest, InMemoryStoreHasZeroIoCost) {
 
 // ------------------------------------------------------------ PageCache
 
-TEST(PageCacheTest, LruEvictsLeastRecentlyUsed) {
-  gpu::Device device(0, 10 * kKiB);
-  PageCache cache(&device, 2 * kKiB, 1 * kKiB, CachePolicy::kLru);
-  std::vector<uint8_t> page(1 * kKiB, 0xAB);
-  ASSERT_TRUE(cache.Insert(1, page.data()).ok());
-  ASSERT_TRUE(cache.Insert(2, page.data()).ok());
-  EXPECT_TRUE(cache.Lookup(1).valid());  // touch 1; 2 becomes LRU
-  ASSERT_TRUE(cache.Insert(3, page.data()).ok());
-  EXPECT_TRUE(cache.Contains(1));
-  EXPECT_FALSE(cache.Contains(2));
-  EXPECT_TRUE(cache.Contains(3));
-}
-
-TEST(PageCacheTest, FifoEvictsOldestInsert) {
-  gpu::Device device(0, 10 * kKiB);
-  PageCache cache(&device, 2 * kKiB, 1 * kKiB, CachePolicy::kFifo);
-  std::vector<uint8_t> page(1 * kKiB, 0xCD);
-  ASSERT_TRUE(cache.Insert(1, page.data()).ok());
-  ASSERT_TRUE(cache.Insert(2, page.data()).ok());
-  EXPECT_TRUE(cache.Lookup(1).valid());  // FIFO ignores recency
-  ASSERT_TRUE(cache.Insert(3, page.data()).ok());
-  EXPECT_FALSE(cache.Contains(1));
-  EXPECT_TRUE(cache.Contains(2));
-}
-
 TEST(PageCacheTest, HitRateAccounting) {
   gpu::Device device(0, 10 * kKiB);
-  PageCache cache(&device, 4 * kKiB, 1 * kKiB, CachePolicy::kLru);
+  PageCache cache(&device, 4 * kKiB, 1 * kKiB);
   std::vector<uint8_t> page(1 * kKiB, 0x11);
   EXPECT_FALSE(cache.Lookup(7).valid());
   ASSERT_TRUE(cache.Insert(7, page.data()).ok());
@@ -302,7 +277,7 @@ TEST(PageCacheTest, HitRateAccounting) {
 
 TEST(PageCacheTest, CachedBytesMatchInserted) {
   gpu::Device device(0, 10 * kKiB);
-  PageCache cache(&device, 4 * kKiB, 1 * kKiB, CachePolicy::kLru);
+  PageCache cache(&device, 4 * kKiB, 1 * kKiB);
   std::vector<uint8_t> page(1 * kKiB);
   for (size_t i = 0; i < page.size(); ++i) page[i] = static_cast<uint8_t>(i * 3);
   ASSERT_TRUE(cache.Insert(9, page.data()).ok());
@@ -312,71 +287,19 @@ TEST(PageCacheTest, CachedBytesMatchInserted) {
   EXPECT_EQ(std::memcmp(pin.data(), page.data(), page.size()), 0);
   pin.Release();
 
-  // Page 13 evicts page 9 and takes over its device buffer: it must hold
-  // its own bytes, and the device reservation stays at four pages.
-  for (PageId pid = 10; pid < 14; ++pid) {
-    std::fill(page.begin(), page.end(), static_cast<uint8_t>(pid));
-    ASSERT_TRUE(cache.Insert(pid, page.data()).ok());
-  }
-  EXPECT_FALSE(cache.Contains(9));
-  EXPECT_EQ(device.used(), 4 * kKiB);
+  // Page 13 takes over the buffer page 9's invalidation freed: it must
+  // hold its own bytes.
+  EXPECT_TRUE(cache.Invalidate(9));
+  std::fill(page.begin(), page.end(), static_cast<uint8_t>(13));
+  ASSERT_TRUE(cache.Insert(13, page.data()).ok());
   pin = cache.Lookup(13);
   ASSERT_TRUE(pin.valid());
   EXPECT_EQ(std::memcmp(pin.data(), page.data(), page.size()), 0);
 }
 
-TEST(PageCacheTest, EvictionSkipsPinnedVictim) {
-  gpu::Device device(0, 10 * kKiB);
-  // FIFO so Lookup does not reorder: page 1 stays the natural victim even
-  // while we hold a Pin on it.
-  PageCache cache(&device, 2 * kKiB, 1 * kKiB, CachePolicy::kFifo);
-  std::vector<uint8_t> page(1 * kKiB, 0x5F);
-  ASSERT_TRUE(cache.Insert(1, page.data()).ok());
-  ASSERT_TRUE(cache.Insert(2, page.data()).ok());
-
-  PageCache::Pin pin1 = cache.Lookup(1);
-  ASSERT_TRUE(pin1.valid());
-  EXPECT_EQ(cache.pinned(), 1u);
-  ASSERT_TRUE(cache.Insert(3, page.data()).ok());
-  EXPECT_TRUE(cache.Contains(1));   // pinned victim skipped
-  EXPECT_FALSE(cache.Contains(2));  // next-oldest unpinned page evicted
-  EXPECT_TRUE(cache.Contains(3));
-
-  pin1.Release();
-  EXPECT_EQ(cache.pinned(), 0u);
-  ASSERT_TRUE(cache.Insert(4, page.data()).ok());  // 1 now evictable again
-  EXPECT_FALSE(cache.Contains(1));
-  EXPECT_TRUE(cache.Contains(3));
-  EXPECT_TRUE(cache.Contains(4));
-}
-
-TEST(PageCacheTest, InsertReportsBackpressureWhenAllPagesPinned) {
-  gpu::Device device(0, 10 * kKiB);
-  PageCache cache(&device, 2 * kKiB, 1 * kKiB, CachePolicy::kLru);
-  std::vector<uint8_t> page(1 * kKiB, 0x21);
-  ASSERT_TRUE(cache.Insert(1, page.data()).ok());
-  ASSERT_TRUE(cache.Insert(2, page.data()).ok());
-  {
-    PageCache::Pin pin1 = cache.Lookup(1);
-    PageCache::Pin pin2 = cache.Lookup(2);
-    ASSERT_TRUE(pin1.valid());
-    ASSERT_TRUE(pin2.valid());
-    const Status full = cache.Insert(3, page.data());
-    EXPECT_TRUE(full.IsCapacityExceeded()) << full.ToString();
-    EXPECT_EQ(cache.insert_backpressure(), 1u);
-    EXPECT_FALSE(cache.Contains(3));
-    EXPECT_TRUE(cache.Contains(1));
-    EXPECT_TRUE(cache.Contains(2));
-  }
-  // Pins released by scope exit: the same insert now evicts and succeeds.
-  ASSERT_TRUE(cache.Insert(3, page.data()).ok());
-  EXPECT_TRUE(cache.Contains(3));
-  EXPECT_EQ(cache.insert_backpressure(), 1u);  // unchanged
-}
-
 TEST(PageCacheTest, PinIsMovable) {
   gpu::Device device(0, 10 * kKiB);
-  PageCache cache(&device, 2 * kKiB, 1 * kKiB, CachePolicy::kLru);
+  PageCache cache(&device, 2 * kKiB, 1 * kKiB);
   std::vector<uint8_t> page(1 * kKiB, 0x9C);
   ASSERT_TRUE(cache.Insert(1, page.data()).ok());
   PageCache::Pin a = cache.Lookup(1);
@@ -395,20 +318,25 @@ TEST(PageCacheTest, PinIsMovable) {
 
 TEST(PageCacheTest, UsesDeviceMemoryAccounting) {
   gpu::Device device(0, 3 * kKiB);
-  PageCache cache(&device, 3 * kKiB, 1 * kKiB, CachePolicy::kLru);
+  PageCache cache(&device, 3 * kKiB, 1 * kKiB);
   std::vector<uint8_t> page(1 * kKiB, 0x00);
   ASSERT_TRUE(cache.Insert(0, page.data()).ok());
   ASSERT_TRUE(cache.Insert(1, page.data()).ok());
   EXPECT_EQ(device.used(), 2 * kKiB);
-  // Eviction releases device memory again.
+  // Invalidation returns the page's device memory.
+  EXPECT_TRUE(cache.Invalidate(0));
+  EXPECT_EQ(device.used(), 1 * kKiB);
+  // A full cache reserves nothing more.
   ASSERT_TRUE(cache.Insert(2, page.data()).ok());
   ASSERT_TRUE(cache.Insert(3, page.data()).ok());
+  ASSERT_TRUE(cache.Insert(4, page.data()).ok());
   EXPECT_EQ(device.used(), 3 * kKiB);
+  EXPECT_FALSE(cache.Contains(4));
 }
 
 TEST(PageCacheTest, PinnedPolicyKeepsResidentSetUnderScan) {
   gpu::Device device(0, 10 * kKiB);
-  PageCache cache(&device, 2 * kKiB, 1 * kKiB, CachePolicy::kPinned);
+  PageCache cache(&device, 2 * kKiB, 1 * kKiB);
   std::vector<uint8_t> page(1 * kKiB, 0x42);
   // Cyclic sweep over 4 pages, twice.
   for (int round = 0; round < 2; ++round) {
@@ -418,28 +346,17 @@ TEST(PageCacheTest, PinnedPolicyKeepsResidentSetUnderScan) {
       }
     }
   }
-  // Pinned: pages 0 and 1 stay resident -> 2 hits in round two.
+  // Pages 0 and 1 stay resident -> 2 hits in round two (a recency-
+  // evicting LRU cache would score 0 on this sweep).
   EXPECT_EQ(cache.hits(), 2u);
   EXPECT_TRUE(cache.Contains(0));
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_FALSE(cache.Contains(3));
-
-  // Classic LRU on the same sweep: zero hits (everything evicted just
-  // before reuse) -- the pathological pattern the pinned policy avoids.
-  PageCache lru(&device, 2 * kKiB, 1 * kKiB, CachePolicy::kLru);
-  for (int round = 0; round < 2; ++round) {
-    for (PageId pid = 0; pid < 4; ++pid) {
-      if (!lru.Lookup(pid).valid()) {
-        ASSERT_TRUE(lru.Insert(pid, page.data()).ok());
-      }
-    }
-  }
-  EXPECT_EQ(lru.hits(), 0u);
 }
 
 TEST(PageCacheTest, ZeroCapacityCacheIsInert) {
   gpu::Device device(0, 10 * kKiB);
-  PageCache cache(&device, 0, 1 * kKiB, CachePolicy::kLru);
+  PageCache cache(&device, 0, 1 * kKiB);
   std::vector<uint8_t> page(1 * kKiB, 0x5A);
   ASSERT_TRUE(cache.Insert(1, page.data()).ok());
   EXPECT_FALSE(cache.Lookup(1).valid());
@@ -448,17 +365,18 @@ TEST(PageCacheTest, ZeroCapacityCacheIsInert) {
 
 TEST(PageCacheTest, PinnedPolicyFullInsertIsScanResistantNotBackpressure) {
   gpu::Device device(0, 10 * kKiB);
-  PageCache cache(&device, 2 * kKiB, 1 * kKiB, CachePolicy::kPinned);
+  PageCache cache(&device, 2 * kKiB, 1 * kKiB);
   std::vector<uint8_t> page(1 * kKiB, 0x30);
   ASSERT_TRUE(cache.Insert(1, page.data()).ok());
   ASSERT_TRUE(cache.Insert(2, page.data()).ok());
-  // Policy-full early return: OK status (a deliberate keep-the-resident-set
-  // decision, Insert's scan-resistance early-return), not CapacityExceeded
-  // backpressure -- that is reserved for eviction blocked by Pins.
+  // Full: an OK no-op that keeps the resident set (scan resistance), not
+  // an error, even with every resident page pinned.
+  PageCache::Pin pin = cache.Lookup(1);
   ASSERT_TRUE(cache.Insert(3, page.data()).ok());
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_FALSE(cache.Contains(3));
-  EXPECT_EQ(cache.insert_backpressure(), 0u);
+  EXPECT_TRUE(cache.Contains(1));
+  EXPECT_TRUE(cache.Contains(2));
 }
 
 // ------------------------------------ staging primitives (Fetch miss path)

@@ -655,7 +655,7 @@ TEST(RaceSweepTest, ShippedKernelsCleanAcrossDispatchPolicies) {
   Fixture f;
   const PageOrderKind orders[] = {
       PageOrderKind::kSpThenLp, PageOrderKind::kInterleaved,
-      PageOrderKind::kCacheAffinity, PageOrderKind::kFrontierDensity};
+      PageOrderKind::kFrontierDensity};
   for (PageOrderKind order : orders) {
     GtsOptions opts;
     opts.num_streams = 4;

@@ -30,7 +30,6 @@ RunMetrics MakeIncrement() {
   m.lp_kernel_calls = 1;
   m.cache_lookups = 20;
   m.cache_hits = 15;
-  m.cache_backpressure = 4;
   m.work.scanned_slots = 100;
   m.work.edges_processed = 400;
   m.work.wa_updates = 50;
@@ -60,8 +59,6 @@ TEST(RunMetricsAccumulateTest, SumsEveryAdditiveCounter) {
   EXPECT_EQ(total.lp_kernel_calls, 2u);
   EXPECT_EQ(total.cache_lookups, 40u);
   EXPECT_EQ(total.cache_hits, 30u);
-  // The counter the old per-driver `+=` blocks dropped.
-  EXPECT_EQ(total.cache_backpressure, 8u);
   EXPECT_EQ(total.work.scanned_slots, 200u);
   EXPECT_EQ(total.work.edges_processed, 800u);
   EXPECT_EQ(total.work.wa_updates, 100u);
@@ -100,7 +97,7 @@ TEST(RunReportTest, AccumulateForwardsToMetrics) {
   RunReport report;
   report.Accumulate(MakeIncrement());
   report.Accumulate(MakeIncrement());
-  EXPECT_EQ(report.metrics.cache_backpressure, 8u);
+  EXPECT_EQ(report.metrics.cache_hits, 30u);
   EXPECT_EQ(report.metrics.levels, 6);
 }
 

@@ -312,16 +312,18 @@ void ExpectCleanReplay(const std::function<void(Explorer&)>& body,
   EXPECT_TRUE(result.ok()) << result.ToString();
 }
 
-/// PageCache pin/evict/invalidate: a pinner, an inserter driving
-/// eviction, and an invalidator race; pinned data must stay readable and
-/// pins must balance (the cache destructor aborts otherwise).
-TEST(ExplorerMachineTest, PageCachePinEvictInvalidate) {
+/// PageCache pin/insert/invalidate: a pinner, an inserter filling the
+/// free room (and whatever invalidation frees), and an invalidator race;
+/// pinned data must stay readable and pins must balance (the cache
+/// destructor aborts otherwise).
+TEST(ExplorerMachineTest, PageCachePinInsertInvalidate) {
   const uint64_t kPage = 256;
   std::vector<uint8_t> bytes(kPage, 0xAB);
+  // The inserter's pages differ, so a buffer reused under a pin shows.
+  std::vector<uint8_t> other(kPage, 0xCD);
   auto body = [&](Explorer& e) {
     gpu::Device device(0, /*memory_capacity=*/64 * 1024);
-    PageCache cache(&device, /*capacity_bytes=*/3 * kPage, kPage,
-                    CachePolicy::kLru);
+    PageCache cache(&device, /*capacity_bytes=*/3 * kPage, kPage);
     ASSERT_TRUE(cache.Insert(0, bytes.data()).ok());
     ASSERT_TRUE(cache.Insert(1, bytes.data()).ok());
     bool pinned_data_ok = true;
@@ -333,9 +335,10 @@ TEST(ExplorerMachineTest, PageCachePinEvictInvalidate) {
                }
              }
            },
-           [&] {  // inserter: overflows capacity, drives eviction
-             (void)cache.Insert(2, bytes.data());
-             (void)cache.Insert(3, bytes.data());
+           [&] {  // inserter: fills the third slot, then one freed by
+                  // invalidation (or finds the cache full)
+             (void)cache.Insert(2, other.data());
+             (void)cache.Insert(3, other.data());
            },
            [&] {  // invalidator: races the pinner's lease on page 0
              (void)cache.Invalidate(0);

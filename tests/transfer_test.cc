@@ -474,10 +474,9 @@ TEST(TransferEffectTest, AutoPicksBothSidesOfCrossover) {
 
   GtsOptions opts;
   opts.transfer.mode = transfer::TransferMode::kAuto;
-  // A small LRU cache keeps late sparse levels honest: under the default
-  // pinned cache the whole graph is resident after the dense levels and
-  // the direct levels would never reach Stage.
-  opts.cache_policy = CachePolicy::kLru;
+  // A small cache keeps late sparse levels honest: under the default
+  // auto-sized cache the whole graph is resident after the dense levels
+  // and the direct levels would never reach Stage.
   opts.cache_bytes = 16 * kKiB;
   GtsEngine engine(&f.paged, f.store.get(), f.Machine(), opts);
   auto bfs = RunBfsGts(engine, source);
